@@ -17,8 +17,7 @@ fields, and their quadratic extensions) and provides:
 
 from .fields import (BiDualRing, CharacteristicTwoError, DualRing,
                      FieldSyntaxError, GaussianRationals, PrimeField,
-                     QuadraticExt, Rationals, field_from_spec, scalar_format,
-                     scalar_parse)
+                     QuadraticExt, Rationals, field_from_spec)
 from .matrices import (Matrix, all_matrices, det, format_matrix, hstack,
                        is_invertible, kernel_basis, mat_invert, parse_matrix,
                        random_matrix, rank, rref, vstack)
@@ -41,9 +40,8 @@ from .involutions import (BaseTriple, Involution, InvolutionError, GroupView,
                           base_triple, cayley_rho, cayley_table,
                           census_report, closure_report, dual_involution,
                           fixed_points, involution, isotropic_census, j_map,
-                          lagrangian_geometry, ortho_involution,
-                          standard_triple, tilde_tau, torsor_G,
-                          translation_op, unitary_group, verify_involution)
+                          ortho_involution, standard_triple, tilde_tau,
+                          torsor_G, translation_op, unitary_group)
 from .homotopes import (ClassicalFamily, Homotope, classical_family,
                         family_table_bridge, graph_star_roundtrip, homotope,
                         hull, lie_bracket_dual, lie_bracket_formula, members,

@@ -56,7 +56,7 @@ def _run_config(args, command):
                      ambient=getattr(args, "ambient", 0)
                      or getattr(args, "n", 0) or 0,
                      seed=getattr(args, "seed", 0) or 0,
-                     trials=getattr(args, "trials", 200) or 200,
+                     trials=getattr(args, "trials", 200),
                      exhaustive=bool(getattr(args, "exhaustive", False)),
                      out=getattr(args, "out", "") or "",
                      fmt=getattr(args, "format", "json") or "json")
@@ -306,11 +306,23 @@ def _add_field(p, required=False):
                    help="field spec: rat, gauss, fp:<p>, fp2:<p>, f<q>")
 
 
+def _positive_int(text):
+    """argparse type for --trials: zero or fewer cases would pass vacuously."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            "expected an integer of at least 1, got %r" % text)
+    return value
+
+
 def _add_sampling(p):
     g = p.add_mutually_exclusive_group()
     g.add_argument("--exhaustive", action="store_true",
                    help="enumerate every case instead of sampling")
-    g.add_argument("--trials", type=int, default=200,
+    g.add_argument("--trials", type=_positive_int, default=200,
                    help="number of sampled cases (default 200)")
     p.add_argument("--seed", type=int, default=0,
                    help="64-bit seed; case i is drawn from (seed, i)")

@@ -571,13 +571,6 @@ class BiDualRing(Ring):
         return tuple(self.base.sample(rng) for _ in range(4))
 
 
-def bidual_invert(ring, a):
-    """Inverse in a BiDualRing; raises ZeroDivisionError on non-units."""
-    if not ring.is_unit(a):
-        raise ZeroDivisionError("bi-dual element with non-unit 1-part")
-    return ring.inv(a)
-
-
 _ALIAS = re.compile(r"^f(\d+)$")
 
 
@@ -612,11 +605,3 @@ def _parse_size(text):
         return int(text)
     except ValueError:
         raise FieldSyntaxError("bad number %r in field spec" % text) from None
-
-
-def scalar_parse(field, text):
-    return field.parse(text)
-
-
-def scalar_format(field, value):
-    return field.format(value)

@@ -10,21 +10,25 @@ Three independent routes to the same product are implemented:
   pushforward of y under the difference of the two projections.
 
 Their agreement, the para-associativity and Klein symmetries, and the derived
-operator identities are what the check suites exercise.
+operator identities are what the check suites exercise.  The laws about the
+product itself are defined here; the check suites in `checks` run them.  This
+module also builds the three slot kinds every law draws its cases from:
+subspace slots, relation slots and transversal tuples.  The case generator
+that enumerates or samples them is `reports.cases`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .matrices import Matrix, kernel_basis, vstack
-from .relations import (apply_rel, compose, difference, gen_projection,
-                        inverse_rel, one_minus)
-from .reports import Report, describe_value, run_law
-from .rng import trial_rng
+from .relations import (LinearRelation, apply_rel, compose, difference,
+                        gen_projection, one_minus, random_relation)
+from .reports import Slots, cases, run_law
 from .subspaces import (Subspace, TransversalityError, all_subspaces,
-                        image_under, is_transversal, meet, pushforward,
+                        image_under, is_transversal, join, meet, pushforward,
                         random_subspace, span_rows)
 
 
@@ -164,11 +168,8 @@ class TorsorView:
 
     a: Subspace
     b: Subspace
-    restricted: bool = False
 
     def product(self, x, y, z):
-        if self.restricted:
-            return gamma_restricted(x, self.a, y, self.b, z)
         return gamma_global(x, self.a, y, self.b, z)
 
     def carrier(self):
@@ -181,131 +182,7 @@ class TorsorView:
                      if is_transversal(s, self.a) and is_transversal(s, self.b))
 
 
-# -- law checks ------------------------------------------------------------
-
-
-def _tuple_case(case):
-    return {k: describe_value(v) for k, v in case.items()}
-
-
-def check_para_associativity(field, ambient, config, gamma_fn=gamma_global,
-                             suite="global-laws"):
-    """(x y (z u v)) = (x (u z v) y) = ((x y z) u v) for fixed middle pairs."""
-
-    def cases():
-        if config.exhaustive:
-            subs = all_subspaces(field, ambient)
-            for a in subs:
-                for b in subs:
-                    for x in subs:
-                        for y in subs:
-                            for z in subs:
-                                for u in subs:
-                                    for v in subs:
-                                        yield dict(x=x, a=a, y=y, b=b, z=z,
-                                                   u=u, v=v)
-        else:
-            for i in config.indices():
-                rng = trial_rng(config.seed, i)
-                draw = lambda: random_subspace(field, ambient, rng)
-                yield dict(x=draw(), a=draw(), y=draw(), b=draw(), z=draw(),
-                           u=draw(), v=draw())
-
-    def holds(c):
-        x, a, y, b, z, u, v = (c["x"], c["a"], c["y"], c["b"], c["z"],
-                               c["u"], c["v"])
-        lhs = gamma_fn(x, a, y, b, gamma_fn(z, a, u, b, v))
-        mid = gamma_fn(x, a, gamma_fn(u, a, z, b, y), b, v)
-        rhs = gamma_fn(gamma_fn(x, a, y, b, z), a, u, b, v)
-        return lhs == mid == rhs
-
-    return run_law(suite, "para-associativity", cases(), holds, _tuple_case)
-
-
-def check_klein(field, ambient, config, gamma_fn=gamma_global,
-                suite="global-laws"):
-    """Gamma(x,a,y,b,z) = Gamma(a,x,y,z,b) = Gamma(z,b,y,a,x)."""
-
-    def cases():
-        if config.exhaustive:
-            subs = all_subspaces(field, ambient)
-            for x in subs:
-                for a in subs:
-                    for y in subs:
-                        for b in subs:
-                            for z in subs:
-                                yield dict(x=x, a=a, y=y, b=b, z=z)
-        else:
-            for i in config.indices():
-                rng = trial_rng(config.seed, i)
-                draw = lambda: random_subspace(field, ambient, rng)
-                yield dict(x=draw(), a=draw(), y=draw(), b=draw(), z=draw())
-
-    def holds(c):
-        x, a, y, b, z = c["x"], c["a"], c["y"], c["b"], c["z"]
-        g = gamma_fn(x, a, y, b, z)
-        return g == gamma_fn(a, x, y, z, b) == gamma_fn(z, b, y, a, x)
-
-    return run_law(suite, "klein-invariance", cases(), holds, _tuple_case)
-
-
-def check_idempotent_laws(field, ambient, config, suite="global-laws"):
-    """Gamma(x,a,a,x,z) = x ^ (a v z)  and  1 - P_x^a = P_a^x."""
-    from .subspaces import join
-
-    def cases():
-        if config.exhaustive:
-            subs = all_subspaces(field, ambient)
-            for x in subs:
-                for a in subs:
-                    for z in subs:
-                        yield dict(x=x, a=a, z=z)
-        else:
-            for i in config.indices():
-                rng = trial_rng(config.seed, i)
-                draw = lambda: random_subspace(field, ambient, rng)
-                yield dict(x=draw(), a=draw(), z=draw())
-
-    def holds(c):
-        x, a, z = c["x"], c["a"], c["z"]
-        if gamma_global(x, a, a, x, z) != meet(x, join(a, z)):
-            return False
-        return one_minus(gen_projection(x, a)) == gen_projection(a, x)
-
-    return run_law(suite, "projection-complement", cases(), holds, _tuple_case)
-
-
-def check_agreement(field, ambient, config, suite="gamma-agreement",
-                    with_enum=False):
-    """gamma_global vs gamma_via_m vs gamma_oracle (vs enumeration when tiny)."""
-
-    def cases():
-        if config.exhaustive:
-            subs = all_subspaces(field, ambient)
-            for x in subs:
-                for a in subs:
-                    for y in subs:
-                        for b in subs:
-                            for z in subs:
-                                yield dict(x=x, a=a, y=y, b=b, z=z)
-        else:
-            for i in config.indices():
-                rng = trial_rng(config.seed, i)
-                draw = lambda: random_subspace(field, ambient, rng)
-                yield dict(x=draw(), a=draw(), y=draw(), b=draw(), z=draw())
-
-    def holds(c):
-        t = (c["x"], c["a"], c["y"], c["b"], c["z"])
-        g = gamma_global(*t)
-        if g != gamma_via_m(*t):
-            return False
-        if g != gamma_oracle(*t):
-            return False
-        if with_enum and g != gamma_oracle_enum(*t):
-            return False
-        return True
-
-    return run_law(suite, "route-agreement", cases(), holds, _tuple_case)
+# -- case slots --------------------------------------------------------------
 
 
 def transversal_tuple(field, ambient, rng, tries=200):
@@ -328,56 +205,152 @@ def transversal_tuple(field, ambient, rng, tries=200):
     raise TransversalityError("no transversal tuple found")
 
 
+def subspace_slots(field, ambient, names):
+    """One slot per name, each a subspace of K^ambient.
+
+    Sampled, every slot takes one random_subspace draw, in slot order;
+    exhaustive, every slot ranges over all subspaces.
+    """
+    def draw(rng):
+        return {n: random_subspace(field, ambient, rng) for n in names}
+
+    return Slots(draw, lambda: dict.fromkeys(names,
+                                             all_subspaces(field, ambient)))
+
+
+def relation_slots(field, ambient, relations, subspaces=""):
+    """Relation slots on K^ambient, followed by subspace slots.
+
+    Sampled, each relation slot takes one random_relation draw and then each
+    subspace slot one random_subspace draw, in slot order.  Exhaustive, the
+    first relation slot ranges over every relation, later relation slots over
+    the first four only (which keeps pair sweeps small), and subspace slots
+    over every subspace.
+    """
+    def draw(rng):
+        case = {n: random_relation(field, ambient, rng) for n in relations}
+        for n in subspaces:
+            case[n] = random_subspace(field, ambient, rng)
+        return case
+
+    def pools():
+        rels = tuple(LinearRelation(ambient, inner)
+                     for inner in all_subspaces(field, 2 * ambient))
+        out = {n: rels if k == 0 else rels[:4]
+               for k, n in enumerate(relations)}
+        if subspaces:
+            subs = all_subspaces(field, ambient)
+            out.update(dict.fromkeys(subspaces, subs))
+        return out
+
+    return Slots(draw, pools)
+
+
+def transversal_slots(field, ambient, names):
+    """Slots named from x, a, y, b, z with x, y, z complements of a and b.
+
+    Sampled, each case comes from one transversal_tuple draw.  Exhaustive,
+    a and b range over all subspaces (b is a itself when the law has no b
+    slot) and the outer slots over every common complement of the pair.
+    """
+    outer = [n for n in names if n in "xyz"]
+
+    def draw(rng):
+        t = dict(zip("xaybz", transversal_tuple(field, ambient, rng)))
+        return {n: t[n] for n in names}
+
+    def expand(case):
+        carrier = TorsorView(case["a"], case.get("b", case["a"])).carrier()
+        for values in itertools.product(carrier, repeat=len(outer)):
+            yield dict(case, **dict(zip(outer, values)))
+
+    middle = [n for n in names if n in "ab"]
+    return Slots(draw, lambda: dict.fromkeys(middle,
+                                             all_subspaces(field, ambient)),
+                 expand)
+
+
+# -- law checks ------------------------------------------------------------
+
+
+def check_para_associativity(field, ambient, config, gamma_fn=gamma_global,
+                             suite="global-laws"):
+    """(x y (z u v)) = (x (u z v) y) = ((x y z) u v) for fixed middle pairs."""
+
+    def holds(c):
+        x, a, y, b, z, u, v = (c["x"], c["a"], c["y"], c["b"], c["z"],
+                               c["u"], c["v"])
+        lhs = gamma_fn(x, a, y, b, gamma_fn(z, a, u, b, v))
+        mid = gamma_fn(x, a, gamma_fn(u, a, z, b, y), b, v)
+        rhs = gamma_fn(gamma_fn(x, a, y, b, z), a, u, b, v)
+        return lhs == mid == rhs
+
+    return run_law(suite, "para-associativity",
+                   cases(config, subspace_slots(field, ambient, "xaybzuv")),
+                   holds)
+
+
+def check_klein(field, ambient, config, gamma_fn=gamma_global,
+                suite="global-laws"):
+    """Gamma(x,a,y,b,z) = Gamma(a,x,y,z,b) = Gamma(z,b,y,a,x)."""
+
+    def holds(c):
+        x, a, y, b, z = c["x"], c["a"], c["y"], c["b"], c["z"]
+        g = gamma_fn(x, a, y, b, z)
+        return g == gamma_fn(a, x, y, z, b) == gamma_fn(z, b, y, a, x)
+
+    return run_law(suite, "klein-invariance",
+                   cases(config, subspace_slots(field, ambient, "xaybz")),
+                   holds)
+
+
+def check_idempotent_laws(field, ambient, config, suite="global-laws"):
+    """Gamma(x,a,a,x,z) = x ^ (a v z)  and  1 - P_x^a = P_a^x."""
+
+    def holds(c):
+        x, a, z = c["x"], c["a"], c["z"]
+        if gamma_global(x, a, a, x, z) != meet(x, join(a, z)):
+            return False
+        return one_minus(gen_projection(x, a)) == gen_projection(a, x)
+
+    return run_law(suite, "projection-complement",
+                   cases(config, subspace_slots(field, ambient, "xaz")), holds)
+
+
+def check_agreement(field, ambient, config, suite="gamma-agreement",
+                    with_enum=False):
+    """gamma_global vs gamma_via_m vs gamma_oracle (vs enumeration when tiny)."""
+
+    def holds(c):
+        t = (c["x"], c["a"], c["y"], c["b"], c["z"])
+        g = gamma_global(*t)
+        if g != gamma_via_m(*t):
+            return False
+        if g != gamma_oracle(*t):
+            return False
+        if with_enum and g != gamma_oracle_enum(*t):
+            return False
+        return True
+
+    return run_law(suite, "route-agreement",
+                   cases(config, subspace_slots(field, ambient, "xaybz")),
+                   holds)
+
+
 def check_restricted_agreement(field, ambient, config, suite="gamma-agreement"):
     """gamma_restricted agrees with the other routes on transversal tuples."""
-
-    def cases():
-        count = 0
-        if config.exhaustive:
-            subs = all_subspaces(field, ambient)
-            for a in subs:
-                for b in subs:
-                    if a.dim != b.dim:
-                        continue
-                    view = TorsorView(a, b, restricted=True)
-                    carrier = view.carrier()
-                    for x in carrier:
-                        for y in carrier:
-                            for z in carrier:
-                                yield dict(x=x, a=a, y=y, b=b, z=z)
-        else:
-            for i in config.indices():
-                rng = trial_rng(config.seed, i)
-                x, a, y, b, z = transversal_tuple(field, ambient, rng)
-                yield dict(x=x, a=a, y=y, b=b, z=z)
 
     def holds(c):
         t = (c["x"], c["a"], c["y"], c["b"], c["z"])
         return gamma_restricted(*t) == gamma_global(*t)
 
-    return run_law(suite, "restricted-agreement", cases(), holds, _tuple_case)
+    return run_law(suite, "restricted-agreement",
+                   cases(config, transversal_slots(field, ambient, "xaybz")),
+                   holds)
 
 
 def check_torsor_axioms(field, ambient, config, suite="global-laws"):
     """(x y y) = x = (y y x) and inversion/commutativity on common complements."""
-
-    def cases():
-        if config.exhaustive:
-            subs = all_subspaces(field, ambient)
-            for a in subs:
-                for b in subs:
-                    if a.dim != b.dim:
-                        continue
-                    view = TorsorView(a, b)
-                    carrier = view.carrier()
-                    for x in carrier:
-                        for y in carrier:
-                            yield dict(a=a, b=b, x=x, y=y)
-        else:
-            for i in config.indices():
-                rng = trial_rng(config.seed, i)
-                x, a, y, b, _ = transversal_tuple(field, ambient, rng)
-                yield dict(a=a, b=b, x=x, y=y)
 
     def holds(c):
         a, b, x, y = c["a"], c["b"], c["x"], c["y"]
@@ -389,308 +362,18 @@ def check_torsor_axioms(field, ambient, config, suite="global-laws"):
             return False
         return True
 
-    return run_law(suite, "torsor-idempotents", cases(), holds, _tuple_case)
+    return run_law(suite, "torsor-idempotents",
+                   cases(config, transversal_slots(field, ambient, "xayb")),
+                   holds)
 
 
 def check_commutativity_aa(field, ambient, config, suite="global-laws"):
     """Gamma(x,a,y,a,z) is symmetric in x and z."""
 
-    def cases():
-        if config.exhaustive:
-            subs = all_subspaces(field, ambient)
-            for a in subs:
-                view = TorsorView(a, a)
-                carrier = view.carrier()
-                for x in carrier:
-                    for y in carrier:
-                        for z in carrier:
-                            yield dict(a=a, x=x, y=y, z=z)
-        else:
-            for i in config.indices():
-                rng = trial_rng(config.seed, i)
-                x, a, y, _, z = transversal_tuple(field, ambient, rng)
-                yield dict(a=a, x=x, y=y, z=z)
-
     def holds(c):
         a, x, y, z = c["a"], c["x"], c["y"], c["z"]
         return (gamma_global(x, a, y, a, z) == gamma_global(z, a, y, a, x))
 
-    return run_law(suite, "middle-pair-commutativity", cases(), holds,
-                   _tuple_case)
-
-
-def check_laws(view, config, gamma_fn=gamma_global, suite="global-laws"):
-    """Law bundle for one TorsorView: para-associativity, Klein, torsor axioms."""
-    field = view.a.field
-    ambient = view.a.ambient
-    reports = []
-
-    carrier = view.carrier()
-
-    def pa_cases():
-        if config.exhaustive:
-            pool = carrier if view.restricted else all_subspaces(field, ambient)
-            for x in pool:
-                for y in pool:
-                    for z in pool:
-                        for u in pool:
-                            for v in pool:
-                                yield dict(x=x, y=y, z=z, u=u, v=v)
-        else:
-            for i in config.indices():
-                rng = trial_rng(config.seed, i)
-                if view.restricted:
-                    if not carrier:
-                        return
-                    pick = lambda: carrier[rng.below(len(carrier))]
-                else:
-                    pick = lambda: random_subspace(field, ambient, rng)
-                yield dict(x=pick(), y=pick(), z=pick(), u=pick(), v=pick())
-
-    a, b = view.a, view.b
-
-    def pa_holds(c):
-        x, y, z, u, v = c["x"], c["y"], c["z"], c["u"], c["v"]
-        lhs = gamma_fn(x, a, y, b, gamma_fn(z, a, u, b, v))
-        mid = gamma_fn(x, a, gamma_fn(u, a, z, b, y), b, v)
-        rhs = gamma_fn(gamma_fn(x, a, y, b, z), a, u, b, v)
-        return lhs == mid == rhs
-
-    reports.append(run_law(suite, "para-associativity", pa_cases(), pa_holds,
-                           _tuple_case))
-
-    def klein_cases():
-        if config.exhaustive:
-            pool = carrier if view.restricted else all_subspaces(field, ambient)
-            for x in pool:
-                for y in pool:
-                    for z in pool:
-                        yield dict(x=x, y=y, z=z)
-        else:
-            for i in config.indices():
-                rng = trial_rng(config.seed, i)
-                if view.restricted:
-                    if not carrier:
-                        return
-                    pick = lambda: carrier[rng.below(len(carrier))]
-                else:
-                    pick = lambda: random_subspace(field, ambient, rng)
-                yield dict(x=pick(), y=pick(), z=pick())
-
-    def klein_holds(c):
-        x, y, z = c["x"], c["y"], c["z"]
-        g = gamma_fn(x, a, y, b, z)
-        return g == gamma_fn(a, x, y, z, b) == gamma_fn(z, b, y, a, x)
-
-    reports.append(run_law(suite, "klein-invariance", klein_cases(),
-                           klein_holds, _tuple_case))
-
-    if view.restricted or carrier:
-        def torsor_cases():
-            pool = carrier
-            if config.exhaustive:
-                for x in pool:
-                    for y in pool:
-                        yield dict(x=x, y=y)
-            else:
-                if not pool:
-                    return
-                for i in config.indices():
-                    rng = trial_rng(config.seed, i)
-                    yield dict(x=pool[rng.below(len(pool))],
-                               y=pool[rng.below(len(pool))])
-
-        def torsor_holds(c):
-            x, y = c["x"], c["y"]
-            if gamma_fn(x, a, y, b, y) != x:
-                return False
-            return gamma_fn(y, a, y, b, x) == x
-
-        reports.append(run_law(suite, "torsor-idempotents", torsor_cases(),
-                               torsor_holds, _tuple_case))
-
-        if a == b:
-            def comm_cases():
-                pool = carrier
-                if config.exhaustive:
-                    for x in pool:
-                        for y in pool:
-                            for z in pool:
-                                yield dict(x=x, y=y, z=z)
-                else:
-                    if not pool:
-                        return
-                    for i in config.indices():
-                        rng = trial_rng(config.seed, i)
-                        pick = lambda: pool[rng.below(len(pool))]
-                        yield dict(x=pick(), y=pick(), z=pick())
-
-            def comm_holds(c):
-                x, y, z = c["x"], c["y"], c["z"]
-                return gamma_fn(x, a, y, b, z) == gamma_fn(z, a, y, b, x)
-
-            reports.append(run_law(suite, "middle-pair-commutativity",
-                                   comm_cases(), comm_holds, _tuple_case))
-
-    return reports
-
-
-def check_relation_identities(field, ambient, config, suite="relation-calculus"):
-    """The projection/relation lemmas, with arbitrary random relations."""
-    from .relations import (LinearRelation, adjoint, one_plus,
-                            random_relation)
-    from .subspaces import join, orthocomplement, standard_forms
-
-    reports = []
-
-    def sample_cases():
-        for i in config.indices():
-            rng = trial_rng(config.seed, i)
-            yield rng
-
-    def exhaustive_pairs():
-        subs = all_subspaces(field, ambient)
-        for x in subs:
-            for a in subs:
-                yield x, a
-
-    # P o P = P and friends on subspace pairs
-    def pair_cases():
-        if config.exhaustive:
-            for x, a in exhaustive_pairs():
-                yield dict(x=x, a=a)
-        else:
-            for rng in sample_cases():
-                yield dict(x=random_subspace(field, ambient, rng),
-                           a=random_subspace(field, ambient, rng))
-
-    def proj_holds(c):
-        p = gen_projection(c["x"], c["a"])
-        if compose(p, p) != p:
-            return False
-        return one_minus(p) == gen_projection(c["a"], c["x"])
-
-    reports.append(run_law(suite, "projection-idempotent", pair_cases(),
-                           proj_holds, _tuple_case))
-
-    # F P_z^c F^{-1} = P_{Fz}^{Fc} with F an arbitrary relation
-    def conj_cases():
-        if config.exhaustive:
-            subs = all_subspaces(field, ambient)
-            rels = all_subspaces(field, 2 * ambient)
-            for inner in rels:
-                f = LinearRelation(ambient, inner)
-                for z in subs:
-                    for c in subs:
-                        yield dict(f=f, z=z, c=c)
-        else:
-            for rng in sample_cases():
-                yield dict(f=random_relation(field, ambient, rng),
-                           z=random_subspace(field, ambient, rng),
-                           c=random_subspace(field, ambient, rng))
-
-    def conj_holds(case):
-        f, z, c = case["f"], case["z"], case["c"]
-        lhs = compose(f, compose(gen_projection(z, c), inverse_rel(f)))
-        rhs = gen_projection(apply_rel(f, z), apply_rel(f, c))
-        return lhs == rhs
-
-    reports.append(run_law(suite, "projection-conjugation", conj_cases(),
-                           conj_holds, _tuple_case))
-
-    # inverse of the L relation, and (P_x^a)^{-1} z = a v (x ^ z)
-    def linv_cases():
-        if config.exhaustive:
-            subs = all_subspaces(field, ambient)
-            for x in subs:
-                for a in subs:
-                    for y in subs:
-                        for b in subs:
-                            yield dict(x=x, a=a, y=y, b=b)
-        else:
-            for rng in sample_cases():
-                draw = lambda: random_subspace(field, ambient, rng)
-                yield dict(x=draw(), a=draw(), y=draw(), b=draw())
-
-    def linv_holds(c):
-        x, a, y, b = c["x"], c["a"], c["y"], c["b"]
-        if inverse_rel(l_relation(x, a, y, b)) != l_relation(y, a, x, b):
-            return False
-        p = gen_projection(x, a)
-        z = y
-        return apply_rel(inverse_rel(p), z) == join(a, meet(x, z))
-
-    reports.append(run_law(suite, "relation-inversion", linv_cases(),
-                           linv_holds, _tuple_case))
-
-    # adjoint laws for each standard form
-    for name, form in standard_forms(field, ambient // 2 or 1).items():
-        if form.ambient != ambient:
-            continue
-
-        def adj_cases():
-            if config.exhaustive:
-                subs = all_subspaces(field, ambient)
-                rels = [LinearRelation(ambient, i)
-                        for i in all_subspaces(field, 2 * ambient)]
-                for f in rels:
-                    for g0 in rels[:4]:
-                        yield dict(f=f, g=g0)
-            else:
-                for rng in sample_cases():
-                    yield dict(f=random_relation(field, ambient, rng),
-                               g=random_relation(field, ambient, rng))
-
-        def adj_holds(c, form=form):
-            f, g = c["f"], c["g"]
-            fs, gs = adjoint(f, form), adjoint(g, form)
-            if adjoint(fs, form) != f:
-                return False
-            lhs = adjoint(compose(g, f), form)
-            rhs = compose(fs, gs)
-            if lhs != rhs:  # equality expected in finite dimension
-                return False
-            if adjoint(one_plus(f), form) != one_plus(fs):
-                return False
-            return adjoint(one_minus(f), form) == one_minus(fs)
-
-        def adj_proj_holds(c, form=form):
-            x, a = c["x"], c["a"]
-            lhs = adjoint(gen_projection(x, a), form)
-            rhs = gen_projection(orthocomplement(a, form),
-                                 orthocomplement(x, form))
-            return lhs == rhs
-
-        reports.append(run_law(suite, "adjoint-laws-%s" % name, adj_cases(),
-                               adj_holds, _tuple_case))
-        reports.append(run_law(suite, "adjoint-projection-%s" % name,
-                               pair_cases(), adj_proj_holds, _tuple_case))
-
-    return reports
-
-
-def check_adjoint_image_inclusion(field, ambient, config,
-                                  suite="relation-calculus"):
-    """(F z)^perp contains (F*)^{-1}(z^perp); strictness recorded, not failed."""
-    from .relations import adjoint, random_relation
-    from .subspaces import contains, orthocomplement, symplectic_form
-
-    form = symplectic_form(field, ambient // 2)
-    report = Report(suite=suite, law="adjoint-image-inclusion")
-    strict = 0
-    for i in config.indices():
-        rng = trial_rng(config.seed, i)
-        f = random_relation(field, ambient, rng)
-        z = random_subspace(field, ambient, rng)
-        report.cases += 1
-        lhs = orthocomplement(apply_rel(f, z), form)
-        rhs = apply_rel(inverse_rel(adjoint(f, form)), orthocomplement(z, form))
-        if not contains(lhs, rhs):
-            report.failures += 1
-            if report.first_counterexample is None:
-                report.first_counterexample = _tuple_case(dict(f=f, z=z))
-        elif lhs != rhs:
-            strict += 1
-    if strict:
-        report.notes = ("strict-inclusion-instances:%d" % strict,)
-    return report
+    return run_law(suite, "middle-pair-commutativity",
+                   cases(config, transversal_slots(field, ambient, "xayz")),
+                   holds)

@@ -12,6 +12,7 @@ pentary product on subspaces.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .fields import BiDualRing
@@ -20,8 +21,7 @@ from .involutions import (ortho_involution, standard_triple, torsor_G,
                           translation_op, unitary_group)
 from .matrices import (Matrix, all_matrices, format_matrix, is_invertible,
                        mat_invert, matrix_sort_key, random_matrix)
-from .reports import Report, describe_value, run_law
-from .rng import trial_rng
+from .reports import Report, Slots, cases, every, run_law
 from .subspaces import (chart_of, graph_minus, graph_of, pushforward,
                         split_form, symplectic_form)
 
@@ -53,6 +53,12 @@ class Homotope:
 
 def homotope(field, param):
     return Homotope(field, param.ncols, param.nrows, param)
+
+
+def _matrix_slots(field, **shapes):
+    """Sampled slots: one random matrix per name, of its (rows, cols) shape."""
+    return Slots(lambda rng: {n: random_matrix(field, p, q, rng)
+                              for n, (p, q) in shapes.items()})
 
 
 # -- bracket -----------------------------------------------------------------
@@ -101,31 +107,20 @@ def check_bracket_agreement(field, config, suite="lie-bracket",
                             shapes=((1, 1), (2, 2), (3, 3), (2, 3), (3, 2))):
     """Commutator route equals the formula, square and rectangular."""
 
-    def cases():
-        for i in config.indices():
-            rng = trial_rng(config.seed, i)
-            p, q = shapes[rng.below(len(shapes))]
-            yield dict(x=random_matrix(field, p, q, rng),
-                       y=random_matrix(field, p, q, rng),
-                       a=random_matrix(field, q, p, rng))
+    def draw(rng):
+        p, q = shapes[rng.below(len(shapes))]
+        return _matrix_slots(field, x=(p, q), y=(p, q), a=(q, p)).draw(rng)
 
     def holds(c):
         return (lie_bracket_dual(c["x"], c["y"], c["a"])
                 == lie_bracket_formula(c["x"], c["y"], c["a"]))
 
-    return run_law(suite, "bracket-two-routes", cases(), holds, _case)
+    return run_law(suite, "bracket-two-routes", cases(config, Slots(draw)),
+                   holds)
 
 
 def check_bracket_laws(field, config, suite="lie-bracket", n=2):
     """Antisymmetry and the Jacobi identity for x a y - y a x."""
-
-    def cases():
-        for i in config.indices():
-            rng = trial_rng(config.seed, i)
-            yield dict(x=random_matrix(field, n, n, rng),
-                       y=random_matrix(field, n, n, rng),
-                       z=random_matrix(field, n, n, rng),
-                       a=random_matrix(field, n, n, rng))
 
     def holds(c):
         x, y, z, a = c["x"], c["y"], c["z"], c["a"]
@@ -136,7 +131,8 @@ def check_bracket_laws(field, config, suite="lie-bracket", n=2):
                  + lie_bracket_formula(z, lie_bracket_formula(x, y, a), a))
         return total.is_zero()
 
-    return run_law(suite, "bracket-laws", cases(), holds, _case)
+    slots = _matrix_slots(field, **dict.fromkeys("xyza", (n, n)))
+    return run_law(suite, "bracket-laws", cases(config, slots), holds)
 
 
 # -- classical families ------------------------------------------------------
@@ -212,64 +208,45 @@ def check_group_laws(fam, config, suite="homotope"):
     """Members form a group: closure, unit 0, two-sided inverses."""
     h = fam.hom
     pool = members(fam)
-    report = Report(suite=suite, law="family-group-laws",
-                    notes=("family:%s" % fam.name, "members:%d" % len(pool)))
+    law = "family-group-laws"
+    notes = ("family:%s" % fam.name, "members:%d" % len(pool))
     if not fam.is_family_member(h.zero):
-        report.cases += 1
-        report.failures += 1
-        report.first_counterexample = {"unit": "missing"}
-        return report
-    for x in pool:
-        report.cases += 1
+        return Report(suite=suite, law=law, cases=1, failures=1,
+                      first_counterexample={"unit": "missing"}, notes=notes)
+
+    def holds(c):
+        x = c["x"]
+        if "y" in c:
+            return fam.is_family_member(h.product(x, c["y"]))
         xi = h.inverse(x)
-        ok = (fam.is_family_member(xi)
-              and h.product(x, xi) == h.zero
-              and h.product(xi, x) == h.zero)
-        if not ok:
-            report.failures += 1
-            if report.first_counterexample is None:
-                report.first_counterexample = _case(dict(x=x))
-    for x in pool:
-        for y in pool:
-            report.cases += 1
-            if not fam.is_family_member(h.product(x, y)):
-                report.failures += 1
-                if report.first_counterexample is None:
-                    report.first_counterexample = _case(dict(x=x, y=y))
-    return report
+        return (fam.is_family_member(xi)
+                and h.product(x, xi) == h.zero
+                and h.product(xi, x) == h.zero)
+
+    swept = itertools.chain(every(pool, "x"), every(pool, "xy"))
+    return run_law(suite, law, swept, holds, notes=notes)
 
 
 def check_hull_closure(fam, suite="hull-closure"):
     """The hull is closed under the deformed product and contains 0."""
     h = fam.hom
     pool = hull(fam)
-    report = Report(suite=suite, law="hull-closure",
-                    notes=("family:%s" % fam.name,
-                           "param:%s" % format_matrix(h.param),
-                           "hull:%d" % len(pool)))
+    hull_set = set(pool)
+    report = run_law(suite, "hull-closure", every(pool, "xy"),
+                     lambda c: h.product(c["x"], c["y"]) in hull_set,
+                     notes=("family:%s" % fam.name,
+                            "param:%s" % format_matrix(h.param),
+                            "hull:%d" % len(pool)))
+    # One more case, checked first: the unit 0 lies in the hull.
     report.cases += 1
     if not fam.is_hull_member(h.zero):
         report.failures += 1
         report.first_counterexample = {"unit": "missing"}
-    hull_set = set(pool)
-    for x in pool:
-        for y in pool:
-            report.cases += 1
-            if h.product(x, y) not in hull_set:
-                report.failures += 1
-                if report.first_counterexample is None:
-                    report.first_counterexample = _case(dict(x=x, y=y))
     return report
 
 
 def check_member_criterion_sides(field, config, suite="homotope", p=2, q=3):
     """1 - x a and 1 - a x are invertible together."""
-
-    def cases():
-        for i in config.indices():
-            rng = trial_rng(config.seed, i)
-            yield dict(x=random_matrix(field, p, q, rng),
-                       a=random_matrix(field, q, p, rng))
 
     def holds(c):
         x, a = c["x"], c["a"]
@@ -277,29 +254,23 @@ def check_member_criterion_sides(field, config, suite="homotope", p=2, q=3):
         right = is_invertible(Matrix.identity(field, q) - a * x)
         return left == right
 
-    return run_law(suite, "member-criterion-sides", cases(), holds, _case)
+    return run_law(suite, "member-criterion-sides",
+                   cases(config, _matrix_slots(field, x=(p, q), a=(q, p))),
+                   holds)
 
 
 def check_associativity(field, config, suite="homotope", p=2, q=2):
     """The deformed product is associative on all matrices."""
 
-    def cases():
-        for i in config.indices():
-            rng = trial_rng(config.seed, i)
-            h = Homotope(field, p, q, random_matrix(field, q, p, rng))
-            yield dict(h=h,
-                       x=random_matrix(field, p, q, rng),
-                       y=random_matrix(field, p, q, rng),
-                       z=random_matrix(field, p, q, rng))
+    slots = _matrix_slots(field, a=(q, p), x=(p, q), y=(p, q), z=(p, q))
 
     def holds(c):
-        h, x, y, z = c["h"], c["x"], c["y"], c["z"]
+        h = Homotope(field, p, q, c["a"])
+        x, y, z = c["x"], c["y"], c["z"]
         return h.product(h.product(x, y), z) == h.product(x, h.product(y, z))
 
-    def show(c):
-        return _case(dict(a=c["h"].param, x=c["x"], y=c["y"], z=c["z"]))
-
-    return run_law(suite, "product-associativity", cases(), holds, show)
+    return run_law(suite, "product-associativity", cases(config, slots),
+                   holds)
 
 
 # -- charts of the pentary product -------------------------------------------
@@ -314,20 +285,14 @@ def check_chart_product(field, n, config, suite="homotope"):
     """
     bt = standard_triple(field, n)
 
-    def cases():
-        for i in config.indices():
-            rng = trial_rng(config.seed, i)
-            yield dict(X=random_matrix(field, n, n, rng),
-                       B=random_matrix(field, n, n, rng),
-                       Z=random_matrix(field, n, n, rng))
-
     def holds(c):
         X, B, Z = c["X"], c["B"], c["Z"]
         w = gamma_global(graph_of(X), bt.o_minus, bt.o_plus, graph_minus(B),
                          graph_of(Z))
         return w == graph_of(X + Z - X * B * Z)
 
-    return run_law(suite, "pentary-chart-product", cases(), holds, _case)
+    slots = _matrix_slots(field, **dict.fromkeys("XBZ", (n, n)))
+    return run_law(suite, "pentary-chart-product", cases(config, slots), holds)
 
 
 # -- triple systems ----------------------------------------------------------
@@ -350,15 +315,6 @@ def check_pair_identity(field, p, q, config, suite="triple-systems"):
     across slots never changes the value.
     """
 
-    def cases():
-        for i in config.indices():
-            rng = trial_rng(config.seed, i)
-            yield dict(x=random_matrix(field, p, q, rng),
-                       y=random_matrix(field, q, p, rng),
-                       z=random_matrix(field, p, q, rng),
-                       u=random_matrix(field, q, p, rng),
-                       v=random_matrix(field, p, q, rng))
-
     def holds(c):
         x, y, z, u, v = c["x"], c["y"], c["z"], c["u"], c["v"]
         e1 = plain_triple(x, y, plain_triple(z, u, v))
@@ -366,7 +322,9 @@ def check_pair_identity(field, p, q, config, suite="triple-systems"):
         e3 = plain_triple(x, plain_triple(y, z, u), v)
         return e1 == e2 and e2 == e3
 
-    return run_law(suite, "pair-shift-identity", cases(), holds, _case)
+    slots = _matrix_slots(field, x=(p, q), y=(q, p), z=(p, q), u=(q, p),
+                          v=(p, q))
+    return run_law(suite, "pair-shift-identity", cases(config, slots), holds)
 
 
 def check_second_kind_identity(field, p, q, config, suite="triple-systems"):
@@ -374,12 +332,6 @@ def check_second_kind_identity(field, p, q, config, suite="triple-systems"):
     star = (lambda m: m.conj_t()) if field.involution != "identity" \
         else (lambda m: m.transpose())
     t = star_triple(star)
-
-    def cases():
-        for i in config.indices():
-            rng = trial_rng(config.seed, i)
-            draw = lambda: random_matrix(field, p, q, rng)
-            yield dict(x=draw(), y=draw(), z=draw(), u=draw(), v=draw())
 
     def holds(c):
         x, y, z, u, v = c["x"], c["y"], c["z"], c["u"], c["v"]
@@ -389,7 +341,9 @@ def check_second_kind_identity(field, p, q, config, suite="triple-systems"):
             return False
         return t(u, t(x, y, z), v) == t(t(u, z, y), x, v)
 
-    return run_law(suite, "second-kind-shift-identity", cases(), holds, _case)
+    slots = _matrix_slots(field, **dict.fromkeys("xyzuv", (p, q)))
+    return run_law(suite, "second-kind-shift-identity", cases(config, slots),
+                   holds)
 
 
 def check_first_kind_control(field, p, q, config, suite="triple-systems"):
@@ -402,12 +356,10 @@ def check_first_kind_control(field, p, q, config, suite="triple-systems"):
         else (lambda m: m.transpose())
     t = star_triple(star)
     report = Report(suite=suite, law="first-kind-negative-control")
-    found = 0
-    for i in config.indices():
-        rng = trial_rng(config.seed, i)
-        x, y, z, u, v = (random_matrix(field, p, q, rng) for _ in range(5))
-        if t(x, t(y, z, u), v) != t(x, y, t(z, u, v)):
-            found += 1
+    slots = _matrix_slots(field, **dict.fromkeys("xyzuv", (p, q)))
+    found = sum(t(c["x"], t(c["y"], c["z"], c["u"]), c["v"])
+                != t(c["x"], c["y"], t(c["z"], c["u"], c["v"]))
+                for c in cases(config, slots))
     report.cases = 1
     report.notes = ("violations:%d" % found,)
     if found == 0:
@@ -430,20 +382,14 @@ def check_triple_via_involution(field, n, config, suite="triple-systems"):
     star = (lambda m: m.conj_t()) if field.involution != "identity" \
         else (lambda m: m.transpose())
 
-    def cases():
-        for i in config.indices():
-            rng = trial_rng(config.seed, i)
-            yield dict(X=random_matrix(field, n, n, rng),
-                       Y=random_matrix(field, n, n, rng),
-                       Z=random_matrix(field, n, n, rng))
-
     def holds(c):
         X, Y, Z = c["X"], c["Y"], c["Z"]
         w = gamma_global(graph_of(X), bt.o_plus, inv(graph_of(Y)),
                          bt.o_minus, graph_of(Z))
         return w == graph_of(Z * star(Y) * X)
 
-    return run_law(suite, "starred-triple-chart", cases(), holds, _case)
+    slots = _matrix_slots(field, **dict.fromkeys("XYZ", (n, n)))
+    return run_law(suite, "starred-triple-chart", cases(config, slots), holds)
 
 
 # -- bridges -----------------------------------------------------------------
@@ -457,13 +403,8 @@ def graph_star_roundtrip(field, n, config, suite="bridge"):
     """
     inv = ortho_involution(symplectic_form(field, n))
 
-    def cases():
-        if config.exhaustive:
-            for a in all_matrices(field, n, n):
-                yield dict(a=a)
-        else:
-            for i in config.indices():
-                yield dict(a=random_matrix(field, n, n, trial_rng(config.seed, i)))
+    slots = Slots(_matrix_slots(field, a=(n, n)).draw,
+                  lambda: {"a": tuple(all_matrices(field, n, n))})
 
     def holds(c):
         a = c["a"]
@@ -471,7 +412,7 @@ def graph_star_roundtrip(field, n, config, suite="bridge"):
         image = inv(g)
         return image == graph_of(a.conj_t()) and inv(image) == g
 
-    return run_law(suite, "graph-star-roundtrip", cases(), holds, _case)
+    return run_law(suite, "graph-star-roundtrip", cases(config, slots), holds)
 
 
 def _bridge_setup(name, field, a_param):
@@ -503,23 +444,21 @@ def family_table_bridge(name, field, a_param, suite="bridge"):
     carrier, _ = torsor_G(inv, a_sub)
     t_op = translation_op(a_param, bt)
     chart = {x: chart_of(pushforward(t_op, x), n) for x in carrier}
-    report = Report(suite=suite, law=name + "-family-table",
-                    notes=("carrier:%d" % len(carrier),))
-    report.cases += 1
+    law = name + "-family-table"
+    notes = ("carrier:%d" % len(carrier),)
     if set(chart.values()) != set(members(fam)):
-        report.failures += 1
-        report.first_counterexample = {
-            "carrier": len(carrier), "family": len(members(fam))}
-        return report
-    for x1 in carrier:
-        for x2 in carrier:
-            report.cases += 1
-            w = gamma_global(x1, ta_sub, bt.o_plus, a_sub, x2)
-            expect = fam.hom.product(chart[x1], chart[x2])
-            if chart.get(w) != expect:
-                report.failures += 1
-                if report.first_counterexample is None:
-                    report.first_counterexample = _case(dict(x1=x1, x2=x2))
+        return Report(suite=suite, law=law, cases=1, failures=1, notes=notes,
+                      first_counterexample={"carrier": len(carrier),
+                                            "family": len(members(fam))})
+
+    def holds(c):
+        x1, x2 = c["x1"], c["x2"]
+        w = gamma_global(x1, ta_sub, bt.o_plus, a_sub, x2)
+        return chart.get(w) == fam.hom.product(chart[x1], chart[x2])
+
+    report = run_law(suite, law, every(carrier, ("x1", "x2")), holds,
+                     notes=notes)
+    report.cases += 1  # the bijection check above
     return report
 
 
@@ -540,27 +479,21 @@ def unitary_transport_bridge(field, a_param, suite="bridge"):
     carrier, _ = torsor_G(inv_split, a_sub)
     t_op = translation_op(a_param, bt)
     moved = {x: pushforward(t_op, x) for x in carrier}
-    report = Report(suite=suite, law="twisted-unitary-transport",
-                    notes=("carrier:%d" % len(carrier),
-                           "unitary:%d" % len(view.elements)))
-    report.cases += 1
+    law = "twisted-unitary-transport"
+    notes = ("carrier:%d" % len(carrier), "unitary:%d" % len(view.elements))
     if set(moved.values()) != set(view.elements):
-        report.failures += 1
-        report.first_counterexample = {
-            "carrier": len(carrier), "unitary": len(view.elements)}
-        return report
+        return Report(suite=suite, law=law, cases=1, failures=1, notes=notes,
+                      first_counterexample={"carrier": len(carrier),
+                                            "unitary": len(view.elements)})
     inverse_moved = {y: x for x, y in moved.items()}
-    for x1 in carrier:
-        for x2 in carrier:
-            report.cases += 1
-            w = gamma_global(x1, a_sub, bt.o_plus, ta_sub, x2)
-            target = u_product(moved[x1], bt.o_plus, moved[x2])
-            if moved.get(w) != target or inverse_moved.get(target) != w:
-                report.failures += 1
-                if report.first_counterexample is None:
-                    report.first_counterexample = _case(dict(x1=x1, x2=x2))
+
+    def holds(c):
+        x1, x2 = c["x1"], c["x2"]
+        w = gamma_global(x1, a_sub, bt.o_plus, ta_sub, x2)
+        target = u_product(moved[x1], bt.o_plus, moved[x2])
+        return moved.get(w) == target and inverse_moved.get(target) == w
+
+    report = run_law(suite, law, every(carrier, ("x1", "x2")), holds,
+                     notes=notes)
+    report.cases += 1  # the bijection check above
     return report
-
-
-def _case(case):
-    return {k: describe_value(v) for k, v in case.items()}

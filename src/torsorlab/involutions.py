@@ -16,20 +16,22 @@ the pentary product with middle pair (a, tau a) all live here.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .fields import CharacteristicTwoError
 from .gamma import (dilation, gamma_global, gamma_oracle, m_operator,
-                    transversal_tuple)
+                    subspace_slots, transversal_slots)
 from .matrices import (Matrix, det, format_matrix, hstack, mat_invert, rank,
                        random_matrix, vstack)
-from .reports import Report, describe_value, run_law
+from .reports import (Report, Slots, cases, describe_case, every,
+                      run_inclusion_law, run_law)
 from .rng import trial_rng
 from .subspaces import (Form, Subspace, all_subspaces, coord_subspace,
-                        contains, enumerate_subspaces, graph_minus,
-                        is_isotropic, is_transversal, orthocomplement,
-                        pushforward, random_subspace, sort_key, span_rows)
+                        enumerate_subspaces, graph_minus, is_isotropic,
+                        is_transversal, orthocomplement, pushforward,
+                        random_subspace, sort_key, span_rows)
 
 
 class InvolutionError(ValueError):
@@ -180,16 +182,6 @@ def cayley_rho(bt):
     return vstack(hstack(i, -i), hstack(i, i))
 
 
-def conjugate_map(g, fn):
-    """x -> g . fn(g^{-1} x) as a plain callable on subspaces."""
-    g_inv = mat_invert(g)
-    return lambda x: pushforward(g, fn(pushforward(g_inv, x)))
-
-
-def maps_equal_on(f, g, pool):
-    return all(f(x) == g(x) for x in pool)
-
-
 # -- fixed points and Lagrangian geometries --------------------------------
 
 
@@ -216,28 +208,12 @@ def isotropic_census(form):
     return tuple(sorted(pts, key=sort_key))
 
 
-@dataclass(frozen=True)
-class LagrangianGeometry:
-    inv: Involution
-    points: tuple
-
-    def __contains__(self, x):
-        return self.inv(x) == x
-
-    def __len__(self):
-        return len(self.points)
-
-
-def lagrangian_geometry(inv):
-    return LagrangianGeometry(inv, fixed_points(inv))
-
-
-def census_report(form, suite="lagrangian"):
+def census_report(form, suite="lagrangian", law="census-two-paths"):
     """Two independent counts of the middle isotropic layer must agree."""
     inv = ortho_involution(form)
     direct = isotropic_census(form)
     fixed = fixed_points(inv)
-    report = Report(suite=suite, law="census-two-paths", cases=1)
+    report = Report(suite=suite, law=law, cases=1)
     if direct != fixed:
         report.failures = 1
         report.first_counterexample = {
@@ -260,17 +236,12 @@ class GroupView:
         return self.elements.index(x)
 
 
-def torsor_product(inv, a):
-    ta = inv(a)
-    return lambda x, y, z: gamma_global(x, a, y, ta, z)
-
-
 def torsor_G(inv, a):
     """Fixed subspaces transversal to both a and tau(a), with (x, y, z)."""
     ta = inv(a)
     carrier = tuple(x for x in fixed_points(inv)
                     if is_transversal(x, a) and is_transversal(x, ta))
-    return carrier, torsor_product(inv, a)
+    return carrier, torsor_product_pair(a, ta)
 
 
 def group_of_torsor(carrier, product, unit):
@@ -341,70 +312,27 @@ def translation_op(a_chart, bt):
 # -- report suites -----------------------------------------------------------
 
 
-def _case(case):
-    return {k: describe_value(v) for k, v in case.items()}
-
-
-def check_order_two(inv, config, suite="involution"):
-    field, n = inv.field, inv.ambient
-
-    def cases():
-        if config.exhaustive:
-            for x in all_subspaces(field, n):
-                yield dict(x=x)
-        else:
-            for i in config.indices():
-                yield dict(x=random_subspace(field, n, trial_rng(config.seed, i)))
-
-    return run_law(suite, "order-two", cases(),
-                   lambda c: inv(inv(c["x"])) == c["x"], _case,
+def check_order_two(inv, config, suite="involution", law="order-two"):
+    return run_law(suite, law,
+                   cases(config, subspace_slots(inv.field, inv.ambient, "x")),
+                   lambda c: inv(inv(c["x"])) == c["x"],
                    notes=("label:%s" % (inv.label or "anonymous"),))
 
 
-def check_transversality_preservation(inv, config, suite="involution"):
-    field, n = inv.field, inv.ambient
-
-    def cases():
-        if config.exhaustive:
-            subs = all_subspaces(field, n)
-            for x in subs:
-                for a in subs:
-                    yield dict(x=x, a=a)
-        else:
-            for i in config.indices():
-                rng = trial_rng(config.seed, i)
-                yield dict(x=random_subspace(field, n, rng),
-                           a=random_subspace(field, n, rng))
-
+def check_transversality_preservation(inv, config, suite="involution",
+                                      law="transversality-preservation"):
     def holds(c):
         return (is_transversal(c["x"], c["a"])
                 == is_transversal(inv(c["x"]), inv(c["a"])))
 
-    return run_law(suite, "transversality-preservation", cases(), holds, _case)
+    return run_law(suite, law,
+                   cases(config, subspace_slots(inv.field, inv.ambient, "xa")),
+                   holds)
 
 
-def check_antihom_restricted(inv, config, suite="involution"):
+def check_antihom_restricted(inv, config, suite="involution",
+                             law="restricted-anti-homomorphism"):
     """tau Gamma(x,a,y,b,z) = Gamma(tx,tb,ty,ta,tz) = Gamma(tz,ta,ty,tb,tx)."""
-    field, n = inv.field, inv.ambient
-
-    def cases():
-        if config.exhaustive:
-            subs = all_subspaces(field, n)
-            for a in subs:
-                for b in subs:
-                    if a.dim != b.dim:
-                        continue
-                    carrier = [x for x in all_subspaces(field, n, n - a.dim)
-                               if is_transversal(x, a) and is_transversal(x, b)]
-                    for x in carrier:
-                        for y in carrier:
-                            for z in carrier:
-                                yield dict(x=x, a=a, y=y, b=b, z=z)
-        else:
-            for i in config.indices():
-                rng = trial_rng(config.seed, i)
-                x, a, y, b, z = transversal_tuple(field, n, rng)
-                yield dict(x=x, a=a, y=y, b=b, z=z)
 
     def holds(c):
         x, a, y, b, z = c["x"], c["a"], c["y"], c["b"], c["z"]
@@ -413,27 +341,13 @@ def check_antihom_restricted(inv, config, suite="involution"):
             return False
         return lhs == gamma_global(inv(z), inv(a), inv(y), inv(b), inv(x))
 
-    return run_law(suite, "restricted-anti-homomorphism", cases(), holds, _case)
+    slots = transversal_slots(inv.field, inv.ambient, "xaybz")
+    return run_law(suite, law, cases(config, slots), holds)
 
 
-def check_antihom_global(inv, config, suite="involution"):
+def check_antihom_global(inv, config, suite="involution",
+                         law="global-anti-homomorphism"):
     """The same identity on arbitrary tuples, no transversality at all."""
-    field, n = inv.field, inv.ambient
-
-    def cases():
-        if config.exhaustive:
-            subs = all_subspaces(field, n)
-            for x in subs:
-                for a in subs:
-                    for y in subs:
-                        for b in subs:
-                            for z in subs:
-                                yield dict(x=x, a=a, y=y, b=b, z=z)
-        else:
-            for i in config.indices():
-                rng = trial_rng(config.seed, i)
-                draw = lambda: random_subspace(field, n, rng)
-                yield dict(x=draw(), a=draw(), y=draw(), b=draw(), z=draw())
 
     def holds(c):
         x, a, y, b, z = c["x"], c["a"], c["y"], c["b"], c["z"]
@@ -442,52 +356,41 @@ def check_antihom_global(inv, config, suite="involution"):
             return False
         return lhs == gamma_global(inv(x), inv(b), inv(y), inv(a), inv(z))
 
-    return run_law(suite, "global-anti-homomorphism", cases(), holds, _case)
+    slots = subspace_slots(inv.field, inv.ambient, "xaybz")
+    return run_law(suite, law, cases(config, slots), holds)
 
 
-def check_duality_inclusion(form, config, suite="involution"):
+def check_duality_inclusion(form, config, suite="involution",
+                            law="duality-inclusion"):
     """Gamma of complements sits inside the complement of Gamma (inclusion).
 
     Equality candidates are not asserted here; strictness counts go into the
-    notes so genuinely strict cases can be collected.
+    notes so genuinely strict cases can be collected.  Sampled in every mode.
     """
-    field, n = form.field, form.ambient
-    report = Report(suite=suite, law="duality-inclusion")
-    strict = 0
-    for i in config.indices():
-        rng = trial_rng(config.seed, i)
-        t = tuple(random_subspace(field, n, rng) for _ in range(5))
-        x, a, y, b, z = t
-        report.cases += 1
-        lhs = gamma_global(orthocomplement(x, form), orthocomplement(b, form),
-                           orthocomplement(y, form), orthocomplement(a, form),
-                           orthocomplement(z, form))
-        rhs = orthocomplement(gamma_global(x, a, y, b, z), form)
-        if not contains(rhs, lhs):
-            report.failures += 1
-            if report.first_counterexample is None:
-                report.first_counterexample = _case(
-                    dict(x=x, a=a, y=y, b=b, z=z))
-        elif lhs != rhs:
-            strict += 1
-    if strict:
-        report.notes = ("strict-inclusion-instances:%d" % strict,)
-    return report
+
+    def perp(s):
+        return orthocomplement(s, form)
+
+    def sides(c):
+        x, a, y, b, z = c["x"], c["a"], c["y"], c["b"], c["z"]
+        return (perp(gamma_global(x, a, y, b, z)),
+                gamma_global(perp(x), perp(b), perp(y), perp(a), perp(z)))
+
+    draw = subspace_slots(form.field, form.ambient, "xaybz").draw
+    return run_inclusion_law(suite, law, cases(config, Slots(draw)), sides)
 
 
-def check_dilation_compat(inv, config, suite="involution"):
-    """tau(dilation_s(x, a, y)) = dilation_conj(s)(tau x, tau a, tau y)."""
-    field, n = inv.field, inv.ambient
+def check_dilation_compat(inv, config, suite="involution",
+                          law="dilation-compatibility"):
+    """tau(dilation_s(x, a, y)) = dilation_conj(s)(tau x, tau a, tau y).
+
+    Sampled in every mode.
+    """
+    field = inv.field
     if field.size is not None:
         scalars = sorted(field.elements(), key=field.sort_key)
     else:
         scalars = [field.zero, field.one, field.from_int(2), field.from_int(-3)]
-
-    def cases():
-        for i in config.indices():
-            rng = trial_rng(config.seed, i)
-            x, a, y, b, z = transversal_tuple(field, n, rng)
-            yield dict(x=x, a=a, y=y)
 
     def holds(c):
         x, a, y = c["x"], c["a"], c["y"]
@@ -497,98 +400,65 @@ def check_dilation_compat(inv, config, suite="involution"):
                 return False
         return True
 
-    return run_law(suite, "dilation-compatibility", cases(), holds, _case)
+    draw = transversal_slots(field, inv.ambient, "xay").draw
+    return run_law(suite, law, cases(config, Slots(draw)), holds)
 
 
-def verify_involution(inv, level, config, suite="involution"):
-    """Full law bundle; level is "restricted" or "global"."""
-    if level not in ("restricted", "global"):
-        raise ValueError("level must be restricted or global")
-    reports = [
-        check_order_two(inv, config, suite),
-        check_transversality_preservation(inv, config, suite),
-        check_antihom_restricted(inv, config, suite),
-        check_dilation_compat(inv, config, suite),
-    ]
-    if level == "global":
-        reports.append(check_antihom_global(inv, config, suite))
-    return reports
-
-
-def closure_report(inv, a, gamma_fn=gamma_oracle, suite="lagrangian"):
+def closure_report(inv, a, gamma_fn=gamma_oracle, suite="lagrangian",
+                   law="fixed-set-closure"):
     """The fixed set is closed under (x, y, z) -> Gamma(x, a, y, tau a, z).
 
     Membership of the result is decided by tau(result) == result, so no
     lookup in the enumerated fixed set is needed for the check itself.
     """
     ta = inv(a)
-    pts = fixed_points(inv)
-    report = Report(suite=suite, law="fixed-set-closure",
-                    notes=("a:%s" % format_matrix(a.basis),))
-    for x in pts:
-        for y in pts:
-            for z in pts:
-                report.cases += 1
-                w = gamma_fn(x, a, y, ta, z)
-                if inv(w) != w:
-                    report.failures += 1
-                    if report.first_counterexample is None:
-                        report.first_counterexample = _case(
-                            dict(x=x, y=y, z=z, result=w))
-    return report
+
+    def result(c):
+        return gamma_fn(c["x"], a, c["y"], ta, c["z"])
+
+    def holds(c):
+        w = result(c)
+        return inv(w) == w
+
+    return run_law(suite, law, every(fixed_points(inv), "xyz"), holds,
+                   lambda c: describe_case(dict(c, result=result(c))),
+                   notes=("a:%s" % format_matrix(a.basis),))
 
 
-def check_torsor_g(inv, a, suite="involution"):
+def check_torsor_g(inv, a, suite="involution", law="fixed-torsor-axioms"):
     """Torsor axioms on G(inv, a), plus commutativity when a is fixed."""
     carrier, product = torsor_G(inv, a)
-    a_fixed = inv(a) == a
-    report = Report(suite=suite, law="fixed-torsor-axioms",
-                    notes=("carrier:%d" % len(carrier),))
-    for x in carrier:
-        for y in carrier:
-            report.cases += 1
-            ok = product(x, y, y) == x and product(y, y, x) == x
-            if ok:
-                w = product(x, y, x)
-                ok = inv(w) == w and w in carrier
-            if not ok:
-                report.failures += 1
-                if report.first_counterexample is None:
-                    report.first_counterexample = _case(dict(x=x, y=y))
-    if a_fixed:
-        for x in carrier:
-            for y in carrier:
-                for z in carrier:
-                    report.cases += 1
-                    if product(x, y, z) != product(z, y, x):
-                        report.failures += 1
-                        if report.first_counterexample is None:
-                            report.first_counterexample = _case(
-                                dict(x=x, y=y, z=z))
-    return report
+
+    def holds(c):
+        x, y = c["x"], c["y"]
+        if "z" in c:
+            return product(x, y, c["z"]) == product(c["z"], y, x)
+        if product(x, y, y) != x or product(y, y, x) != x:
+            return False
+        w = product(x, y, x)
+        return inv(w) == w and w in carrier
+
+    swept = every(carrier, "xy")
+    if inv(a) == a:
+        swept = itertools.chain(swept, every(carrier, "xyz"))
+    return run_law(suite, law, swept, holds,
+                   notes=("carrier:%d" % len(carrier),))
 
 
-def check_opposite_torsor(inv, a, suite="involution"):
+def check_opposite_torsor(inv, a, suite="involution", law="opposite-torsor"):
     """(x y z) for the parameter a equals (z y x) for the parameter tau a."""
     carrier, product = torsor_G(inv, a)
     op_carrier, op_product = torsor_G(inv, inv(a))
-    report = Report(suite=suite, law="opposite-torsor")
     if set(carrier) != set(op_carrier):
-        report.cases = 1
-        report.failures = 1
-        report.first_counterexample = {"carrier-sizes":
-                                       [len(carrier), len(op_carrier)]}
-        return report
-    for x in carrier:
-        for y in carrier:
-            for z in carrier:
-                report.cases += 1
-                if product(x, y, z) != op_product(z, y, x):
-                    report.failures += 1
-                    if report.first_counterexample is None:
-                        report.first_counterexample = _case(
-                            dict(x=x, y=y, z=z))
-    return report
+        return Report(suite=suite, law=law, cases=1, failures=1,
+                      first_counterexample={"carrier-sizes":
+                                            [len(carrier), len(op_carrier)]})
+
+    def holds(c):
+        return product(c["x"], c["y"], c["z"]) == op_product(c["z"], c["y"],
+                                                              c["x"])
+
+    return run_law(suite, law, every(carrier, "xyz"), holds)
 
 
 # -- orbit invariants --------------------------------------------------------
@@ -653,32 +523,28 @@ def random_isometry(form, rng):
     return rot * Matrix.build(field, [[one, zero], [zero, field.neg(one)]])
 
 
-def check_invariant_transport(form, config, suite="involution"):
+def check_invariant_transport(form, config, suite="involution",
+                              law="isometry-transport"):
     """Isometries preserve the invariants and transport torsor tables."""
-    field = form.field
     inv = ortho_involution(form)
-    report = Report(suite=suite, law="isometry-transport")
-    for i in config.indices():
-        rng = trial_rng(config.seed, i)
-        g = random_isometry(form, rng)
-        a = random_subspace(field, form.ambient, rng)
-        report.cases += 1
+
+    def draw(rng):
+        return dict(g=random_isometry(form, rng),
+                    a=random_subspace(form.field, form.ambient, rng))
+
+    def holds(c):
+        a, g = c["a"], c["g"]
         b = pushforward(g, a)
         if form_invariants(a, form) != form_invariants(b, form):
-            report.failures += 1
-            if report.first_counterexample is None:
-                report.first_counterexample = _case(dict(a=a, g=g))
-            continue
+            return False
         carrier, product = torsor_G(inv, a)
         if not carrier:
-            continue
+            return True
         view = GroupView(carrier, carrier[0])
         view_b = transported_view(view, g)
         carrier_b, product_b = torsor_G(inv, b)
-        same_carrier = set(view_b.elements) == set(carrier_b)
-        if not same_carrier or (cayley_table(view, product)
-                                != cayley_table(view_b, product_b)):
-            report.failures += 1
-            if report.first_counterexample is None:
-                report.first_counterexample = _case(dict(a=a, g=g))
-    return report
+        return (set(view_b.elements) == set(carrier_b)
+                and cayley_table(view, product)
+                == cayley_table(view_b, product_b))
+
+    return run_law(suite, law, cases(config, Slots(draw)), holds)

@@ -1,14 +1,24 @@
-"""Check reports with a stable JSON shape.
+"""Check reports with a stable JSON shape, and the one source of law cases.
 
 Every law checker produces a Report: suite and law names, how many cases ran,
 how many failed, and the first counterexample (as plain JSON data) if any.
 Serialization is sorted and minimal so identical runs are byte-identical.
+
+A law is a predicate over named-slot cases, defined once in the module whose
+objects it is about (`checks`, `gamma`, `involutions`, `homotopes`).  Its
+cases come from `cases`, the only code that chooses between enumerating and
+sampling: an exhaustive run walks every combination of the law's slot pools,
+a sampled run draws trial i from trial_rng(seed, i).  The slot kinds the laws
+share (subspaces, relations and transversal tuples) are built in `gamma`.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from .rng import trial_rng
 
 
 @dataclass
@@ -39,8 +49,12 @@ class Report:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def run_law(suite, law, cases, predicate, describe, notes=()):
-    """Evaluate predicate over an iterable of cases and collect a Report."""
+def run_law(suite, law, cases, predicate, describe=None, notes=()):
+    """Evaluate predicate over an iterable of cases and collect a Report.
+
+    describe renders the first failing case; by default describe_case.
+    """
+    describe = describe or describe_case
     report = Report(suite=suite, law=law, notes=tuple(notes))
     for case in cases:
         report.cases += 1
@@ -48,6 +62,30 @@ def run_law(suite, law, cases, predicate, describe, notes=()):
             report.failures += 1
             if report.first_counterexample is None:
                 report.first_counterexample = describe(case)
+    return report
+
+
+def run_inclusion_law(suite, law, cases, sides):
+    """A law "big contains small", with sides(case) giving (big, small).
+
+    Only a broken inclusion fails; the number of cases where it is strict
+    goes into the notes, so genuinely strict cases can be collected.
+    """
+    from .subspaces import contains
+
+    strict = 0
+
+    def holds(case):
+        nonlocal strict
+        big, small = sides(case)
+        if not contains(big, small):
+            return False
+        strict += big != small
+        return True
+
+    report = run_law(suite, law, cases, holds)
+    if strict:
+        report.notes = ("strict-inclusion-instances:%d" % strict,)
     return report
 
 
@@ -66,6 +104,37 @@ class CheckConfig:
 
     def indices(self):
         return range(self.trials)
+
+
+@dataclass(frozen=True)
+class Slots:
+    """Where the cases of one law come from.
+
+    draw(rng) returns one sampled case, a dict from slot name to value.
+    pools(), when given, maps each slot name to the tuple of values an
+    exhaustive run takes it through; expand(case), when given, completes each
+    such combination with the slots whose values depend on it.  A law without
+    pools samples in every mode.
+    """
+
+    draw: object
+    pools: object = None
+    expand: object = None
+
+
+def cases(config, slots):
+    """The cases of one law, lazily: enumerated when exhaustive, else drawn."""
+    if config.exhaustive and slots.pools is not None:
+        pools = slots.pools()
+        for values in itertools.product(*pools.values()):
+            case = dict(zip(pools, values))
+            if slots.expand is None:
+                yield case
+            else:
+                yield from slots.expand(case)
+    else:
+        for i in config.indices():
+            yield slots.draw(trial_rng(config.seed, i))
 
 
 def describe_value(v):
@@ -88,3 +157,14 @@ def describe_value(v):
     if v is None or isinstance(v, (bool, int, str)):
         return v
     return str(v)
+
+
+def every(pool, names):
+    """Lazily, every assignment of values from one pool to the named slots."""
+    return (dict(zip(names, values))
+            for values in itertools.product(pool, repeat=len(names)))
+
+
+def describe_case(case):
+    """Plain-JSON rendering of a named-slot case."""
+    return {k: describe_value(v) for k, v in case.items()}

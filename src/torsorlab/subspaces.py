@@ -22,7 +22,12 @@ DEFAULT_MAX_AMBIENT = 6
 
 
 def max_ambient():
-    return int(os.environ.get("TORSORLAB_MAX_AMBIENT", DEFAULT_MAX_AMBIENT))
+    raw = os.environ.get("TORSORLAB_MAX_AMBIENT", DEFAULT_MAX_AMBIENT)
+    try:
+        return int(raw)
+    except ValueError:
+        raise FieldSyntaxError("TORSORLAB_MAX_AMBIENT must be an integer,"
+                               " got %r" % raw) from None
 
 
 class TransversalityError(ValueError):
@@ -116,15 +121,6 @@ def meet(x, y):
     out = [row[n:] for row in red.entries
            if all(R.is_zero(e) for e in row[:n])]
     return span_rows(R, n, out)
-
-
-def meet_by_dual_constraints(x, y):
-    """Same intersection via the kernel of stacked annihilators (audit route)."""
-    _check_pair(x, y)
-    cx = kernel_basis(x.basis)
-    cy = kernel_basis(y.basis)
-    stacked = vstack(cx, cy)
-    return Subspace(x.ambient, kernel_basis(stacked))
 
 
 def join(x, y):
@@ -358,13 +354,6 @@ def gaussian_binomial(n, k, q):
         den *= q ** (i + 1) - 1
     assert num % den == 0
     return num // den
-
-
-def count_subspaces(field, ambient, dim=None):
-    q = field.size
-    if dim is not None:
-        return gaussian_binomial(ambient, dim, q)
-    return sum(gaussian_binomial(ambient, k, q) for k in range(ambient + 1))
 
 
 def sort_key(sub):

@@ -128,6 +128,18 @@ def test_exhaustive_conflicts_with_trials():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("trials", ["0", "-5", "many"])
+def test_check_rejects_trial_counts_below_one(trials, capsys):
+    """Zero or negative trials would run no cases and pass vacuously."""
+    for command in (["check", "--suite", "field-axioms", "--field", "f3",
+                     "--ambient", "2"],
+                    ["bridge", "--check", "thm37"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command + ["--trials", trials])
+        assert exc.value.code == 2
+        assert "--trials" in capsys.readouterr().err
+
+
 def test_lagrangian_count(capsys):
     code, out, err = run_cli(
         capsys, "lagrangian", "--form", "symplectic", "--n", "1",
@@ -284,6 +296,17 @@ def test_enumerate_respects_ambient_cap(capsys, monkeypatch):
     code, _, err = run_cli(
         capsys, "enumerate", "--field", "f2", "--ambient", "4", "--count")
     assert code == 2
+    assert "TORSORLAB_MAX_AMBIENT" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["enumerate", "--field", "f2", "--ambient", "2", "--count"],
+    ["check", "--suite", "global-laws", "--field", "f2", "--ambient", "2",
+     "--exhaustive"]])
+def test_non_integer_ambient_cap_is_usage_error(command, capsys, monkeypatch):
+    monkeypatch.setenv("TORSORLAB_MAX_AMBIENT", "abc")
+    code, out, err = run_cli(capsys, *command)
+    assert code == 2 and not out
     assert "TORSORLAB_MAX_AMBIENT" in err
 
 

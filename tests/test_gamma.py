@@ -2,11 +2,11 @@
 
 import pytest
 
+from torsorlab.checks import run_suite
 from torsorlab.fields import PrimeField
 from torsorlab.gamma import (
     TorsorView,
     TransversalityError,
-    check_adjoint_image_inclusion,
     check_agreement,
     check_commutativity_aa,
     check_idempotent_laws,
@@ -260,7 +260,8 @@ def test_agreement_bundle_reports():
 
 def test_adjoint_image_inclusion_report():
     f3 = PrimeField(3)
-    r = check_adjoint_image_inclusion(f3, 2, CheckConfig(trials=150, seed=3))
+    [r] = run_suite("adjoint-image-inclusion", f3, 2,
+                    CheckConfig(trials=150, seed=3))
     assert r.failures == 0, r.first_counterexample
     assert r.cases == 150
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from torsorlab.checks import run_suite
 from torsorlab.fields import CharacteristicTwoError, PrimeField, QuadraticExt
 from torsorlab.gamma import gamma_global, gamma_oracle
 from torsorlab.involutions import (
@@ -35,7 +36,6 @@ from torsorlab.involutions import (
     transported_view,
     translation_op,
     unitary_group,
-    verify_involution,
 )
 from torsorlab.matrices import Matrix, mat_invert, random_matrix
 from torsorlab.reports import CheckConfig
@@ -146,15 +146,16 @@ def test_dilation_compatibility():
             assert r.failures == 0, (field.spec(), inv.label, r.first_counterexample)
 
 
-def test_verify_involution_bundles():
+def test_involution_law_suites_exhaustive_f2():
+    """Every involution law passes for each standard form over all of F2."""
     f2 = PrimeField(2)
-    inv = ortho_involution(split_form(f2, 1))
-    reports = verify_involution(inv, "global", CheckConfig(exhaustive=True))
-    assert len(reports) == 5
+    cfg = CheckConfig(exhaustive=True)
+    reports = (run_suite("involution-antihom", f2, 2, cfg)
+               + run_suite("involution-duality", f2, 2, cfg))
+    assert len(reports) == 18
     for r in reports:
         assert r.failures == 0, (r.law, r.first_counterexample)
-    with pytest.raises(ValueError):
-        verify_involution(inv, "sideways", CheckConfig())
+        assert r.cases > 0
 
 
 def test_fixed_points_are_isotropic_middle_layer():

@@ -1,7 +1,10 @@
 """Tests for linear relations: composition, projections, adjoints, shifts."""
 
+import itertools
+
+from torsorlab.checks import run_suite
 from torsorlab.fields import PrimeField, QuadraticExt
-from torsorlab.gamma import check_relation_identities
+from torsorlab.gamma import l_relation
 from torsorlab.matrices import Matrix, random_matrix
 from torsorlab.relations import (
     LinearRelation,
@@ -140,14 +143,14 @@ def test_inverse_rel():
 
 
 def test_inverse_of_projection_applies_as_join_meet():
-    """apply(P(x, a) inverse, z) = a join (x meet z)."""
+    """apply(P(x, a) inverse, z) = a join (x meet z): sampled, then all of F2."""
     from torsorlab.subspaces import join
 
     f3 = PrimeField(3)
-    for i in range(50):
-        x = rand_sub(f3, 2, 29, 3 * i)
-        a = rand_sub(f3, 2, 29, 3 * i + 1)
-        z = rand_sub(f3, 2, 29, 3 * i + 2)
+    triples = [tuple(rand_sub(f3, 2, 29, 3 * i + k) for k in range(3))
+               for i in range(50)]
+    triples += itertools.product(all_subspaces(PrimeField(2), 2), repeat=3)
+    for x, a, z in triples:
         p = gen_projection(x, a)
         assert apply_rel(inverse_rel(p), z) == join(a, meet(x, z))
 
@@ -231,15 +234,34 @@ def test_relation_json_roundtrip():
         assert relation_from_json(obj) == f
 
 
+RELATION_SUITES = ("projection-idempotent", "projection-conjugation",
+                   "adjoint-reversal", "adjoint-shift", "adjoint-involutive",
+                   "adjoint-image-inclusion", "l-inversion")
+
+
+def relation_reports(field, config):
+    return [r for name in RELATION_SUITES
+            for r in run_suite(name, field, 2, config)]
+
+
 def test_relation_identity_bundle_exhaustive_f2():
-    reports = check_relation_identities(PrimeField(2), 2, CheckConfig(exhaustive=True))
-    assert reports
+    reports = relation_reports(PrimeField(2), CheckConfig(exhaustive=True))
+    assert len(reports) == 16
     for r in reports:
         assert r.failures == 0, (r.law, r.first_counterexample)
         assert r.cases > 0
 
 
 def test_relation_identity_bundle_random_f3():
-    reports = check_relation_identities(PrimeField(3), 2, CheckConfig(trials=120, seed=5))
+    reports = relation_reports(PrimeField(3), CheckConfig(trials=120, seed=5))
     for r in reports:
         assert r.failures == 0, (r.law, r.first_counterexample)
+        assert r.cases == 120
+
+
+def test_l_relation_inverse_on_arbitrary_tuples_f2():
+    """L(x,a,y,b) inverse = L(y,a,x,b) on every 4-tuple, transversal or not."""
+    tuples = list(itertools.product(all_subspaces(PrimeField(2), 2), repeat=4))
+    assert len(tuples) == 625
+    for x, a, y, b in tuples:
+        assert inverse_rel(l_relation(x, a, y, b)) == l_relation(y, a, x, b)
