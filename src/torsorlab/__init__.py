@@ -18,9 +18,9 @@ fields, and their quadratic extensions) and provides:
 from .fields import (BiDualRing, CharacteristicTwoError, DualRing,
                      FieldSyntaxError, GaussianRationals, PrimeField,
                      QuadraticExt, Rationals, field_from_spec)
-from .matrices import (Matrix, all_matrices, det, format_matrix, hstack,
-                       is_invertible, kernel_basis, mat_invert, parse_matrix,
-                       random_matrix, rank, rref, vstack)
+from .matrices import (Matrix, ShapeError, all_matrices, det, format_matrix,
+                       hstack, is_invertible, kernel_basis, mat_invert,
+                       parse_matrix, random_matrix, rank, rref, vstack)
 from .subspaces import (Form, Subspace, all_subspaces, chart_of, complement,
                         contains, coord_subspace, diag_form,
                         enumerate_subspaces, full_subspace, gaussian_binomial,
@@ -32,14 +32,14 @@ from .subspaces import (Form, Subspace, all_subspaces, chart_of, complement,
 from .relations import (LinearRelation, adjoint, apply_rel, compose,
                         difference, gen_projection, graph_rel, identity_rel,
                         inverse_rel, one_minus, one_plus, random_relation,
-                        relation, relation_from_json, relation_to_json)
+                        relation_from_json, relation_to_json)
 from .gamma import (TorsorView, dilation, gamma_global, gamma_oracle,
                     gamma_restricted, gamma_via_m, l_relation, m_operator,
                     m_relation, proj_operator, transversal_tuple)
 from .involutions import (BaseTriple, Involution, InvolutionError, GroupView,
-                          base_triple, cayley_rho, cayley_table,
-                          census_report, closure_report, dual_involution,
-                          fixed_points, involution, isotropic_census, j_map,
+                          cayley_rho, cayley_table, census_report,
+                          closure_report, dual_involution, fixed_points,
+                          involution, isotropic_census, j_map,
                           ortho_involution, standard_triple, tilde_tau,
                           torsor_G, translation_op, unitary_group)
 from .homotopes import (ClassicalFamily, Homotope, classical_family,

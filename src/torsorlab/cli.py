@@ -36,9 +36,6 @@ class UsageError(ValueError):
 class RunConfig:
     """Everything a command run depends on, normalized from the arguments."""
 
-    command: str
-    field_spec: str = ""
-    ambient: int = 0
     seed: int = 0
     trials: int = 200
     exhaustive: bool = False
@@ -50,12 +47,8 @@ class RunConfig:
                            seed=self.seed)
 
 
-def _run_config(args, command):
-    return RunConfig(command=command,
-                     field_spec=getattr(args, "field", "") or "",
-                     ambient=getattr(args, "ambient", 0)
-                     or getattr(args, "n", 0) or 0,
-                     seed=getattr(args, "seed", 0) or 0,
+def _run_config(args):
+    return RunConfig(seed=getattr(args, "seed", 0) or 0,
                      trials=getattr(args, "trials", 200),
                      exhaustive=bool(getattr(args, "exhaustive", False)),
                      out=getattr(args, "out", "") or "",
@@ -108,7 +101,7 @@ def _emit_reports(reports, config):
 
 
 def _cmd_gamma(args):
-    config = _run_config(args, "gamma")
+    config = _run_config(args)
     field = _field(args.field)
     ambient = args.ambient
     subs = {}
@@ -128,7 +121,7 @@ def _cmd_gamma(args):
 
 
 def _cmd_check(args):
-    config = _run_config(args, "check")
+    config = _run_config(args)
     if args.list:
         lines = ["%s\t%s\t%s" % row for row in checks.list_suites()]
         _emit(lines, config)
@@ -159,7 +152,7 @@ def _form_for(args, field):
 
 
 def _cmd_lagrangian(args):
-    config = _run_config(args, "lagrangian")
+    config = _run_config(args)
     field = _field(args.field)
     if field.size is None:
         raise UsageError("lagrangian enumeration needs a finite field")
@@ -177,7 +170,7 @@ def _cmd_lagrangian(args):
 
 
 def _cmd_gtable(args):
-    config = _run_config(args, "gtable")
+    config = _run_config(args)
     field = _field(args.field)
     if field.size is None:
         raise UsageError("gtable enumeration needs a finite field")
@@ -223,7 +216,7 @@ def _family(args, field):
 
 
 def _cmd_homotope(args):
-    config = _run_config(args, "homotope")
+    config = _run_config(args)
     field = _field(args.field)
     fam = _family(args, field)
     if args.hull_check:
@@ -265,7 +258,7 @@ def _bridge_param(args, field):
 
 
 def _cmd_bridge(args):
-    config = _run_config(args, "bridge")
+    config = _run_config(args)
     if args.check not in BRIDGE_TOKENS:
         raise UsageError("--check must be one of %s" % (BRIDGE_TOKENS,))
     field = _field(args.field or "fp:5")
@@ -285,7 +278,7 @@ def _cmd_bridge(args):
 
 
 def _cmd_enumerate(args):
-    config = _run_config(args, "enumerate")
+    config = _run_config(args)
     field = _field(args.field)
     try:
         subs = list(enumerate_subspaces(field, args.ambient, dim=args.dim))

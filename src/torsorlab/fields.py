@@ -127,10 +127,6 @@ def _parse_pair(text, symbol):
     return re_part, im_part
 
 
-def _fmt_signed(s):
-    return s if s.startswith("-") else "+" + s
-
-
 class Rationals(FieldBase):
     def __eq__(self, other):
         return type(other) is Rationals

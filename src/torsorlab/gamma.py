@@ -5,7 +5,7 @@ Three independent routes to the same product are implemented:
 * `gamma_global`  -- relation calculus: (1 - P_a^x P_y^b) applied to z;
 * `gamma_oracle`  -- witness elimination: the set of all w admitting a
   decomposition w = zeta + alpha = zeta + eta + xi = xi + beta with the five
-  pieces drawn from the five arguments, computed by one exact kernel;
+  pieces drawn from the five arguments, computed by one block elimination;
 * `gamma_restricted` -- on tuples transversal to both middle slots, the
   pushforward of y under the difference of the two projections.
 
@@ -23,13 +23,13 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .matrices import Matrix, kernel_basis, vstack
+from .matrices import Matrix, eliminate_front, neg_vec, vstack
 from .relations import (LinearRelation, apply_rel, compose, difference,
                         gen_projection, one_minus, random_relation)
 from .reports import Slots, cases, run_law
-from .subspaces import (Subspace, TransversalityError, all_subspaces,
-                        image_under, is_transversal, join, meet, pushforward,
-                        random_subspace, span_rows)
+from .subspaces import (Subspace, TransversalityError, _check_pair,
+                        all_subspaces, image_under, is_transversal, join,
+                        meet, pushforward, random_subspace, span_rows)
 
 
 def l_relation(x, a, y, b):
@@ -56,56 +56,23 @@ def gamma_via_m(x, a, y, b, z):
 def gamma_oracle(x, a, y, b, z):
     """Witness-set route, independent of the relation calculus.
 
-    Solves, over coefficient vectors of the five bases, the linear system
-    alpha = eta + xi  and  zeta + alpha = xi + beta, then spans the resulting
-    w = zeta + alpha.
+    The w = zeta + alpha with alpha = eta + xi and zeta + alpha = xi + beta,
+    by one block elimination over the columns
+    [alpha - eta - xi | zeta + alpha - xi - beta | w], first 2n eliminated:
+    x rows (-xi | -xi | 0), a rows (alpha | alpha | alpha), y rows
+    (-eta | 0 | 0), b rows (0 | -beta | 0), z rows (0 | zeta | zeta).
     """
+    for s in (a, y, b, z):
+        _check_pair(x, s)
     field = x.field
     n = x.ambient
-    parts = (x, a, y, b, z)
-    dims = [s.dim for s in parts]
-    offs = [sum(dims[:i]) for i in range(5)]
-    total = sum(dims)
-    zero = field.zero
-    rows = []
-    # alpha - eta - xi = 0
-    for j in range(n):
-        row = [zero] * total
-        for i in range(dims[0]):
-            row[offs[0] + i] = field.neg(x.basis.entries[i][j])
-        for i in range(dims[1]):
-            row[offs[1] + i] = a.basis.entries[i][j]
-        for i in range(dims[2]):
-            row[offs[2] + i] = field.neg(y.basis.entries[i][j])
-        rows.append(tuple(row))
-    # zeta + alpha - xi - beta = 0
-    for j in range(n):
-        row = [zero] * total
-        for i in range(dims[0]):
-            row[offs[0] + i] = field.neg(x.basis.entries[i][j])
-        for i in range(dims[1]):
-            row[offs[1] + i] = a.basis.entries[i][j]
-        for i in range(dims[3]):
-            row[offs[3] + i] = field.neg(b.basis.entries[i][j])
-        for i in range(dims[4]):
-            row[offs[4] + i] = z.basis.entries[i][j]
-        rows.append(tuple(row))
-    solutions = kernel_basis(Matrix.from_rows(field, rows, total))
-    out = []
-    for sol in solutions.entries:
-        w = [zero] * n
-        for i in range(dims[4]):
-            c = sol[offs[4] + i]
-            if not field.is_zero(c):
-                w = [field.add(e, field.mul(c, f))
-                     for e, f in zip(w, z.basis.entries[i])]
-        for i in range(dims[1]):
-            c = sol[offs[1] + i]
-            if not field.is_zero(c):
-                w = [field.add(e, field.mul(c, f))
-                     for e, f in zip(w, a.basis.entries[i])]
-        out.append(tuple(w))
-    return span_rows(field, n, out)
+    zero = (field.zero,) * n
+    rows = [neg_vec(field, v) * 2 + zero for v in x.basis.entries]
+    rows += [v * 3 for v in a.basis.entries]
+    rows += [neg_vec(field, v) + zero * 2 for v in y.basis.entries]
+    rows += [zero + neg_vec(field, v) + zero for v in b.basis.entries]
+    rows += [zero + v * 2 for v in z.basis.entries]
+    return Subspace(n, eliminate_front(field, rows, 2 * n, 3 * n))
 
 
 def gamma_oracle_enum(x, a, y, b, z):

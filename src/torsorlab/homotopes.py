@@ -20,7 +20,7 @@ from .gamma import gamma_global
 from .involutions import (ortho_involution, standard_triple, torsor_G,
                           translation_op, unitary_group)
 from .matrices import (Matrix, all_matrices, format_matrix, is_invertible,
-                       mat_invert, matrix_sort_key, random_matrix)
+                       mat_invert, random_matrix)
 from .reports import Report, Slots, cases, every, run_law
 from .subspaces import (chart_of, graph_minus, graph_of, pushforward,
                         split_form, symplectic_form)

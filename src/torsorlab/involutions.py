@@ -106,13 +106,6 @@ class BaseTriple:
         return self.o_plus.ambient
 
 
-def base_triple(o_plus, e, o_minus):
-    for u, v in ((o_plus, e), (e, o_minus), (o_plus, o_minus)):
-        if not is_transversal(u, v):
-            raise ValueError("base triple must be pairwise transversal")
-    return BaseTriple(o_plus, e, o_minus)
-
-
 def standard_triple(field, n):
     """o+ = first n coordinates, o- = last n, e = diagonal, in K^{2n}."""
     o_plus = coord_subspace(field, 2 * n, range(n))

@@ -17,6 +17,10 @@ class SingularMatrixError(ArithmeticError):
     pass
 
 
+class ShapeError(ValueError):
+    """Operands whose shapes, ambients or rings do not fit together."""
+
+
 @dataclass(frozen=True)
 class Matrix:
     ring: object
@@ -25,8 +29,10 @@ class Matrix:
     entries: tuple  # row-major tuple of row tuples
 
     def __post_init__(self):
-        assert len(self.entries) == self.nrows
-        assert all(len(r) == self.ncols for r in self.entries)
+        if (len(self.entries) != self.nrows
+                or any(len(r) != self.ncols for r in self.entries)):
+            raise ShapeError("entries do not form a %dx%d matrix"
+                             % (self.nrows, self.ncols))
 
     # -- construction ------------------------------------------------------
 
@@ -40,8 +46,6 @@ class Matrix:
     def from_rows(ring, rows, ncols):
         """Like build(), but keeps ncols explicit so zero-row matrices work."""
         rows = tuple(tuple(r) for r in rows)
-        for r in rows:
-            assert len(r) == ncols
         return Matrix(ring, len(rows), ncols, rows)
 
     @staticmethod
@@ -87,7 +91,10 @@ class Matrix:
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        assert self.ring == other.ring and self.ncols == other.nrows
+        if self.ring != other.ring or self.ncols != other.nrows:
+            raise ShapeError("cannot multiply %dx%d by %dx%d"
+                             % (self.nrows, self.ncols, other.nrows,
+                                other.ncols))
         R = self.ring
         add, mul, zero = R.add, R.mul, R.zero
         cols = list(zip(*other.entries)) if other.entries else [()] * other.ncols
@@ -134,13 +141,17 @@ class Matrix:
         return all(R.is_zero(a) for row in self.entries for a in row)
 
     def _match(self, other):
-        assert self.ring == other.ring
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        if (self.ring != other.ring
+                or (self.nrows, self.ncols) != (other.nrows, other.ncols)):
+            raise ShapeError("%dx%d and %dx%d matrices do not match"
+                             % (self.nrows, self.ncols, other.nrows,
+                                other.ncols))
 
 
 def hstack(*mats):
     first = mats[0]
-    assert all(m.nrows == first.nrows and m.ring == first.ring for m in mats)
+    if any(m.nrows != first.nrows or m.ring != first.ring for m in mats):
+        raise ShapeError("hstack needs equal row counts and one ring")
     rows = tuple(sum((m.entries[i] for m in mats), ())
                  for i in range(first.nrows))
     return Matrix(first.ring, first.nrows, sum(m.ncols for m in mats), rows)
@@ -148,36 +159,29 @@ def hstack(*mats):
 
 def vstack(*mats):
     first = mats[0]
-    assert all(m.ncols == first.ncols and m.ring == first.ring for m in mats)
+    if any(m.ncols != first.ncols or m.ring != first.ring for m in mats):
+        raise ShapeError("vstack needs equal column counts and one ring")
     rows = sum((m.entries for m in mats), ())
     return Matrix(first.ring, len(rows), first.ncols, rows)
-
-
-def mul_vec(m, v):
-    """Column-vector action: returns tuple m @ v."""
-    R = m.ring
-    add, mul, zero = R.add, R.mul, R.zero
-    assert len(v) == m.ncols
-    out = []
-    for row in m.entries:
-        acc = zero
-        for a, b in zip(row, v):
-            acc = add(acc, mul(a, b))
-        out.append(acc)
-    return tuple(out)
 
 
 def vec_mul(v, m):
     """Row-vector action: returns tuple v @ m."""
     R = m.ring
     add, mul, zero = R.add, R.mul, R.zero
-    assert len(v) == m.nrows
+    if len(v) != m.nrows:
+        raise ShapeError("vector of length %d against %d rows"
+                         % (len(v), m.nrows))
     out = [zero] * m.ncols
     for c, row in zip(v, m.entries):
         if R.is_zero(c):
             continue
         out = [add(acc, mul(c, a)) for acc, a in zip(out, row)]
     return tuple(out)
+
+
+def neg_vec(ring, v):
+    return tuple(ring.neg(e) for e in v)
 
 
 def _eliminate(ring, rows, ncols):
@@ -230,6 +234,21 @@ def rref(m):
     return Matrix(m.ring, r, m.ncols, tuple(tuple(row) for row in rows[:r])), r
 
 
+def eliminate_front(field, rows, k, ncols):
+    """Canonical basis of {v : (0, v) in the row span}, 0 on k columns.
+
+    One rref of the stacked rows.  In reduced echelon form a row that is
+    nonzero on the first k columns has its pivot there, so the rows that
+    vanish there span exactly those vectors (0, v), and their tails are
+    already reduced: the result is the canonical (ncols - k)-column basis.
+    """
+    red, _ = rref(Matrix.from_rows(field, rows, ncols))
+    is_zero = field.is_zero
+    tails = tuple(row[k:] for row in red.entries
+                  if all(is_zero(e) for e in row[:k]))
+    return Matrix(field, len(tails), ncols - k, tails)
+
+
 def rank(m):
     return rref(m)[1]
 
@@ -267,9 +286,14 @@ def kernel_basis(m):
     return red_out
 
 
+def _check_square(m):
+    if m.nrows != m.ncols:
+        raise ShapeError("%dx%d matrix is not square" % (m.nrows, m.ncols))
+
+
 def mat_invert(m):
     """Exact inverse; SingularMatrixError if no inverse over the ring."""
-    assert m.nrows == m.ncols
+    _check_square(m)
     n = m.nrows
     ident = Matrix.identity(m.ring, n)
     rows = [list(a + b) for a, b in zip(m.entries, ident.entries)]
@@ -292,7 +316,9 @@ def is_invertible(m):
 def det(m):
     """Determinant over a field, by elimination with row swaps."""
     R = m.ring
-    assert R.is_field and m.nrows == m.ncols
+    if not R.is_field:
+        raise TypeError("det by elimination over fields only")
+    _check_square(m)
     n = m.nrows
     rows = [list(r) for r in m.entries]
     result = R.one
@@ -345,11 +371,6 @@ def random_matrix(ring, nrows, ncols, rng):
     return Matrix(ring, nrows, ncols,
                   tuple(tuple(ring.sample(rng) for _ in range(ncols))
                         for _ in range(nrows)))
-
-
-def matrix_sort_key(m):
-    R = m.ring
-    return tuple(R.sort_key(e) for row in m.entries for e in row)
 
 
 def all_matrices(ring, nrows, ncols):

@@ -1,10 +1,12 @@
 """Linear relations: subspaces of W + W viewed as multivalued maps.
 
 A relation F <= K^n + K^n is stored by its underlying subspace with the block
-convention (input | output).  Composition, inversion, pointwise application,
-pointwise difference, 1 +/- F, and the adjoint with respect to a form are all
-computed by exact block intersections and projections, so every identity about
-them is decidable on the nose.
+convention (input | output).  Composition, pointwise application and
+pointwise difference ask which vectors admit witnesses: each stacks its
+witness rows and makes one block elimination through
+`matrices.eliminate_front`.  Inversion, 1 +/- F and the adjoint with respect
+to a form are exact too, so every identity about them is decidable on the
+nose.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .matrices import Matrix, hstack, vstack
-from .subspaces import (Form, Subspace, _assume_rref, make_form, meet,
-                        orthocomplement, span_rows, zero_subspace)
+from .matrices import (Matrix, ShapeError, eliminate_front, hstack, neg_vec,
+                       vstack)
+from .subspaces import (Subspace, _assume_rref, _check_pair, make_form,
+                        orthocomplement, span_rows)
 
 
 @dataclass(frozen=True)
@@ -30,57 +33,12 @@ class LinearRelation:
     def dim(self):
         return self.inner.dim
 
-    def dom(self):
-        return _project(self.inner, self.half, left=True)
-
-    def im(self):
-        return _project(self.inner, self.half, left=False)
-
-    def ker(self):
-        """{z : (z, 0) in F}."""
-        z = _times_full(zero_subspace(self.field, self.half), self.half, left=False)
-        return _project(meet(self.inner, z.inner), self.half, left=True)
-
-    def indef(self):
-        """{w : (0, w) in F}."""
-        z = _times_full(zero_subspace(self.field, self.half), self.half, left=True)
-        return _project(meet(self.inner, z.inner), self.half, left=False)
-
-
-def relation(half, inner):
-    assert inner.ambient == 2 * half
-    return LinearRelation(half, inner)
-
-
-def _project(sub, half, left):
-    field = sub.field
-    if left:
-        rows = [row[:half] for row in sub.basis.entries]
-    else:
-        rows = [row[half:] for row in sub.basis.entries]
-    return span_rows(field, half, rows)
-
-
-def _times_full(sub, half, left):
-    """left: sub x K^half; otherwise K^half x sub (as a relation)."""
-    field = sub.field
-    eye = Matrix.identity(field, half)
-    zero_blk = Matrix.zeros(field, sub.dim, half)
-    zero_blk2 = Matrix.zeros(field, half, sub.ambient)
-    if left:
-        top = hstack(sub.basis, zero_blk)
-        bottom = hstack(zero_blk2, eye)
-        rows = vstack(top, bottom)
-        return LinearRelation(half, _assume_rref(2 * half, rows))
-    top = hstack(zero_blk, sub.basis)
-    bottom = hstack(eye, zero_blk2)
-    return LinearRelation(half, span_rows(field, 2 * half,
-                                          bottom.entries + top.entries))
-
 
 def graph_rel(mat):
     """Relation {(v, mat v)} of an endomorphism matrix."""
-    assert mat.nrows == mat.ncols
+    if mat.nrows != mat.ncols:
+        raise ShapeError("%dx%d matrix is not an endomorphism"
+                         % (mat.nrows, mat.ncols))
     basis = hstack(Matrix.identity(mat.ring, mat.nrows), mat.transpose())
     return LinearRelation(mat.nrows, _assume_rref(2 * mat.nrows, basis))
 
@@ -99,12 +57,12 @@ def gen_projection(x, a):
     x and a need not be complementary; the result is a relation in general and
     an idempotent operator exactly when they are.
     """
-    assert x.ambient == a.ambient and x.field == a.field
+    _check_pair(x, a)
     n = x.ambient
     field = x.field
     rows = [u + u for u in x.basis.entries]
     zero = (field.zero,) * n
-    rows += [tuple(field.neg(e) for e in w) + zero for w in a.basis.entries]
+    rows += [neg_vec(field, w) + zero for w in a.basis.entries]
     return LinearRelation(n, span_rows(field, 2 * n, rows))
 
 
@@ -114,44 +72,40 @@ def inverse_rel(f):
 
 
 def compose(g, f):
-    """g after f: {(u, w) : exists v, (u, v) in f and (v, w) in g}."""
-    assert f.half == g.half and f.field == g.field
+    """g after f: f rows (v | u | 0), g rows (-v' | 0 | w); eliminate v."""
+    _check_pair(f.inner, g.inner)
     n = f.half
     field = f.field
     zero = (field.zero,) * n
-    t1 = [row + zero for row in f.inner.basis.entries]
-    eye = Matrix.identity(field, n).entries
-    t1 += [zero + zero + e for e in eye]
-    t2 = [e + zero + zero for e in eye]
-    t2 += [zero + row for row in g.inner.basis.entries]
-    both = meet(span_rows(field, 3 * n, t1), span_rows(field, 3 * n, t2))
-    rows = [row[:n] + row[2 * n:] for row in both.basis.entries]
-    return LinearRelation(n, span_rows(field, 2 * n, rows))
+    rows = [row[n:] + row[:n] + zero for row in f.inner.basis.entries]
+    rows += [neg_vec(field, row[:n]) + zero + row[n:]
+             for row in g.inner.basis.entries]
+    return LinearRelation(n, _assume_rref(
+        2 * n, eliminate_front(field, rows, n, 3 * n)))
 
 
 def apply_rel(f, z):
-    """Pointwise image f(z) = {w : (u, w) in f for some u in z}."""
-    assert z.ambient == f.half and z.field == f.field
-    zw = _times_full(z, f.half, left=True)
-    return _project(meet(f.inner, zw.inner), f.half, left=False)
+    """Pointwise image f(z): f rows (u | w), z rows (-zeta | 0); eliminate u."""
+    if z.ambient != f.half or z.field != f.field:
+        raise ShapeError("%r is not in the domain space of %r" % (z, f))
+    n = f.half
+    zero = (f.field.zero,) * n
+    rows = list(f.inner.basis.entries)
+    rows += [neg_vec(f.field, v) + zero for v in z.basis.entries]
+    return _assume_rref(n, eliminate_front(f.field, rows, n, 2 * n))
 
 
 def difference(f, g):
-    """Pointwise difference: {(u, a - b) : (u, a) in f, (u, b) in g}."""
-    assert f.half == g.half and f.field == g.field
+    """Pointwise f - g: f rows (u | u | a), g rows (-u | 0 | -b); eliminate u."""
+    _check_pair(f.inner, g.inner)
     n = f.half
     field = f.field
     zero = (field.zero,) * n
-    eye = Matrix.identity(field, n).entries
-    t1 = [row + zero for row in f.inner.basis.entries]
-    t1 += [zero + zero + e for e in eye]
-    t2 = [row[:n] + zero + row[n:] for row in g.inner.basis.entries]
-    t2 += [zero + e + zero for e in eye]
-    both = meet(span_rows(field, 3 * n, t1), span_rows(field, 3 * n, t2))
-    rows = [row[:n] + tuple(field.sub(a, b)
-                            for a, b in zip(row[n:2 * n], row[2 * n:]))
-            for row in both.basis.entries]
-    return LinearRelation(n, span_rows(field, 2 * n, rows))
+    rows = [row[:n] + row for row in f.inner.basis.entries]
+    rows += [neg_vec(field, row[:n]) + zero + neg_vec(field, row[n:])
+             for row in g.inner.basis.entries]
+    return LinearRelation(n, _assume_rref(
+        2 * n, eliminate_front(field, rows, n, 3 * n)))
 
 
 def one_plus_minus(f, plus=True):
@@ -189,7 +143,9 @@ def _pairing_form(form, half):
 
 def adjoint(f, form):
     """F* = {(v', w') : beta(v', w) = beta(w', v) for all (v, w) in F}."""
-    assert form.ambient == f.half
+    if form.ambient != f.half:
+        raise ShapeError("form on K^%d for a relation on K^%d"
+                         % (form.ambient, f.half))
     omega = _pairing_form(form, f.half)
     return LinearRelation(f.half, orthocomplement(f.inner, omega))
 

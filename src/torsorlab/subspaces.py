@@ -15,8 +15,9 @@ import os
 from dataclasses import dataclass
 
 from .fields import FieldSyntaxError
-from .matrices import (Matrix, SingularMatrixError, hstack, kernel_basis,
-                       mat_invert, mul_vec, pivot_cols, rref, vec_mul, vstack)
+from .matrices import (Matrix, ShapeError, SingularMatrixError,
+                       eliminate_front, hstack, kernel_basis, mat_invert,
+                       pivot_cols, rref, vec_mul, vstack)
 
 DEFAULT_MAX_AMBIENT = 6
 
@@ -54,7 +55,9 @@ class Subspace:
 
 def span(ambient, rows_matrix):
     """Subspace spanned by the rows of a matrix (need not be independent)."""
-    assert rows_matrix.ncols == ambient
+    if rows_matrix.ncols != ambient:
+        raise ShapeError("%d-column rows cannot span a subspace of K^%d"
+                         % (rows_matrix.ncols, ambient))
     red, _ = rref(rows_matrix)
     return Subspace(ambient, red)
 
@@ -107,20 +110,13 @@ def contains(big, small):
 
 
 def meet(x, y):
-    """Intersection, by Zassenhaus block elimination."""
+    """Intersection, by Zassenhaus: x rows (u | u), y rows (w | 0)."""
     _check_pair(x, y)
-    R = x.field
     n = x.ambient
-    rows = []
-    for u in x.basis.entries:
-        rows.append(u + u)
-    zero_half = (R.zero,) * n
-    for w in y.basis.entries:
-        rows.append(w + zero_half)
-    red, _ = rref(Matrix.from_rows(R, rows, 2 * n))
-    out = [row[n:] for row in red.entries
-           if all(R.is_zero(e) for e in row[:n])]
-    return span_rows(R, n, out)
+    zero = (x.field.zero,) * n
+    rows = [u + u for u in x.basis.entries]
+    rows += [w + zero for w in y.basis.entries]
+    return Subspace(n, eliminate_front(x.field, rows, n, 2 * n))
 
 
 def join(x, y):
@@ -182,7 +178,8 @@ def chart_minus(x, first=None):
 
 def image_under(g, x):
     """Span of {g v : v in x}; g need not be invertible."""
-    assert g.ncols == x.ambient
+    if g.ncols != x.ambient:
+        raise ShapeError("%d-column operator on K^%d" % (g.ncols, x.ambient))
     return span(g.nrows, x.basis * g.transpose())
 
 
@@ -207,7 +204,8 @@ class Form:
     kind: str  # "hermitian" | "skew"
 
     def __post_init__(self):
-        assert self.kind in ("hermitian", "skew")
+        if self.kind not in ("hermitian", "skew"):
+            raise ValueError("kind must be hermitian or skew")
 
     @property
     def field(self):
@@ -277,7 +275,9 @@ def standard_forms(field, n):
 
 def orthocomplement(x, form):
     """x^perp = {v : beta(u, v) = 0 for all u in x}."""
-    assert x.ambient == form.ambient
+    if x.ambient != form.ambient:
+        raise ShapeError("subspace of K^%d against a form on K^%d"
+                         % (x.ambient, form.ambient))
     constraints = x.basis.conj() * form.gram
     return Subspace(x.ambient, kernel_basis(constraints))
 
@@ -385,4 +385,5 @@ def subspace_from_json(obj):
 
 
 def _check_pair(x, y):
-    assert x.ambient == y.ambient and x.field == y.field
+    if x.ambient != y.ambient or x.field != y.field:
+        raise ShapeError("%r and %r are not in one space" % (x, y))

@@ -336,7 +336,7 @@ def test_emit_reports_exit_code_on_failure(capsys):
     """A failing report drives the exit code to 1 (not a usage error)."""
     failing = Report(suite="demo", law="broken", cases=3, failures=1)
     passing = Report(suite="demo", law="fine", cases=3)
-    config = cli.RunConfig(command="check")
+    config = cli.RunConfig()
     assert cli._emit_reports([passing], config) == 0
     capsys.readouterr()
     assert cli._emit_reports([passing, failing], config) == 1
@@ -350,7 +350,7 @@ def test_run_config_carries_sampling():
     args = parser.parse_args(["check", "--suite", "all", "--field", "f2",
                               "--ambient", "2", "--seed", "11",
                               "--trials", "77"])
-    config = cli._run_config(args, "check")
+    config = cli._run_config(args)
     assert config.seed == 11
     assert config.trials == 77
     cc = config.check_config()

@@ -24,7 +24,7 @@ from torsorlab.gamma import (
     proj_operator,
     transversal_tuple,
 )
-from torsorlab.matrices import mat_invert
+from torsorlab.matrices import ShapeError, mat_invert
 from torsorlab.reports import CheckConfig
 from torsorlab.rng import trial_rng
 from torsorlab.subspaces import (
@@ -59,6 +59,15 @@ def test_routes_agree_exhaustive_f2():
                         assert gamma_via_m(x, a, y, b, z) == w
                         assert gamma_oracle(x, a, y, b, z) == w
                         assert gamma_oracle_enum(x, a, y, b, z) == w
+
+
+def test_routes_reject_a_slot_from_another_field():
+    f3, f5 = PrimeField(3), PrimeField(5)
+    x, a, b, z = (rand_sub(f3, 2, 41, i) for i in range(4))
+    y = rand_sub(f5, 2, 41, 4)
+    for route in (gamma_global, gamma_oracle):
+        with pytest.raises(ShapeError):
+            route(x, a, y, b, z)
 
 
 def test_routes_agree_random_f3():

@@ -19,7 +19,6 @@ from torsorlab.relations import (
     one_minus,
     one_plus,
     random_relation,
-    relation,
     relation_from_json,
     relation_to_json,
     zero_rel,

@@ -1,0 +1,73 @@
+"""Row reduction over Q against sympy, an independent exact implementation."""
+
+from fractions import Fraction
+
+import pytest
+
+from torsorlab.fields import Rationals
+from torsorlab.matrices import kernel_basis, random_matrix, rref
+from torsorlab.rng import trial_rng
+from torsorlab.subspaces import meet, random_subspace
+
+sympy = pytest.importorskip("sympy")
+
+Q = Rationals()
+SHAPES = ((1, 1), (2, 3), (3, 2), (3, 5), (4, 4), (5, 3), (4, 8), (6, 6))
+
+
+def to_sympy(rows, ncols):
+    return sympy.Matrix(len(rows), ncols,
+                        [sympy.Rational(e.numerator, e.denominator)
+                         for row in rows for e in row])
+
+
+def from_sympy(m):
+    return tuple(tuple(Fraction(int(e.p), int(e.q)) for e in m.row(i))
+                 for i in range(m.rows))
+
+
+def seeded_matrices():
+    """Full-rank-ish draws, plus products that force rank deficiency."""
+    for i, (r, c) in enumerate(SHAPES):
+        for j in range(6):
+            rng = trial_rng(1000 + i, j)
+            if j % 2:
+                k = rng.below(min(r, c)) + 1
+                yield (random_matrix(Q, r, k, rng)
+                       * random_matrix(Q, k, c, rng))
+            else:
+                yield random_matrix(Q, r, c, rng)
+
+
+def test_rref_matches_sympy():
+    for m in seeded_matrices():
+        red, rank = rref(m)
+        theirs, pivots = to_sympy(m.entries, m.ncols).rref()
+        assert rank == len(pivots)
+        assert red.entries == from_sympy(theirs)[:rank]
+
+
+def test_kernel_basis_row_space_matches_sympy_nullspace():
+    for m in seeded_matrices():
+        ours = kernel_basis(m)
+        null = to_sympy(m.entries, m.ncols).nullspace()
+        assert ours.nrows == len(null)
+        if not null:
+            continue
+        stacked = sympy.Matrix.vstack(*(v.T for v in null))
+        assert ours.entries == from_sympy(stacked.rref()[0])
+
+
+def test_meet_dimension_and_containment_against_sympy_rank():
+    for n in (2, 3, 4, 5):
+        for i in range(12):
+            rng = trial_rng(2000 + n, i)
+            x = random_subspace(Q, n, rng)
+            y = random_subspace(Q, n, rng)
+            both = meet(x, y)
+            joined = to_sympy(x.basis.entries + y.basis.entries, n)
+            assert both.dim == x.dim + y.dim - joined.rank()
+            for row in both.basis.entries:
+                for side in (x, y):
+                    with_row = to_sympy(side.basis.entries + (row,), n)
+                    assert with_row.rank() == side.dim
