@@ -5,8 +5,9 @@ fields, and their quadratic extensions) and provides:
 
 - subspaces of K^n with lattice operations and charts (`subspaces`),
 - linear relations, generalized projections, and adjoints (`relations`),
-- the five-slot product on subspaces with several independent
-  computation routes and its law checks (`gamma`),
+- the five-slot product on subspaces, computed by one memoized
+  witness-elimination kernel and audited against the relation, difference
+  and restricted routes, and its law checks (`gamma`),
 - involutions induced by bilinear and sesquilinear forms, fixed-point
   geometries, and the torsors they carry (`involutions`),
 - matrix products deformed by a parameter, classical subfamilies, and
@@ -33,7 +34,7 @@ from .relations import (LinearRelation, adjoint, apply_rel, compose,
                         difference, gen_projection, graph_rel, identity_rel,
                         inverse_rel, one_minus, one_plus, random_relation,
                         relation_from_json, relation_to_json)
-from .gamma import (TorsorView, dilation, gamma_global, gamma_oracle,
+from .gamma import (common_complements, dilation, gamma_global, gamma_oracle,
                     gamma_restricted, gamma_via_m, l_relation, m_operator,
                     m_relation, proj_operator, transversal_tuple)
 from .involutions import (BaseTriple, Involution, InvolutionError, GroupView,

@@ -187,7 +187,7 @@ def _cmd_gtable(args):
     if args.unit:
         unit = _parse_subspace(args.unit, field, form.ambient)
     try:
-        view = group_of_torsor(carrier, product, unit)
+        view = group_of_torsor(carrier, unit)
     except ValueError as exc:
         raise UsageError(str(exc))
     table = cayley_table(view, product)

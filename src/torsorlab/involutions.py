@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .fields import CharacteristicTwoError
-from .gamma import (dilation, gamma_global, gamma_oracle, m_operator,
-                    subspace_slots, transversal_slots)
+from .gamma import (common_complements, dilation, gamma_global, gamma_oracle,
+                    m_operator, subspace_slots, transversal_slots)
 from .matrices import (Matrix, det, format_matrix, hstack, mat_invert, rank,
                        random_matrix, vstack)
 from .reports import (Report, Slots, cases, describe_case, every,
@@ -237,7 +237,7 @@ def torsor_G(inv, a):
     return carrier, torsor_product_pair(a, ta)
 
 
-def group_of_torsor(carrier, product, unit):
+def group_of_torsor(carrier, unit):
     if unit not in carrier:
         raise ValueError("unit must lie in the carrier")
     return GroupView(carrier, unit)
@@ -269,19 +269,9 @@ def unitary_group(inv, a, o, b):
             raise ValueError("parameters must be fixed by the involution")
     if not (is_transversal(o, a) and is_transversal(o, b)):
         raise ValueError("unit must be a common complement")
-    field = inv.field
-    n = inv.ambient
-    if a.dim != b.dim:
-        return GroupView((), o), torsor_product_pair(a, b)
-    carrier = [x for x in enumerate_subspaces(field, n, n - a.dim)
-               if is_transversal(x, a) and is_transversal(x, b)]
-    product = torsor_product_pair(a, b)
-    members = []
-    for x in carrier:
-        x_inv = gamma_global(o, a, x, b, o)
-        if inv(x) == x_inv:
-            members.append(x)
-    return GroupView(tuple(members), o), product
+    members = tuple(x for x in common_complements(a, b)
+                    if inv(x) == gamma_global(o, a, x, b, o))
+    return GroupView(members, o), torsor_product_pair(a, b)
 
 
 def torsor_product_pair(a, b):
@@ -397,17 +387,18 @@ def check_dilation_compat(inv, config, suite="involution",
     return run_law(suite, law, cases(config, Slots(draw)), holds)
 
 
-def closure_report(inv, a, gamma_fn=gamma_oracle, suite="lagrangian",
-                   law="fixed-set-closure"):
+def closure_report(inv, a, suite="lagrangian", law="fixed-set-closure"):
     """The fixed set is closed under (x, y, z) -> Gamma(x, a, y, tau a, z).
 
     Membership of the result is decided by tau(result) == result, so no
     lookup in the enumerated fixed set is needed for the check itself.
+    Every (x, a, y, tau a, z) of one sweep is distinct, so the kernel is
+    called unmemoized: a memo would only hold memory.
     """
     ta = inv(a)
 
     def result(c):
-        return gamma_fn(c["x"], a, c["y"], ta, c["z"])
+        return gamma_oracle(c["x"], a, c["y"], ta, c["z"])
 
     def holds(c):
         w = result(c)

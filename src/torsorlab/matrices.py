@@ -60,13 +60,6 @@ class Matrix:
         z = ring.zero
         return Matrix(ring, nrows, ncols, ((z,) * ncols,) * nrows)
 
-    @staticmethod
-    def scalar(ring, n, s):
-        z = ring.zero
-        return Matrix(ring, n, n,
-                      tuple(tuple(s if i == j else z for j in range(n))
-                            for i in range(n)))
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -132,9 +125,6 @@ class Matrix:
     def take_cols(self, j0, j1):
         return Matrix(self.ring, self.nrows, j1 - j0,
                       tuple(row[j0:j1] for row in self.entries))
-
-    def row(self, i):
-        return self.entries[i]
 
     def is_zero(self):
         R = self.ring

@@ -4,6 +4,7 @@ Run with `pytest -v tests/test_acceptance.py` for one PASS/FAIL line per
 criterion (add -s to also see the printed summary lines with case counts).
 """
 
+import itertools
 import time
 
 from torsorlab.checks import run_all, run_suite
@@ -13,9 +14,10 @@ from torsorlab.gamma import (
     check_klein,
     check_para_associativity,
     gamma_global,
-    gamma_oracle,
+    gamma_oracle_enum,
     gamma_restricted,
     gamma_via_m,
+    l_relation,
     transversal_tuple,
 )
 from torsorlab.homotopes import (
@@ -41,6 +43,7 @@ from torsorlab.involutions import (
     ortho_involution,
 )
 from torsorlab.matrices import Matrix, random_matrix
+from torsorlab.relations import apply_rel
 from torsorlab.reports import CheckConfig
 from torsorlab.rng import trial_rng
 from torsorlab.subspaces import (
@@ -103,9 +106,11 @@ def test_criterion_01_global_laws():
 
 
 def test_criterion_02_gamma_agreement():
-    """Operator, M-route, and witness-kernel routes agree; restricted too."""
-    exha = check_agreement(F2, 2, CheckConfig(exhaustive=True), with_enum=True)
+    """Relation, M-route, and enumeration match the kernel; restricted too."""
+    exha = check_agreement(F2, 2, CheckConfig(exhaustive=True))
     ok = exha.failures == 0 and exha.cases == 5 ** 5
+    for t in itertools.product(all_subspaces(F2, 2), repeat=5):
+        ok = ok and gamma_oracle_enum(*t) == gamma_global(*t)
 
     sampled = 0
     for i in range(1000):
@@ -113,7 +118,7 @@ def test_criterion_02_gamma_agreement():
         x, a, y, b, z = draw_tuple(F3, ambient, 107, i)
         w = gamma_global(x, a, y, b, z)
         ok = ok and gamma_via_m(x, a, y, b, z) == w
-        ok = ok and gamma_oracle(x, a, y, b, z) == w
+        ok = ok and apply_rel(l_relation(x, a, y, b), z) == w
         sampled += 1
 
     restricted = 0
@@ -211,7 +216,7 @@ def test_criterion_05_lagrangian_censuses():
         ok = ok and two_paths.failures == 0
         inv = ortho_involution(form)
         for a in all_subspaces(form.field, form.ambient):
-            r = closure_report(inv, a, gamma_fn=gamma_oracle)
+            r = closure_report(inv, a)
             ok = ok and r.failures == 0
             closures += 1
     verdict(5, "censuses stable over two paths; closure for every parameter",

@@ -1,11 +1,13 @@
 """Tests for the pentary product: routes, symmetry laws, torsor structure."""
 
+import itertools
+
 import pytest
 
+from torsorlab import gamma
 from torsorlab.checks import run_suite
 from torsorlab.fields import PrimeField
 from torsorlab.gamma import (
-    TorsorView,
     TransversalityError,
     check_agreement,
     check_commutativity_aa,
@@ -14,17 +16,20 @@ from torsorlab.gamma import (
     check_para_associativity,
     check_restricted_agreement,
     check_torsor_axioms,
+    common_complements,
     dilation,
     gamma_global,
     gamma_oracle,
     gamma_oracle_enum,
     gamma_restricted,
     gamma_via_m,
+    l_relation,
     m_operator,
     proj_operator,
     transversal_tuple,
 )
 from torsorlab.matrices import ShapeError, mat_invert
+from torsorlab.relations import apply_rel
 from torsorlab.reports import CheckConfig
 from torsorlab.rng import trial_rng
 from torsorlab.subspaces import (
@@ -46,8 +51,12 @@ def five(field, ambient, seed, index):
     return [random_subspace(field, ambient, rng) for _ in range(5)]
 
 
+def relation_route(x, a, y, b, z):
+    return apply_rel(l_relation(x, a, y, b), z)
+
+
 def test_routes_agree_exhaustive_f2():
-    """The operator route, the M route, and the witness-kernel route coincide."""
+    """The relation route, the M route, and enumeration match the kernel."""
     f2 = PrimeField(2)
     subs = list(all_subspaces(f2, 2))
     for x in subs:
@@ -56,8 +65,8 @@ def test_routes_agree_exhaustive_f2():
                 for b in subs:
                     for z in subs:
                         w = gamma_global(x, a, y, b, z)
+                        assert relation_route(x, a, y, b, z) == w
                         assert gamma_via_m(x, a, y, b, z) == w
-                        assert gamma_oracle(x, a, y, b, z) == w
                         assert gamma_oracle_enum(x, a, y, b, z) == w
 
 
@@ -76,7 +85,7 @@ def test_routes_agree_random_f3():
         x, a, y, b, z = five(f3, 2, 1, i)
         w = gamma_global(x, a, y, b, z)
         assert gamma_via_m(x, a, y, b, z) == w
-        assert gamma_oracle(x, a, y, b, z) == w
+        assert relation_route(x, a, y, b, z) == w
 
 
 def test_routes_agree_random_f5_ambient3():
@@ -84,7 +93,7 @@ def test_routes_agree_random_f5_ambient3():
     for i in range(60):
         x, a, y, b, z = five(f5, 3, 2, i)
         w = gamma_global(x, a, y, b, z)
-        assert gamma_oracle(x, a, y, b, z) == w
+        assert relation_route(x, a, y, b, z) == w
 
 
 def test_para_associativity_random():
@@ -121,25 +130,27 @@ def test_global_law_bundles_exhaustive_f2():
         assert r.cases > 0
 
 
-def test_para_associativity_catches_broken_products():
+def test_para_associativity_catches_broken_products(monkeypatch):
     """A deliberately wrong pentary map must fail the associativity sweep."""
     f2 = PrimeField(2)
 
     def broken(x, a, y, b, z):
         return meet(x, z)
 
-    r = check_para_associativity(f2, 2, CheckConfig(trials=60, seed=2), gamma_fn=broken)
+    monkeypatch.setattr(gamma, "gamma_global", broken)
+    r = check_para_associativity(f2, 2, CheckConfig(trials=60, seed=2))
     assert r.failures > 0
     assert r.first_counterexample is not None
 
 
-def test_klein_catches_broken_products():
+def test_klein_catches_broken_products(monkeypatch):
     f2 = PrimeField(2)
 
     def broken(x, a, y, b, z):
         return join(x, meet(y, z))
 
-    r = check_klein(f2, 2, CheckConfig(trials=60, seed=2), gamma_fn=broken)
+    monkeypatch.setattr(gamma, "gamma_global", broken)
+    r = check_klein(f2, 2, CheckConfig(trials=60, seed=2))
     assert r.failures > 0
 
 
@@ -220,13 +231,12 @@ def test_carrier_elements_form_a_torsor():
     subs = list(all_subspaces(f2, 2, dim=1))
     for a in subs:
         for b in subs:
-            view = TorsorView(a, b)
-            carrier = view.carrier()
+            carrier = common_complements(a, b)
             if len(carrier) < 2:
                 continue
             y = carrier[0]
             for x in carrier:
-                images = {view.product(x, y, z) for z in carrier}
+                images = {gamma_global(x, a, y, b, z) for z in carrier}
                 assert images == set(carrier)
 
 
@@ -258,9 +268,12 @@ def test_restricted_agreement():
 
 def test_agreement_bundle_reports():
     f2 = PrimeField(2)
-    r = check_agreement(f2, 2, CheckConfig(exhaustive=True), with_enum=True)
+    r = check_agreement(f2, 2, CheckConfig(exhaustive=True))
     assert r.failures == 0, r.first_counterexample
     assert r.cases == 5 ** 5
+    subs = all_subspaces(f2, 2)
+    for t in itertools.product(subs, repeat=5):
+        assert gamma_oracle_enum(*t) == gamma_global(*t)
     f3 = PrimeField(3)
     r = check_agreement(f3, 2, CheckConfig(trials=150, seed=1))
     assert r.failures == 0

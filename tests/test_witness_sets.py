@@ -10,7 +10,7 @@ must also be independent: q^dim vectors for the q-element field.
 import itertools
 
 from torsorlab.fields import PrimeField
-from torsorlab.gamma import gamma_oracle
+from torsorlab.gamma import gamma_global, gamma_oracle
 from torsorlab.relations import (LinearRelation, apply_rel, compose,
                                  difference, random_relation)
 from torsorlab.rng import trial_rng
@@ -130,3 +130,8 @@ def test_each_witness_operation_is_one_elimination(monkeypatch):
         calls.clear()
         operation()
         assert len(calls) == 1, name
+    gamma_global.cache_clear()
+    for expected in (1, 0):
+        calls.clear()
+        gamma_global(x, a, y, b, z)
+        assert len(calls) == expected
