@@ -244,14 +244,21 @@ def group_of_torsor(carrier, unit):
 
 
 def cayley_table(view, product):
-    """Index table t[i][j] = index of elements[i] . elements[j]."""
+    """Index table t[i][j] = index of elements[i] . elements[j].
+
+    ValueError if a product leaves the element list.
+    """
     els = view.elements
+    index = {e: i for i, e in enumerate(els)}
     table = []
     for x in els:
         row = []
         for z in els:
             w = product(x, view.unit, z)
-            row.append(els.index(w))
+            try:
+                row.append(index[w])
+            except KeyError:
+                raise ValueError("%r is not an element" % (w,)) from None
         table.append(tuple(row))
     return tuple(table)
 

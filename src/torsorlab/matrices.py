@@ -5,12 +5,26 @@ selection asks the ring for a *unit*, which over a field means any nonzero
 entry and over a local ring means an invertible constant part.  Reduced row
 echelon form (and everything built on it) is only offered over fields, where
 it is canonical.
+
+Every row reduction goes through `_eliminate`, which has two kernels:
+
+* `_eliminate_mod_p` for a `PrimeField` (F2, F3, F5, ...): entries stay ints
+  in [0, p) and each row update is one list comprehension with an inline
+  ``% p``, with no ring-method call per entry;
+* `_eliminate_generic` for every other ring (Q, Q(i), F_{p^2}, and the dual
+  and bi-dual rings, `DualRing(PrimeField(p))` included): scalar arithmetic
+  through the ring's methods, pivoting on units.
+
+Both leave the same rows for the same input, so `rref`, `eliminate_front`,
+`kernel_basis` and `mat_invert` do not care which one ran.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+
+from .fields import FieldSyntaxError, PrimeField
 
 
 class SingularMatrixError(ArithmeticError):
@@ -180,7 +194,48 @@ def _eliminate(ring, rows, ncols):
     Returns the list of pivot columns.  Over a field this is full RREF; over
     a local ring rows without unit entries are left untouched at the bottom.
     """
-    add, sub, mul, inv = ring.add, ring.sub, ring.mul, ring.inv
+    if type(ring) is PrimeField:
+        return _eliminate_mod_p(ring.p, rows, ncols)
+    return _eliminate_generic(ring, rows, ncols)
+
+
+def _eliminate_mod_p(p, rows, ncols):
+    """`_eliminate` over F_p, on entries that are ints in [0, p)."""
+    pivots = []
+    pr = 0
+    nrows = len(rows)
+    for c in range(ncols):
+        pv = None
+        for r in range(pr, nrows):
+            if rows[r][c]:
+                pv = r
+                break
+        if pv is None:
+            continue
+        rows[pr], rows[pv] = rows[pv], rows[pr]
+        head = rows[pr]
+        f = head[c]
+        if f != 1:
+            fi = pow(f, p - 2, p)
+            head = [fi * e % p for e in head]
+            rows[pr] = head
+        for r in range(nrows):
+            if r == pr:
+                continue
+            row = rows[r]
+            g = row[c]
+            if g:
+                rows[r] = [(e - g * h) % p for e, h in zip(row, head)]
+        pivots.append(c)
+        pr += 1
+        if pr == nrows:
+            break
+    return pivots
+
+
+def _eliminate_generic(ring, rows, ncols):
+    """`_eliminate` through the ring's scalar methods, for any ring."""
+    sub, mul, inv = ring.sub, ring.mul, ring.inv
     is_zero, is_unit, one = ring.is_zero, ring.is_unit, ring.one
     pivots = []
     pr = 0
@@ -344,10 +399,8 @@ def parse_matrix(text, ring, ncols=None):
         rows.append(tuple(ring.parse(tok) for tok in chunk.split(",")))
     width = len(rows[0])
     if any(len(r) != width for r in rows):
-        from .fields import FieldSyntaxError
         raise FieldSyntaxError("ragged matrix literal")
     if ncols is not None and width != ncols:
-        from .fields import FieldSyntaxError
         raise FieldSyntaxError("expected %d columns, got %d" % (ncols, width))
     return Matrix.build(ring, rows)
 

@@ -25,7 +25,7 @@ from torsorlab.homotopes import (
     members,
     unitary_transport_bridge,
 )
-from torsorlab.matrices import Matrix, all_matrices, random_matrix
+from torsorlab.matrices import Matrix, random_matrix
 from torsorlab.reports import CheckConfig
 from torsorlab.rng import trial_rng
 

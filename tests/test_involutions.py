@@ -42,7 +42,6 @@ from torsorlab.reports import CheckConfig
 from torsorlab.rng import trial_rng
 from torsorlab.subspaces import (
     diag_form,
-    graph_of,
     is_isotropic,
     is_transversal,
     make_form,
@@ -300,6 +299,17 @@ def test_group_of_torsor_rejects_foreign_unit():
     assert outsider not in carrier
     with pytest.raises(ValueError):
         group_of_torsor(carrier, outsider)
+
+
+def test_cayley_table_rejects_a_product_outside_the_carrier():
+    f3 = PrimeField(3)
+    inv = ortho_involution(symplectic_form(f3, 1))
+    a = fixed_points(inv)[0]
+    carrier, _ = torsor_G(inv, a)
+    outsider = span_rows(f3, 2, [[1, 0], [0, 1]])
+    view = group_of_torsor(carrier, carrier[0])
+    with pytest.raises(ValueError):
+        cayley_table(view, lambda x, unit, z: outsider)
 
 
 def test_torsor_g_and_opposite_reports():

@@ -6,8 +6,12 @@ from torsorlab.fields import BiDualRing, DualRing, FieldSyntaxError, PrimeField,
 from torsorlab.matrices import (
     Matrix,
     ShapeError,
+    SingularMatrixError,
+    _eliminate_generic,
+    _eliminate_mod_p,
     all_matrices,
     det,
+    eliminate_front,
     format_matrix,
     hstack,
     is_invertible,
@@ -174,6 +178,111 @@ def test_mat_invert_over_dual_rings():
             if found >= 20:
                 break
         assert found >= 20
+
+
+def fp_row_inputs(p):
+    """(rows, ncols) over F_p: no rows, wide, tall, square, low rank,
+    duplicated rows and the [m | I] blocks that mat_invert reduces."""
+    field = PrimeField(p)
+    shapes = ((0, 3), (1, 1), (1, 6), (2, 7), (3, 12), (4, 4), (6, 6),
+              (7, 2), (12, 3), (10, 12), (12, 24))
+    for i, (r, c) in enumerate(shapes):
+        yield Matrix.zeros(field, r, c).entries, c
+        for j in range(6):
+            rng = trial_rng(5000 + p, 16 * i + j)
+            m = random_matrix(field, r, c, rng)
+            yield m.entries, c
+            if r == c:
+                eye = Matrix.identity(field, r).entries
+                yield tuple(a + b for a, b in zip(m.entries, eye)), 2 * c
+            if r and c:
+                k = rng.below(min(r, c)) + 1
+                low = (random_matrix(field, r, k, rng)
+                       * random_matrix(field, k, c, rng))
+                yield low.entries, c
+                yield m.entries + m.entries[:rng.below(r) + 1], c
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_mod_p_kernel_matches_generic_kernel(p):
+    """Same pivots and the same full row state, zero and unused rows too."""
+    field = PrimeField(p)
+    seen = 0
+    for rows, ncols in fp_row_inputs(p):
+        fast = [list(r) for r in rows]
+        slow = [list(r) for r in rows]
+        assert (_eliminate_mod_p(p, fast, ncols)
+                == _eliminate_generic(field, slow, ncols))
+        assert fast == slow
+        seen += 1
+    assert seen == 215
+
+
+def test_mat_invert_over_f5_round_trip_and_singular():
+    f5 = PrimeField(5)
+    eye = Matrix.identity(f5, 4)
+    inverted = singular = 0
+    for i in range(60):
+        m = rand(f5, 4, 4, 41, i)
+        if rank(m) == 4:
+            assert m * mat_invert(m) == eye == mat_invert(m) * m
+            inverted += 1
+        else:
+            with pytest.raises(SingularMatrixError):
+                mat_invert(m)
+            singular += 1
+    assert inverted and singular
+
+
+COUNTED = ("add", "sub", "neg", "mul", "inv", "is_zero", "is_unit")
+
+
+def count_scalar_calls(monkeypatch, ring):
+    """Wrap the ring's scalar methods on the instance; returns the call log."""
+    calls = []
+    for name in COUNTED:
+        def counted(*args, _name=name, _method=getattr(ring, name)):
+            calls.append(_name)
+            return _method(*args)
+        monkeypatch.setattr(ring, name, counted)
+    return calls
+
+
+def test_prime_field_elimination_makes_no_scalar_calls(monkeypatch):
+    f5 = PrimeField(5)
+    m = rand(f5, 6, 10, 43, 0)
+    low = rand(f5, 6, 3, 43, 1) * rand(f5, 3, 10, 43, 2)
+    square = _random_invertible(f5, 5, 43, 3)
+    red, r = rref(low)
+
+    def leading_scan(width):
+        # is_zero calls that scan each reduced row up to its first nonzero
+        return sum(next((i + 1 for i, e in enumerate(row[:width]) if e), width)
+                   for row in red.entries)
+
+    calls = count_scalar_calls(monkeypatch, f5)
+    rref(m)
+    mat_invert(square)
+    assert calls == []
+    kernel_basis(low)
+    # after the elimination: pivot_cols scans the rows, then each kernel
+    # vector takes -red[i][j] on the pivot columns
+    assert calls == ["is_zero"] * leading_scan(10) + ["neg"] * (r * (10 - r))
+    del calls[:]
+    eliminate_front(f5, [list(row) for row in low.entries], 4, 10)
+    # after the elimination: the tail filter scans the first 4 columns
+    assert calls == ["is_zero"] * leading_scan(4)
+
+
+def test_other_rings_keep_the_generic_kernel(monkeypatch):
+    f9 = QuadraticExt(3)
+    calls = count_scalar_calls(monkeypatch, f9)
+    rref(rand(f9, 3, 5, 47, 0))
+    assert {"mul", "sub", "is_unit"} <= set(calls)
+    dual = DualRing(PrimeField(3))
+    calls = count_scalar_calls(monkeypatch, dual)
+    mat_invert(Matrix.identity(dual, 2).scale(dual.from_int(2)))
+    assert {"mul", "inv", "is_unit"} <= set(calls)
 
 
 def test_det_multiplicative():

@@ -7,7 +7,6 @@ from torsorlab.fields import PrimeField, QuadraticExt
 from torsorlab.gamma import l_relation
 from torsorlab.matrices import Matrix, random_matrix
 from torsorlab.relations import (
-    LinearRelation,
     adjoint,
     apply_rel,
     compose,

@@ -1,15 +1,16 @@
-"""Row reduction over Q against sympy, an independent exact implementation."""
+"""Row reduction over Q and F_p against sympy, written independently."""
 
 from fractions import Fraction
 
 import pytest
 
-from torsorlab.fields import Rationals
+from torsorlab.fields import PrimeField, Rationals
 from torsorlab.matrices import kernel_basis, random_matrix, rref
 from torsorlab.rng import trial_rng
 from torsorlab.subspaces import meet, random_subspace
 
 sympy = pytest.importorskip("sympy")
+DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
 
 Q = Rationals()
 SHAPES = ((1, 1), (2, 3), (3, 2), (3, 5), (4, 4), (5, 3), (4, 8), (6, 6))
@@ -26,17 +27,17 @@ def from_sympy(m):
                  for i in range(m.rows))
 
 
-def seeded_matrices():
+def seeded_matrices(field=Q, seed=1000):
     """Full-rank-ish draws, plus products that force rank deficiency."""
     for i, (r, c) in enumerate(SHAPES):
         for j in range(6):
-            rng = trial_rng(1000 + i, j)
+            rng = trial_rng(seed + i, j)
             if j % 2:
                 k = rng.below(min(r, c)) + 1
-                yield (random_matrix(Q, r, k, rng)
-                       * random_matrix(Q, k, c, rng))
+                yield (random_matrix(field, r, k, rng)
+                       * random_matrix(field, k, c, rng))
             else:
-                yield random_matrix(Q, r, c, rng)
+                yield random_matrix(field, r, c, rng)
 
 
 def test_rref_matches_sympy():
@@ -45,6 +46,20 @@ def test_rref_matches_sympy():
         theirs, pivots = to_sympy(m.entries, m.ncols).rref()
         assert rank == len(pivots)
         assert red.entries == from_sympy(theirs)[:rank]
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_rref_over_prime_fields_matches_sympy(p):
+    gf = sympy.GF(p)
+    for m in seeded_matrices(PrimeField(p), 3000 + 10 * p):
+        red, rank = rref(m)
+        theirs, pivots = DomainMatrix(
+            [[gf(e) for e in row] for row in m.entries],
+            (m.nrows, m.ncols), gf).rref()
+        assert rank == len(pivots)
+        # sympy keeps symmetric residues; int(x) % p maps them into [0, p)
+        assert red.entries == tuple(tuple(int(x) % p for x in row)
+                                    for row in theirs.to_list()[:rank])
 
 
 def test_kernel_basis_row_space_matches_sympy_nullspace():

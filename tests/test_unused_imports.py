@@ -1,8 +1,8 @@
-"""Every module-level import in the library modules is used.
+"""Every module-level import in the library modules and the tests is used.
 
 No linter ships with the project, so this walks each module's syntax tree
-with the stdlib `ast` module.  `__init__.py` is exempt: its imports are the
-package's exports.
+with the stdlib `ast` module.  The package's `__init__.py` is exempt: its
+imports are the package's exports.
 """
 
 import ast
@@ -11,6 +11,7 @@ from pathlib import Path
 import torsorlab
 
 PACKAGE = Path(torsorlab.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def unused_imports(source):
@@ -37,8 +38,16 @@ def test_guard_flags_an_unused_import():
     assert unused_imports(source) == [(1, "dataclass"), (3, "itertools")]
 
 
-def test_library_modules_have_no_unused_imports():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+def assert_no_unused_imports(modules):
     assert modules
     found = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_library_modules_have_no_unused_imports():
+    assert_no_unused_imports(
+        sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
+
+
+def test_test_modules_have_no_unused_imports():
+    assert_no_unused_imports(sorted(TESTS.glob("*.py")))
