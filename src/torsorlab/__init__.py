@@ -44,7 +44,7 @@ from .involutions import (BaseTriple, Involution, InvolutionError, GroupView,
                           ortho_involution, standard_triple, tilde_tau,
                           torsor_G, translation_op, unitary_group)
 from .homotopes import (ClassicalFamily, Homotope, classical_family,
-                        family_table_bridge, graph_star_roundtrip, homotope,
+                        family_table_bridge, graph_star_roundtrip,
                         hull, lie_bracket_dual, lie_bracket_formula, members,
                         plain_triple, star_triple, unitary_transport_bridge)
 from .reports import CheckConfig, Report

@@ -11,7 +11,9 @@ and relations, and a few derived gamma identities, are defined here; the
 laws of the pentary product live in `gamma`, those of involutions and their
 torsors in `involutions`, and those of deformed matrix products in
 `homotopes`.  Every law draws its cases from `reports.cases` through the
-slot kinds built in `gamma`.
+slot kinds built in `gamma`.  A law names the suite that runs it with a
+constant in its own module, so the runners here pass only law names, and
+only where one checker serves several forms or parameters.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ from .matrices import (Matrix, is_invertible, kernel_basis, mat_invert,
                        random_matrix, rank, rref)
 from .relations import (adjoint, apply_rel, compose, gen_projection,
                         inverse_rel, one_minus, one_plus)
-from .reports import (Report, Slots, cases, run_inclusion_law, run_law,
-                      skipped_report)
+from .reports import Slots, cases, run_inclusion_law, run_law, skipped_report
 from .subspaces import (complement, contains, coord_subspace, full_subspace,
                         graph_of, chart_of, is_transversal, join, meet,
                         orthocomplement, random_subspace, split_form,
@@ -452,8 +453,7 @@ def _run_m_symmetries(field, ambient, config):
 
 
 def _run_idempotent_projection(field, ambient, config):
-    return [check_idempotent_laws(field, ambient, config,
-                                  suite="idempotent-projection")]
+    return [check_idempotent_laws(field, ambient, config)]
 
 
 def _run_l_inversion(field, ambient, config):
@@ -473,29 +473,27 @@ def _run_l_inversion(field, ambient, config):
 
 
 def _run_involution_duality(field, ambient, config):
-    suite = "involution-duality"
     reports = []
     for name, form in _forms(field, ambient).items():
         reports.append(check_duality_inclusion(
-            form, config, suite, "duality-inclusion-" + name))
+            form, config, "duality-inclusion-" + name))
         reports.append(check_antihom_global(
-            ortho_involution(form), config, suite, "duality-equality-" + name))
+            ortho_involution(form), config, "duality-equality-" + name))
     return reports
 
 
 def _run_involution_antihom(field, ambient, config):
-    suite = "involution-antihom"
     reports = []
     for name, form in _forms(field, ambient).items():
         inv = ortho_involution(form)
         reports += [
-            check_order_two(inv, config, suite, "order-two-" + name),
+            check_order_two(inv, config, "order-two-" + name),
             check_transversality_preservation(
-                inv, config, suite, "transversality-preservation-" + name),
+                inv, config, "transversality-preservation-" + name),
             check_antihom_restricted(
-                inv, config, suite, "restricted-anti-homomorphism-" + name),
+                inv, config, "restricted-anti-homomorphism-" + name),
             check_dilation_compat(
-                inv, config, suite, "dilation-compatibility-" + name)]
+                inv, config, "dilation-compatibility-" + name)]
     return reports
 
 
@@ -518,7 +516,7 @@ def _run_torsor_g(field, ambient, config):
     for name, form in _forms(field, ambient).items():
         inv = ortho_involution(form)
         for k, a in enumerate(_fixed_sample(inv, 2)):
-            reports.append(check_torsor_g(inv, a, "torsor-g",
+            reports.append(check_torsor_g(inv, a,
                                           "torsor-g-%s-%d" % (name, k)))
     return reports
 
@@ -530,7 +528,7 @@ def _run_opposite_torsor(field, ambient, config):
         inv = ortho_involution(form)
         for k, a in enumerate(_fixed_sample(inv, 2)):
             reports.append(check_opposite_torsor(
-                inv, a, "opposite-torsor", "opposite-torsor-%s-%d" % (name, k)))
+                inv, a, "opposite-torsor-%s-%d" % (name, k)))
     return reports
 
 
@@ -540,7 +538,7 @@ def _run_invariant_transport(field, ambient, config):
         raise SuiteNotApplicable("isometry sampling is implemented for ambient 2")
     if field.involution != "identity":
         raise SuiteNotApplicable("isometry sampling assumes a plain transpose")
-    return [check_invariant_transport(form, config, "invariant-transport",
+    return [check_invariant_transport(form, config,
                                       "isometry-transport-" + name)
             for name, form in _forms(field, ambient).items()]
 
@@ -556,12 +554,10 @@ def _run_lagrangian_census(field, ambient, config):
         bt = standard_triple(field, n)
         omega = ortho_involution(symplectic_form(field, n))
         dual = dual_involution(omega, bt)
-        report = Report(suite="lagrangian-census", law="dual-fixed-lagrangian")
-        report.cases = 1
-        if fixed_points(dual) != isotropic_census(split_form(field, n)):
-            report.failures = 1
-            report.first_counterexample = {"mismatch": "fixed set vs census"}
-        reports.append(report)
+        same = fixed_points(dual) == isotropic_census(split_form(field, n))
+        reports.append(run_law("lagrangian-census", "dual-fixed-lagrangian",
+                               [{"mismatch": "fixed set vs census"}],
+                               lambda c: same))
     return reports
 
 
@@ -574,7 +570,7 @@ def _run_semitorsor_closure(field, ambient, config):
             "fixed set too large for full triple loops at this size")
     draws = cases(replace(config, trials=8),
                   subspace_slots(field, ambient, "a"))
-    return [closure_report(inv, a, suite="semitorsor-closure")
+    return [closure_report(inv, a)
             for a in dict.fromkeys(c["a"] for c in draws)]
 
 
@@ -586,40 +582,14 @@ def _chart_size(ambient):
 
 
 def _run_homotope_monoid(field, ambient, config):
-    reports = [homotopes.check_associativity(field, config,
-                                             suite="homotope-monoid"),
-               homotopes.check_member_criterion_sides(
-                   field, config, suite="homotope-monoid")]
+    reports = [homotopes.check_associativity(field, config),
+               homotopes.check_member_criterion_sides(field, config)]
     if field.size is not None and field.size <= 5:
         n = min(2, _chart_size(ambient))
         fam = homotopes.classical_family(
             "gl", field, Matrix.identity(field, n))
-        r = homotopes.check_group_laws(fam, config, suite="homotope-monoid")
-        reports.append(r)
+        reports.append(homotopes.check_group_laws(fam, config))
     return reports
-
-
-def _family_params(name, field, n, config, count):
-    """Canonical parameter first, then symmetrized random draws, deduplicated.
-
-    The draws are sampled in every mode.
-    """
-    if name == "sp":
-        first = Matrix.zeros(field, n, n)
-    else:
-        first = Matrix.identity(field, n)
-    draws = cases(replace(config, trials=count - 1),
-                  Slots(lambda rng: {"r": random_matrix(field, n, n, rng)}))
-    params = [first]
-    for c in draws:
-        r = c["r"]
-        if name == "o":
-            params.append(r + r.transpose())
-        elif name == "sp":
-            params.append(r - r.transpose())
-        else:
-            params.append(r + r.conj_t())
-    return list(dict.fromkeys(params))
 
 
 def _run_hull_closure(field, ambient, config):
@@ -630,7 +600,7 @@ def _run_hull_closure(field, ambient, config):
     names = ["o", "sp"] if field.involution == "identity" else ["u"]
     reports = []
     for name in names:
-        for param in _family_params(name, field, n, config, 3):
+        for param in homotopes.family_params(name, field, n, config, 3):
             fam = homotopes.classical_family(name, field, param)
             reports.append(homotopes.check_hull_closure(fam))
     return reports
@@ -641,7 +611,7 @@ def _run_lie_bracket(field, ambient, config):
 
 
 def _run_bracket_laws(field, ambient, config):
-    return [homotopes.check_bracket_laws(field, config, suite="bracket-laws")]
+    return [homotopes.check_bracket_laws(field, config)]
 
 
 def _run_triple_systems(field, ambient, config):
@@ -657,16 +627,11 @@ def _run_bridge(field, ambient, config):
     reports = [homotopes.graph_star_roundtrip(field, n, config),
                homotopes.check_chart_product(field, n, config)]
     if field.size is not None and field.involution == "identity":
-        sym = Matrix.identity(field, n)
+        sym = homotopes.bridge_param("o", field, n)
         reports.append(homotopes.family_table_bridge("o", field, sym))
         reports.append(homotopes.unitary_transport_bridge(field, sym))
-        if n == 2:
-            anti = Matrix.build(field, [[field.zero, field.one],
-                                        [field.neg(field.one), field.zero]])
-            reports.append(homotopes.family_table_bridge("sp", field, anti))
-        else:
-            reports.append(homotopes.family_table_bridge(
-                "sp", field, Matrix.zeros(field, n, n)))
+        reports.append(homotopes.family_table_bridge(
+            "sp", field, homotopes.bridge_param("sp", field, n)))
     return reports
 
 

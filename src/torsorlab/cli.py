@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import checks, homotopes
 from .fields import FieldSyntaxError, field_from_spec
@@ -19,7 +18,7 @@ from .gamma import gamma_global
 from .involutions import (InvolutionError, cayley_table, census_report,
                           group_of_torsor, isotropic_census, ortho_involution,
                           torsor_G)
-from .matrices import Matrix, format_matrix, parse_matrix
+from .matrices import format_matrix, parse_matrix
 from .reports import CheckConfig
 from .subspaces import (enumerate_subspaces, span, standard_forms,
                         subspace_to_json)
@@ -32,27 +31,10 @@ class UsageError(ValueError):
     """Bad command input; reported on stderr with exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a command run depends on, normalized from the arguments."""
-
-    seed: int = 0
-    trials: int = 200
-    exhaustive: bool = False
-    out: str = ""
-    fmt: str = "json"
-
-    def check_config(self):
-        return CheckConfig(exhaustive=self.exhaustive, trials=self.trials,
-                           seed=self.seed)
-
-
-def _run_config(args):
-    return RunConfig(seed=getattr(args, "seed", 0) or 0,
-                     trials=getattr(args, "trials", 200),
-                     exhaustive=bool(getattr(args, "exhaustive", False)),
-                     out=getattr(args, "out", "") or "",
-                     fmt=getattr(args, "format", "json") or "json")
+def _check_config(args):
+    """The sampling options of `check` and `bridge` as a CheckConfig."""
+    return CheckConfig(exhaustive=args.exhaustive, trials=args.trials,
+                       seed=args.seed)
 
 
 def _field(spec):
@@ -79,29 +61,40 @@ def _parse_subspace(text, field, ambient=None):
     return span(m.ncols, m)
 
 
-def _emit(lines, config):
+def _emit(lines, args):
+    """Write the lines to --out or stdout; 0, the exit code of success."""
     text = "".join(line + "\n" for line in lines)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return 0
 
 
 def _json_line(data):
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def _emit_reports(reports, config):
-    _emit([r.to_json() for r in reports], config)
+def _emit_reports(reports, args):
+    _emit([r.to_json() for r in reports], args)
     return 0 if all(r.passed for r in reports) else 1
+
+
+def _emit_table(elements, unit, table, args):
+    """A Cayley table: TSV rows, or one JSON object with elements and unit."""
+    if args.format == "tsv":
+        lines = ["\t".join(str(v) for v in row) for row in table]
+    else:
+        lines = [_json_line({"elements": elements, "unit": unit,
+                             "table": [list(row) for row in table]})]
+    return _emit(lines, args)
 
 
 # -- commands ----------------------------------------------------------------
 
 
 def _cmd_gamma(args):
-    config = _run_config(args)
     field = _field(args.field)
     ambient = args.ambient
     subs = {}
@@ -116,22 +109,19 @@ def _cmd_gamma(args):
                          % sorted(ambients))
     result = gamma_global(subs["x"], subs["a"], subs["y"], subs["b"],
                           subs["z"])
-    _emit([_json_line(subspace_to_json(result))], config)
-    return 0
+    return _emit([_json_line(subspace_to_json(result))], args)
 
 
 def _cmd_check(args):
-    config = _run_config(args)
     if args.list:
-        lines = ["%s\t%s\t%s" % row for row in checks.list_suites()]
-        _emit(lines, config)
-        return 0
+        return _emit(["%s\t%s\t%s" % row for row in checks.list_suites()],
+                     args)
     if not args.suite:
         raise UsageError("check needs --suite <name> or --list")
     field = _field(args.field)
     if args.ambient is None:
         raise UsageError("check needs --ambient")
-    cc = config.check_config()
+    cc = _check_config(args)
     if args.suite == "all":
         reports = checks.run_all(field, args.ambient, cc)
     else:
@@ -142,35 +132,27 @@ def _cmd_check(args):
             reports = checks.run_suite(args.suite, field, args.ambient, cc)
         except checks.SuiteNotApplicable as exc:
             raise UsageError("suite %s: %s" % (args.suite, exc))
-    return _emit_reports(reports, config)
+    return _emit_reports(reports, args)
 
 
 def _form_for(args, field):
-    if args.form not in FORM_NAMES:
-        raise UsageError("--form must be one of %s" % (FORM_NAMES,))
     return standard_forms(field, args.n)[args.form]
 
 
 def _cmd_lagrangian(args):
-    config = _run_config(args)
     field = _field(args.field)
     if field.size is None:
         raise UsageError("lagrangian enumeration needs a finite field")
     form = _form_for(args, field)
     if args.count:
-        _emit([str(len(isotropic_census(form)))], config)
-        return 0
+        return _emit([str(len(isotropic_census(form)))], args)
     if args.list:
-        lines = [_json_line(subspace_to_json(s))
-                 for s in isotropic_census(form)]
-        _emit(lines, config)
-        return 0
-    report = census_report(form)
-    return _emit_reports([report], config)
+        return _emit([_json_line(subspace_to_json(s))
+                      for s in isotropic_census(form)], args)
+    return _emit_reports([census_report(form)], args)
 
 
 def _cmd_gtable(args):
-    config = _run_config(args)
     field = _field(args.field)
     if field.size is None:
         raise UsageError("gtable enumeration needs a finite field")
@@ -190,17 +172,9 @@ def _cmd_gtable(args):
         view = group_of_torsor(carrier, unit)
     except ValueError as exc:
         raise UsageError(str(exc))
-    table = cayley_table(view, product)
-    if config.fmt == "tsv":
-        lines = ["\t".join(str(v) for v in row) for row in table]
-    else:
-        lines = [_json_line({
-            "elements": [subspace_to_json(s) for s in view.elements],
-            "unit": view.index(view.unit),
-            "table": [list(row) for row in table],
-        })]
-    _emit(lines, config)
-    return 0
+    return _emit_table([subspace_to_json(s) for s in view.elements],
+                       view.index(view.unit), cayley_table(view, product),
+                       args)
 
 
 def _family(args, field):
@@ -216,79 +190,51 @@ def _family(args, field):
 
 
 def _cmd_homotope(args):
-    config = _run_config(args)
     field = _field(args.field)
     fam = _family(args, field)
     if args.hull_check:
-        return _emit_reports([homotopes.check_hull_closure(fam)], config)
+        return _emit_reports([homotopes.check_hull_closure(fam)], args)
     if field.size is None:
         raise UsageError("member enumeration needs a finite field")
     members = homotopes.members(fam)
     if args.members:
-        _emit([format_matrix(m) for m in members], config)
-        return 0
+        return _emit([format_matrix(m) for m in members], args)
     if args.table:
         h = fam.hom
         index = {m: i for i, m in enumerate(members)}
         table = [[index[h.product(x, y)] for y in members] for x in members]
-        if config.fmt == "tsv":
-            lines = ["\t".join(str(v) for v in row) for row in table]
-        else:
-            lines = [_json_line({
-                "elements": [format_matrix(m) for m in members],
-                "unit": index[h.zero],
-                "table": table,
-            })]
-        _emit(lines, config)
-        return 0
+        return _emit_table([format_matrix(m) for m in members],
+                           index[h.zero], table, args)
     raise UsageError("homotope needs one of --members, --table, --hull-check")
 
 
-def _bridge_param(args, field):
-    n = args.n
-    if args.A is not None:
-        return _parse_matrix(args.A, field, ncols=n)
-    if args.family == "sp":
-        if n == 2:
-            one = field.one
-            return Matrix.build(field, [[field.zero, one],
-                                        [field.neg(one), field.zero]])
-        return Matrix.zeros(field, n, n)
-    return Matrix.identity(field, n)
-
-
 def _cmd_bridge(args):
-    config = _run_config(args)
-    if args.check not in BRIDGE_TOKENS:
-        raise UsageError("--check must be one of %s" % (BRIDGE_TOKENS,))
     field = _field(args.field or "fp:5")
-    cc = config.check_config()
     try:
         if args.check == "thm37":
-            report = homotopes.graph_star_roundtrip(field, args.n, cc)
-        elif args.check == "prop41":
-            param = _bridge_param(args, field)
-            report = homotopes.family_table_bridge(args.family, field, param)
+            report = homotopes.graph_star_roundtrip(field, args.n,
+                                                    _check_config(args))
         else:
-            param = _bridge_param(args, field)
-            report = homotopes.unitary_transport_bridge(field, param)
+            param = (homotopes.bridge_param(args.family, field, args.n)
+                     if args.A is None
+                     else _parse_matrix(args.A, field, ncols=args.n))
+            report = (homotopes.family_table_bridge(args.family, field, param)
+                      if args.check == "prop41"
+                      else homotopes.unitary_transport_bridge(field, param))
     except (ValueError, FieldSyntaxError) as exc:
         raise UsageError(str(exc))
-    return _emit_reports([report], config)
+    return _emit_reports([report], args)
 
 
 def _cmd_enumerate(args):
-    config = _run_config(args)
     field = _field(args.field)
     try:
         subs = list(enumerate_subspaces(field, args.ambient, dim=args.dim))
     except FieldSyntaxError as exc:
         raise UsageError(str(exc))
     if args.count:
-        _emit([str(len(subs))], config)
-    else:
-        _emit([_json_line(subspace_to_json(s)) for s in subs], config)
-    return 0
+        return _emit([str(len(subs))], args)
+    return _emit([_json_line(subspace_to_json(s)) for s in subs], args)
 
 
 # -- argument parsing --------------------------------------------------------
@@ -299,16 +245,25 @@ def _add_field(p, required=False):
                    help="field spec: rat, gauss, fp:<p>, fp2:<p>, f<q>")
 
 
-def _positive_int(text):
-    """argparse type for --trials: zero or fewer cases would pass vacuously."""
+def _int_at_least(text, low):
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
+        value = low - 1
+    if value < low:
         raise argparse.ArgumentTypeError(
-            "expected an integer of at least 1, got %r" % text)
+            "expected an integer of at least %d, got %r" % (low, text))
     return value
+
+
+def _positive_int(text):
+    """argparse type for --trials: zero or fewer cases would pass vacuously."""
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text):
+    """argparse type for --ambient and --n: a size below 0 means nothing."""
+    return _int_at_least(text, 0)
 
 
 def _add_sampling(p):
@@ -336,7 +291,7 @@ def build_parser():
 
     p = sub.add_parser("gamma", help="evaluate the pentary product")
     _add_field(p, required=True)
-    p.add_argument("--ambient", type=int, default=None,
+    p.add_argument("--ambient", type=_non_negative_int, default=None,
                    help="ambient dimension (needed for 0 literals)")
     for name in ("x", "a", "y", "b", "z"):
         p.add_argument("--" + name, help="basis rows, e.g. \"1,0;0,1\"")
@@ -348,7 +303,7 @@ def build_parser():
     p.add_argument("--list", action="store_true",
                    help="list suites with the invariants they validate")
     _add_field(p)
-    p.add_argument("--ambient", type=int, default=None)
+    p.add_argument("--ambient", type=_non_negative_int, default=None)
     _add_sampling(p)
     _add_output(p)
     p.set_defaults(handler=_cmd_check)
@@ -356,7 +311,7 @@ def build_parser():
     p = sub.add_parser("lagrangian",
                        help="enumerate middle-dimension isotropic subspaces")
     p.add_argument("--form", required=True, choices=FORM_NAMES)
-    p.add_argument("--n", type=int, required=True,
+    p.add_argument("--n", type=_non_negative_int, required=True,
                    help="half ambient; the form lives on K^(2n)")
     _add_field(p, required=True)
     p.add_argument("--list", action="store_true",
@@ -369,7 +324,7 @@ def build_parser():
     p = sub.add_parser("gtable",
                        help="Cayley table of a fixed-subspace torsor")
     p.add_argument("--form", required=True, choices=FORM_NAMES)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_non_negative_int, required=True)
     _add_field(p, required=True)
     p.add_argument("--a", required=True,
                    help="torsor parameter subspace, basis rows")
@@ -382,7 +337,7 @@ def build_parser():
                        help="members and tables of a deformed matrix family")
     p.add_argument("--family", required=True,
                    choices=homotopes.FAMILY_NAMES)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_non_negative_int, required=True)
     _add_field(p, required=True)
     p.add_argument("--A", help="deformation parameter matrix")
     p.add_argument("--members", action="store_true")
@@ -395,7 +350,7 @@ def build_parser():
                        help="chart bridges between torsors and matrix groups")
     p.add_argument("--check", required=True, choices=BRIDGE_TOKENS)
     p.add_argument("--family", default="o", choices=("o", "sp"))
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_non_negative_int, default=1)
     _add_field(p)
     p.add_argument("--A", help="symmetric (o) or antisymmetric (sp) matrix")
     _add_sampling(p)
@@ -404,7 +359,7 @@ def build_parser():
 
     p = sub.add_parser("enumerate", help="list subspaces of K^n")
     _add_field(p, required=True)
-    p.add_argument("--ambient", type=int, required=True)
+    p.add_argument("--ambient", type=_non_negative_int, required=True)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--count", action="store_true")
     _add_output(p)

@@ -234,7 +234,7 @@ def transversal_slots(field, ambient, names):
 # -- law checks ------------------------------------------------------------
 
 
-def check_para_associativity(field, ambient, config, suite="global-laws"):
+def check_para_associativity(field, ambient, config):
     """(x y (z u v)) = (x (u z v) y) = ((x y z) u v) for fixed middle pairs."""
 
     def holds(c):
@@ -245,12 +245,12 @@ def check_para_associativity(field, ambient, config, suite="global-laws"):
         rhs = gamma_global(gamma_global(x, a, y, b, z), a, u, b, v)
         return lhs == mid == rhs
 
-    return run_law(suite, "para-associativity",
+    return run_law("global-laws", "para-associativity",
                    cases(config, subspace_slots(field, ambient, "xaybzuv")),
                    holds)
 
 
-def check_klein(field, ambient, config, suite="global-laws"):
+def check_klein(field, ambient, config):
     """Gamma(x,a,y,b,z) = Gamma(a,x,y,z,b) = Gamma(z,b,y,a,x)."""
 
     def holds(c):
@@ -258,12 +258,12 @@ def check_klein(field, ambient, config, suite="global-laws"):
         g = gamma_global(x, a, y, b, z)
         return g == gamma_global(a, x, y, z, b) == gamma_global(z, b, y, a, x)
 
-    return run_law(suite, "klein-invariance",
+    return run_law("global-laws", "klein-invariance",
                    cases(config, subspace_slots(field, ambient, "xaybz")),
                    holds)
 
 
-def check_idempotent_laws(field, ambient, config, suite="global-laws"):
+def check_idempotent_laws(field, ambient, config):
     """Gamma(x,a,a,x,z) = x ^ (a v z)  and  1 - P_x^a = P_a^x."""
 
     def holds(c):
@@ -272,11 +272,11 @@ def check_idempotent_laws(field, ambient, config, suite="global-laws"):
             return False
         return one_minus(gen_projection(x, a)) == gen_projection(a, x)
 
-    return run_law(suite, "projection-complement",
+    return run_law("idempotent-projection", "projection-complement",
                    cases(config, subspace_slots(field, ambient, "xaz")), holds)
 
 
-def check_agreement(field, ambient, config, suite="gamma-agreement"):
+def check_agreement(field, ambient, config):
     """gamma_global vs the relation route and gamma_via_m."""
 
     def holds(c):
@@ -285,24 +285,24 @@ def check_agreement(field, ambient, config, suite="gamma-agreement"):
         return (g == apply_rel(l_relation(x, a, y, b), z)
                 and g == gamma_via_m(x, a, y, b, z))
 
-    return run_law(suite, "route-agreement",
+    return run_law("gamma-agreement", "route-agreement",
                    cases(config, subspace_slots(field, ambient, "xaybz")),
                    holds)
 
 
-def check_restricted_agreement(field, ambient, config, suite="gamma-agreement"):
+def check_restricted_agreement(field, ambient, config):
     """gamma_restricted agrees with the other routes on transversal tuples."""
 
     def holds(c):
         t = (c["x"], c["a"], c["y"], c["b"], c["z"])
         return gamma_restricted(*t) == gamma_global(*t)
 
-    return run_law(suite, "restricted-agreement",
+    return run_law("gamma-agreement", "restricted-agreement",
                    cases(config, transversal_slots(field, ambient, "xaybz")),
                    holds)
 
 
-def check_torsor_axioms(field, ambient, config, suite="global-laws"):
+def check_torsor_axioms(field, ambient, config):
     """(x y y) = x = (y y x) and inversion/commutativity on common complements."""
 
     def holds(c):
@@ -315,18 +315,18 @@ def check_torsor_axioms(field, ambient, config, suite="global-laws"):
             return False
         return True
 
-    return run_law(suite, "torsor-idempotents",
+    return run_law("global-laws", "torsor-idempotents",
                    cases(config, transversal_slots(field, ambient, "xayb")),
                    holds)
 
 
-def check_commutativity_aa(field, ambient, config, suite="global-laws"):
+def check_commutativity_aa(field, ambient, config):
     """Gamma(x,a,y,a,z) is symmetric in x and z."""
 
     def holds(c):
         a, x, y, z = c["a"], c["x"], c["y"], c["z"]
         return (gamma_global(x, a, y, a, z) == gamma_global(z, a, y, a, x))
 
-    return run_law(suite, "middle-pair-commutativity",
+    return run_law("global-laws", "middle-pair-commutativity",
                    cases(config, transversal_slots(field, ambient, "xayz")),
                    holds)

@@ -25,8 +25,8 @@ from .gamma import (common_complements, dilation, gamma_global, gamma_oracle,
                     m_operator, subspace_slots, transversal_slots)
 from .matrices import (Matrix, det, format_matrix, hstack, mat_invert, rank,
                        random_matrix, vstack)
-from .reports import (Report, Slots, cases, describe_case, every,
-                      run_inclusion_law, run_law)
+from .reports import (Slots, cases, describe_case, every, run_inclusion_law,
+                      run_law)
 from .rng import trial_rng
 from .subspaces import (Form, Subspace, all_subspaces, coord_subspace,
                         enumerate_subspaces, graph_minus, is_isotropic,
@@ -203,16 +203,11 @@ def isotropic_census(form):
 
 def census_report(form, suite="lagrangian", law="census-two-paths"):
     """Two independent counts of the middle isotropic layer must agree."""
-    inv = ortho_involution(form)
     direct = isotropic_census(form)
-    fixed = fixed_points(inv)
-    report = Report(suite=suite, law=law, cases=1)
-    if direct != fixed:
-        report.failures = 1
-        report.first_counterexample = {
-            "direct-count": len(direct), "fixed-count": len(fixed)}
-    report.notes = ("count:%d" % len(direct),)
-    return report
+    fixed = fixed_points(ortho_involution(form))
+    counts = {"direct-count": len(direct), "fixed-count": len(fixed)}
+    return run_law(suite, law, [counts], lambda c: direct == fixed,
+                   notes=("count:%d" % len(direct),))
 
 
 # -- torsors, groups, tables ------------------------------------------------
@@ -302,56 +297,51 @@ def translation_op(a_chart, bt):
 # -- report suites -----------------------------------------------------------
 
 
-def check_order_two(inv, config, suite="involution", law="order-two"):
-    return run_law(suite, law,
+def check_order_two(inv, config, law="order-two"):
+    return run_law("involution-antihom", law,
                    cases(config, subspace_slots(inv.field, inv.ambient, "x")),
                    lambda c: inv(inv(c["x"])) == c["x"],
                    notes=("label:%s" % (inv.label or "anonymous"),))
 
 
-def check_transversality_preservation(inv, config, suite="involution",
+def check_transversality_preservation(inv, config,
                                       law="transversality-preservation"):
     def holds(c):
         return (is_transversal(c["x"], c["a"])
                 == is_transversal(inv(c["x"]), inv(c["a"])))
 
-    return run_law(suite, law,
+    return run_law("involution-antihom", law,
                    cases(config, subspace_slots(inv.field, inv.ambient, "xa")),
                    holds)
 
 
-def check_antihom_restricted(inv, config, suite="involution",
-                             law="restricted-anti-homomorphism"):
+def _reverses_gamma(inv):
     """tau Gamma(x,a,y,b,z) = Gamma(tx,tb,ty,ta,tz) = Gamma(tz,ta,ty,tb,tx)."""
 
     def holds(c):
-        x, a, y, b, z = c["x"], c["a"], c["y"], c["b"], c["z"]
-        lhs = inv(gamma_global(x, a, y, b, z))
-        if lhs != gamma_global(inv(x), inv(b), inv(y), inv(a), inv(z)):
-            return False
-        return lhs == gamma_global(inv(z), inv(a), inv(y), inv(b), inv(x))
+        lhs = inv(gamma_global(c["x"], c["a"], c["y"], c["b"], c["z"]))
+        x, a, y, b, z = (inv(c[k]) for k in "xaybz")
+        return (lhs == gamma_global(x, b, y, a, z)
+                and lhs == gamma_global(z, a, y, b, x))
 
+    return holds
+
+
+def check_antihom_restricted(inv, config, law="restricted-anti-homomorphism"):
+    """The reversal identity of `_reverses_gamma` on transversal tuples."""
     slots = transversal_slots(inv.field, inv.ambient, "xaybz")
-    return run_law(suite, law, cases(config, slots), holds)
+    return run_law("involution-antihom", law, cases(config, slots),
+                   _reverses_gamma(inv))
 
 
-def check_antihom_global(inv, config, suite="involution",
-                         law="global-anti-homomorphism"):
+def check_antihom_global(inv, config, law="global-anti-homomorphism"):
     """The same identity on arbitrary tuples, no transversality at all."""
-
-    def holds(c):
-        x, a, y, b, z = c["x"], c["a"], c["y"], c["b"], c["z"]
-        lhs = inv(gamma_global(x, a, y, b, z))
-        if lhs != gamma_global(inv(z), inv(a), inv(y), inv(b), inv(x)):
-            return False
-        return lhs == gamma_global(inv(x), inv(b), inv(y), inv(a), inv(z))
-
     slots = subspace_slots(inv.field, inv.ambient, "xaybz")
-    return run_law(suite, law, cases(config, slots), holds)
+    return run_law("involution-duality", law, cases(config, slots),
+                   _reverses_gamma(inv))
 
 
-def check_duality_inclusion(form, config, suite="involution",
-                            law="duality-inclusion"):
+def check_duality_inclusion(form, config, law="duality-inclusion"):
     """Gamma of complements sits inside the complement of Gamma (inclusion).
 
     Equality candidates are not asserted here; strictness counts go into the
@@ -367,11 +357,11 @@ def check_duality_inclusion(form, config, suite="involution",
                 gamma_global(perp(x), perp(b), perp(y), perp(a), perp(z)))
 
     draw = subspace_slots(form.field, form.ambient, "xaybz").draw
-    return run_inclusion_law(suite, law, cases(config, Slots(draw)), sides)
+    return run_inclusion_law("involution-duality", law,
+                             cases(config, Slots(draw)), sides)
 
 
-def check_dilation_compat(inv, config, suite="involution",
-                          law="dilation-compatibility"):
+def check_dilation_compat(inv, config, law="dilation-compatibility"):
     """tau(dilation_s(x, a, y)) = dilation_conj(s)(tau x, tau a, tau y).
 
     Sampled in every mode.
@@ -391,10 +381,11 @@ def check_dilation_compat(inv, config, suite="involution",
         return True
 
     draw = transversal_slots(field, inv.ambient, "xay").draw
-    return run_law(suite, law, cases(config, Slots(draw)), holds)
+    return run_law("involution-antihom", law, cases(config, Slots(draw)),
+                   holds)
 
 
-def closure_report(inv, a, suite="lagrangian", law="fixed-set-closure"):
+def closure_report(inv, a, law="fixed-set-closure"):
     """The fixed set is closed under (x, y, z) -> Gamma(x, a, y, tau a, z).
 
     Membership of the result is decided by tau(result) == result, so no
@@ -411,12 +402,13 @@ def closure_report(inv, a, suite="lagrangian", law="fixed-set-closure"):
         w = result(c)
         return inv(w) == w
 
-    return run_law(suite, law, every(fixed_points(inv), "xyz"), holds,
+    return run_law("semitorsor-closure", law, every(fixed_points(inv), "xyz"),
+                   holds,
                    lambda c: describe_case(dict(c, result=result(c))),
                    notes=("a:%s" % format_matrix(a.basis),))
 
 
-def check_torsor_g(inv, a, suite="involution", law="fixed-torsor-axioms"):
+def check_torsor_g(inv, a, law="fixed-torsor-axioms"):
     """Torsor axioms on G(inv, a), plus commutativity when a is fixed."""
     carrier, product = torsor_G(inv, a)
 
@@ -432,24 +424,27 @@ def check_torsor_g(inv, a, suite="involution", law="fixed-torsor-axioms"):
     swept = every(carrier, "xy")
     if inv(a) == a:
         swept = itertools.chain(swept, every(carrier, "xyz"))
-    return run_law(suite, law, swept, holds,
+    return run_law("torsor-g", law, swept, holds,
                    notes=("carrier:%d" % len(carrier),))
 
 
-def check_opposite_torsor(inv, a, suite="involution", law="opposite-torsor"):
-    """(x y z) for the parameter a equals (z y x) for the parameter tau a."""
+def check_opposite_torsor(inv, a, law="opposite-torsor"):
+    """(x y z) for the parameter a equals (z y x) for the parameter tau a.
+
+    Unequal carriers make the whole check one failing case.
+    """
     carrier, product = torsor_G(inv, a)
     op_carrier, op_product = torsor_G(inv, inv(a))
-    if set(carrier) != set(op_carrier):
-        return Report(suite=suite, law=law, cases=1, failures=1,
-                      first_counterexample={"carrier-sizes":
-                                            [len(carrier), len(op_carrier)]})
+    if set(carrier) == set(op_carrier):
+        swept = every(carrier, "xyz")
+    else:
+        swept = [{"carrier-sizes": [len(carrier), len(op_carrier)]}]
 
     def holds(c):
-        return product(c["x"], c["y"], c["z"]) == op_product(c["z"], c["y"],
-                                                              c["x"])
+        return "x" in c and (product(c["x"], c["y"], c["z"])
+                             == op_product(c["z"], c["y"], c["x"]))
 
-    return run_law(suite, law, every(carrier, "xyz"), holds)
+    return run_law("opposite-torsor", law, swept, holds)
 
 
 # -- orbit invariants --------------------------------------------------------
@@ -514,8 +509,7 @@ def random_isometry(form, rng):
     return rot * Matrix.build(field, [[one, zero], [zero, field.neg(one)]])
 
 
-def check_invariant_transport(form, config, suite="involution",
-                              law="isometry-transport"):
+def check_invariant_transport(form, config, law="isometry-transport"):
     """Isometries preserve the invariants and transport torsor tables."""
     inv = ortho_involution(form)
 
@@ -538,4 +532,5 @@ def check_invariant_transport(form, config, suite="involution",
                 and cayley_table(view, product)
                 == cayley_table(view_b, product_b))
 
-    return run_law(suite, law, cases(config, Slots(draw)), holds)
+    return run_law("invariant-transport", law, cases(config, Slots(draw)),
+                   holds)

@@ -3,6 +3,9 @@
 Every law checker produces a Report: suite and law names, how many cases ran,
 how many failed, and the first counterexample (as plain JSON data) if any.
 Serialization is sorted and minimal so identical runs are byte-identical.
+A Report is frozen and built in one place, `run_law` (or `skipped_report`
+for a suite that did not run): a law whose verdict is a single comparison
+runs over a one-case list, so its counterexample is rendered like any other.
 
 A law is a predicate over named-slot cases, defined once in the module whose
 objects it is about (`checks`, `gamma`, `involutions`, `homotopes`).  Its
@@ -16,12 +19,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .rng import trial_rng
 
 
-@dataclass
+@dataclass(frozen=True)
 class Report:
     suite: str
     law: str
@@ -55,14 +58,15 @@ def run_law(suite, law, cases, predicate, describe=None, notes=()):
     describe renders the first failing case; by default describe_case.
     """
     describe = describe or describe_case
-    report = Report(suite=suite, law=law, notes=tuple(notes))
+    count = failures = 0
+    first = None
     for case in cases:
-        report.cases += 1
+        count += 1
         if not predicate(case):
-            report.failures += 1
-            if report.first_counterexample is None:
-                report.first_counterexample = describe(case)
-    return report
+            failures += 1
+            if failures == 1:
+                first = describe(case)
+    return Report(suite, law, count, failures, first, tuple(notes))
 
 
 def run_inclusion_law(suite, law, cases, sides):
@@ -85,13 +89,13 @@ def run_inclusion_law(suite, law, cases, sides):
 
     report = run_law(suite, law, cases, holds)
     if strict:
-        report.notes = ("strict-inclusion-instances:%d" % strict,)
+        return replace(report,
+                       notes=("strict-inclusion-instances:%d" % strict,))
     return report
 
 
 def skipped_report(suite, law, reason):
-    return Report(suite=suite, law=law, cases=0, failures=0,
-                  notes=(reason,))
+    return Report(suite, law, notes=(reason,))
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,28 @@ def test_check_rejects_trial_counts_below_one(trials, capsys):
         assert "--trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["check", "--suite", "all", "--field", "f3", "--ambient", "-1",
+     "--trials", "2"],
+    ["gamma", "--field", "f3", "--ambient", "-1", "--x", "0", "--a", "0",
+     "--y", "0", "--b", "0", "--z", "0"],
+    ["enumerate", "--field", "f3", "--ambient", "-2", "--count"],
+    ["lagrangian", "--form", "split", "--n", "-1", "--field", "f3",
+     "--count"],
+    ["gtable", "--form", "split", "--n", "-1", "--field", "f3", "--a", "1,0"],
+    ["homotope", "--family", "o", "--n", "-1", "--field", "f3", "--A", "1",
+     "--members"],
+    ["bridge", "--check", "prop41", "--n", "-1"],
+], ids=lambda command: command[0])
+def test_negative_sizes_are_usage_errors(command, capsys):
+    """A negative --ambient or --n exits 2, never 1 ("law violated") or 0."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "at least 0" in err and "Traceback" not in err
+
+
 def test_lagrangian_count(capsys):
     code, out, err = run_cli(
         capsys, "lagrangian", "--form", "symplectic", "--n", "1",
@@ -336,22 +358,19 @@ def test_emit_reports_exit_code_on_failure(capsys):
     """A failing report drives the exit code to 1 (not a usage error)."""
     failing = Report(suite="demo", law="broken", cases=3, failures=1)
     passing = Report(suite="demo", law="fine", cases=3)
-    config = cli.RunConfig()
-    assert cli._emit_reports([passing], config) == 0
+    args = cli.build_parser().parse_args(["check", "--list"])
+    assert cli._emit_reports([passing], args) == 0
     capsys.readouterr()
-    assert cli._emit_reports([passing, failing], config) == 1
+    assert cli._emit_reports([passing, failing], args) == 1
     out = capsys.readouterr().out
     lines = out.strip().splitlines()
     assert json.loads(lines[1])["passed"] is False
 
 
-def test_run_config_carries_sampling():
+def test_check_config_carries_sampling():
     parser = cli.build_parser()
     args = parser.parse_args(["check", "--suite", "all", "--field", "f2",
                               "--ambient", "2", "--seed", "11",
                               "--trials", "77"])
-    config = cli._run_config(args)
-    assert config.seed == 11
-    assert config.trials == 77
-    cc = config.check_config()
+    cc = cli._check_config(args)
     assert cc.trials == 77 and cc.seed == 11 and not cc.exhaustive

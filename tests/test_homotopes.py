@@ -4,6 +4,7 @@ import pytest
 
 from torsorlab.fields import PrimeField, QuadraticExt, Rationals
 from torsorlab.homotopes import (
+    Homotope,
     check_associativity,
     check_bracket_agreement,
     check_bracket_laws,
@@ -18,7 +19,6 @@ from torsorlab.homotopes import (
     classical_family,
     family_table_bridge,
     graph_star_roundtrip,
-    homotope,
     hull,
     lie_bracket_dual,
     lie_bracket_formula,
@@ -40,7 +40,7 @@ def rand(field, nrows, ncols, seed, index):
 
 def test_product_reduces_to_addition_at_zero_parameter():
     f5 = PrimeField(5)
-    hom = homotope(f5, Matrix.zeros(f5, 2, 2))
+    hom = Homotope(Matrix.zeros(f5, 2, 2))
     for i in range(20):
         x = rand(f5, 2, 2, 1, 2 * i)
         y = rand(f5, 2, 2, 1, 2 * i + 1)
@@ -53,7 +53,7 @@ def test_zero_is_two_sided_unit():
     f3 = PrimeField(3)
     for i in range(20):
         a = rand(f3, 2, 2, 3, i)
-        hom = homotope(f3, a)
+        hom = Homotope(a)
         z = hom.zero
         for j in range(10):
             x = rand(f3, 2, 2, 5, 10 * i + j)
@@ -67,7 +67,7 @@ def test_membership_and_inverse():
     for i in range(40):
         a = rand(f5, 2, 2, 7, 2 * i)
         x = rand(f5, 2, 2, 7, 2 * i + 1)
-        hom = homotope(f5, a)
+        hom = Homotope(a)
         if not hom.is_member(x):
             with pytest.raises(ArithmeticError):
                 hom.inverse(x)
