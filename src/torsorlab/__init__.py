@@ -1,7 +1,8 @@
 """Exact-arithmetic toolkit for subspace geometries and matrix homotopes.
 
 The library works over exact fields (rationals, Gaussian rationals, prime
-fields, and their quadratic extensions) and provides:
+fields, and their quadratic extensions), and over the dual ring K[eps] and
+its iterate K[e1][e2] = DualRing(DualRing(K)) for derivatives, and provides:
 
 - subspaces of K^n with lattice operations and charts (`subspaces`),
 - linear relations, generalized projections, and adjoints (`relations`),
@@ -16,9 +17,9 @@ fields, and their quadratic extensions) and provides:
 - a command line front end (`cli`).
 """
 
-from .fields import (BiDualRing, CharacteristicTwoError, DualRing,
-                     FieldSyntaxError, GaussianRationals, PrimeField,
-                     QuadraticExt, Rationals, field_from_spec)
+from .fields import (CharacteristicTwoError, DualRing, FieldSyntaxError,
+                     GaussianRationals, PrimeField, QuadraticExt, Rationals,
+                     field_from_spec)
 from .matrices import (Matrix, ShapeError, all_matrices, det, format_matrix,
                        hstack, is_invertible, kernel_basis, mat_invert,
                        parse_matrix, random_matrix, rank, rref, vstack)

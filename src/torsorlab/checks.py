@@ -22,7 +22,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 from . import homotopes
-from .fields import BiDualRing, DualRing
+from .fields import DualRing
 from .gamma import (check_agreement, check_commutativity_aa,
                     check_idempotent_laws, check_klein,
                     check_para_associativity, check_restricted_agreement,
@@ -130,7 +130,7 @@ def _run_conjugation(field, ambient, config):
 
 def _run_dual_nilpotency(field, ambient, config):
     dual = DualRing(field)
-    bidual = BiDualRing(field)
+    bidual = DualRing(dual)
 
     def draw(rng):
         return dict(d=dual.sample(rng), b=bidual.sample(rng),
@@ -143,7 +143,8 @@ def _run_dual_nilpotency(field, ambient, config):
             return False
         if not dual.is_zero(dual.mul(dual.eps_times(s), dual.eps_times(s))):
             return False
-        e1, e2 = bidual.e1_times(field.one), bidual.e2_times(field.one)
+        e1 = bidual.embed(dual.eps_times(field.one))
+        e2 = bidual.eps_times(dual.embed(field.one))
         if not bidual.is_zero(bidual.mul(e1, e1)):
             return False
         if not bidual.is_zero(bidual.mul(e2, e2)):
@@ -217,17 +218,20 @@ def _run_rank_nullity(field, ambient, config):
 
 def _run_dual_matrix_arithmetic(field, ambient, config):
     reports = []
-    for ring in (DualRing(field), BiDualRing(field)):
+    dual = DualRing(field)
+    rings = (("dual", dual, lambda e: e[0]),
+             ("bidual", DualRing(dual), lambda e: e[0][0]))
+    for label, ring, constant in rings:
         def draw(rng, ring=ring):
             n = rng.below(3) + 1
             return {k: random_matrix(ring, n, n, rng) for k in "abc"}
 
-        def holds(case, ring=ring):
+        def holds(case, ring=ring, constant=constant):
             a, b, c = case["a"], case["b"], case["c"]
             if (a + b) * c != a * c + b * c:
                 return False
             base_part = Matrix(field, a.nrows, a.ncols,
-                               tuple(tuple(e[0] for e in row)
+                               tuple(tuple(constant(e) for e in row)
                                      for row in a.entries))
             if is_invertible(a) != is_invertible(base_part):
                 return False
@@ -237,7 +241,6 @@ def _run_dual_matrix_arithmetic(field, ambient, config):
                     return False
             return True
 
-        label = "dual" if isinstance(ring, DualRing) else "bidual"
         reports.append(run_law("dual-matrix-arithmetic",
                                "nilpotent-entries-%s" % label,
                                cases(config, Slots(draw)), holds))

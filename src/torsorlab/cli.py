@@ -228,6 +228,9 @@ def _cmd_bridge(args):
 
 def _cmd_enumerate(args):
     field = _field(args.field)
+    if args.dim is not None and not 0 <= args.dim <= args.ambient:
+        raise UsageError("--dim must be in 0..%d, got %d"
+                         % (args.ambient, args.dim))
     try:
         subs = list(enumerate_subspaces(field, args.ambient, dim=args.dim))
     except FieldSyntaxError as exc:

@@ -1,8 +1,8 @@
 """Exact scalar arithmetic.
 
 Four base fields (rationals, gaussian rationals, prime fields, quadratic
-extensions of prime fields) plus the nilpotent dual / bi-dual ring extensions
-used for differentiating group words.
+extensions of prime fields) plus the nilpotent dual ring extension K[eps],
+which, applied twice, differentiates group words.
 
 Scalar values are plain hashable Python data in normal form, so `==` on values
 is equality of scalars:
@@ -12,13 +12,17 @@ is equality of scalars:
 * prime field F_p      int in [0, p)
 * quadratic ext F_p2   (int, int)                a + b*t with t*t = d
 * dual ring            (x, y)                    x + eps*y, eps*eps = 0
-* bi-dual ring         (x, y, z, w)              x + e1*y + e2*z + e1*e2*w
+* dual of a dual ring  ((x, y), (z, w))          x + e1*y + e2*z + e1*e2*w,
+                                                 e1 the inner, e2 the outer eps
 
 All operations live on ring objects; the element values carry no behaviour.
+A ring object is a frozen dataclass of its defining parameters, so rings
+compare, hash and print by those parameters.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 import re
 
@@ -67,6 +71,7 @@ class FieldBase(Ring):
         return a
 
     def elements(self):
+        """Every element of a finite field, in increasing `sort_key` order."""
         raise FieldSyntaxError("field %s is not finite" % self.spec())
 
     def spec(self):
@@ -127,16 +132,8 @@ def _parse_pair(text, symbol):
     return re_part, im_part
 
 
+@dataclass(frozen=True)
 class Rationals(FieldBase):
-    def __eq__(self, other):
-        return type(other) is Rationals
-
-    def __hash__(self):
-        return hash("rat")
-
-    def __repr__(self):
-        return "Rationals()"
-
     def spec(self):
         return "rat"
 
@@ -191,22 +188,15 @@ class Rationals(FieldBase):
         return Fraction(rng.below(19) - 9, rng.below(6) + 1)
 
 
+@dataclass(frozen=True)
 class GaussianRationals(FieldBase):
     """Q(i); elements are (re, im) pairs of Fractions."""
 
-    def __init__(self, involution="conjugation"):
-        if involution not in ("identity", "conjugation"):
-            raise FieldSyntaxError("bad involution %r" % involution)
-        self.involution = involution
+    involution: str = "conjugation"
 
-    def __eq__(self, other):
-        return type(other) is GaussianRationals and other.involution == self.involution
-
-    def __hash__(self):
-        return hash(("gauss", self.involution))
-
-    def __repr__(self):
-        return "GaussianRationals(%r)" % self.involution
+    def __post_init__(self):
+        if self.involution not in ("identity", "conjugation"):
+            raise FieldSyntaxError("bad involution %r" % self.involution)
 
     def spec(self):
         return "gauss"
@@ -269,22 +259,21 @@ def _is_prime(n):
     return True
 
 
+@dataclass(frozen=True)
 class PrimeField(FieldBase):
-    def __init__(self, p):
-        if not _is_prime(p):
-            raise FieldSyntaxError("%d is not prime" % p)
-        self.p = p
-        self.char = p
-        self.size = p
+    p: int
 
-    def __eq__(self, other):
-        return type(other) is PrimeField and other.p == self.p
+    def __post_init__(self):
+        if not _is_prime(self.p):
+            raise FieldSyntaxError("%d is not prime" % self.p)
 
-    def __hash__(self):
-        return hash(("fp", self.p))
+    @property
+    def char(self):
+        return self.p
 
-    def __repr__(self):
-        return "PrimeField(%d)" % self.p
+    @property
+    def size(self):
+        return self.p
 
     def spec(self):
         return "fp:%d" % self.p
@@ -346,31 +335,30 @@ def least_nonsquare(p):
     raise FieldSyntaxError("no non-square mod %d" % p)
 
 
+@dataclass(frozen=True)
 class QuadraticExt(FieldBase):
     """F_{p^2} = F_p[t]/(t^2 - d), d the least positive non-square mod p."""
 
-    def __init__(self, p, involution="conjugation"):
-        if not _is_prime(p):
-            raise FieldSyntaxError("%d is not prime" % p)
-        if p == 2:
+    p: int
+    involution: str = "conjugation"
+    d: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not _is_prime(self.p):
+            raise FieldSyntaxError("%d is not prime" % self.p)
+        if self.p == 2:
             raise FieldSyntaxError("no non-square mod 2; fp2 needs an odd prime")
-        if involution not in ("identity", "conjugation"):
-            raise FieldSyntaxError("bad involution %r" % involution)
-        self.p = p
-        self.d = least_nonsquare(p)
-        self.involution = involution
-        self.char = p
-        self.size = p * p
+        if self.involution not in ("identity", "conjugation"):
+            raise FieldSyntaxError("bad involution %r" % self.involution)
+        object.__setattr__(self, "d", least_nonsquare(self.p))
 
-    def __eq__(self, other):
-        return (type(other) is QuadraticExt and other.p == self.p
-                and other.involution == self.involution)
+    @property
+    def char(self):
+        return self.p
 
-    def __hash__(self):
-        return hash(("fp2", self.p, self.involution))
-
-    def __repr__(self):
-        return "QuadraticExt(%d, %r)" % (self.p, self.involution)
+    @property
+    def size(self):
+        return self.p * self.p
 
     def spec(self):
         return "fp2:%d" % self.p
@@ -441,20 +429,16 @@ class QuadraticExt(FieldBase):
         return (rng.below(self.p), rng.below(self.p))
 
 
+@dataclass(frozen=True)
 class DualRing(Ring):
-    """base[eps]/(eps^2); local ring, units = unit base part."""
+    """base[eps]/(eps^2); local ring, units = unit base part.
 
-    def __init__(self, base):
-        self.base = base
+    Over any ring, so DualRing(DualRing(K)) is K[e1][e2] with two commuting
+    square-zero generators: e1 = outer.embed(inner.eps_times(1)) and
+    e2 = outer.eps_times(inner.embed(1)).
+    """
 
-    def __eq__(self, other):
-        return type(other) is DualRing and other.base == self.base
-
-    def __hash__(self):
-        return hash(("dual", self.base))
-
-    def __repr__(self):
-        return "DualRing(%r)" % self.base
+    base: Ring
 
     def from_int(self, k):
         return (self.base.from_int(k), self.base.zero)
@@ -489,82 +473,13 @@ class DualRing(Ring):
         return (xi, B.neg(B.mul(B.mul(xi, xi), a[1])))
 
     def format(self, a):
-        return "%s+eps*%s" % (self.base.format(a[0]), self.base.format(a[1]))
+        parts = (self.base.format(a[0]), self.base.format(a[1]))
+        if isinstance(self.base, DualRing):
+            parts = tuple("(%s)" % part for part in parts)
+        return "%s+eps*%s" % parts
 
     def sample(self, rng):
         return (self.base.sample(rng), self.base.sample(rng))
-
-
-class BiDualRing(Ring):
-    """base[e1,e2]/(e1^2, e2^2); coefficients ordered (1, e1, e2, e1*e2)."""
-
-    def __init__(self, base):
-        self.base = base
-
-    def __eq__(self, other):
-        return type(other) is BiDualRing and other.base == self.base
-
-    def __hash__(self):
-        return hash(("bidual", self.base))
-
-    def __repr__(self):
-        return "BiDualRing(%r)" % self.base
-
-    def from_int(self, k):
-        z = self.base.zero
-        return (self.base.from_int(k), z, z, z)
-
-    def embed(self, a):
-        z = self.base.zero
-        return (a, z, z, z)
-
-    def e1_times(self, a):
-        z = self.base.zero
-        return (z, a, z, z)
-
-    def e2_times(self, a):
-        z = self.base.zero
-        return (z, z, a, z)
-
-    def add(self, a, b):
-        B = self.base
-        return tuple(B.add(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(self.base.neg(x) for x in a)
-
-    def mul(self, a, b):
-        B = self.base
-        c = B.mul(a[0], b[0])
-        c1 = B.add(B.mul(a[0], b[1]), B.mul(a[1], b[0]))
-        c2 = B.add(B.mul(a[0], b[2]), B.mul(a[2], b[0]))
-        c12 = B.add(B.add(B.mul(a[0], b[3]), B.mul(a[3], b[0])),
-                    B.add(B.mul(a[1], b[2]), B.mul(a[2], b[1])))
-        return (c, c1, c2, c12)
-
-    def is_zero(self, a):
-        return all(self.base.is_zero(x) for x in a)
-
-    def is_unit(self, a):
-        return self.base.is_unit(a[0])
-
-    def inv(self, a):
-        # write a = c(1 + u), u nilpotent; inverse is c^-1 (1 - u + u^2)
-        B = self.base
-        c, c1, c2, c12 = a
-        ci = B.inv(c)
-        ci2 = B.mul(ci, ci)
-        ci3 = B.mul(ci2, ci)
-        two = B.from_int(2)
-        w = B.sub(B.mul(two, B.mul(B.mul(c1, c2), ci3)), B.mul(c12, ci2))
-        return (ci, B.neg(B.mul(c1, ci2)), B.neg(B.mul(c2, ci2)), w)
-
-    def format(self, a):
-        B = self.base
-        return "%s+e1*%s+e2*%s+e1e2*%s" % tuple(B.format(x) for x in a)
-
-    def sample(self, rng):
-        return tuple(self.base.sample(rng) for _ in range(4))
 
 
 _ALIAS = re.compile(r"^f(\d+)$")

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .matrices import Matrix, eliminate_front, neg_vec, vstack
+from .matrices import Matrix, eliminate_front, vstack
 from .relations import (LinearRelation, apply_rel, compose, difference,
                         gen_projection, one_minus, random_relation)
 from .reports import Slots, cases, run_law
@@ -58,20 +58,22 @@ def gamma_oracle(x, a, y, b, z):
     The w = zeta + alpha with alpha = eta + xi and zeta + alpha = xi + beta,
     by one block elimination over the columns
     [alpha - eta - xi | zeta + alpha - xi - beta | w], first 2n eliminated:
-    x rows (-xi | -xi | 0), a rows (alpha | alpha | alpha), y rows
-    (-eta | 0 | 0), b rows (0 | -beta | 0), z rows (0 | zeta | zeta).
+    x rows (xi | xi | 0), a rows (alpha | alpha | alpha), y rows
+    (eta | 0 | 0), b rows (0 | beta | 0), z rows (0 | zeta | zeta).  The
+    minus signs of the x, y and b pieces are dropped: negating a whole row
+    leaves its span, and so the result, unchanged.
     """
     for s in (a, y, b, z):
         _check_pair(x, s)
     field = x.field
     n = x.ambient
     zero = (field.zero,) * n
-    rows = [neg_vec(field, v) * 2 + zero for v in x.basis.entries]
+    rows = [v * 2 + zero for v in x.basis.entries]
     rows += [v * 3 for v in a.basis.entries]
-    rows += [neg_vec(field, v) + zero * 2 for v in y.basis.entries]
-    rows += [zero + neg_vec(field, v) + zero for v in b.basis.entries]
+    rows += [v + zero * 2 for v in y.basis.entries]
+    rows += [zero + v + zero for v in b.basis.entries]
     rows += [zero + v * 2 for v in z.basis.entries]
-    return Subspace(n, eliminate_front(field, rows, 2 * n, 3 * n))
+    return Subspace(eliminate_front(field, rows, 2 * n, 3 * n))
 
 
 @lru_cache(maxsize=None)
@@ -195,7 +197,7 @@ def relation_slots(field, ambient, relations, subspaces=""):
         return case
 
     def pools():
-        rels = tuple(LinearRelation(ambient, inner)
+        rels = tuple(LinearRelation(inner)
                      for inner in all_subspaces(field, 2 * ambient))
         out = {n: rels if k == 0 else rels[:4]
                for k, n in enumerate(relations)}

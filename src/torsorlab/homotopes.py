@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 
-from .fields import BiDualRing
+from .fields import DualRing
 from .gamma import gamma_global
 from .involutions import (ortho_involution, standard_triple, torsor_G,
                           translation_op, unitary_group)
@@ -90,19 +90,21 @@ def lie_bracket_dual(x, y, a):
     constant or linear part and its top coefficient is the bracket.
     """
     base = x.ring
-    ring = BiDualRing(base)
+    inner = DualRing(base)
+    ring = DualRing(inner)
 
     def lift(m, times):
         return Matrix(ring, m.nrows, m.ncols,
                       tuple(tuple(times(e) for e in row) for row in m.entries))
 
-    u = lift(x, ring.e1_times)
-    v = lift(y, ring.e2_times)
-    h = Homotope(lift(a, ring.embed))
+    u = lift(x, lambda e: ring.embed(inner.eps_times(e)))
+    v = lift(y, lambda e: ring.eps_times(inner.embed(e)))
+    h = Homotope(lift(a, lambda e: ring.embed(inner.embed(e))))
     c = h.product(h.product(h.product(v, u), h.inverse(v)), h.inverse(u))
+    # coefficients of 1, e1, e2 and e1*e2
     parts = [Matrix(base, x.nrows, x.ncols,
-                    tuple(tuple(e[k] for e in row) for row in c.entries))
-             for k in range(4)]
+                    tuple(tuple(e[i][k] for e in row) for row in c.entries))
+             for i in (0, 1) for k in (0, 1)]
     if not (parts[0].is_zero() and parts[1].is_zero() and parts[2].is_zero()):
         raise ArithmeticError("commutator kept terms below the top coefficient")
     return parts[3]

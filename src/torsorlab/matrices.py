@@ -1,10 +1,10 @@
 """Dense exact matrices with Gaussian elimination.
 
-Works over the fields of `fields` and over the dual/bi-dual local rings; pivot
-selection asks the ring for a *unit*, which over a field means any nonzero
-entry and over a local ring means an invertible constant part.  Reduced row
-echelon form (and everything built on it) is only offered over fields, where
-it is canonical.
+Works over the fields of `fields` and over the local dual rings K[eps] and
+K[e1][e2] (a `DualRing` of a `DualRing`); pivot selection asks the ring for a
+*unit*, which over a field means any nonzero entry and over a local ring
+means an invertible constant part.  Reduced row echelon form (and everything
+built on it) is only offered over fields, where it is canonical.
 
 Every row reduction goes through `_eliminate`, which has two kernels:
 
@@ -12,7 +12,7 @@ Every row reduction goes through `_eliminate`, which has two kernels:
   in [0, p) and each row update is one list comprehension with an inline
   ``% p``, with no ring-method call per entry;
 * `_eliminate_generic` for every other ring (Q, Q(i), F_{p^2}, and the dual
-  and bi-dual rings, `DualRing(PrimeField(p))` included): scalar arithmetic
+  rings, `DualRing(PrimeField(p))` included): scalar arithmetic
   through the ring's methods, pivoting on units.
 
 Both leave the same rows for the same input, so `rref`, `eliminate_front`,
@@ -418,7 +418,7 @@ def random_matrix(ring, nrows, ncols, rng):
 
 def all_matrices(ring, nrows, ncols):
     """All matrices over a finite field, in sorted scan order."""
-    els = sorted(ring.elements(), key=ring.sort_key)
+    els = tuple(ring.elements())
     if len(els) ** (nrows * ncols) > 1_000_000:
         raise ValueError("matrix space too large to enumerate")
     for combo in product(els, repeat=nrows * ncols):

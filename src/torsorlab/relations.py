@@ -4,9 +4,10 @@ A relation F <= K^n + K^n is stored by its underlying subspace with the block
 convention (input | output).  Composition, pointwise application and
 pointwise difference ask which vectors admit witnesses: each stacks its
 witness rows and makes one block elimination through
-`matrices.eliminate_front`.  Inversion, 1 +/- F and the adjoint with respect
-to a form are exact too, so every identity about them is decidable on the
-nose.
+`matrices.eliminate_front`.  Only the span of the rows matters, so a row
+negated as a whole is the same witness.  Inversion, 1 +/- F and the adjoint
+with respect to a form are exact too, so every identity about them is
+decidable on the nose.
 """
 
 from __future__ import annotations
@@ -16,14 +17,22 @@ from functools import lru_cache
 
 from .matrices import (Matrix, ShapeError, eliminate_front, hstack, neg_vec,
                        vstack)
-from .subspaces import (Subspace, _assume_rref, _check_pair, make_form,
-                        orthocomplement, span_rows)
+from .subspaces import (Subspace, _check_pair, make_form, orthocomplement,
+                        span_rows)
 
 
 @dataclass(frozen=True)
 class LinearRelation:
-    half: int
-    inner: Subspace  # subspace of K^(2*half)
+    inner: Subspace  # subspace of K^n + K^n
+
+    def __post_init__(self):
+        if self.inner.ambient % 2:
+            raise ShapeError("a relation needs an even ambient, not %d"
+                             % self.inner.ambient)
+
+    @property
+    def half(self):
+        return self.inner.ambient // 2
 
     @property
     def field(self):
@@ -40,7 +49,7 @@ def graph_rel(mat):
         raise ShapeError("%dx%d matrix is not an endomorphism"
                          % (mat.nrows, mat.ncols))
     basis = hstack(Matrix.identity(mat.ring, mat.nrows), mat.transpose())
-    return LinearRelation(mat.nrows, _assume_rref(2 * mat.nrows, basis))
+    return LinearRelation(Subspace(basis))
 
 
 def identity_rel(field, half):
@@ -55,20 +64,21 @@ def gen_projection(x, a):
     """P with image x and kernel a: {(z, w) : w in x, w - z in a}.
 
     x and a need not be complementary; the result is a relation in general and
-    an idempotent operator exactly when they are.
+    an idempotent operator exactly when they are.  Rows: x (u | u), a (w | 0).
     """
     _check_pair(x, a)
     n = x.ambient
     field = x.field
     rows = [u + u for u in x.basis.entries]
     zero = (field.zero,) * n
-    rows += [neg_vec(field, w) + zero for w in a.basis.entries]
-    return LinearRelation(n, span_rows(field, 2 * n, rows))
+    rows += [w + zero for w in a.basis.entries]
+    return LinearRelation(span_rows(field, 2 * n, rows))
 
 
 def inverse_rel(f):
-    rows = [row[f.half:] + row[:f.half] for row in f.inner.basis.entries]
-    return LinearRelation(f.half, span_rows(f.field, 2 * f.half, rows))
+    n = f.half
+    rows = [row[n:] + row[:n] for row in f.inner.basis.entries]
+    return LinearRelation(span_rows(f.field, 2 * n, rows))
 
 
 def compose(g, f):
@@ -80,32 +90,29 @@ def compose(g, f):
     rows = [row[n:] + row[:n] + zero for row in f.inner.basis.entries]
     rows += [neg_vec(field, row[:n]) + zero + row[n:]
              for row in g.inner.basis.entries]
-    return LinearRelation(n, _assume_rref(
-        2 * n, eliminate_front(field, rows, n, 3 * n)))
+    return LinearRelation(Subspace(eliminate_front(field, rows, n, 3 * n)))
 
 
 def apply_rel(f, z):
-    """Pointwise image f(z): f rows (u | w), z rows (-zeta | 0); eliminate u."""
+    """Pointwise image f(z): f rows (u | w), z rows (zeta | 0); eliminate u."""
     if z.ambient != f.half or z.field != f.field:
         raise ShapeError("%r is not in the domain space of %r" % (z, f))
     n = f.half
     zero = (f.field.zero,) * n
     rows = list(f.inner.basis.entries)
-    rows += [neg_vec(f.field, v) + zero for v in z.basis.entries]
-    return _assume_rref(n, eliminate_front(f.field, rows, n, 2 * n))
+    rows += [v + zero for v in z.basis.entries]
+    return Subspace(eliminate_front(f.field, rows, n, 2 * n))
 
 
 def difference(f, g):
-    """Pointwise f - g: f rows (u | u | a), g rows (-u | 0 | -b); eliminate u."""
+    """Pointwise f - g: f rows (u | u | a), g rows (u | 0 | b); eliminate u."""
     _check_pair(f.inner, g.inner)
     n = f.half
     field = f.field
     zero = (field.zero,) * n
     rows = [row[:n] + row for row in f.inner.basis.entries]
-    rows += [neg_vec(field, row[:n]) + zero + neg_vec(field, row[n:])
-             for row in g.inner.basis.entries]
-    return LinearRelation(n, _assume_rref(
-        2 * n, eliminate_front(field, rows, n, 3 * n)))
+    rows += [row[:n] + zero + row[n:] for row in g.inner.basis.entries]
+    return LinearRelation(Subspace(eliminate_front(field, rows, n, 3 * n)))
 
 
 def one_plus_minus(f, plus=True):
@@ -120,7 +127,7 @@ def one_plus_minus(f, plus=True):
         else:
             new = tuple(field.sub(a, b) for a, b in zip(v, w))
         rows.append(v + new)
-    return LinearRelation(n, span_rows(field, 2 * n, rows))
+    return LinearRelation(span_rows(field, 2 * n, rows))
 
 
 def one_plus(f):
@@ -147,7 +154,7 @@ def adjoint(f, form):
         raise ShapeError("form on K^%d for a relation on K^%d"
                          % (form.ambient, f.half))
     omega = _pairing_form(form, f.half)
-    return LinearRelation(f.half, orthocomplement(f.inner, omega))
+    return LinearRelation(orthocomplement(f.inner, omega))
 
 
 def relation_to_json(f):
@@ -159,10 +166,14 @@ def relation_to_json(f):
 
 def relation_from_json(obj):
     from .subspaces import subspace_from_json
-    inner = subspace_from_json(obj)
-    return LinearRelation(int(obj["half"]), inner)
+    f = LinearRelation(subspace_from_json(obj))
+    half = int(obj["half"])
+    if half != f.half:
+        raise ShapeError("half %d does not match ambient %d"
+                         % (half, f.inner.ambient))
+    return f
 
 
 def random_relation(field, half, rng):
     from .subspaces import random_subspace
-    return LinearRelation(half, random_subspace(field, 2 * half, rng))
+    return LinearRelation(random_subspace(field, 2 * half, rng))

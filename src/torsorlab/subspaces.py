@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from .fields import FieldSyntaxError
 from .matrices import (Matrix, ShapeError, SingularMatrixError,
-                       eliminate_front, hstack, kernel_basis, mat_invert,
-                       pivot_cols, rref, vec_mul, vstack)
+                       eliminate_front, format_matrix, hstack, kernel_basis,
+                       mat_invert, pivot_cols, rref, vec_mul, vstack)
 
 DEFAULT_MAX_AMBIENT = 6
 
@@ -37,8 +37,11 @@ class TransversalityError(ValueError):
 
 @dataclass(frozen=True)
 class Subspace:
-    ambient: int
-    basis: Matrix  # RREF, zero rows dropped
+    basis: Matrix  # RREF, zero rows dropped; its columns are the ambient
+
+    @property
+    def ambient(self):
+        return self.basis.ncols
 
     @property
     def dim(self):
@@ -49,7 +52,6 @@ class Subspace:
         return self.basis.ring
 
     def __repr__(self):
-        from .matrices import format_matrix
         return "Subspace(%d, %r)" % (self.ambient, format_matrix(self.basis))
 
 
@@ -58,25 +60,19 @@ def span(ambient, rows_matrix):
     if rows_matrix.ncols != ambient:
         raise ShapeError("%d-column rows cannot span a subspace of K^%d"
                          % (rows_matrix.ncols, ambient))
-    red, _ = rref(rows_matrix)
-    return Subspace(ambient, red)
+    return Subspace(rref(rows_matrix)[0])
 
 
 def span_rows(field, ambient, rows):
     return span(ambient, Matrix.from_rows(field, rows, ambient))
 
 
-def _assume_rref(ambient, matrix):
-    # caller guarantees the matrix is already a canonical basis
-    return Subspace(ambient, matrix)
-
-
 def zero_subspace(field, ambient):
-    return Subspace(ambient, Matrix.from_rows(field, (), ambient))
+    return Subspace(Matrix.from_rows(field, (), ambient))
 
 
 def full_subspace(field, ambient):
-    return Subspace(ambient, Matrix.identity(field, ambient))
+    return Subspace(Matrix.identity(field, ambient))
 
 
 def coord_subspace(field, ambient, indices):
@@ -86,7 +82,7 @@ def coord_subspace(field, ambient, indices):
         v = [field.zero] * ambient
         v[i] = field.one
         rows.append(tuple(v))
-    return Subspace(ambient, Matrix.from_rows(field, rows, ambient))
+    return Subspace(Matrix.from_rows(field, rows, ambient))
 
 
 def contains_vector(sub, v):
@@ -116,7 +112,7 @@ def meet(x, y):
     zero = (x.field.zero,) * n
     rows = [u + u for u in x.basis.entries]
     rows += [w + zero for w in y.basis.entries]
-    return Subspace(n, eliminate_front(x.field, rows, n, 2 * n))
+    return Subspace(eliminate_front(x.field, rows, n, 2 * n))
 
 
 def join(x, y):
@@ -139,9 +135,8 @@ def complement(x):
 
 def graph_of(mat):
     """Graph {(v, Xv)} of the q x p matrix X, inside K^p + K^q."""
-    p, q = mat.ncols, mat.nrows
-    basis = hstack(Matrix.identity(mat.ring, p), mat.transpose())
-    return _assume_rref(p + q, basis)
+    return Subspace(hstack(Matrix.identity(mat.ring, mat.ncols),
+                           mat.transpose()))
 
 
 def chart_of(x, p=None):
@@ -279,7 +274,7 @@ def orthocomplement(x, form):
         raise ShapeError("subspace of K^%d against a form on K^%d"
                          % (x.ambient, form.ambient))
     constraints = x.basis.conj() * form.gram
-    return Subspace(x.ambient, kernel_basis(constraints))
+    return Subspace(kernel_basis(constraints))
 
 
 def is_isotropic(x, form):
@@ -292,7 +287,7 @@ def vectors(sub):
     R = sub.field
     if R.size is None:
         raise FieldSyntaxError("vector enumeration needs a finite field")
-    elems = sorted(R.elements(), key=R.sort_key)
+    elems = tuple(R.elements())
     rows = sub.basis.entries
     for coeffs in itertools.product(elems, repeat=sub.dim):
         v = (R.zero,) * sub.ambient
@@ -315,7 +310,7 @@ def enumerate_subspaces(field, ambient, dim=None):
         raise FieldSyntaxError(
             "ambient %d exceeds TORSORLAB_MAX_AMBIENT=%d" % (ambient, bound))
     dims = range(ambient + 1) if dim is None else (dim,)
-    elems = sorted(field.elements(), key=field.sort_key)
+    elems = tuple(field.elements())
     for k in dims:
         if k < 0 or k > ambient:
             continue
@@ -337,7 +332,7 @@ def enumerate_subspaces(field, ambient, dim=None):
         batch.sort(key=lambda m: tuple(field.sort_key(e)
                                        for row in m.entries for e in row))
         for m in batch:
-            yield _assume_rref(ambient, m)
+            yield Subspace(m)
 
 
 def all_subspaces(field, ambient, dim=None):

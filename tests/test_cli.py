@@ -313,6 +313,15 @@ def test_enumerate_counts(capsys):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("dim", ["-1", "3"])
+def test_enumerate_dim_out_of_range_is_usage_error(dim, capsys):
+    """A dimension outside 0..ambient is bad input, not an empty list."""
+    code, out, err = run_cli(capsys, "enumerate", "--field", "f3",
+                             "--ambient", "2", "--dim", dim, "--count")
+    assert code == 2 and not out
+    assert "--dim must be in 0..2" in err
+
+
 def test_enumerate_respects_ambient_cap(capsys, monkeypatch):
     monkeypatch.setenv("TORSORLAB_MAX_AMBIENT", "3")
     code, _, err = run_cli(

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from torsorlab.fields import (
-    BiDualRing,
     CharacteristicTwoError,
     DualRing,
     FieldSyntaxError,
@@ -137,6 +136,10 @@ def test_sort_key_total_order_on_finite_fields():
         keys = [field.sort_key(a) for a in elems]
         assert len(set(keys)) == len(elems)
         assert sorted(keys) == [field.sort_key(a) for a in sorted(elems, key=field.sort_key)]
+    # elements() already yields sort_key order, which enumerations rely on
+    for field in (PrimeField(2), PrimeField(5), QuadraticExt(3), QuadraticExt(5)):
+        elems = list(field.elements())
+        assert elems == sorted(elems, key=field.sort_key)
 
 
 def test_square_class_signed_squarefree():
@@ -207,9 +210,10 @@ def test_dual_ring_embed_and_eps_times():
 
 def test_bidual_two_nilpotents_commute():
     base = PrimeField(5)
-    ring = BiDualRing(base)
-    e1 = ring.e1_times(base.one)
-    e2 = ring.e2_times(base.one)
+    inner = DualRing(base)
+    ring = DualRing(inner)
+    e1 = ring.embed(inner.eps_times(base.one))
+    e2 = ring.eps_times(inner.embed(base.one))
     assert ring.mul(e1, e1) == ring.zero
     assert ring.mul(e2, e2) == ring.zero
     assert ring.mul(e1, e2) == ring.mul(e2, e1)
@@ -221,7 +225,7 @@ def test_bidual_two_nilpotents_commute():
 
 def test_bidual_inverse_roundtrip():
     base = PrimeField(7)
-    ring = BiDualRing(base)
+    ring = DualRing(DualRing(base))
     pool = sample_pool(ring, 40, seed=9)
     seen_unit = False
     for a in pool:
@@ -235,16 +239,45 @@ def test_bidual_inverse_roundtrip():
 
 def test_bidual_component_products():
     base = PrimeField(3)
-    ring = BiDualRing(base)
+    inner = DualRing(base)
+    ring = DualRing(inner)
     x = base.from_int(2)
     y = base.from_int(1)
-    a = ring.e1_times(x)
-    b = ring.e2_times(y)
+    a = ring.embed(inner.eps_times(x))
+    b = ring.eps_times(inner.embed(y))
     prod = ring.mul(a, b)
-    assert prod[0] == base.zero
-    assert prod[1] == base.zero
-    assert prod[2] == base.zero
-    assert prod[3] == base.mul(x, y)
+    assert prod[0][0] == base.zero
+    assert prod[0][1] == base.zero
+    assert prod[1][0] == base.zero
+    assert prod[1][1] == base.mul(x, y)
+    assert ring.format(prod) == "(0+eps*0)+eps*(0+eps*2)"
+
+
+def test_ring_identity_is_its_parameters():
+    """Rings compare and hash by their defining parameters only."""
+    f3 = PrimeField(3)
+    equal = [(PrimeField(3), f3), (Rationals(), Rationals()),
+             (GaussianRationals(), GaussianRationals("conjugation")),
+             (QuadraticExt(5), QuadraticExt(5, "conjugation")),
+             (DualRing(f3), DualRing(PrimeField(3))),
+             (DualRing(DualRing(f3)), DualRing(DualRing(PrimeField(3))))]
+    for a, b in equal:
+        assert a == b and hash(a) == hash(b)
+    unequal = [(PrimeField(3), QuadraticExt(3)),
+               (GaussianRationals("identity"), GaussianRationals()),
+               (QuadraticExt(3, "identity"), QuadraticExt(3)),
+               (DualRing(f3), DualRing(DualRing(f3))),
+               (DualRing(f3), f3), (PrimeField(3), PrimeField(5))]
+    for a, b in unequal:
+        assert a != b and b != a
+    assert QuadraticExt(3).d == 2 and QuadraticExt(7).d == 3
+    assert (PrimeField(7).char, PrimeField(7).size) == (7, 7)
+    assert (QuadraticExt(5).char, QuadraticExt(5).size) == (5, 25)
+    for bad in (lambda: PrimeField(4), lambda: PrimeField(1),
+                lambda: QuadraticExt(9), lambda: QuadraticExt(3, "frobenius"),
+                lambda: GaussianRationals("frobenius")):
+        with pytest.raises(FieldSyntaxError):
+            bad()
 
 
 def test_quadratic_ext_rejects_char_two():

@@ -12,8 +12,8 @@ from pathlib import Path
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 SHAPE_PROBES = """
-from torsorlab import ShapeError, full_subspace, join, meet, random_relation
-from torsorlab import apply_rel, compose, field_from_spec
+from torsorlab import LinearRelation, ShapeError, full_subspace, join, meet
+from torsorlab import apply_rel, compose, field_from_spec, random_relation
 from torsorlab.rng import trial_rng
 
 f3 = field_from_spec("f3")
@@ -25,6 +25,7 @@ probes = {
     "meet": lambda: meet(k2, k3),
     "compose": lambda: compose(r3, r2),
     "apply_rel": lambda: apply_rel(r2, k3),
+    "odd_relation": lambda: LinearRelation(k3),
 }
 for name, call in probes.items():
     try:
@@ -48,7 +49,7 @@ def test_shape_mismatches_raise_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "join ShapeError", "meet ShapeError", "compose ShapeError",
-        "apply_rel ShapeError"]
+        "apply_rel ShapeError", "odd_relation ShapeError"]
 
 
 def test_check_all_prints_same_bytes_under_optimize():

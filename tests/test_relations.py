@@ -2,10 +2,12 @@
 
 import itertools
 
+import pytest
+
 from torsorlab.checks import run_suite
 from torsorlab.fields import PrimeField, QuadraticExt
 from torsorlab.gamma import l_relation
-from torsorlab.matrices import Matrix, random_matrix
+from torsorlab.matrices import Matrix, ShapeError, random_matrix
 from torsorlab.relations import (
     adjoint,
     apply_rel,
@@ -230,6 +232,18 @@ def test_relation_json_roundtrip():
         obj = relation_to_json(f)
         assert obj["half"] == 2
         assert relation_from_json(obj) == f
+
+
+def test_relation_from_json_checks_half():
+    """A stored half must be ambient / 2, and the ambient must be even."""
+    f3 = PrimeField(3)
+    good = relation_to_json(rand_rel(f3, 2, 61, 0))
+    for half, ambient in ((3, 4), (1, 4), (1, 3), (2, 3)):
+        obj = dict(good, half=half, ambient=ambient,
+                   basis=[row[:ambient] for row in good["basis"]])
+        with pytest.raises(ShapeError):
+            relation_from_json(obj)
+    assert relation_from_json(good).half == 2
 
 
 RELATION_SUITES = ("projection-idempotent", "projection-conjugation",

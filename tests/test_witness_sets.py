@@ -88,7 +88,7 @@ def test_meet_and_gamma_exhaustive_f2():
 
 def test_relation_operations_exhaustive_f2():
     for n in (1, 2):
-        rels = [LinearRelation(n, s) for s in all_subspaces(F2, 2 * n)]
+        rels = [LinearRelation(s) for s in all_subspaces(F2, 2 * n)]
         for f, z in itertools.product(rels, all_subspaces(F2, n)):
             _same(apply_rel(f, z), _apply_set(f, z))
         if n == 1:
