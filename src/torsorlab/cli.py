@@ -58,7 +58,7 @@ def _parse_subspace(text, field, ambient=None):
     if ambient is not None and m.ncols != ambient:
         raise UsageError("literal %r has ambient %d, expected %d"
                          % (text, m.ncols, ambient))
-    return span(m.ncols, m)
+    return span(m)
 
 
 def _emit(lines, args):
@@ -192,11 +192,14 @@ def _family(args, field):
 def _cmd_homotope(args):
     field = _field(args.field)
     fam = _family(args, field)
-    if args.hull_check:
-        return _emit_reports([homotopes.check_hull_closure(fam)], args)
-    if field.size is None:
+    if not args.hull_check and field.size is None:
         raise UsageError("member enumeration needs a finite field")
-    members = homotopes.members(fam)
+    try:  # all_matrices refuses to scan too large a matrix space
+        if args.hull_check:
+            return _emit_reports([homotopes.check_hull_closure(fam)], args)
+        members = homotopes.members(fam)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     if args.members:
         return _emit([format_matrix(m) for m in members], args)
     if args.table:
@@ -279,10 +282,11 @@ def _add_sampling(p):
                    help="64-bit seed; case i is drawn from (seed, i)")
 
 
-def _add_output(p):
+def _add_output(p, table=False):
     p.add_argument("--out", default="", help="write output to this file")
-    p.add_argument("--format", choices=("json", "tsv"), default="json",
-                   help="table output format (reports are always JSON)")
+    if table:
+        p.add_argument("--format", choices=("json", "tsv"), default="json",
+                       help="table output format (reports are always JSON)")
 
 
 def build_parser():
@@ -333,7 +337,7 @@ def build_parser():
                    help="torsor parameter subspace, basis rows")
     p.add_argument("--unit", default="",
                    help="unit element (default: first carrier element)")
-    _add_output(p)
+    _add_output(p, table=True)
     p.set_defaults(handler=_cmd_gtable)
 
     p = sub.add_parser("homotope",
@@ -346,7 +350,7 @@ def build_parser():
     p.add_argument("--members", action="store_true")
     p.add_argument("--table", action="store_true")
     p.add_argument("--hull-check", dest="hull_check", action="store_true")
-    _add_output(p)
+    _add_output(p, table=True)
     p.set_defaults(handler=_cmd_homotope)
 
     p = sub.add_parser("bridge",

@@ -75,12 +75,12 @@ def _order_two_ok(inv):
     return all(inv(inv(x)) == x for x in pool)
 
 
-def involution(form, post=None, label="", check=True):
+def involution(form, post=None, label=""):
     """Build an involution, validating invertibility of post and order 2."""
     if post is not None:
         mat_invert(post)
     inv = Involution(form, post, label)
-    if check and not _order_two_ok(inv):
+    if not _order_two_ok(inv):
         raise InvolutionError("map is not of order two")
     return inv
 

@@ -282,16 +282,17 @@ def rref(m):
 def eliminate_front(field, rows, k, ncols):
     """Canonical basis of {v : (0, v) in the row span}, 0 on k columns.
 
-    One rref of the stacked rows.  In reduced echelon form a row that is
-    nonzero on the first k columns has its pivot there, so the rows that
-    vanish there span exactly those vectors (0, v), and their tails are
-    already reduced: the result is the canonical (ncols - k)-column basis.
+    `_eliminate` runs on the first k columns only.  Its pivot rows are
+    independent there and every later row vanishes there, so the vectors
+    (0, v) of the span are exactly the span of the later rows.  One `rref`
+    of their tails gives the canonical (ncols - k)-column basis: a block
+    elimination stays one `rref` call, and no tail pivot is substituted
+    back into the pivot rows that are dropped.
     """
-    red, _ = rref(Matrix.from_rows(field, rows, ncols))
-    is_zero = field.is_zero
-    tails = tuple(row[k:] for row in red.entries
-                  if all(is_zero(e) for e in row[:k]))
-    return Matrix(field, len(tails), ncols - k, tails)
+    rows = list(rows)
+    front = len(_eliminate(field, rows, k))
+    tails = [row[k:] for row in rows[front:]]
+    return rref(Matrix.from_rows(field, tails, ncols - k))[0]
 
 
 def rank(m):
@@ -315,20 +316,18 @@ def kernel_basis(m):
     R = m.ring
     if not R.is_field:
         raise TypeError("kernel_basis over fields only")
-    red, r = rref(m)
-    pivots = pivot_cols(red)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.ncols) if j not in pivot_set]
-    rows = []
-    for j in free:
+    rows = [list(r) for r in m.entries]
+    pivots = _eliminate(R, rows, m.ncols)
+    kernel = []
+    for j in range(m.ncols):
+        if j in pivots:
+            continue
         v = [R.zero] * m.ncols
         v[j] = R.one
-        for i, pc in enumerate(pivots):
-            v[pc] = R.neg(red.entries[i][j])
-        rows.append(tuple(v))
-    out = Matrix(R, len(rows), m.ncols, tuple(rows))
-    red_out, _ = rref(out)
-    return red_out
+        for row, pc in zip(rows, pivots):
+            v[pc] = R.neg(row[j])
+        kernel.append(v)
+    return rref(Matrix.from_rows(R, kernel, m.ncols))[0]
 
 
 def _check_square(m):

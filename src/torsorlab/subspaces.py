@@ -55,16 +55,13 @@ class Subspace:
         return "Subspace(%d, %r)" % (self.ambient, format_matrix(self.basis))
 
 
-def span(ambient, rows_matrix):
+def span(rows_matrix):
     """Subspace spanned by the rows of a matrix (need not be independent)."""
-    if rows_matrix.ncols != ambient:
-        raise ShapeError("%d-column rows cannot span a subspace of K^%d"
-                         % (rows_matrix.ncols, ambient))
     return Subspace(rref(rows_matrix)[0])
 
 
 def span_rows(field, ambient, rows):
-    return span(ambient, Matrix.from_rows(field, rows, ambient))
+    return span(Matrix.from_rows(field, rows, ambient))
 
 
 def zero_subspace(field, ambient):
@@ -89,12 +86,7 @@ def contains_vector(sub, v):
     """Membership test by reduction against the RREF basis."""
     R = sub.field
     v = list(v)
-    for row in sub.basis.entries:
-        lead = None
-        for j, e in enumerate(row):
-            if not R.is_zero(e):
-                lead = j
-                break
+    for row, lead in zip(sub.basis.entries, pivot_cols(sub.basis)):
         c = v[lead]
         if not R.is_zero(c):
             v = [R.sub(a, R.mul(c, b)) for a, b in zip(v, row)]
@@ -117,7 +109,7 @@ def meet(x, y):
 
 def join(x, y):
     _check_pair(x, y)
-    return span(x.ambient, vstack(x.basis, y.basis))
+    return span(vstack(x.basis, y.basis))
 
 
 def is_transversal(x, y):
@@ -153,9 +145,7 @@ def chart_of(x, p=None):
 
 def graph_minus(mat):
     """The other chart: {(Xw, w)} for an n x m matrix X, inside K^n + K^m."""
-    m = mat.ncols
-    basis = hstack(mat.transpose(), Matrix.identity(mat.ring, m))
-    return span(mat.nrows + m, basis)
+    return span(hstack(mat.transpose(), Matrix.identity(mat.ring, mat.ncols)))
 
 
 def chart_minus(x, first=None):
@@ -175,7 +165,7 @@ def image_under(g, x):
     """Span of {g v : v in x}; g need not be invertible."""
     if g.ncols != x.ambient:
         raise ShapeError("%d-column operator on K^%d" % (g.ncols, x.ambient))
-    return span(g.nrows, x.basis * g.transpose())
+    return span(x.basis * g.transpose())
 
 
 def pushforward(g, x):
@@ -222,8 +212,8 @@ def _dot(R, u, v):
     return acc
 
 
-def make_form(gram, kind, strict=True):
-    """Validated form constructor; strict=False skips the invertibility check."""
+def make_form(gram, kind):
+    """Validated form constructor: (skew-)hermitian and nondegenerate."""
     ct = gram.conj_t()
     if kind == "hermitian":
         if ct != gram:
@@ -233,11 +223,10 @@ def make_form(gram, kind, strict=True):
             raise ValueError("gram matrix is not skew")
     else:
         raise ValueError("kind must be hermitian or skew")
-    if strict:
-        try:
-            mat_invert(gram)
-        except SingularMatrixError:
-            raise SingularMatrixError("degenerate gram matrix") from None
+    try:
+        mat_invert(gram)
+    except SingularMatrixError:
+        raise SingularMatrixError("degenerate gram matrix") from None
     return Form(gram, kind)
 
 

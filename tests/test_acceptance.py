@@ -37,8 +37,8 @@ from torsorlab.involutions import (
     check_duality_inclusion,
     check_order_two,
     check_transversality_preservation,
+    Involution,
     closure_report,
-    involution,
     isotropic_census,
     ortho_involution,
 )
@@ -47,8 +47,8 @@ from torsorlab.relations import apply_rel
 from torsorlab.reports import CheckConfig
 from torsorlab.rng import trial_rng
 from torsorlab.subspaces import (
+    Form,
     all_subspaces,
-    make_form,
     random_subspace,
     split_form,
     standard_forms,
@@ -189,10 +189,10 @@ def test_criterion_04_involution_suite():
             trans = check_transversality_preservation(inv, CheckConfig(trials=250, seed=seed))
             ok = ok and tau2.failures == 0 and trans.failures == 0
 
-    degenerate = make_form(
+    degenerate = Form(
         Matrix.build(F3, [[F3.one, F3.zero], [F3.zero, F3.zero]]),
-        "hermitian", strict=False)
-    control = check_order_two(involution(degenerate, check=False),
+        "hermitian")
+    control = check_order_two(Involution(degenerate),
                               CheckConfig(trials=80, seed=139))
     ok = ok and control.failures > 0
     verdict(4, "involution suite with degenerate negative control", ok,

@@ -256,6 +256,16 @@ def test_homotope_hull_check(capsys):
     assert obj["passed"] is True
 
 
+@pytest.mark.parametrize("action", ["--members", "--table", "--hull-check"])
+def test_homotope_too_large_a_scan_is_usage_error(action, capsys):
+    """all_matrices refuses 5^9 matrices before enumerating any of them."""
+    code, out, err = run_cli(
+        capsys, "homotope", "--family", "o", "--n", "3", "--field", "f5",
+        "--A", "1,0,0;0,1,0;0,0,1", action)
+    assert code == 2 and not out
+    assert "too large to enumerate" in err and "Traceback" not in err
+
+
 def test_homotope_needs_action(capsys):
     code, _, err = run_cli(
         capsys, "homotope", "--family", "gl", "--n", "1", "--field", "f3",
@@ -339,6 +349,14 @@ def test_non_integer_ambient_cap_is_usage_error(command, capsys, monkeypatch):
     code, out, err = run_cli(capsys, *command)
     assert code == 2 and not out
     assert "TORSORLAB_MAX_AMBIENT" in err
+
+
+def test_format_is_only_an_option_of_table_commands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "--format", "tsv", "--suite", "all", "--field",
+                  "f2", "--ambient", "2"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):

@@ -6,6 +6,7 @@ from torsorlab.checks import run_suite
 from torsorlab.fields import CharacteristicTwoError, PrimeField, QuadraticExt
 from torsorlab.gamma import gamma_global
 from torsorlab.involutions import (
+    Involution,
     InvolutionError,
     cayley_rho,
     cayley_table,
@@ -24,7 +25,6 @@ from torsorlab.involutions import (
     fixed_points,
     form_invariants,
     group_of_torsor,
-    involution,
     isotropic_census,
     j_map,
     minus_one_op,
@@ -41,6 +41,7 @@ from torsorlab.matrices import Matrix, mat_invert, random_matrix
 from torsorlab.reports import CheckConfig
 from torsorlab.rng import trial_rng
 from torsorlab.subspaces import (
+    Form,
     diag_form,
     is_isotropic,
     is_transversal,
@@ -79,15 +80,14 @@ def test_order_two_random():
 def test_degenerate_form_breaks_order_two():
     """A singular gram matrix gives a map that is not an involution."""
     f3 = PrimeField(3)
-    degenerate = make_form(mat(f3, [[1, 0], [0, 0]]), "hermitian", strict=False)
-    bad = involution(degenerate, check=False)
+    bad = Involution(Form(mat(f3, [[1, 0], [0, 0]]), "hermitian"))
     r = check_order_two(bad, CheckConfig(trials=60, seed=2))
     assert r.failures > 0
 
 
 def test_strict_construction_rejects_degenerate_form():
     f3 = PrimeField(3)
-    degenerate = make_form(mat(f3, [[1, 0], [0, 0]]), "hermitian", strict=False)
+    degenerate = Form(mat(f3, [[1, 0], [0, 0]]), "hermitian")
     with pytest.raises((InvolutionError, ArithmeticError)):
         ortho_involution(degenerate)
 

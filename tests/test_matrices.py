@@ -259,25 +259,53 @@ def test_prime_field_elimination_makes_no_scalar_calls(monkeypatch):
     m = rand(f5, 6, 10, 43, 0)
     low = rand(f5, 6, 3, 43, 1) * rand(f5, 3, 10, 43, 2)
     square = _random_invertible(f5, 5, 43, 3)
-    red, r = rref(low)
-
-    def leading_scan(width):
-        # is_zero calls that scan each reduced row up to its first nonzero
-        return sum(next((i + 1 for i, e in enumerate(row[:width]) if e), width)
-                   for row in red.entries)
-
+    r = rank(low)
     calls = count_scalar_calls(monkeypatch, f5)
     rref(m)
     mat_invert(square)
+    eliminate_front(f5, [list(row) for row in low.entries], 4, 10)
     assert calls == []
     kernel_basis(low)
-    # after the elimination: pivot_cols scans the rows, then each kernel
-    # vector takes -red[i][j] on the pivot columns
-    assert calls == ["is_zero"] * leading_scan(10) + ["neg"] * (r * (10 - r))
-    del calls[:]
-    eliminate_front(f5, [list(row) for row in low.entries], 4, 10)
-    # after the elimination: the tail filter scans the first 4 columns
-    assert calls == ["is_zero"] * leading_scan(4)
+    # after the elimination: each kernel vector takes -row[j] on the pivots
+    assert calls == ["neg"] * (r * (10 - r))
+
+
+def eliminate_front_by_definition(field, rows, k, ncols):
+    """Full rref, the rows that vanish on the first k columns, their tails."""
+    red, _ = rref(Matrix.from_rows(field, rows, ncols))
+    tails = [row[k:] for row in red.entries
+             if all(field.is_zero(e) for e in row[:k])]
+    return Matrix.from_rows(field, tails, ncols - k)
+
+
+def front_inputs(field):
+    """Seeded stacks: zero-row, random, rank one, duplicated, zero fronts."""
+    for nrows in range(6):
+        for ncols in range(5):
+            seed = 10 * nrows + ncols
+            m = rand(field, nrows, ncols, 53, seed)
+            yield m.entries, ncols
+            one = (rand(field, nrows, 1, 59, seed)
+                   * rand(field, 1, ncols, 61, seed))
+            yield one.entries + m.entries[:1], ncols
+            yield m.entries + m.entries, ncols
+            half = ncols // 2
+            front = Matrix.zeros(field, nrows, half)
+            yield (hstack(front, m.take_cols(half, ncols)).entries
+                   + m.entries[:2]), ncols
+
+
+@pytest.mark.parametrize("field", (PrimeField(2), PrimeField(5), Rationals(),
+                                   QuadraticExt(3)),
+                         ids=("f2", "f5", "rat", "f9"))
+def test_eliminate_front_matches_its_definition(field):
+    seen = 0
+    for rows, ncols in front_inputs(field):
+        for k in range(ncols + 1):
+            got = eliminate_front(field, [list(r) for r in rows], k, ncols)
+            assert got == eliminate_front_by_definition(field, rows, k, ncols)
+            seen += 1
+    assert seen == 4 * 6 * (1 + 2 + 3 + 4 + 5)
 
 
 def test_other_rings_keep_the_generic_kernel(monkeypatch):

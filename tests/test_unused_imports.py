@@ -2,10 +2,10 @@
 
 Every module-level import in the library modules and the tests is used,
 every module-level private name of the library is referenced somewhere in
-the library, and only `reports.py` builds a Report.  No linter ships with
-the project, so this walks each module's syntax tree with the stdlib `ast`
-module.  The package's `__init__.py` is exempt from the import guard: its
-imports are the package's exports.
+the library, only `reports.py` builds a Report, and only `matrices.py` calls
+`_eliminate`.  No linter ships with the project, so this walks each module's
+syntax tree with the stdlib `ast` module.  The package's `__init__.py` is
+exempt from the import guard: its imports are the package's exports.
 """
 
 import ast
@@ -89,10 +89,20 @@ def unreferenced_private_names(trees):
                   for name in private_definitions(tree) if name not in used)
 
 
-def report_constructions(tree):
+def calls_to(tree, name):
+    """Lines that call `name`, as a bare name or as a module attribute."""
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name) and node.func.id == "Report"]
+            and name in (getattr(node.func, "id", None),
+                         getattr(node.func, "attr", None))]
+
+
+def test_call_guard_sees_names_and_attributes():
+    tree = ast.parse("import m\n"
+                     "m._eliminate(r, rows, 2)\n"
+                     "_eliminate(r, rows, 2)\n"
+                     "_eliminate_mod_p(5, rows, 2)\n")
+    assert calls_to(tree, "_eliminate") == [2, 3]
 
 
 def test_private_guard_flags_a_stranded_helper():
@@ -106,7 +116,16 @@ def test_every_private_library_name_is_referenced():
     assert unreferenced_private_names(library_trees()) == []
 
 
+def calls_outside(module, name):
+    found = {other: calls_to(tree, name)
+             for other, tree in library_trees().items() if other != module}
+    return {other: lines for other, lines in found.items() if lines}
+
+
 def test_only_reports_module_builds_reports():
-    found = {name: report_constructions(tree)
-             for name, tree in library_trees().items() if name != "reports.py"}
-    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert calls_outside("reports.py", "Report") == {}
+
+
+def test_only_matrices_module_eliminates():
+    """Pivots come from `_eliminate`, or from `pivot_cols` on a stored basis."""
+    assert calls_outside("matrices.py", "_eliminate") == {}
