@@ -61,6 +61,24 @@ class Involution:
         return pushforward(self.post, y)
 
 
+def tabulated(inv):
+    """inv as a function that applies it once per distinct argument.
+
+    The table is local to the returned function, so a law that calls this
+    once per run keeps its images for that run only; `Involution.__call__`
+    itself stays unmemoized.
+    """
+    table = {}
+
+    def tau(x):
+        y = table.get(x)
+        if y is None:
+            y = table[x] = inv(x)
+        return y
+
+    return tau
+
+
 @lru_cache(maxsize=None)
 def _order_two_ok(inv):
     """Cheap order-2 validation: exhaustive when small, sampled otherwise."""
@@ -298,17 +316,20 @@ def translation_op(a_chart, bt):
 
 
 def check_order_two(inv, config, law="order-two"):
+    tau = tabulated(inv)
     return run_law("involution-antihom", law,
                    cases(config, subspace_slots(inv.field, inv.ambient, "x")),
-                   lambda c: inv(inv(c["x"])) == c["x"],
+                   lambda c: tau(tau(c["x"])) == c["x"],
                    notes=("label:%s" % (inv.label or "anonymous"),))
 
 
 def check_transversality_preservation(inv, config,
                                       law="transversality-preservation"):
+    tau = tabulated(inv)
+
     def holds(c):
         return (is_transversal(c["x"], c["a"])
-                == is_transversal(inv(c["x"]), inv(c["a"])))
+                == is_transversal(tau(c["x"]), tau(c["a"])))
 
     return run_law("involution-antihom", law,
                    cases(config, subspace_slots(inv.field, inv.ambient, "xa")),
@@ -317,10 +338,11 @@ def check_transversality_preservation(inv, config,
 
 def _reverses_gamma(inv):
     """tau Gamma(x,a,y,b,z) = Gamma(tx,tb,ty,ta,tz) = Gamma(tz,ta,ty,tb,tx)."""
+    tau = tabulated(inv)
 
     def holds(c):
-        lhs = inv(gamma_global(c["x"], c["a"], c["y"], c["b"], c["z"]))
-        x, a, y, b, z = (inv(c[k]) for k in "xaybz")
+        lhs = tau(gamma_global(c["x"], c["a"], c["y"], c["b"], c["z"]))
+        x, a, y, b, z = (tau(c[k]) for k in "xaybz")
         return (lhs == gamma_global(x, b, y, a, z)
                 and lhs == gamma_global(z, a, y, b, x))
 
@@ -371,12 +393,13 @@ def check_dilation_compat(inv, config, law="dilation-compatibility"):
         scalars = list(field.elements())
     else:
         scalars = [field.zero, field.one, field.from_int(2), field.from_int(-3)]
+    tau = tabulated(inv)
 
     def holds(c):
         x, a, y = c["x"], c["a"], c["y"]
         for s in scalars:
-            expect = dilation(field.conj(s), inv(x), inv(a), inv(y))
-            if inv(dilation(s, x, a, y)) != expect:
+            expect = dilation(field.conj(s), tau(x), tau(a), tau(y))
+            if tau(dilation(s, x, a, y)) != expect:
                 return False
         return True
 
@@ -391,16 +414,19 @@ def closure_report(inv, a, law="fixed-set-closure"):
     Membership of the result is decided by tau(result) == result, so no
     lookup in the enumerated fixed set is needed for the check itself.
     Every (x, a, y, tau a, z) of one sweep is distinct, so the kernel is
-    called unmemoized: a memo would only hold memory.
+    called unmemoized: a memo would only hold memory.  The results w are
+    few, so tau(w) comes from a table local to the sweep, which applies tau
+    once per distinct result.
     """
     ta = inv(a)
+    tau = tabulated(inv)
 
     def result(c):
         return gamma_oracle(c["x"], a, c["y"], ta, c["z"])
 
     def holds(c):
         w = result(c)
-        return inv(w) == w
+        return tau(w) == w
 
     return run_law("semitorsor-closure", law, every(fixed_points(inv), "xyz"),
                    holds,
@@ -411,6 +437,7 @@ def closure_report(inv, a, law="fixed-set-closure"):
 def check_torsor_g(inv, a, law="fixed-torsor-axioms"):
     """Torsor axioms on G(inv, a), plus commutativity when a is fixed."""
     carrier, product = torsor_G(inv, a)
+    tau = tabulated(inv)
 
     def holds(c):
         x, y = c["x"], c["y"]
@@ -419,7 +446,7 @@ def check_torsor_g(inv, a, law="fixed-torsor-axioms"):
         if product(x, y, y) != x or product(y, y, x) != x:
             return False
         w = product(x, y, x)
-        return inv(w) == w and w in carrier
+        return tau(w) == w and w in carrier
 
     swept = every(carrier, "xy")
     if inv(a) == a:

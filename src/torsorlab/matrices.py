@@ -16,13 +16,21 @@ Every row reduction goes through `_eliminate`, which has two kernels:
   through the ring's methods, pivoting on units.
 
 Both leave the same rows for the same input, so `rref`, `eliminate_front`,
-`kernel_basis` and `mat_invert` do not care which one ran.
+`kernel_basis` and `mat_invert` do not care which one ran.  Matrix products
+dispatch the same way: over a `PrimeField` each entry is one int dot product
+reduced ``% p`` once.
+
+A `Matrix` is a frozen, slotted value.  Its hash is computed once, on first
+use, and kept in the `_hash` slot; it equals the hash a frozen dataclass
+would generate, so set and dict orders do not depend on the cache.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from itertools import product
+from operator import mul as _int_mul
 
 from .fields import FieldSyntaxError, PrimeField
 
@@ -35,18 +43,27 @@ class ShapeError(ValueError):
     """Operands whose shapes, ambients or rings do not fit together."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Matrix:
     ring: object
     nrows: int
     ncols: int
     entries: tuple  # row-major tuple of row tuples
+    _hash: int = dataclasses.field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self):
         if (len(self.entries) != self.nrows
-                or any(len(r) != self.ncols for r in self.entries)):
+                or not set(map(len, self.entries)) <= {self.ncols}):
             raise ShapeError("entries do not form a %dx%d matrix"
                              % (self.nrows, self.ncols))
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.ring, self.nrows, self.ncols, self.entries))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     # -- construction ------------------------------------------------------
 
@@ -103,18 +120,12 @@ class Matrix:
                              % (self.nrows, self.ncols, other.nrows,
                                 other.ncols))
         R = self.ring
-        add, mul, zero = R.add, R.mul, R.zero
         cols = list(zip(*other.entries)) if other.entries else [()] * other.ncols
-        out = []
-        for row in self.entries:
-            new = []
-            for col in cols:
-                acc = zero
-                for a, b in zip(row, col):
-                    acc = add(acc, mul(a, b))
-                new.append(acc)
-            out.append(tuple(new))
-        return Matrix(R, self.nrows, other.ncols, tuple(out))
+        if type(R) is PrimeField:
+            out = _mul_mod_p(R.p, self.entries, cols)
+        else:
+            out = _mul_generic(R, self.entries, cols)
+        return Matrix(R, self.nrows, other.ncols, out)
 
     def scale(self, s):
         R = self.ring
@@ -128,6 +139,8 @@ class Matrix:
 
     def conj(self):
         R = self.ring
+        if getattr(R, "involution", None) == "identity":
+            return self
         return Matrix(R, self.nrows, self.ncols,
                       tuple(tuple(R.conj(a) for a in row) for row in self.entries))
 
@@ -150,6 +163,27 @@ class Matrix:
             raise ShapeError("%dx%d and %dx%d matrices do not match"
                              % (self.nrows, self.ncols, other.nrows,
                                 other.ncols))
+
+
+def _mul_mod_p(p, rows, cols):
+    """Product entries over F_p: one int dot product, reduced once."""
+    return tuple(tuple(sum(map(_int_mul, row, col)) % p for col in cols)
+                 for row in rows)
+
+
+def _mul_generic(ring, rows, cols):
+    """Product entries through the ring's scalar methods, for any ring."""
+    add, mul, zero = ring.add, ring.mul, ring.zero
+    out = []
+    for row in rows:
+        new = []
+        for col in cols:
+            acc = zero
+            for a, b in zip(row, col):
+                acc = add(acc, mul(a, b))
+            new.append(acc)
+        out.append(tuple(new))
+    return tuple(out)
 
 
 def hstack(*mats):

@@ -6,10 +6,15 @@ are equal, and every Subspace is hashable.  The lattice operations (meet,
 join), the affine charts against a fixed complement, orthocomplements for a
 sesquilinear form, and a deterministic enumeration of all subspaces over a
 finite field live here.
+
+A Subspace is a frozen, slotted value whose hash is computed once, on first
+use, and kept in its `_hash` slot.  The value is the one a frozen dataclass
+would generate, so set and dict orders do not depend on the cache.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import os
 from dataclasses import dataclass
@@ -35,9 +40,18 @@ class TransversalityError(ValueError):
     """A construction needed complementary subspaces and did not get them."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subspace:
     basis: Matrix  # RREF, zero rows dropped; its columns are the ambient
+    _hash: int = dataclasses.field(default=None, init=False, repr=False,
+                                   compare=False)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.basis,))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @property
     def ambient(self):

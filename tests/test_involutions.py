@@ -1,7 +1,11 @@
 """Tests for form-induced involutions, censuses, and the groups they carry."""
 
+import itertools
+from collections import Counter
+
 import pytest
 
+from torsorlab import involutions
 from torsorlab.checks import run_suite
 from torsorlab.fields import CharacteristicTwoError, PrimeField, QuadraticExt
 from torsorlab.gamma import gamma_global
@@ -155,6 +159,50 @@ def test_involution_law_suites_exhaustive_f2():
     for r in reports:
         assert r.failures == 0, (r.law, r.first_counterexample)
         assert r.cases > 0
+
+
+def count_orthocomplements(monkeypatch):
+    """Count the orthocomplements tau computes, by (subspace, form)."""
+    seen = Counter()
+    orig = involutions.orthocomplement
+
+    def counted(x, form):
+        seen[x, form] += 1
+        return orig(x, form)
+
+    monkeypatch.setattr(involutions, "orthocomplement", counted)
+    return seen
+
+
+def test_antihom_law_applies_tau_once_per_subspace(monkeypatch):
+    f2 = PrimeField(2)
+    invs = all_standard_involutions(f2, 1)
+    seen = count_orthocomplements(monkeypatch)
+    for inv in invs:
+        r = check_antihom_global(inv, CheckConfig(exhaustive=True))
+        assert r.failures == 0 and r.cases == 5 ** 5
+    assert len({form for _, form in seen}) == len(invs)
+    assert seen and max(seen.values()) == 1
+
+
+def test_closure_report_applies_tau_once_per_result(monkeypatch):
+    f3 = PrimeField(3)
+    inv = ortho_involution(symplectic_form(f3, 1))
+    points = fixed_points(inv)
+    a = points[0]
+    ta = inv(a)
+    results = {gamma_global(x, a, y, ta, z)
+               for x, y, z in itertools.product(points, repeat=3)}
+    seen = count_orthocomplements(monkeypatch)
+    fixed_points(inv)
+    enumeration = Counter(seen)
+    seen.clear()
+    r = closure_report(inv, a)
+    assert r.failures == 0 and r.cases == len(points) ** 3
+    # beyond the fixed-point enumeration and tau(a): tau of each result once
+    per_result = seen - enumeration - Counter({(a, inv.form): 1})
+    assert set(per_result.values()) == {1}
+    assert sum(per_result.values()) == len(results)
 
 
 def test_fixed_points_are_isotropic_middle_layer():

@@ -1,5 +1,7 @@
 """Tests for exact matrices: arithmetic, row reduction, inverses, parsing."""
 
+import dataclasses
+
 import pytest
 
 from torsorlab.fields import DualRing, FieldSyntaxError, PrimeField, QuadraticExt, Rationals
@@ -9,6 +11,8 @@ from torsorlab.matrices import (
     SingularMatrixError,
     _eliminate_generic,
     _eliminate_mod_p,
+    _mul_generic,
+    _mul_mod_p,
     all_matrices,
     det,
     eliminate_front,
@@ -78,6 +82,84 @@ def test_transpose_and_conj():
         assert (a * b).transpose() == b.transpose() * a.transpose()
         assert a.conj().conj() == a
         assert (a * b).conj_t() == b.conj_t() * a.conj_t()
+
+
+def test_conj_is_self_when_the_involution_is_the_identity():
+    for field in (PrimeField(3), Rationals(), QuadraticExt(3, "identity")):
+        m = rand(field, 2, 3, 7, 50)
+        assert m.conj() is m
+        assert m.conj_t() == m.transpose()
+
+
+def test_conj_conjugates_over_the_quadratic_extension():
+    f9 = QuadraticExt(3)
+    m = rand(f9, 3, 3, 7, 51)
+    c = m.conj()
+    assert c.entries == tuple(tuple(f9.conj(a) for a in row)
+                              for row in m.entries)
+    assert c != m
+
+
+def test_conj_over_a_dual_ring_still_fails():
+    dual = DualRing(PrimeField(3))
+    with pytest.raises(AttributeError):
+        Matrix.identity(dual, 2).conj()
+
+
+def test_matrix_hash_is_the_dataclass_hash_computed_once():
+    f5 = PrimeField(5)
+    m = rand(f5, 2, 3, 7, 52)
+    twin = Matrix(f5, 2, 3, m.entries)
+    assert m._hash is None
+    assert hash(m) == hash((m.ring, m.nrows, m.ncols, m.entries))
+    assert m._hash == hash(m)
+    assert twin._hash is None and m == twin and hash(twin) == hash(m)
+    assert "_hash" not in repr(m)
+    assert not next(f for f in dataclasses.fields(Matrix)
+                    if f.name == "_hash").compare
+
+
+def test_matrix_is_frozen_and_slotted():
+    m = Matrix.identity(PrimeField(2), 2)
+    for name in ("ring", "nrows", "ncols", "entries", "_hash"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(m, name, None)
+    # an attribute outside the slots has nowhere to go
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        m.other = None
+    assert not hasattr(m, "__dict__")
+
+
+def test_ragged_or_short_entries_raise():
+    f3 = PrimeField(3)
+    for nrows, ncols, entries in ((2, 2, ((0, 1), (1,))),
+                                  (2, 2, ((0, 1),)),
+                                  (1, 2, ((0, 1, 2),)),
+                                  (0, 2, ((0, 1),))):
+        with pytest.raises(ShapeError):
+            Matrix(f3, nrows, ncols, entries)
+
+
+def product_shapes():
+    """Seeded (rows, inner, cols) shapes, 0-row and 0-column ones included."""
+    for nrows in range(4):
+        for inner in range(4):
+            for ncols in range(4):
+                yield nrows, inner, ncols
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_prime_field_product_matches_the_generic_loop(p):
+    field = PrimeField(p)
+    for i, (nrows, inner, ncols) in enumerate(product_shapes()):
+        a = rand(field, nrows, inner, 67, 2 * i)
+        b = rand(field, inner, ncols, 67, 2 * i + 1)
+        cols = list(zip(*b.entries)) if b.entries else [()] * ncols
+        got = _mul_mod_p(p, a.entries, cols)
+        assert got == _mul_generic(field, a.entries, cols)
+        product = a * b
+        assert (product.nrows, product.ncols) == (nrows, ncols)
+        assert product.entries == got
 
 
 def test_transpose_empty_shapes():
@@ -261,6 +343,8 @@ def test_prime_field_elimination_makes_no_scalar_calls(monkeypatch):
     square = _random_invertible(f5, 5, 43, 3)
     r = rank(low)
     calls = count_scalar_calls(monkeypatch, f5)
+    m * m.transpose()
+    low.transpose() * Matrix.zeros(f5, 6, 0)
     rref(m)
     mat_invert(square)
     eliminate_front(f5, [list(row) for row in low.entries], 4, 10)

@@ -14,6 +14,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 SHAPE_PROBES = """
 from torsorlab import LinearRelation, ShapeError, full_subspace, join, meet
 from torsorlab import apply_rel, compose, field_from_spec, random_relation
+from torsorlab.matrices import Matrix
 from torsorlab.rng import trial_rng
 
 f3 = field_from_spec("f3")
@@ -26,6 +27,8 @@ probes = {
     "compose": lambda: compose(r3, r2),
     "apply_rel": lambda: apply_rel(r2, k3),
     "odd_relation": lambda: LinearRelation(k3),
+    "ragged_matrix": lambda: Matrix(f3, 2, 2, ((0, 1), (1,))),
+    "short_matrix": lambda: Matrix(f3, 2, 2, ((0, 1),)),
 }
 for name, call in probes.items():
     try:
@@ -49,7 +52,8 @@ def test_shape_mismatches_raise_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "join ShapeError", "meet ShapeError", "compose ShapeError",
-        "apply_rel ShapeError", "odd_relation ShapeError"]
+        "apply_rel ShapeError", "odd_relation ShapeError",
+        "ragged_matrix ShapeError", "short_matrix ShapeError"]
 
 
 def test_check_all_prints_same_bytes_under_optimize():

@@ -1,5 +1,6 @@
 """Tests for subspaces: lattice operations, charts, forms, enumeration."""
 
+import dataclasses
 import os
 
 import pytest
@@ -8,6 +9,7 @@ from torsorlab.fields import FieldSyntaxError, PrimeField, QuadraticExt, Rationa
 from torsorlab.matrices import Matrix, SingularMatrixError, parse_matrix, random_matrix
 from torsorlab.rng import trial_rng
 from torsorlab.subspaces import (
+    Subspace,
     TransversalityError,
     all_subspaces,
     chart_minus,
@@ -59,6 +61,30 @@ def test_span_is_canonical():
     assert a == b
     assert a.dim == 2
     assert hash(a) == hash(b)
+
+
+def test_subspace_hash_is_the_dataclass_hash_computed_once():
+    f3 = PrimeField(3)
+    a = rand_sub(f3, 4, 13, 0)
+    twin = Subspace(a.basis)
+    assert a._hash is None
+    assert hash(a) == hash((a.basis,))
+    assert a._hash == hash(a)
+    assert twin._hash is None and a == twin and hash(twin) == hash(a)
+    assert "_hash" not in repr(a)
+    assert not next(f for f in dataclasses.fields(Subspace)
+                    if f.name == "_hash").compare
+
+
+def test_subspace_is_frozen_and_slotted():
+    a = full_subspace(PrimeField(2), 2)
+    for name in ("basis", "_hash"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, name, None)
+    # an attribute outside the slots has nowhere to go
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        a.other = None
+    assert not hasattr(a, "__dict__")
 
 
 def test_span_rows_shortcut():
