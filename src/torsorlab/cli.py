@@ -162,7 +162,7 @@ def _cmd_gtable(args):
     except InvolutionError as exc:
         raise UsageError(str(exc))
     a = _parse_subspace(args.a, field, form.ambient)
-    carrier, product = torsor_G(inv, a)
+    carrier, _ = torsor_G(inv, a)
     if not carrier:
         raise UsageError("the torsor carrier at this parameter is empty")
     unit = carrier[0]
@@ -173,7 +173,7 @@ def _cmd_gtable(args):
     except ValueError as exc:
         raise UsageError(str(exc))
     return _emit_table([subspace_to_json(s) for s in view.elements],
-                       view.index(view.unit), cayley_table(view, product),
+                       view.index(view.unit), cayley_table(view, a, inv(a)),
                        args)
 
 

@@ -4,7 +4,11 @@ One kernel computes the product.  `gamma_oracle` is the witness elimination:
 the set of all w admitting a decomposition w = zeta + alpha = zeta + eta + xi
 = xi + beta with the five pieces drawn from the five arguments, found by one
 block elimination.  `gamma_global` is the production entry point: the same
-kernel behind an unbounded memo, for the laws that revisit tuples.
+kernel behind an unbounded memo, for the laws that revisit tuples.  It is the
+only path for arbitrary tuples.  Carrier Cayley tables, whose products all
+share one middle pair and unit, go through a chart instead
+(`involutions.cayley_table`); the torsor and bridge laws still take their
+products from `gamma_global`, and so audit that chart against this kernel.
 
 The other routes are audits, compared with the kernel by the
 `gamma-agreement` suite and the tests, and used nowhere else:
@@ -32,7 +36,7 @@ from .matrices import Matrix, eliminate_front, vstack
 from .relations import (LinearRelation, apply_rel, compose, difference,
                         gen_projection, one_minus, random_relation)
 from .reports import Slots, cases, run_law
-from .subspaces import (Subspace, TransversalityError, _check_pair,
+from .subspaces import (Subspace, TransversalityError, _check_same_space,
                         all_subspaces, image_under, is_transversal, join,
                         meet, pushforward, random_subspace, span_rows)
 
@@ -63,8 +67,7 @@ def gamma_oracle(x, a, y, b, z):
     minus signs of the x, y and b pieces are dropped: negating a whole row
     leaves its span, and so the result, unchanged.
     """
-    for s in (a, y, b, z):
-        _check_pair(x, s)
+    _check_same_space(x, a, y, b, z)
     field = x.field
     n = x.ambient
     zero = (field.zero,) * n

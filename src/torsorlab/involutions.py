@@ -12,6 +12,11 @@ derived constructions used throughout:
 Fixed-point sets are the Lagrangian-type subvarieties; the torsors G(inv, a),
 the unitary groups U(inv; a, o, b), and the closure of the fixed set under
 the pentary product with middle pair (a, tau a) all live here.
+
+Carrier tables (`cayley_table`) are computed in the chart of U_a centred at
+the unit, where the torsor product is the homotope product X + Z - X B Z;
+the torsor laws take their products from Gamma and so audit the chart.
+Gamma remains the only path for arbitrary tuples.
 """
 
 from __future__ import annotations
@@ -28,10 +33,11 @@ from .matrices import (Matrix, det, format_matrix, hstack, mat_invert, rank,
 from .reports import (Slots, cases, describe_case, every, run_inclusion_law,
                       run_law)
 from .rng import trial_rng
-from .subspaces import (Form, Subspace, all_subspaces, coord_subspace,
-                        enumerate_subspaces, graph_minus, is_isotropic,
-                        is_transversal, orthocomplement, pushforward,
-                        random_subspace, sort_key, span_rows)
+from .subspaces import (Form, Subspace, TransversalityError, all_subspaces,
+                        chart_minus, chart_of, coord_subspace,
+                        enumerate_subspaces, graph_minus, image_under,
+                        is_isotropic, is_transversal, orthocomplement,
+                        pushforward, random_subspace, sort_key, span_rows)
 
 
 class InvolutionError(ValueError):
@@ -242,12 +248,17 @@ class GroupView:
         return self.elements.index(x)
 
 
+def _common_complements_in(points, a, b):
+    """The members of points transversal to both a and b, in their order."""
+    return tuple(x for x in points
+                 if is_transversal(x, a) and is_transversal(x, b))
+
+
 def torsor_G(inv, a):
     """Fixed subspaces transversal to both a and tau(a), with (x, y, z)."""
     ta = inv(a)
-    carrier = tuple(x for x in fixed_points(inv)
-                    if is_transversal(x, a) and is_transversal(x, ta))
-    return carrier, torsor_product_pair(a, ta)
+    return (_common_complements_in(fixed_points(inv), a, ta),
+            torsor_product_pair(a, ta))
 
 
 def group_of_torsor(carrier, unit):
@@ -256,22 +267,45 @@ def group_of_torsor(carrier, unit):
     return GroupView(carrier, unit)
 
 
-def cayley_table(view, product):
-    """Index table t[i][j] = index of elements[i] . elements[j].
+def cayley_table(view, a, b):
+    """Index table t[i][j] = index of Gamma(el_i, a, unit, b, el_j).
 
-    ValueError if a product leaves the element list.
+    Computed in the chart of U_a centred at the unit, with no Gamma call.
+    The basis change g = (unit basis stacked on a basis)^-T sends the unit
+    to K^k + 0 and a to 0 + K^(n-k); each element becomes the graph of a
+    matrix X, and b the subspace {(B w, w)}.  There the product is the
+    homotope product W = X + Z - X B Z = X + (1 - X B) Z, with 1 - X B
+    formed once per row, and W is looked up among the element charts.
+
+    Precondition: the elements and the unit are common complements of a
+    and b.  The identity is the `pentary-chart-product` law; the laws that
+    take carrier products from Gamma (`check_torsor_g`,
+    `check_opposite_torsor`, `family_table_bridge`,
+    `unitary_transport_bridge`) audit the chart against the kernel.
+
+    ValueError if a product leaves the element list; TransversalityError,
+    also a ValueError, if the unit or an element is not a complement of a,
+    or b is not a complement of the unit.
     """
-    els = view.elements
-    index = {e: i for i, e in enumerate(els)}
+    unit = view.unit
+    if not is_transversal(unit, a):
+        raise TransversalityError("the unit is not a complement of a")
+    k = unit.dim
+    g = mat_invert(vstack(unit.basis, a.basis)).transpose()
+    charts = [chart_of(image_under(g, x), k) for x in view.elements]
+    index = {c: i for i, c in enumerate(charts)}
+    B = chart_minus(image_under(g, b), k)
+    one = Matrix.identity(B.ring, B.ncols)
     table = []
-    for x in els:
+    for i, X in enumerate(charts):
+        left = one - X * B
         row = []
-        for z in els:
-            w = product(x, view.unit, z)
+        for j, Z in enumerate(charts):
             try:
-                row.append(index[w])
+                row.append(index[X + left * Z])
             except KeyError:
-                raise ValueError("%r is not an element" % (w,)) from None
+                raise ValueError("the product of elements %d and %d is not"
+                                 " an element" % (i, j)) from None
         table.append(tuple(row))
     return tuple(table)
 
@@ -537,8 +571,13 @@ def random_isometry(form, rng):
 
 
 def check_invariant_transport(form, config, law="isometry-transport"):
-    """Isometries preserve the invariants and transport torsor tables."""
+    """Isometries preserve the invariants and transport torsor tables.
+
+    The tables compared are chart tables (`cayley_table`); the fixed set is
+    enumerated once per run and both carriers are filtered from it.
+    """
     inv = ortho_involution(form)
+    points = fixed_points(inv)
 
     def draw(rng):
         return dict(g=random_isometry(form, rng),
@@ -549,15 +588,16 @@ def check_invariant_transport(form, config, law="isometry-transport"):
         b = pushforward(g, a)
         if form_invariants(a, form) != form_invariants(b, form):
             return False
-        carrier, product = torsor_G(inv, a)
+        ta = inv(a)
+        carrier = _common_complements_in(points, a, ta)
         if not carrier:
             return True
+        tb = inv(b)
         view = GroupView(carrier, carrier[0])
         view_b = transported_view(view, g)
-        carrier_b, product_b = torsor_G(inv, b)
-        return (set(view_b.elements) == set(carrier_b)
-                and cayley_table(view, product)
-                == cayley_table(view_b, product_b))
+        return (set(view_b.elements)
+                == set(_common_complements_in(points, b, tb))
+                and cayley_table(view, a, ta) == cayley_table(view_b, b, tb))
 
     return run_law("invariant-transport", law, cases(config, Slots(draw)),
                    holds)

@@ -17,8 +17,8 @@ from functools import lru_cache
 
 from .matrices import (Matrix, ShapeError, eliminate_front, hstack, neg_vec,
                        vstack)
-from .subspaces import (Subspace, _check_pair, make_form, orthocomplement,
-                        span_rows)
+from .subspaces import (Subspace, _check_same_space, make_form,
+                        orthocomplement, span_rows)
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def gen_projection(x, a):
     x and a need not be complementary; the result is a relation in general and
     an idempotent operator exactly when they are.  Rows: x (u | u), a (w | 0).
     """
-    _check_pair(x, a)
+    _check_same_space(x, a)
     n = x.ambient
     field = x.field
     rows = [u + u for u in x.basis.entries]
@@ -83,7 +83,7 @@ def inverse_rel(f):
 
 def compose(g, f):
     """g after f: f rows (v | u | 0), g rows (-v' | 0 | w); eliminate v."""
-    _check_pair(f.inner, g.inner)
+    _check_same_space(f.inner, g.inner)
     n = f.half
     field = f.field
     zero = (field.zero,) * n
@@ -106,7 +106,7 @@ def apply_rel(f, z):
 
 def difference(f, g):
     """Pointwise f - g: f rows (u | u | a), g rows (u | 0 | b); eliminate u."""
-    _check_pair(f.inner, g.inner)
+    _check_same_space(f.inner, g.inner)
     n = f.half
     field = f.field
     zero = (field.zero,) * n

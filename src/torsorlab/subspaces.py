@@ -113,7 +113,7 @@ def contains(big, small):
 
 def meet(x, y):
     """Intersection, by Zassenhaus: x rows (u | u), y rows (w | 0)."""
-    _check_pair(x, y)
+    _check_same_space(x, y)
     n = x.ambient
     zero = (x.field.zero,) * n
     rows = [u + u for u in x.basis.entries]
@@ -122,13 +122,13 @@ def meet(x, y):
 
 
 def join(x, y):
-    _check_pair(x, y)
+    _check_same_space(x, y)
     return span(vstack(x.basis, y.basis))
 
 
 def is_transversal(x, y):
     """x and y are complementary: dims add up to the ambient and meet is 0."""
-    _check_pair(x, y)
+    _check_same_space(x, y)
     return x.dim + y.dim == x.ambient and meet(x, y).dim == 0
 
 
@@ -382,6 +382,14 @@ def subspace_from_json(obj):
     return span_rows(field, ambient, rows)
 
 
-def _check_pair(x, y):
-    if x.ambient != y.ambient or x.field != y.field:
-        raise ShapeError("%r and %r are not in one space" % (x, y))
+def _check_same_space(x, *others):
+    """ShapeError unless each of others has the ambient and ring of x.
+
+    Reads x's sizes once; a ring that is the same object needs no
+    dataclass comparison.
+    """
+    n, field = x.basis.ncols, x.basis.ring
+    for y in others:
+        m = y.basis
+        if m.ncols != n or (m.ring is not field and m.ring != field):
+            raise ShapeError("%r and %r are not in one space" % (x, y))

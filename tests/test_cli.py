@@ -1,6 +1,8 @@
 """End-to-end tests of the command line interface through main(argv)."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -218,6 +220,15 @@ def test_gtable_json_has_unit_row(capsys):
     table = obj["table"]
     assert table[u] == list(range(len(table)))
     assert len(obj["elements"]) == len(table)
+
+
+def test_gtable_bytes_match_the_benchmark_record(capsys):
+    """The torsor-table workload's stdout, against its recorded digest."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    record = json.loads(path.read_text(encoding="utf-8"))["torsor-table"]
+    code, out, err = run_cli(capsys, *record["argv"])
+    assert code == 0 and not err
+    assert hashlib.sha256(out.encode()).hexdigest() == record["sha256"]
 
 
 def test_gtable_foreign_unit_is_usage_error(capsys):

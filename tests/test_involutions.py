@@ -5,10 +5,11 @@ from collections import Counter
 
 import pytest
 
-from torsorlab import involutions
+from torsorlab import gamma, involutions
 from torsorlab.checks import run_suite
-from torsorlab.fields import CharacteristicTwoError, PrimeField, QuadraticExt
-from torsorlab.gamma import gamma_global
+from torsorlab.fields import (CharacteristicTwoError, PrimeField, QuadraticExt,
+                              field_from_spec)
+from torsorlab.gamma import gamma_global, gamma_oracle
 from torsorlab.involutions import (
     Involution,
     InvolutionError,
@@ -46,7 +47,9 @@ from torsorlab.reports import CheckConfig
 from torsorlab.rng import trial_rng
 from torsorlab.subspaces import (
     Form,
+    TransversalityError,
     diag_form,
+    enumerate_subspaces,
     is_isotropic,
     is_transversal,
     make_form,
@@ -321,11 +324,11 @@ def test_torsor_group_structure():
     f3 = PrimeField(3)
     inv = ortho_involution(symplectic_form(f3, 1))
     a = fixed_points(inv)[0]
-    carrier, product = torsor_G(inv, a)
+    carrier, _ = torsor_G(inv, a)
     assert carrier
     unit = carrier[0]
     view = group_of_torsor(carrier, unit)
-    table = cayley_table(view, product)
+    table = cayley_table(view, a, inv(a))
     n = len(carrier)
     for i in range(n):
         row = set(table[i])
@@ -350,14 +353,74 @@ def test_group_of_torsor_rejects_foreign_unit():
 
 
 def test_cayley_table_rejects_a_product_outside_the_carrier():
+    """Drop one carrier element: some product lands on it and is missed."""
     f3 = PrimeField(3)
     inv = ortho_involution(symplectic_form(f3, 1))
     a = fixed_points(inv)[0]
     carrier, _ = torsor_G(inv, a)
-    outsider = span_rows(f3, 2, [[1, 0], [0, 1]])
-    view = group_of_torsor(carrier, carrier[0])
+    view = group_of_torsor(carrier[:-1], carrier[0])
     with pytest.raises(ValueError):
-        cayley_table(view, lambda x, unit, z: outsider)
+        cayley_table(view, a, inv(a))
+
+
+def test_cayley_table_rejects_an_element_not_transversal_to_a():
+    f3 = PrimeField(3)
+    inv = ortho_involution(symplectic_form(f3, 1))
+    a = fixed_points(inv)[0]
+    carrier, _ = torsor_G(inv, a)
+    view = group_of_torsor(carrier + (a,), carrier[0])
+    with pytest.raises(TransversalityError):
+        cayley_table(view, a, inv(a))
+
+
+def _gamma_table(view, a, b):
+    index = {e: i for i, e in enumerate(view.elements)}
+    return tuple(tuple(index[gamma_oracle(x, a, view.unit, b, z)]
+                       for z in view.elements)
+                 for x in view.elements)
+
+
+@pytest.mark.parametrize("spec,form,n", [
+    ("f2", symplectic_form, 1), ("f3", symplectic_form, 1),
+    ("f5", symplectic_form, 1), ("f9", symplectic_form, 1),
+    ("f2", split_form, 1), ("f3", split_form, 1),
+    ("f2", symplectic_form, 2)])
+def test_cayley_table_matches_the_gamma_table(spec, form, n):
+    """The chart table equals the table of Gamma(x, a, unit, tau a, z)."""
+    field = field_from_spec(spec)
+    inv = ortho_involution(form(field, n))
+    tables = 0
+    for a in itertools.islice(enumerate_subspaces(field, 2 * n, n), 12):
+        carrier, _ = torsor_G(inv, a)
+        if not carrier:
+            continue
+        ta = inv(a)
+        m = len(carrier)
+        for unit in dict.fromkeys((carrier[0], carrier[m // 2], carrier[-1])):
+            view = group_of_torsor(carrier, unit)
+            assert cayley_table(view, a, ta) == _gamma_table(view, a, ta)
+            tables += 1
+    assert tables >= 6
+
+
+def test_cayley_table_makes_no_gamma_call(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for mod in (gamma, involutions):
+        for name in ("gamma_oracle", "gamma_global"):
+            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    inv = ortho_involution(symplectic_form(PrimeField(5), 1))
+    a = fixed_points(inv)[0]
+    carrier, _ = torsor_G(inv, a)
+    table = cayley_table(group_of_torsor(carrier, carrier[0]), a, inv(a))
+    assert len(table) == len(carrier) == 5
+    assert calls == Counter()
 
 
 def test_torsor_g_and_opposite_reports():

@@ -14,11 +14,13 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 SHAPE_PROBES = """
 from torsorlab import LinearRelation, ShapeError, full_subspace, join, meet
 from torsorlab import apply_rel, compose, field_from_spec, random_relation
+from torsorlab.gamma import gamma_oracle
 from torsorlab.matrices import Matrix
 from torsorlab.rng import trial_rng
 
 f3 = field_from_spec("f3")
 k2, k3 = full_subspace(f3, 2), full_subspace(f3, 3)
+k2_f5 = full_subspace(field_from_spec("f5"), 2)
 r2 = random_relation(f3, 2, trial_rng(0, 0))
 r3 = random_relation(f3, 3, trial_rng(0, 1))
 probes = {
@@ -30,6 +32,12 @@ probes = {
     "ragged_matrix": lambda: Matrix(f3, 2, 2, ((0, 1), (1,))),
     "short_matrix": lambda: Matrix(f3, 2, 2, ((0, 1),)),
 }
+for slot in range(1, 5):
+    for kind, foreign in (("ambient", k3), ("ring", k2_f5)):
+        args = [k2] * 5
+        args[slot] = foreign
+        probes["gamma_%s_%d" % (kind, slot)] = (
+            lambda args=args: gamma_oracle(*args))
 for name, call in probes.items():
     try:
         out = call()
@@ -53,7 +61,9 @@ def test_shape_mismatches_raise_under_optimize():
     assert proc.stdout.splitlines() == [
         "join ShapeError", "meet ShapeError", "compose ShapeError",
         "apply_rel ShapeError", "odd_relation ShapeError",
-        "ragged_matrix ShapeError", "short_matrix ShapeError"]
+        "ragged_matrix ShapeError", "short_matrix ShapeError"] + [
+        "gamma_%s_%d ShapeError" % (kind, slot)
+        for slot in range(1, 5) for kind in ("ambient", "ring")]
 
 
 def test_check_all_prints_same_bytes_under_optimize():
