@@ -15,9 +15,8 @@ import sys
 from . import checks, homotopes
 from .fields import FieldSyntaxError, field_from_spec
 from .gamma import gamma_global
-from .involutions import (InvolutionError, cayley_table, census_report,
-                          group_of_torsor, isotropic_census, ortho_involution,
-                          torsor_G)
+from .involutions import (cayley_table, census_report, group_of_torsor,
+                          isotropic_census, ortho_involution, torsor_G)
 from .matrices import format_matrix, parse_matrix
 from .reports import CheckConfig
 from .subspaces import (enumerate_subspaces, span, standard_forms,
@@ -157,10 +156,7 @@ def _cmd_gtable(args):
     if field.size is None:
         raise UsageError("gtable enumeration needs a finite field")
     form = _form_for(args, field)
-    try:
-        inv = ortho_involution(form)
-    except InvolutionError as exc:
-        raise UsageError(str(exc))
+    inv = ortho_involution(form)
     a = _parse_subspace(args.a, field, form.ambient)
     carrier, _ = torsor_G(inv, a)
     if not carrier:

@@ -419,11 +419,13 @@ class QuadraticExt(FieldBase):
     def square_class(self, a):
         if a == (0, 0):
             return (0, 0)
-        e = pow(a[0] * a[0] - self.d * a[1] * a[1], (self.p - 1) // 2, self.p)
-        # norm form argument: a is a square in F_{p^2} iff its norm is a square in F_p
-        if e == 1:
+        e = (self.p - 1) // 2
+        # a is a square iff its norm is a square in F_p, so every element of
+        # F_p is; non-squares are named by the first x + t of non-square norm
+        if pow(a[0] * a[0] - self.d * a[1] * a[1], e, self.p) == 1:
             return (1, 0)
-        return (self.d, 0) if self.d else (0, 1)
+        return next((x, 1) for x in range(self.p)
+                    if pow(x * x - self.d, e, self.p) != 1)
 
     def sample(self, rng):
         return (rng.below(self.p), rng.below(self.p))

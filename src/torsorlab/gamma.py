@@ -308,17 +308,13 @@ def check_restricted_agreement(field, ambient, config):
 
 
 def check_torsor_axioms(field, ambient, config):
-    """(x y y) = x = (y y x) and inversion/commutativity on common complements."""
+    """(x y y) = x = (y y x); commutativity is middle-pair-commutativity."""
 
     def holds(c):
         a, b, x, y = c["a"], c["b"], c["x"], c["y"]
         if gamma_global(x, a, y, b, y) != x:
             return False
-        if gamma_global(y, a, y, b, x) != x:
-            return False
-        if a == b and gamma_global(x, a, y, a, x) != gamma_global(x, a, y, b, x):
-            return False
-        return True
+        return gamma_global(y, a, y, b, x) == x
 
     return run_law("global-laws", "torsor-idempotents",
                    cases(config, transversal_slots(field, ambient, "xayb")),

@@ -1,9 +1,11 @@
 """Involutions of the subspace geometry coming from nondegenerate forms.
 
 An involution here is a map tau(x) = post . (x orthocomplement), where the
-orthocomplement is taken for a fixed (skew-)hermitian form and `post` is an
-optional invertible operator.  This class of maps is closed under the two
-derived constructions used throughout:
+orthocomplement is taken for a fixed (skew-)hermitian form with gram G and
+`post` is an optional invertible operator.  tau is the orthocomplement for
+the one form with gram K = G post^-1, and tau(tau(x)) = K^-1 K* x, so tau
+has order two exactly when K^-1 K* is a scalar.  This class of maps is
+closed under the two derived constructions used throughout:
 
 * the dual involution, which composes with the operator that is the identity
   on o+ and minus the identity on o- (an automorphism of the product);
@@ -21,6 +23,7 @@ Gamma remains the only path for arbitrary tuples.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,16 +31,15 @@ from functools import lru_cache
 from .fields import CharacteristicTwoError
 from .gamma import (common_complements, dilation, gamma_global, gamma_oracle,
                     m_operator, subspace_slots, transversal_slots)
-from .matrices import (Matrix, det, format_matrix, hstack, mat_invert, rank,
-                       random_matrix, vstack)
+from .matrices import (Matrix, det, format_matrix, hstack, kernel_basis,
+                       mat_invert, rank, random_matrix, vstack)
 from .reports import (Slots, cases, describe_case, every, run_inclusion_law,
                       run_law)
-from .rng import trial_rng
-from .subspaces import (Form, Subspace, TransversalityError, all_subspaces,
-                        chart_minus, chart_of, coord_subspace,
-                        enumerate_subspaces, graph_minus, image_under,
-                        is_isotropic, is_transversal, orthocomplement,
-                        pushforward, random_subspace, sort_key, span_rows)
+from .subspaces import (Form, Subspace, TransversalityError, chart_minus,
+                        chart_of, coord_subspace, enumerate_subspaces,
+                        graph_minus, image_under, is_isotropic, is_transversal,
+                        orthocomplement, pushforward, random_subspace,
+                        sort_key, span_rows)
 
 
 class InvolutionError(ValueError):
@@ -46,11 +48,21 @@ class InvolutionError(ValueError):
 
 @dataclass(frozen=True)
 class Involution:
-    """x -> post . (x orthocomplement), with post = None meaning identity."""
+    """x -> post . (x orthocomplement), the kernel of conj(x) . gram.
+
+    `gram` is derived: form.gram . post^-1, or form.gram when post is None.
+    """
 
     form: Form
     post: Matrix = None
     label: str = ""
+    gram: Matrix = dataclasses.field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        gram = self.form.gram
+        if self.post is not None:
+            gram = gram * mat_invert(self.post)
+        object.__setattr__(self, "gram", gram)
 
     @property
     def field(self):
@@ -61,10 +73,7 @@ class Involution:
         return self.form.ambient
 
     def __call__(self, x):
-        y = orthocomplement(x, self.form)
-        if self.post is None:
-            return y
-        return pushforward(self.post, y)
+        return Subspace(kernel_basis(x.basis.conj() * self.gram))
 
 
 def tabulated(inv):
@@ -87,22 +96,16 @@ def tabulated(inv):
 
 @lru_cache(maxsize=None)
 def _order_two_ok(inv):
-    """Cheap order-2 validation: exhaustive when small, sampled otherwise."""
-    field = inv.field
-    n = inv.ambient
-    if field.size is not None and field.size ** n <= 2 ** 12:
-        pool = all_subspaces(field, n)
-    else:
-        pool = [coord_subspace(field, n, range(k)) for k in range(n + 1)]
-        for i in range(12):
-            pool.append(random_subspace(field, n, trial_rng(0, i)))
-    return all(inv(inv(x)) == x for x in pool)
+    """Exact: tau^2 = K^-1 K* with K = inv.gram, a scalar iff order two."""
+    k = inv.gram
+    if k.nrows == 0:
+        return True
+    m = mat_invert(k) * k.conj_t()
+    return m == Matrix.identity(k.ring, k.nrows).scale(m.entries[0][0])
 
 
 def involution(form, post=None, label=""):
     """Build an involution, validating invertibility of post and order 2."""
-    if post is not None:
-        mat_invert(post)
     inv = Involution(form, post, label)
     if not _order_two_ok(inv):
         raise InvolutionError("map is not of order two")
@@ -111,7 +114,6 @@ def involution(form, post=None, label=""):
 
 def ortho_involution(form):
     """Plain orthocomplementation for a nondegenerate form."""
-    mat_invert(form.gram)
     return involution(form, None, "perp")
 
 

@@ -151,6 +151,19 @@ def test_square_class_signed_squarefree():
     assert rat.square_class(Fraction(0)) == Fraction(0)
 
 
+@pytest.mark.parametrize("field", [PrimeField(3), PrimeField(5),
+                                   QuadraticExt(3, "identity"),
+                                   QuadraticExt(5, "identity")],
+                         ids=lambda f: f.spec())
+def test_square_class_is_idempotent_and_separates_squares(field):
+    squares = {field.mul(a, a) for a in field.elements()}
+    for a in field.elements():
+        c = field.square_class(a)
+        assert field.square_class(c) == c, (a, c)
+        if not field.is_zero(a):
+            assert (c == field.one) == (a in squares), (a, c)
+
+
 def test_field_from_spec_aliases():
     assert field_from_spec("rat").spec() == "rat"
     assert field_from_spec("gauss").spec() == "gauss"

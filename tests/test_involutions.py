@@ -1,12 +1,13 @@
 """Tests for form-induced involutions, censuses, and the groups they carry."""
 
 import itertools
+import sys
 from collections import Counter
 
 import pytest
 
-from torsorlab import gamma, involutions
-from torsorlab.checks import run_suite
+from torsorlab import gamma, involutions, subspaces
+from torsorlab.checks import _random_invertible, run_suite
 from torsorlab.fields import (CharacteristicTwoError, PrimeField, QuadraticExt,
                               field_from_spec)
 from torsorlab.gamma import gamma_global, gamma_oracle
@@ -30,6 +31,7 @@ from torsorlab.involutions import (
     fixed_points,
     form_invariants,
     group_of_torsor,
+    involution,
     isotropic_census,
     j_map,
     minus_one_op,
@@ -42,7 +44,8 @@ from torsorlab.involutions import (
     translation_op,
     unitary_group,
 )
-from torsorlab.matrices import Matrix, mat_invert, random_matrix
+from torsorlab.matrices import (Matrix, SingularMatrixError, mat_invert,
+                                random_matrix)
 from torsorlab.reports import CheckConfig
 from torsorlab.rng import trial_rng
 from torsorlab.subspaces import (
@@ -53,6 +56,7 @@ from torsorlab.subspaces import (
     is_isotropic,
     is_transversal,
     make_form,
+    orthocomplement,
     pushforward,
     random_subspace,
     span_rows,
@@ -97,6 +101,109 @@ def test_strict_construction_rejects_degenerate_form():
     degenerate = Form(mat(f3, [[1, 0], [0, 0]]), "hermitian")
     with pytest.raises((InvolutionError, ArithmeticError)):
         ortho_involution(degenerate)
+
+
+def order_two_by_brute_force(inv):
+    return all(inv(inv(x)) == x
+               for x in enumerate_subspaces(inv.field, inv.ambient))
+
+
+def criterion_involutions():
+    """Involutions of both verdicts over F2, F3, F5, F9 at ambient 2, F3 at 4.
+
+    Grams: the standard forms, two random invertible (mostly non-reflexive)
+    grams, and over F9 the gram (1+t) split, which is neither hermitian nor
+    skew.  Posts: none, the dual's and tilde's operators, two random ones.
+    """
+    out = []
+    for k, (spec, n) in enumerate((("fp:2", 1), ("fp:3", 1), ("fp:5", 1),
+                                   ("fp2:3", 1), ("fp:3", 2))):
+        field = field_from_spec(spec)
+        bt = standard_triple(field, n)
+        grams = [f.gram for f in standard_forms(field, n).values()]
+        grams += [_random_invertible(field, 2 * n, trial_rng(k, i))
+                  for i in range(2)]
+        if spec == "fp2:3":
+            grams.append(split_form(field, n).gram.scale(field.parse("1+t")))
+        posts = [None, minus_one_op(bt), j_map(bt)]
+        posts += [_random_invertible(field, 2 * n, trial_rng(k, 10 + i))
+                  for i in range(2)]
+        out += [Involution(Form(g, "hermitian"), post)
+                for g in grams for post in posts]
+    return out
+
+
+def test_order_two_criterion_matches_brute_force():
+    verdicts = Counter()
+    for inv in criterion_involutions():
+        expected = order_two_by_brute_force(inv)
+        assert involutions._order_two_ok(inv) == expected, inv
+        verdicts[expected] += 1
+    assert verdicts[True] >= 20 and verdicts[False] >= 20, verdicts
+
+
+def test_order_two_does_not_need_a_hermitian_or_skew_gram():
+    """Over F9, G = (1+t) split has G* != +-G, and tau still has order two."""
+    f9 = QuadraticExt(3)
+    gram = split_form(f9, 1).gram.scale(f9.parse("1+t"))
+    assert gram.conj_t() not in (gram, -gram)
+    inv = involution(Form(gram, "hermitian"))
+    assert order_two_by_brute_force(inv)
+
+
+def test_tau_is_the_pushed_orthocomplement():
+    """Dual, tilde, and a shear post, which is not its own inverse."""
+    for spec in ("fp:3", "fp:5"):
+        field = field_from_spec(spec)
+        for n in (1, 2):
+            bt = standard_triple(field, n)
+            omega = ortho_involution(symplectic_form(field, n))
+            shear = Matrix.build(field, [[int(j == i or (i, j) == (0, 1))
+                                          for j in range(2 * n)]
+                                         for i in range(2 * n)])
+            for inv in (dual_involution(omega, bt), tilde_tau(omega, bt),
+                        Involution(omega.form, shear)):
+                for x in enumerate_subspaces(field, 2 * n):
+                    assert inv(x) == pushforward(
+                        inv.post, orthocomplement(x, inv.form)), (inv, x)
+
+
+def test_order_two_over_q_is_decided_exactly():
+    q = field_from_spec("rat")
+    bt = standard_triple(q, 2)
+    form = symplectic_form(q, 2)
+    dual = involution(form, minus_one_op(bt), "dual")
+    assert dual.gram == form.gram * mat_invert(minus_one_op(bt))
+    stretch = mat(q, [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    with pytest.raises(InvolutionError):
+        involution(form, stretch)
+
+
+def test_ambient_zero_involution_has_order_two():
+    inv = ortho_involution(symplectic_form(PrimeField(3), 0))
+    assert inv.ambient == 0 and involutions._order_two_ok(inv)
+
+
+def test_singular_post_is_rejected_at_construction():
+    f3 = PrimeField(3)
+    with pytest.raises(SingularMatrixError):
+        Involution(symplectic_form(f3, 1), mat(f3, [[1, 0], [0, 0]]))
+
+
+def test_involution_enumerates_no_subspace(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated subspaces")
+
+    monkeypatch.setattr(involutions, "enumerate_subspaces", refuse)
+    monkeypatch.setattr(subspaces, "enumerate_subspaces", refuse)
+    involutions._order_two_ok.cache_clear()
+    f5 = PrimeField(5)
+    bt = standard_triple(f5, 2)
+    for form in standard_forms(f5, 2).values():
+        inv = ortho_involution(form)
+        assert inv.ambient == 4
+        dual_involution(inv, bt)
+    tilde_tau(ortho_involution(symplectic_form(f5, 2)), bt)
 
 
 def test_complement_dimension():
@@ -164,23 +271,29 @@ def test_involution_law_suites_exhaustive_f2():
         assert r.cases > 0
 
 
-def count_orthocomplements(monkeypatch):
-    """Count the orthocomplements tau computes, by (subspace, form)."""
+def count_tau_kernels(monkeypatch):
+    """Count tau's applications, by (subspace, form), at its kernel call.
+
+    `Involution.__call__` is the only caller of `kernel_basis` in the
+    module, and makes one call per application; its frame names the
+    subspace and the involution.
+    """
     seen = Counter()
-    orig = involutions.orthocomplement
+    orig = involutions.kernel_basis
 
-    def counted(x, form):
-        seen[x, form] += 1
-        return orig(x, form)
+    def counted(m):
+        caller = sys._getframe(1).f_locals
+        seen[caller["x"], caller["self"].form] += 1
+        return orig(m)
 
-    monkeypatch.setattr(involutions, "orthocomplement", counted)
+    monkeypatch.setattr(involutions, "kernel_basis", counted)
     return seen
 
 
 def test_antihom_law_applies_tau_once_per_subspace(monkeypatch):
     f2 = PrimeField(2)
     invs = all_standard_involutions(f2, 1)
-    seen = count_orthocomplements(monkeypatch)
+    seen = count_tau_kernels(monkeypatch)
     for inv in invs:
         r = check_antihom_global(inv, CheckConfig(exhaustive=True))
         assert r.failures == 0 and r.cases == 5 ** 5
@@ -196,7 +309,7 @@ def test_closure_report_applies_tau_once_per_result(monkeypatch):
     ta = inv(a)
     results = {gamma_global(x, a, y, ta, z)
                for x, y, z in itertools.product(points, repeat=3)}
-    seen = count_orthocomplements(monkeypatch)
+    seen = count_tau_kernels(monkeypatch)
     fixed_points(inv)
     enumeration = Counter(seen)
     seen.clear()

@@ -15,14 +15,17 @@ SHAPE_PROBES = """
 from torsorlab import LinearRelation, ShapeError, full_subspace, join, meet
 from torsorlab import apply_rel, compose, field_from_spec, random_relation
 from torsorlab.gamma import gamma_oracle
+from torsorlab.involutions import ortho_involution
 from torsorlab.matrices import Matrix
 from torsorlab.rng import trial_rng
+from torsorlab.subspaces import symplectic_form
 
 f3 = field_from_spec("f3")
 k2, k3 = full_subspace(f3, 2), full_subspace(f3, 3)
 k2_f5 = full_subspace(field_from_spec("f5"), 2)
 r2 = random_relation(f3, 2, trial_rng(0, 0))
 r3 = random_relation(f3, 3, trial_rng(0, 1))
+tau = ortho_involution(symplectic_form(f3, 1))
 probes = {
     "join": lambda: join(k2, k3),
     "meet": lambda: meet(k2, k3),
@@ -31,6 +34,8 @@ probes = {
     "odd_relation": lambda: LinearRelation(k3),
     "ragged_matrix": lambda: Matrix(f3, 2, 2, ((0, 1), (1,))),
     "short_matrix": lambda: Matrix(f3, 2, 2, ((0, 1),)),
+    "tau_ambient": lambda: tau(k3),
+    "tau_ring": lambda: tau(k2_f5),
 }
 for slot in range(1, 5):
     for kind, foreign in (("ambient", k3), ("ring", k2_f5)):
@@ -61,9 +66,32 @@ def test_shape_mismatches_raise_under_optimize():
     assert proc.stdout.splitlines() == [
         "join ShapeError", "meet ShapeError", "compose ShapeError",
         "apply_rel ShapeError", "odd_relation ShapeError",
-        "ragged_matrix ShapeError", "short_matrix ShapeError"] + [
+        "ragged_matrix ShapeError", "short_matrix ShapeError",
+        "tau_ambient ShapeError", "tau_ring ShapeError"] + [
         "gamma_%s_%d ShapeError" % (kind, slot)
         for slot in range(1, 5) for kind in ("ambient", "ring")]
+
+
+ORDER_TWO_PROBE = """
+from torsorlab import field_from_spec, symplectic_form
+from torsorlab.involutions import InvolutionError, involution
+from torsorlab.matrices import Matrix
+
+f5 = field_from_spec("f5")
+stretch = Matrix.build(f5, [[2, 0], [0, 1]])
+try:
+    involution(symplectic_form(f5, 1), stretch)
+except InvolutionError as exc:
+    print("InvolutionError", exc)
+else:
+    print("accepted")
+"""
+
+
+def test_order_two_check_raises_under_optimize():
+    proc = _python("-O", "-c", ORDER_TWO_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "InvolutionError map is not of order two\n"
 
 
 def test_check_all_prints_same_bytes_under_optimize():
