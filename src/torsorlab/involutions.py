@@ -16,8 +16,11 @@ the unitary groups U(inv; a, o, b), and the closure of the fixed set under
 the pentary product with middle pair (a, tau a) all live here.
 
 Carrier tables (`cayley_table`) are computed in the chart of U_a centred at
-the unit, where the torsor product is the homotope product X + Z - X B Z;
-the torsor laws take their products from Gamma and so audit the chart.
+the unit, where the torsor product is the homotope product X + (1 - X B) Z.
+Each table row is one matrix product of [X | 1 - X B] with the element
+charts stacked once under identity blocks, and each product is looked up by
+its entries.  The torsor laws take their products from Gamma and so audit
+the chart.
 Gamma remains the only path for arbitrary tuples.
 """
 
@@ -275,9 +278,11 @@ def cayley_table(view, a, b):
     Computed in the chart of U_a centred at the unit, with no Gamma call.
     The basis change g = (unit basis stacked on a basis)^-T sends the unit
     to K^k + 0 and a to 0 + K^(n-k); each element becomes the graph of a
-    matrix X, and b the subspace {(B w, w)}.  There the product is the
-    homotope product W = X + Z - X B Z = X + (1 - X B) Z, with 1 - X B
-    formed once per row, and W is looked up among the element charts.
+    q x k matrix X, and b the subspace {(B w, w)}.  There the product is
+    the homotope product W = X + Z - X B Z = X + (1 - X B) Z.  The charts
+    are stacked once into C = [1 ... 1; Z_1 ... Z_m], so one product
+    [X | 1 - X B] C gives a whole row: W_j is its column block j.  Each
+    block is looked up by its entries among the element charts.
 
     Precondition: the elements and the unit are common complements of a
     and b.  The identity is the `pentary-chart-product` law; the laws that
@@ -295,16 +300,20 @@ def cayley_table(view, a, b):
     k = unit.dim
     g = mat_invert(vstack(unit.basis, a.basis)).transpose()
     charts = [chart_of(image_under(g, x), k) for x in view.elements]
-    index = {c: i for i, c in enumerate(charts)}
+    index = {c.entries: i for i, c in enumerate(charts)}
     B = chart_minus(image_under(g, b), k)
     one = Matrix.identity(B.ring, B.ncols)
+    if not charts:
+        return ()
+    stacked = vstack(hstack(*[Matrix.identity(B.ring, k)] * len(charts)),
+                     hstack(*charts))
     table = []
     for i, X in enumerate(charts):
-        left = one - X * B
+        prod = (hstack(X, one - X * B) * stacked).entries
         row = []
-        for j, Z in enumerate(charts):
+        for j in range(len(charts)):
             try:
-                row.append(index[X + left * Z])
+                row.append(index[tuple(r[j * k:(j + 1) * k] for r in prod)])
             except KeyError:
                 raise ValueError("the product of elements %d and %d is not"
                                  " an element" % (i, j)) from None

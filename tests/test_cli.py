@@ -231,6 +231,20 @@ def test_gtable_bytes_match_the_benchmark_record(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == record["sha256"]
 
 
+@pytest.mark.parametrize("argv,expected", [
+    (("--form", "symplectic", "--n", "0", "--field", "f3", "--a", ""),
+     '{"elements":[{"ambient":0,"basis":[],"field":"fp:3"}],'
+     '"table":[[0]],"unit":0}'),
+    (("--form", "split", "--n", "1", "--field", "f3", "--a", "1,0"),
+     '{"elements":[{"ambient":2,"basis":[["0","1"]],"field":"fp:3"}],'
+     '"table":[[0]],"unit":0}')], ids=["ambient-0", "one-element"])
+def test_gtable_degenerate_shapes(capsys, argv, expected):
+    """Chart blocks of width zero at ambient 0, and a one-element carrier."""
+    code, out, err = run_cli(capsys, "gtable", *argv)
+    assert code == 0 and not err
+    assert out == expected + "\n"
+
+
 def test_gtable_foreign_unit_is_usage_error(capsys):
     code, _, err = run_cli(
         capsys, "gtable", "--form", "symplectic", "--n", "1", "--field", "f3",

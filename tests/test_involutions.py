@@ -51,6 +51,7 @@ from torsorlab.rng import trial_rng
 from torsorlab.subspaces import (
     Form,
     TransversalityError,
+    coord_subspace,
     diag_form,
     enumerate_subspaces,
     is_isotropic,
@@ -497,23 +498,34 @@ def _gamma_table(view, a, b):
     ("f2", symplectic_form, 1), ("f3", symplectic_form, 1),
     ("f5", symplectic_form, 1), ("f9", symplectic_form, 1),
     ("f2", split_form, 1), ("f3", split_form, 1),
-    ("f2", symplectic_form, 2)])
+    ("f2", symplectic_form, 2), ("f3", symplectic_form, 2)])
 def test_cayley_table_matches_the_gamma_table(spec, form, n):
-    """The chart table equals the table of Gamma(x, a, unit, tau a, z)."""
+    """The chart table equals the table of Gamma(x, a, unit, tau a, z).
+
+    The carriers are abelian at n = 1; at n = 2 some are not, so a table
+    with its operands swapped cannot pass.  The F3 sweep at n = 2 (carriers
+    of 24 and 27) takes the first unit only.
+    """
     field = field_from_spec(spec)
     inv = ortho_involution(form(field, n))
-    tables = 0
+    tables = non_commutative = 0
     for a in itertools.islice(enumerate_subspaces(field, 2 * n, n), 12):
         carrier, _ = torsor_G(inv, a)
         if not carrier:
             continue
         ta = inv(a)
         m = len(carrier)
-        for unit in dict.fromkeys((carrier[0], carrier[m // 2], carrier[-1])):
+        units = (carrier[0], carrier[m // 2], carrier[-1])
+        if (spec, n) == ("f3", 2):
+            units = units[:1]
+        for unit in dict.fromkeys(units):
             view = group_of_torsor(carrier, unit)
-            assert cayley_table(view, a, ta) == _gamma_table(view, a, ta)
+            table = cayley_table(view, a, ta)
+            assert table == _gamma_table(view, a, ta)
             tables += 1
+            non_commutative += table != tuple(zip(*table))
     assert tables >= 6
+    assert (non_commutative > 0) == (n > 1)
 
 
 def test_cayley_table_makes_no_gamma_call(monkeypatch):
@@ -534,6 +546,30 @@ def test_cayley_table_makes_no_gamma_call(monkeypatch):
     table = cayley_table(group_of_torsor(carrier, carrier[0]), a, inv(a))
     assert len(table) == len(carrier) == 5
     assert calls == Counter()
+
+
+@pytest.mark.parametrize("n,m", [(1, 5), (2, 125)])
+def test_cayley_table_makes_linearly_many_products(monkeypatch, n, m):
+    """One chart change per element, then X B and one stacked product per row.
+
+    n = 2 is the torsor-table workload's carrier.
+    """
+    f5 = PrimeField(5)
+    inv = ortho_involution(symplectic_form(f5, n))
+    a = coord_subspace(f5, 2 * n, range(n))
+    carrier, _ = torsor_G(inv, a)
+    ta = inv(a)
+    products = Counter()
+    mul = Matrix.__mul__
+
+    def counted(self, other):
+        products["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    table = cayley_table(group_of_torsor(carrier, carrier[0]), a, ta)
+    assert len(table) == len(carrier) == m
+    assert products["mul"] <= 3 * m + 3
 
 
 def test_torsor_g_and_opposite_reports():
