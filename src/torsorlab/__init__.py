@@ -35,9 +35,9 @@ from .relations import (LinearRelation, adjoint, apply_rel, compose,
                         difference, gen_projection, graph_rel, identity_rel,
                         inverse_rel, one_minus, one_plus, random_relation,
                         relation_from_json, relation_to_json)
-from .gamma import (common_complements, dilation, gamma_global, gamma_oracle,
-                    gamma_restricted, gamma_via_m, l_relation, m_operator,
-                    m_relation, proj_operator, transversal_tuple)
+from .gamma import (common_complements, dilation, dilations, gamma_global,
+                    gamma_oracle, gamma_restricted, gamma_via_m, l_relation,
+                    m_operator, m_relation, proj_operator, transversal_tuple)
 from .involutions import (BaseTriple, Involution, InvolutionError, GroupView,
                           cayley_rho, cayley_table, census_report,
                           closure_report, dual_involution, fixed_points,

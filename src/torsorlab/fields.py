@@ -143,6 +143,9 @@ class Rationals(FieldBase):
     def add(self, a, b):
         return a + b
 
+    def sub(self, a, b):
+        return a - b
+
     def neg(self, a):
         return -a
 
@@ -283,6 +286,9 @@ class PrimeField(FieldBase):
 
     def add(self, a, b):
         return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
 
     def neg(self, a):
         return (-a) % self.p
@@ -453,6 +459,9 @@ class DualRing(Ring):
 
     def add(self, a, b):
         return (self.base.add(a[0], b[0]), self.base.add(a[1], b[1]))
+
+    def sub(self, a, b):
+        return (self.base.sub(a[0], b[0]), self.base.sub(a[1], b[1]))
 
     def neg(self, a):
         return (self.base.neg(a[0]), self.base.neg(a[1]))

@@ -37,8 +37,8 @@ from .relations import (LinearRelation, apply_rel, compose, difference,
                         gen_projection, one_minus, random_relation)
 from .reports import Slots, cases, run_law
 from .subspaces import (Subspace, TransversalityError, _check_same_space,
-                        all_subspaces, image_under, is_transversal, join,
-                        meet, pushforward, random_subspace, span_rows)
+                        all_subspaces, is_transversal, join, meet,
+                        pushforward, random_subspace, span, span_rows)
 
 
 def l_relation(x, a, y, b):
@@ -131,12 +131,22 @@ def gamma_restricted(x, a, y, b, z):
     return pushforward(m_operator(x, a, b, z), y)
 
 
-def dilation(s, x, a, y):
-    """Image of y under s P_a^x + P_x^a (x, y both transversal to a)."""
+def dilations(scalars, x, a, y):
+    """Image of y under s P_a^x + P_x^a for each s (x, y transversal to a).
+
+    P = P_x^a is computed once and P_a^x = 1 - P, so with Y the basis of y
+    each image is the span of s Y (1 - P)^T + Y P^T.
+    """
     if not (is_transversal(x, a) and is_transversal(y, a)):
         raise TransversalityError("dilation needs transversal arguments")
-    op = proj_operator(a, x).scale(s) + proj_operator(x, a)
-    return image_under(op, y)
+    fixed = y.basis * proj_operator(x, a).transpose()
+    moved = y.basis - fixed
+    return [span(moved.scale(s) + fixed) for s in scalars]
+
+
+def dilation(s, x, a, y):
+    """Image of y under s P_a^x + P_x^a (x, y both transversal to a)."""
+    return dilations((s,), x, a, y)[0]
 
 
 def common_complements(a, b):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .fields import CharacteristicTwoError
-from .gamma import (common_complements, dilation, gamma_global, gamma_oracle,
+from .gamma import (common_complements, dilations, gamma_global, gamma_oracle,
                     m_operator, subspace_slots, transversal_slots)
 from .matrices import (Matrix, det, format_matrix, hstack, kernel_basis,
                        mat_invert, rank, random_matrix, vstack)
@@ -438,15 +438,14 @@ def check_dilation_compat(inv, config, law="dilation-compatibility"):
         scalars = list(field.elements())
     else:
         scalars = [field.zero, field.one, field.from_int(2), field.from_int(-3)]
+    conj_scalars = [field.conj(s) for s in scalars]
     tau = tabulated(inv)
 
     def holds(c):
         x, a, y = c["x"], c["a"], c["y"]
-        for s in scalars:
-            expect = dilation(field.conj(s), tau(x), tau(a), tau(y))
-            if tau(dilation(s, x, a, y)) != expect:
-                return False
-        return True
+        expect = dilations(conj_scalars, tau(x), tau(a), tau(y))
+        return all(tau(got) == want for got, want
+                   in zip(dilations(scalars, x, a, y), expect))
 
     draw = transversal_slots(field, inv.ambient, "xay").draw
     return run_law("involution-antihom", law, cases(config, Slots(draw)),

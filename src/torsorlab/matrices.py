@@ -6,19 +6,28 @@ K[e1][e2] (a `DualRing` of a `DualRing`); pivot selection asks the ring for a
 means an invertible constant part.  Reduced row echelon form (and everything
 built on it) is only offered over fields, where it is canonical.
 
-Every row reduction goes through `_eliminate`, which has two kernels:
+Every row reduction goes through `_eliminate`, which has three kernels:
 
 * `_eliminate_mod_p` for a `PrimeField` (F2, F3, F5, ...): entries stay ints
   in [0, p) and each row update is one list comprehension with an inline
   ``% p``, with no ring-method call per entry;
-* `_eliminate_generic` for every other ring (Q, Q(i), F_{p^2}, and the dual
-  rings, `DualRing(PrimeField(p))` included): scalar arithmetic
-  through the ring's methods, pivoting on units.
+* `_eliminate_rat` for `Rationals`: row r is held as integer numerators over
+  one positive denominator d_r, with the gcd of d_r and the numerators 1, so
+  each row update is one comprehension of integer products (fraction-free
+  elimination after Bareiss, Math. Comp. 22, 1968, with one exact
+  denominator per row in place of a common one); the rows are written back
+  as Fractions at the end;
+* `_eliminate_generic` for every other ring (Q(i), F_{p^2}, and the dual
+  rings, `DualRing(PrimeField(p))` and `DualRing(Rationals)` included):
+  scalar arithmetic through the ring's methods, pivoting on units.
 
-Both leave the same rows for the same input, so `rref`, `eliminate_front`,
-`kernel_basis` and `mat_invert` do not care which one ran.  Matrix products
-dispatch the same way: over a `PrimeField` each entry is one int dot product
-reduced ``% p`` once.
+All three make the same row swaps and row operations, so they leave the same
+rows for the same input, and `rref`, `eliminate_front`, `kernel_basis` and
+`mat_invert` do not care which one ran.  Matrix products dispatch the same
+way: over a `PrimeField` each entry is one int dot product reduced ``% p``
+once, and over `Rationals` each row of the left factor and each column of the
+right one is scaled to integers by the lcm of its denominators, so each entry
+is one int dot product over one denominator.
 
 A `Matrix` is a frozen, slotted value.  Its hash is computed once, on first
 use, and kept in the `_hash` slot; it equals the hash a frozen dataclass
@@ -29,10 +38,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 from operator import mul as _int_mul
 
-from .fields import FieldSyntaxError, PrimeField
+from .fields import FieldSyntaxError, PrimeField, Rationals
 
 
 class SingularMatrixError(ArithmeticError):
@@ -123,6 +134,8 @@ class Matrix:
         cols = list(zip(*other.entries)) if other.entries else [()] * other.ncols
         if type(R) is PrimeField:
             out = _mul_mod_p(R.p, self.entries, cols)
+        elif type(R) is Rationals:
+            out = _mul_rat(self.entries, cols)
         else:
             out = _mul_generic(R, self.entries, cols)
         return Matrix(R, self.nrows, other.ncols, out)
@@ -169,6 +182,28 @@ def _mul_mod_p(p, rows, cols):
     """Product entries over F_p: one int dot product, reduced once."""
     return tuple(tuple(sum(map(_int_mul, row, col)) % p for col in cols)
                  for row in rows)
+
+
+_QZERO = Fraction(0)
+
+
+def _over_lcm(vec):
+    """(numerators, d): vec == [n / d for n in numerators], d the lcm of
+    the denominators, so the gcd of d and the numerators is 1."""
+    pairs = [e.as_integer_ratio() for e in vec]
+    d = lcm(*[q for _, q in pairs])
+    return [n * (d // q) for n, q in pairs], d
+
+
+def _mul_rat(rows, cols):
+    """Product entries over Q: one int dot product over da * db each."""
+    icols = [_over_lcm(col) for col in cols]
+    out = []
+    for row in rows:
+        ia, da = _over_lcm(row)
+        dots = [(sum(map(_int_mul, ia, ib)), da * db) for ib, db in icols]
+        out.append(tuple(Fraction(n, d) if n else _QZERO for n, d in dots))
+    return tuple(out)
 
 
 def _mul_generic(ring, rows, cols):
@@ -230,6 +265,8 @@ def _eliminate(ring, rows, ncols):
     """
     if type(ring) is PrimeField:
         return _eliminate_mod_p(ring.p, rows, ncols)
+    if type(ring) is Rationals:
+        return _eliminate_rat(rows, ncols)
     return _eliminate_generic(ring, rows, ncols)
 
 
@@ -264,6 +301,67 @@ def _eliminate_mod_p(p, rows, ncols):
         pr += 1
         if pr == nrows:
             break
+    return pivots
+
+
+def _eliminate_rat(rows, ncols):
+    """`_eliminate` over Q, on integer numerators over one denominator a row.
+
+    Row r is ints[r] / dens[r].  A new pivot row keeps its numerators, cut
+    by their gcd and signed so that its pivot numerator f is positive, and
+    f becomes its denominator: that is the row scaled to a leading 1.
+    Another row e / d with g at the pivot column becomes
+    (f*e - g*h) / (d*f), the generic update e/d - (g/d)(h/f) on numerators,
+    cut by the gcd of its numerators and denominator.
+    """
+    ints, dens = [], []
+    for row in rows:
+        nums, d = _over_lcm(row)
+        ints.append(nums)
+        dens.append(d)
+    pivots = []
+    pr = 0
+    nrows = len(rows)
+    for c in range(ncols):
+        pv = None
+        for r in range(pr, nrows):
+            if ints[r][c]:
+                pv = r
+                break
+        if pv is None:
+            continue
+        ints[pr], ints[pv] = ints[pv], ints[pr]
+        dens[pr], dens[pv] = dens[pv], dens[pr]
+        head = ints[pr]
+        f = head[c]
+        k = gcd(*head)
+        if f < 0:
+            k = -k
+        if k != 1:
+            head = [h // k for h in head]
+            ints[pr] = head
+            f //= k
+        dens[pr] = f
+        for r in range(nrows):
+            if r == pr:
+                continue
+            row = ints[r]
+            g = row[c]
+            if g:
+                new = [f * e - g * h for e, h in zip(row, head)]
+                d = dens[r] * f
+                k = gcd(d, *new)
+                if k != 1:
+                    new = [e // k for e in new]
+                    d //= k
+                ints[r] = new
+                dens[r] = d
+        pivots.append(c)
+        pr += 1
+        if pr == nrows:
+            break
+    for r, d in enumerate(dens):
+        rows[r] = [Fraction(e, d) if e else _QZERO for e in ints[r]]
     return pivots
 
 
@@ -330,7 +428,10 @@ def eliminate_front(field, rows, k, ncols):
 
 
 def rank(m):
-    return rref(m)[1]
+    """Rank over a field, by one elimination; builds no reduced matrix."""
+    if not m.ring.is_field:
+        raise TypeError("rank by elimination over fields only")
+    return len(_eliminate(m.ring, [list(r) for r in m.entries], m.ncols))
 
 
 def pivot_cols(m):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .fields import FieldSyntaxError
 from .matrices import (Matrix, ShapeError, SingularMatrixError,
                        eliminate_front, format_matrix, hstack, kernel_basis,
-                       mat_invert, pivot_cols, rref, vec_mul, vstack)
+                       mat_invert, pivot_cols, rank, rref, vec_mul, vstack)
 
 DEFAULT_MAX_AMBIENT = 6
 
@@ -127,9 +127,11 @@ def join(x, y):
 
 
 def is_transversal(x, y):
-    """x and y are complementary: dims add up to the ambient and meet is 0."""
+    """x and y are complementary: dims add up to the ambient and the two
+    bases stacked have full rank, so the meet is 0."""
     _check_same_space(x, y)
-    return x.dim + y.dim == x.ambient and meet(x, y).dim == 0
+    n = x.ambient
+    return x.dim + y.dim == n and rank(vstack(x.basis, y.basis)) == n
 
 
 def complement(x):

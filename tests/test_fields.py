@@ -68,6 +68,19 @@ def test_field_axioms_sampled():
                 assert field.mul(field.inv(a), a) == field.one
 
 
+@pytest.mark.parametrize("ring", (
+    Rationals(), PrimeField(2), PrimeField(5), DualRing(Rationals()),
+    DualRing(PrimeField(3)), DualRing(DualRing(PrimeField(5))),
+), ids=("rat", "f2", "f5", "dual-rat", "dual-f3", "bidual-f5"))
+def test_direct_sub_is_add_of_neg(ring):
+    """The rings with their own `sub` agree with `Ring.sub` = add(a, -b)."""
+    assert "sub" in vars(type(ring))
+    pool = sample_pool(ring, 10, seed=11)
+    for a in pool:
+        for b in pool:
+            assert ring.sub(a, b) == ring.add(a, ring.neg(b))
+
+
 def test_characteristic_and_size():
     assert Rationals().char == 0
     assert Rationals().size is None

@@ -6,7 +6,7 @@ import pytest
 
 from torsorlab import gamma
 from torsorlab.checks import run_suite
-from torsorlab.fields import PrimeField
+from torsorlab.fields import PrimeField, Rationals
 from torsorlab.gamma import (
     TransversalityError,
     check_agreement,
@@ -18,6 +18,7 @@ from torsorlab.gamma import (
     check_torsor_axioms,
     common_complements,
     dilation,
+    dilations,
     gamma_global,
     gamma_oracle,
     gamma_oracle_enum,
@@ -319,11 +320,34 @@ def test_dilation_fixes_endpoints():
     assert checked >= 50
 
 
+@pytest.mark.parametrize("field", (PrimeField(5), Rationals()),
+                         ids=("f5", "rat"))
+def test_dilations_match_the_two_projection_operator(field):
+    """One projection for all scalars gives s P_a^x + P_x^a applied to y."""
+    scalars = [field.zero, field.one, field.from_int(2), field.from_int(-3)]
+    checked = 0
+    for i in range(80):
+        try:
+            x, a, y, _, _ = transversal_tuple(field, 3, trial_rng(37, i))
+        except TransversalityError:
+            continue
+        checked += 1
+        got = dilations(scalars, x, a, y)
+        assert got == [image_under(proj_operator(a, x).scale(s)
+                                   + proj_operator(x, a), y)
+                       for s in scalars]
+        assert got == [dilation(s, x, a, y) for s in scalars]
+        assert dilations((), x, a, y) == []
+    assert checked >= 40
+
+
 def test_dilation_needs_transversality():
     f3 = PrimeField(3)
     a = rand_sub(f3, 2, 31, 0)
     with pytest.raises(TransversalityError):
         dilation(f3.one, a, a, a)
+    with pytest.raises(TransversalityError):
+        dilations((), a, a, a)
 
 
 def test_transversal_tuple_properties():

@@ -1,18 +1,24 @@
 """Tests for exact matrices: arithmetic, row reduction, inverses, parsing."""
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
-from torsorlab.fields import DualRing, FieldSyntaxError, PrimeField, QuadraticExt, Rationals
+from torsorlab import matrices
+from torsorlab.fields import (DualRing, FieldSyntaxError, GaussianRationals,
+                              PrimeField, QuadraticExt, Rationals)
 from torsorlab.matrices import (
     Matrix,
     ShapeError,
     SingularMatrixError,
+    _eliminate,
     _eliminate_generic,
     _eliminate_mod_p,
+    _eliminate_rat,
     _mul_generic,
     _mul_mod_p,
+    _mul_rat,
     all_matrices,
     det,
     eliminate_front,
@@ -162,6 +168,37 @@ def test_prime_field_product_matches_the_generic_loop(p):
         assert product.entries == got
 
 
+def big_rational(rng):
+    """A rational with a numerator and a denominator of up to 40 bits."""
+    return Fraction(rng.below(1 << 41) - (1 << 40), rng.below(1 << 40) + 1)
+
+
+def rat_factors(nrows, inner, ncols, seed, index):
+    """Seeded Q factors: small entries, or large ones for odd indices."""
+    q = Rationals()
+    if index % 2 == 0:
+        return (rand(q, nrows, inner, seed, 2 * index),
+                rand(q, inner, ncols, seed, 2 * index + 1))
+    rng = trial_rng(seed, 2 * index)
+    return tuple(Matrix.from_rows(q, [[big_rational(rng) for _ in range(c)]
+                                      for _ in range(r)], c)
+                 for r, c in ((nrows, inner), (inner, ncols)))
+
+
+def test_rational_product_matches_the_generic_loop():
+    q = Rationals()
+    for i, (nrows, inner, ncols) in enumerate(product_shapes()):
+        for j in range(2):
+            a, b = rat_factors(nrows, inner, ncols, 71, 2 * i + j)
+            cols = list(zip(*b.entries)) if b.entries else [()] * ncols
+            got = _mul_rat(a.entries, cols)
+            assert got == _mul_generic(q, a.entries, cols)
+            assert all(type(e) is Fraction for row in got for e in row)
+            product = a * b
+            assert (product.nrows, product.ncols) == (nrows, ncols)
+            assert product.entries == got
+
+
 def test_transpose_empty_shapes():
     f2 = PrimeField(2)
     z = Matrix.zeros(f2, 0, 3)
@@ -298,6 +335,54 @@ def test_mod_p_kernel_matches_generic_kernel(p):
         assert fast == slow
         seen += 1
     assert seen == 215
+
+
+def rat_row_inputs():
+    """(rows, ncols) over Q: the F_p shapes, negative entries, rows with
+    40-bit numerators and denominators, and the same stacks again."""
+    q = Rationals()
+    shapes = ((0, 3), (1, 1), (1, 6), (2, 7), (3, 12), (4, 4), (6, 6),
+              (7, 2), (12, 3), (10, 12))
+    for i, (r, c) in enumerate(shapes):
+        yield Matrix.zeros(q, r, c).entries, c
+        for j in range(6):
+            rng = trial_rng(7000, 16 * i + j)
+            if j % 2:
+                m = Matrix.from_rows(q, [[big_rational(rng) for _ in range(c)]
+                                         for _ in range(r)], c)
+            else:
+                m = random_matrix(q, r, c, rng)
+            yield m.entries, c
+            if r == c:
+                eye = Matrix.identity(q, r).entries
+                yield tuple(a + b for a, b in zip(m.entries, eye)), 2 * c
+            if r and c:
+                k = rng.below(min(r, c)) + 1
+                low = (random_matrix(q, r, k, rng)
+                       * Matrix.from_rows(q, [[big_rational(rng)
+                                               for _ in range(c)]
+                                              for _ in range(k)], c))
+                yield low.entries, c
+                yield m.entries + m.entries[:rng.below(r) + 1], c
+
+
+def test_rat_kernel_matches_generic_kernel():
+    """Same pivots and the same full row state, zero and unused rows too,
+    on all columns and on the first k only (the `eliminate_front` case)."""
+    q = Rationals()
+    seen = negative = big = 0
+    for rows, ncols in rat_row_inputs():
+        entries = [e for row in rows for e in row]
+        negative += any(e < 0 for e in entries)
+        big += any(e.denominator >> 32 for e in entries)
+        for k in sorted({0, ncols // 2, ncols}):
+            fast = [list(r) for r in rows]
+            slow = [list(r) for r in rows]
+            assert _eliminate_rat(fast, k) == _eliminate_generic(q, slow, k)
+            assert fast == slow
+            assert all(type(e) is Fraction for row in fast for e in row)
+            seen += 1
+    assert seen == 569 and negative > 100 and big > 100
 
 
 def test_mat_invert_over_f5_round_trip_and_singular():
@@ -477,3 +562,42 @@ def test_random_matrix_deterministic():
     a = [rand(f5, 2, 2, 99, i) for i in range(10)]
     b = [rand(f5, 2, 2, 99, i) for i in range(10)]
     assert a == b
+
+
+def log_kernels(monkeypatch):
+    """Record which elimination and product kernels run, by name."""
+    ran = []
+    for name in ("_eliminate_generic", "_eliminate_mod_p", "_eliminate_rat",
+                 "_mul_generic", "_mul_mod_p", "_mul_rat"):
+        def logged(*args, _name=name, _kernel=getattr(matrices, name)):
+            ran.append(_name)
+            return _kernel(*args)
+        monkeypatch.setattr(matrices, name, logged)
+    return ran
+
+
+@pytest.mark.parametrize("ring, kernels", (
+    (Rationals(), ["_eliminate_rat", "_mul_rat"]),
+    (GaussianRationals(), ["_eliminate_generic", "_mul_generic"]),
+    (DualRing(Rationals()), ["_eliminate_generic", "_mul_generic"]),
+    (QuadraticExt(3), ["_eliminate_generic", "_mul_generic"]),
+    (PrimeField(3), ["_eliminate_mod_p", "_mul_mod_p"]),
+), ids=("rat", "gauss", "dual-rat", "f9", "f3"))
+def test_kernel_dispatch_by_ring(monkeypatch, ring, kernels):
+    m = Matrix.identity(ring, 2)
+    ran = log_kernels(monkeypatch)
+    _eliminate(ring, [list(row) for row in m.entries], 2)
+    m * m
+    assert ran == kernels
+
+
+def test_rational_kernels_make_no_scalar_calls(monkeypatch):
+    q = Rationals()
+    m = rand(q, 5, 9, 73, 0)
+    square = _random_invertible(q, 4, 73, 1)
+    calls = count_scalar_calls(monkeypatch, q)
+    m * m.transpose()
+    rref(m)
+    mat_invert(square)
+    eliminate_front(q, [list(row) for row in m.entries], 3, 9)
+    assert calls == []

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from torsorlab.fields import PrimeField
 from torsorlab.matrices import Matrix
 from torsorlab.relations import identity_rel
@@ -90,6 +92,16 @@ def test_below_range_and_error():
         pass
     else:
         raise AssertionError("below(0) must raise")
+
+
+@pytest.mark.parametrize("seed", (0, 7, 2**64 - 1, 0x9E3779B97F4A7C15))
+def test_below_is_next_u64_mod_n(seed):
+    """below(n) draws the same stream as next_u64() % n."""
+    fast, slow = SplitMix64(seed), SplitMix64(seed)
+    for n in (1, 2, 3, 6, 19, 1000, 2**32 + 15, 2**64, 2**70):
+        for _ in range(20):
+            assert fast.below(n) == slow.next_u64() % n
+    assert fast.state == slow.state
 
 
 def test_trial_rng_independent_streams():

@@ -146,6 +146,25 @@ def test_complement_is_transversal():
             assert join(x, c).dim == 4
 
 
+@pytest.mark.parametrize("field, ambient", (
+    (PrimeField(2), 3), (PrimeField(3), 2), (Rationals(), 4)),
+    ids=("f2", "f3", "rat"))
+def test_is_transversal_is_complementary_dims_and_zero_meet(field, ambient):
+    """The rank test agrees with its definition: dims add up, meet is 0."""
+    if field.size is None:
+        subs = [rand_sub(field, ambient, 7, i) for i in range(24)]
+        subs += [complement(x) for x in subs]
+    else:
+        subs = list(all_subspaces(field, ambient))
+    seen = set()
+    for x in subs:
+        for y in subs:
+            want = x.dim + y.dim == ambient and meet(x, y).dim == 0
+            assert is_transversal(x, y) == want
+            seen.add(want)
+    assert seen == {False, True}
+
+
 def test_contains_vector():
     f3 = PrimeField(3)
     x = span_rows(f3, 3, [[1, 0, 1], [0, 1, 0]])

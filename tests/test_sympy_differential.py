@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from torsorlab.fields import PrimeField, Rationals
-from torsorlab.matrices import kernel_basis, random_matrix, rref
+from torsorlab.matrices import (Matrix, SingularMatrixError, kernel_basis,
+                                mat_invert, random_matrix, rref)
 from torsorlab.rng import trial_rng
 from torsorlab.subspaces import meet, random_subspace
 
@@ -71,6 +72,59 @@ def test_kernel_basis_row_space_matches_sympy_nullspace():
             continue
         stacked = sympy.Matrix.vstack(*(v.T for v in null))
         assert ours.entries == from_sympy(stacked.rref()[0])
+
+
+def large_matrix(r, c, rng):
+    """Entries with 30-bit numerators and denominators of either sign."""
+    return Matrix.from_rows(Q, [[Fraction(rng.below(1 << 31) - (1 << 30),
+                                          rng.below(1 << 30) + 1)
+                                 for _ in range(c)] for _ in range(r)], c)
+
+
+def large_matrices(seed):
+    """Large-entry draws, and rank-deficient products with one such factor."""
+    for i, (r, c) in enumerate(SHAPES):
+        for j in range(4):
+            rng = trial_rng(seed + i, j)
+            if j % 2:
+                k = rng.below(min(r, c)) + 1
+                yield random_matrix(Q, r, k, rng) * large_matrix(k, c, rng)
+            else:
+                yield large_matrix(r, c, rng)
+
+
+def test_kernel_basis_with_large_entries_matches_sympy_nullspace():
+    for m in large_matrices(5000):
+        ours = kernel_basis(m)
+        null = to_sympy(m.entries, m.ncols).nullspace()
+        assert ours.nrows == len(null)
+        if null:
+            stacked = sympy.Matrix.vstack(*(v.T for v in null))
+            assert ours.entries == from_sympy(stacked.rref()[0])
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 6))
+def test_mat_invert_matches_sympy(n):
+    """Inverse equal to sympy's, or SingularMatrixError where det is 0."""
+    inverted = singular = 0
+    for j in range(12):
+        rng = trial_rng(6000 + n, j)
+        if j % 3 == 0:
+            k = rng.below(n) + 1
+            m = random_matrix(Q, n, k, rng) * large_matrix(k, n, rng)
+        elif j % 3 == 1:
+            m = large_matrix(n, n, rng)
+        else:
+            m = random_matrix(Q, n, n, rng)
+        theirs = to_sympy(m.entries, n)
+        if theirs.det() == 0:
+            with pytest.raises(SingularMatrixError):
+                mat_invert(m)
+            singular += 1
+        else:
+            assert mat_invert(m).entries == from_sympy(theirs.inv())
+            inverted += 1
+    assert inverted >= 6 and (n == 1 or singular)
 
 
 def test_meet_dimension_and_containment_against_sympy_rank():
