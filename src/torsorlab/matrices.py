@@ -428,10 +428,7 @@ def eliminate_front(field, rows, k, ncols):
 
 
 def rank(m):
-    """Rank over a field, by one elimination; builds no reduced matrix."""
-    if not m.ring.is_field:
-        raise TypeError("rank by elimination over fields only")
-    return len(_eliminate(m.ring, [list(r) for r in m.entries], m.ncols))
+    return rref(m)[1]
 
 
 def pivot_cols(m):

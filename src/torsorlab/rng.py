@@ -32,11 +32,7 @@ class SplitMix64:
         """Uniform-ish integer in [0, n); modulo reduction, documented as such."""
         if n <= 0:
             raise ValueError("below() needs n >= 1")
-        # next_u64() % n, with mix64 inlined: the state is already masked
-        z = self.state = (self.state + GOLDEN) & MASK
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
-        return (z ^ (z >> 31)) % n
+        return self.next_u64() % n
 
 
 def trial_rng(seed, index):
