@@ -38,7 +38,7 @@ from .relations import (LinearRelation, adjoint, apply_rel, compose,
 from .gamma import (common_complements, dilation, dilations, gamma_global,
                     gamma_oracle, gamma_restricted, gamma_via_m, l_relation,
                     m_operator, m_relation, proj_operator, transversal_tuple)
-from .involutions import (BaseTriple, Involution, InvolutionError, GroupView,
+from .involutions import (BaseTriple, Involution, InvolutionError,
                           cayley_rho, cayley_table, census_report,
                           closure_report, dual_involution, fixed_points,
                           involution, isotropic_census, j_map,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from functools import partial
 
 from . import homotopes
 from .fields import DualRing
@@ -513,25 +514,14 @@ def _fixed_sample(inv, count):
     return pts[::step][:count]
 
 
-def _run_torsor_g(field, ambient, config):
+def _run_fixed_torsors(check, prefix, field, ambient, config):
+    """check(inv, a, law) for two fixed a of each standard form's tau."""
     _needs_finite(field)
     reports = []
     for name, form in _forms(field, ambient).items():
         inv = ortho_involution(form)
         for k, a in enumerate(_fixed_sample(inv, 2)):
-            reports.append(check_torsor_g(inv, a,
-                                          "torsor-g-%s-%d" % (name, k)))
-    return reports
-
-
-def _run_opposite_torsor(field, ambient, config):
-    _needs_finite(field)
-    reports = []
-    for name, form in _forms(field, ambient).items():
-        inv = ortho_involution(form)
-        for k, a in enumerate(_fixed_sample(inv, 2)):
-            reports.append(check_opposite_torsor(
-                inv, a, "opposite-torsor-%s-%d" % (name, k)))
+            reports.append(check(inv, a, "%s-%s-%d" % (prefix, name, k)))
     return reports
 
 
@@ -722,10 +712,11 @@ _SUITE_ROWS = (
      " reverse restricted products and dilations", _run_involution_antihom),
     ("torsor-g", "involutions",
      "fixed subspaces transversal to a and tau(a) form a torsor, abelian"
-     " when a is fixed", _run_torsor_g),
+     " when a is fixed", partial(_run_fixed_torsors, check_torsor_g,
+                                 "torsor-g")),
     ("opposite-torsor", "involutions",
      "the torsor at tau(a) is the opposite of the torsor at a",
-     _run_opposite_torsor),
+     partial(_run_fixed_torsors, check_opposite_torsor, "opposite-torsor")),
     ("invariant-transport", "involutions",
      "parameters with equal form invariants give isomorphic group tables via"
      " an isometry", _run_invariant_transport),

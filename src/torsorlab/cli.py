@@ -15,8 +15,8 @@ import sys
 from . import checks, homotopes
 from .fields import FieldSyntaxError, field_from_spec
 from .gamma import gamma_global
-from .involutions import (cayley_table, census_report, group_of_torsor,
-                          isotropic_census, ortho_involution, torsor_G)
+from .involutions import (cayley_table, census_report, isotropic_census,
+                          ortho_involution, torsor_G)
 from .matrices import format_matrix, parse_matrix
 from .reports import CheckConfig
 from .subspaces import (enumerate_subspaces, span, standard_forms,
@@ -158,19 +158,17 @@ def _cmd_gtable(args):
     form = _form_for(args, field)
     inv = ortho_involution(form)
     a = _parse_subspace(args.a, field, form.ambient)
-    carrier, _ = torsor_G(inv, a)
+    carrier = torsor_G(inv, a)
     if not carrier:
         raise UsageError("the torsor carrier at this parameter is empty")
     unit = carrier[0]
     if args.unit:
         unit = _parse_subspace(args.unit, field, form.ambient)
-    try:
-        view = group_of_torsor(carrier, unit)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    return _emit_table([subspace_to_json(s) for s in view.elements],
-                       view.index(view.unit), cayley_table(view, a, inv(a)),
-                       args)
+        if unit not in carrier:
+            raise UsageError("unit must lie in the carrier")
+    return _emit_table([subspace_to_json(s) for s in carrier],
+                       carrier.index(unit),
+                       cayley_table(carrier, unit, a, inv(a)), args)
 
 
 def _family(args, field):

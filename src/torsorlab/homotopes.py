@@ -487,10 +487,16 @@ def family_table_bridge(name, field, a_param):
     Elements move by the chart translation with parameter A; the images
     must be exactly the family with parameter 2A, which is the first case,
     and the two tables must match entry by entry under that bijection.
+
+    The family conditions use the plain transpose, so a field with a
+    conjugation is out of scope (ValueError).
     """
     n, bt, inv, a_sub, ta_sub = _bridge_setup(name, field, a_param)
+    if field.involution != "identity":
+        raise ValueError("the %s family table bridge assumes a plain"
+                         " transpose" % name)
     fam = classical_family(name, field, a_param + a_param)
-    carrier, _ = torsor_G(inv, a_sub)
+    carrier = torsor_G(inv, a_sub)
     t_op = translation_op(a_param, bt)
     chart = {x: chart_of(pushforward(t_op, x), n) for x in carrier}
     family = members(fam)
@@ -524,11 +530,11 @@ def unitary_transport_bridge(field, a_param):
     n, bt, inv_split, a_sub, ta_sub = _bridge_setup("o", field, a_param)
     inv_symp = ortho_involution(symplectic_form(field, n))
     two_a = graph_minus(a_param + a_param)
-    view, u_product = unitary_group(inv_symp, two_a, bt.o_plus, bt.o_minus)
-    carrier, _ = torsor_G(inv_split, a_sub)
+    unitary = unitary_group(inv_symp, two_a, bt.o_plus, bt.o_minus)
+    carrier = torsor_G(inv_split, a_sub)
     t_op = translation_op(a_param, bt)
     moved = {x: pushforward(t_op, x) for x in carrier}
-    onto = set(moved.values()) == set(view.elements)
+    onto = set(moved.values()) == set(unitary)
     inverse_moved = {y: x for x, y in moved.items()}
 
     def holds(c):
@@ -536,12 +542,13 @@ def unitary_transport_bridge(field, a_param):
             return onto
         x1, x2 = c["x1"], c["x2"]
         w = gamma_global(x1, a_sub, bt.o_plus, ta_sub, x2)
-        target = u_product(moved[x1], bt.o_plus, moved[x2])
+        target = gamma_global(moved[x1], two_a, bt.o_plus, bt.o_minus,
+                              moved[x2])
         return moved.get(w) == target and inverse_moved.get(target) == w
 
-    sizes = {"carrier": len(carrier), "unitary": len(view.elements)}
+    sizes = {"carrier": len(carrier), "unitary": len(unitary)}
     swept = itertools.chain([sizes],
                             every(carrier, ("x1", "x2")) if onto else ())
     return run_law("bridge", "twisted-unitary-transport", swept, holds,
                    notes=("carrier:%d" % len(carrier),
-                          "unitary:%d" % len(view.elements)))
+                          "unitary:%d" % len(unitary)))

@@ -1,19 +1,22 @@
 """Involutions of the subspace geometry coming from nondegenerate forms.
 
-An involution here is a map tau(x) = post . (x orthocomplement), where the
-orthocomplement is taken for a fixed (skew-)hermitian form with gram G and
-`post` is an optional invertible operator.  tau is the orthocomplement for
-the one form with gram K = G post^-1, and tau(tau(x)) = K^-1 K* x, so tau
-has order two exactly when K^-1 K* is a scalar.  This class of maps is
-closed under the two derived constructions used throughout:
+An involution here is the orthocomplement for one invertible gram matrix
+K, tau(x) = {v : conj(u) K v = 0 for all u in x}, and is stored as K alone.
+K need not be hermitian or skew: tau(tau(x)) = K^-1 K* x, so tau has order
+two exactly when K^-1 K* is a scalar, and `involution` builds only those.
+An invertible operator d composed after tau gives the orthocomplement for
+K d^-1, so this class of maps is closed under the two derived constructions
+used throughout:
 
 * the dual involution, which composes with the operator that is the identity
   on o+ and minus the identity on o- (an automorphism of the product);
 * the swap-composed involution tilde, which composes with the block swap j.
 
-Fixed-point sets are the Lagrangian-type subvarieties; the torsors G(inv, a),
-the unitary groups U(inv; a, o, b), and the closure of the fixed set under
-the pentary product with middle pair (a, tau a) all live here.
+Fixed-point sets are the Lagrangian-type subvarieties; the torsors G(inv, a)
+and the unitary groups U(inv; a, o, b), each a sorted tuple of subspaces
+whose product is Gamma with the middle pair bound, and the closure of the
+fixed set under the pentary product with middle pair (a, tau a) all live
+here.
 
 Carrier tables (`cayley_table`) are computed in the chart of U_a centred at
 the unit, where the torsor product is the homotope product X + (1 - X B) Z.
@@ -26,7 +29,6 @@ Gamma remains the only path for arbitrary tuples.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,7 +40,7 @@ from .matrices import (Matrix, det, format_matrix, hstack, kernel_basis,
                        mat_invert, rank, random_matrix, vstack)
 from .reports import (Slots, cases, describe_case, every, run_inclusion_law,
                       run_law)
-from .subspaces import (Form, Subspace, TransversalityError, chart_minus,
+from .subspaces import (Subspace, TransversalityError, chart_minus,
                         chart_of, coord_subspace, enumerate_subspaces,
                         graph_minus, image_under, is_isotropic, is_transversal,
                         orthocomplement, pushforward, random_subspace,
@@ -51,29 +53,21 @@ class InvolutionError(ValueError):
 
 @dataclass(frozen=True)
 class Involution:
-    """x -> post . (x orthocomplement), the kernel of conj(x) . gram.
+    """x -> the orthocomplement of x for gram, the kernel of conj(x) . gram.
 
-    `gram` is derived: form.gram . post^-1, or form.gram when post is None.
+    `involution` is the builder that checks order two.
     """
 
-    form: Form
-    post: Matrix = None
+    gram: Matrix
     label: str = ""
-    gram: Matrix = dataclasses.field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        gram = self.form.gram
-        if self.post is not None:
-            gram = gram * mat_invert(self.post)
-        object.__setattr__(self, "gram", gram)
 
     @property
     def field(self):
-        return self.form.field
+        return self.gram.ring
 
     @property
     def ambient(self):
-        return self.form.ambient
+        return self.gram.nrows
 
     def __call__(self, x):
         return Subspace(kernel_basis(x.basis.conj() * self.gram))
@@ -107,9 +101,9 @@ def _order_two_ok(inv):
     return m == Matrix.identity(k.ring, k.nrows).scale(m.entries[0][0])
 
 
-def involution(form, post=None, label=""):
-    """Build an involution, validating invertibility of post and order 2."""
-    inv = Involution(form, post, label)
+def involution(gram, label=""):
+    """Build the orthocomplement for gram, validating order 2."""
+    inv = Involution(gram, label)
     if not _order_two_ok(inv):
         raise InvolutionError("map is not of order two")
     return inv
@@ -117,7 +111,7 @@ def involution(form, post=None, label=""):
 
 def ortho_involution(form):
     """Plain orthocomplementation for a nondegenerate form."""
-    return involution(form, None, "perp")
+    return involution(form.gram, "perp")
 
 
 @dataclass(frozen=True)
@@ -172,9 +166,8 @@ def dual_involution(inv, bt):
     if kind is None:
         raise InvolutionError(
             "dual involution needs a base point preserving or exchanging map")
-    d = minus_one_op(bt)
-    post = d if inv.post is None else d * inv.post
-    return involution(inv.form, post, inv.label + "-dual")
+    return involution(inv.gram * mat_invert(minus_one_op(bt)),
+                      inv.label + "-dual")
 
 
 def j_map(bt):
@@ -187,9 +180,7 @@ def tilde_tau(inv, bt):
     if _base_point_type(inv, bt) != "preserving" or inv(bt.e) != bt.e:
         raise InvolutionError(
             "tilde construction needs a unital base point preserving map")
-    j = j_map(bt)
-    post = j if inv.post is None else j * inv.post
-    return involution(inv.form, post, inv.label + "-tilde")
+    return involution(inv.gram * mat_invert(j_map(bt)), inv.label + "-tilde")
 
 
 def cayley_rho(bt):
@@ -210,8 +201,8 @@ def cayley_rho(bt):
 def fixed_points(inv):
     """All tau-fixed subspaces, sorted (finite fields, even ambient only).
 
-    Invertible post and gram force every fixed point into the middle
-    dimension, so only that layer is enumerated.
+    An invertible gram forces every fixed point into the middle dimension,
+    so only that layer is enumerated.
     """
     n = inv.ambient
     if n % 2 == 1:
@@ -242,17 +233,6 @@ def census_report(form, suite="lagrangian", law="census-two-paths"):
 # -- torsors, groups, tables ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupView:
-    """A finite set with a binary product given through the pentary map."""
-
-    elements: tuple
-    unit: Subspace
-
-    def index(self, x):
-        return self.elements.index(x)
-
-
 def _common_complements_in(points, a, b):
     """The members of points transversal to both a and b, in their order."""
     return tuple(x for x in points
@@ -260,19 +240,14 @@ def _common_complements_in(points, a, b):
 
 
 def torsor_G(inv, a):
-    """Fixed subspaces transversal to both a and tau(a), with (x, y, z)."""
-    ta = inv(a)
-    return (_common_complements_in(fixed_points(inv), a, ta),
-            torsor_product_pair(a, ta))
+    """Fixed subspaces transversal to both a and tau(a), sorted.
+
+    Their torsor product is (x, y, z) -> Gamma(x, a, y, tau a, z).
+    """
+    return _common_complements_in(fixed_points(inv), a, inv(a))
 
 
-def group_of_torsor(carrier, unit):
-    if unit not in carrier:
-        raise ValueError("unit must lie in the carrier")
-    return GroupView(carrier, unit)
-
-
-def cayley_table(view, a, b):
+def cayley_table(elements, unit, a, b):
     """Index table t[i][j] = index of Gamma(el_i, a, unit, b, el_j).
 
     Computed in the chart of U_a centred at the unit, with no Gamma call.
@@ -294,12 +269,11 @@ def cayley_table(view, a, b):
     also a ValueError, if the unit or an element is not a complement of a,
     or b is not a complement of the unit.
     """
-    unit = view.unit
     if not is_transversal(unit, a):
         raise TransversalityError("the unit is not a complement of a")
     k = unit.dim
     g = mat_invert(vstack(unit.basis, a.basis)).transpose()
-    charts = [chart_of(image_under(g, x), k) for x in view.elements]
+    charts = [chart_of(image_under(g, x), k) for x in elements]
     index = {c.entries: i for i, c in enumerate(charts)}
     B = chart_minus(image_under(g, b), k)
     one = Matrix.identity(B.ring, B.ncols)
@@ -321,26 +295,18 @@ def cayley_table(view, a, b):
     return tuple(table)
 
 
-def transported_view(view, g):
-    """The element list and unit pushed forward by an invertible operator."""
-    return GroupView(tuple(pushforward(g, x) for x in view.elements),
-                     pushforward(g, view.unit))
-
-
 def unitary_group(inv, a, o, b):
-    """Members x of the group (U_ab, o) with tau(x) equal to the inverse."""
+    """Members x of the group (U_ab, o) with tau(x) equal to the inverse.
+
+    Sorted; the group product is (x, y) -> Gamma(x, a, o, b, y).
+    """
     for p in (a, o, b):
         if inv(p) != p:
             raise ValueError("parameters must be fixed by the involution")
     if not (is_transversal(o, a) and is_transversal(o, b)):
         raise ValueError("unit must be a common complement")
-    members = tuple(x for x in common_complements(a, b)
-                    if inv(x) == gamma_global(o, a, x, b, o))
-    return GroupView(members, o), torsor_product_pair(a, b)
-
-
-def torsor_product_pair(a, b):
-    return lambda x, y, z: gamma_global(x, a, y, b, z)
+    return tuple(x for x in common_complements(a, b)
+                 if inv(x) == gamma_global(o, a, x, b, o))
 
 
 def translation_op(a_chart, bt):
@@ -480,8 +446,12 @@ def closure_report(inv, a, law="fixed-set-closure"):
 
 def check_torsor_g(inv, a, law="fixed-torsor-axioms"):
     """Torsor axioms on G(inv, a), plus commutativity when a is fixed."""
-    carrier, product = torsor_G(inv, a)
+    carrier = torsor_G(inv, a)
+    ta = inv(a)
     tau = tabulated(inv)
+
+    def product(x, y, z):
+        return gamma_global(x, a, y, ta, z)
 
     def holds(c):
         x, y = c["x"], c["y"]
@@ -493,7 +463,7 @@ def check_torsor_g(inv, a, law="fixed-torsor-axioms"):
         return tau(w) == w and w in carrier
 
     swept = every(carrier, "xy")
-    if inv(a) == a:
+    if ta == a:
         swept = itertools.chain(swept, every(carrier, "xyz"))
     return run_law("torsor-g", law, swept, holds,
                    notes=("carrier:%d" % len(carrier),))
@@ -502,18 +472,19 @@ def check_torsor_g(inv, a, law="fixed-torsor-axioms"):
 def check_opposite_torsor(inv, a, law="opposite-torsor"):
     """(x y z) for the parameter a equals (z y x) for the parameter tau a.
 
-    Unequal carriers make the whole check one failing case.
+    Unequal carriers make the whole check one failing case.  tau has order
+    two, so the parameter pair at tau a is (tau a, a).
     """
-    carrier, product = torsor_G(inv, a)
-    op_carrier, op_product = torsor_G(inv, inv(a))
+    ta = inv(a)
+    carrier, op_carrier = torsor_G(inv, a), torsor_G(inv, ta)
     if set(carrier) == set(op_carrier):
         swept = every(carrier, "xyz")
     else:
         swept = [{"carrier-sizes": [len(carrier), len(op_carrier)]}]
 
     def holds(c):
-        return "x" in c and (product(c["x"], c["y"], c["z"])
-                             == op_product(c["z"], c["y"], c["x"]))
+        return "x" in c and (gamma_global(c["x"], a, c["y"], ta, c["z"])
+                             == gamma_global(c["z"], ta, c["y"], a, c["x"]))
 
     return run_law("opposite-torsor", law, swept, holds)
 
@@ -603,11 +574,10 @@ def check_invariant_transport(form, config, law="isometry-transport"):
         if not carrier:
             return True
         tb = inv(b)
-        view = GroupView(carrier, carrier[0])
-        view_b = transported_view(view, g)
-        return (set(view_b.elements)
-                == set(_common_complements_in(points, b, tb))
-                and cayley_table(view, a, ta) == cayley_table(view_b, b, tb))
+        moved = tuple(pushforward(g, x) for x in carrier)
+        return (set(moved) == set(_common_complements_in(points, b, tb))
+                and cayley_table(carrier, carrier[0], a, ta)
+                == cayley_table(moved, moved[0], b, tb))
 
     return run_law("invariant-transport", law, cases(config, Slots(draw)),
                    holds)

@@ -47,7 +47,6 @@ from torsorlab.relations import apply_rel
 from torsorlab.reports import CheckConfig
 from torsorlab.rng import trial_rng
 from torsorlab.subspaces import (
-    Form,
     all_subspaces,
     random_subspace,
     split_form,
@@ -189,9 +188,7 @@ def test_criterion_04_involution_suite():
             trans = check_transversality_preservation(inv, CheckConfig(trials=250, seed=seed))
             ok = ok and tau2.failures == 0 and trans.failures == 0
 
-    degenerate = Form(
-        Matrix.build(F3, [[F3.one, F3.zero], [F3.zero, F3.zero]]),
-        "hermitian")
+    degenerate = Matrix.build(F3, [[F3.one, F3.zero], [F3.zero, F3.zero]])
     control = check_order_two(Involution(degenerate),
                               CheckConfig(trials=80, seed=139))
     ok = ok and control.failures > 0

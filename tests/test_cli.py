@@ -250,7 +250,7 @@ def test_gtable_foreign_unit_is_usage_error(capsys):
         capsys, "gtable", "--form", "symplectic", "--n", "1", "--field", "f3",
         "--a", "1,0", "--unit", "1,0")
     assert code == 2
-    assert err
+    assert "unit must lie in the carrier" in err
 
 
 def test_homotope_members_and_table(capsys):
@@ -326,6 +326,24 @@ def test_bridge_family_and_size_options(capsys):
         "--exhaustive")
     assert code == 0
     assert json.loads(out.strip())["cases"] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("--n", "1", "--field", "f9"),
+    ("--family", "sp", "--n", "1", "--field", "f9"),
+    ("--n", "1", "--field", "fp2:5")])
+def test_family_table_bridge_declines_a_conjugation(argv, capsys):
+    """The o and sp conditions use the plain transpose: out of scope, exit 2."""
+    code, out, err = run_cli(capsys, "bridge", "--check", "prop41", *argv)
+    assert code == 2 and not out
+    assert "plain transpose" in err
+
+
+def test_unitary_bridge_runs_over_a_conjugation(capsys):
+    code, out, err = run_cli(capsys, "bridge", "--check", "thm33", "--n", "1",
+                             "--field", "f9")
+    assert code == 0, err
+    assert json.loads(out.strip())["notes"] == ["carrier:4", "unitary:4"]
 
 
 def test_bridge_rejects_bad_parameter(capsys):

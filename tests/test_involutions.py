@@ -30,7 +30,6 @@ from torsorlab.involutions import (
     dual_involution,
     fixed_points,
     form_invariants,
-    group_of_torsor,
     involution,
     isotropic_census,
     j_map,
@@ -40,12 +39,10 @@ from torsorlab.involutions import (
     standard_triple,
     tilde_tau,
     torsor_G,
-    transported_view,
     translation_op,
     unitary_group,
 )
-from torsorlab.matrices import (Matrix, SingularMatrixError, mat_invert,
-                                random_matrix)
+from torsorlab.matrices import Matrix, mat_invert, random_matrix
 from torsorlab.reports import CheckConfig
 from torsorlab.rng import trial_rng
 from torsorlab.subspaces import (
@@ -92,7 +89,7 @@ def test_order_two_random():
 def test_degenerate_form_breaks_order_two():
     """A singular gram matrix gives a map that is not an involution."""
     f3 = PrimeField(3)
-    bad = Involution(Form(mat(f3, [[1, 0], [0, 0]]), "hermitian"))
+    bad = Involution(mat(f3, [[1, 0], [0, 0]]))
     r = check_order_two(bad, CheckConfig(trials=60, seed=2))
     assert r.failures > 0
 
@@ -114,7 +111,8 @@ def criterion_involutions():
 
     Grams: the standard forms, two random invertible (mostly non-reflexive)
     grams, and over F9 the gram (1+t) split, which is neither hermitian nor
-    skew.  Posts: none, the dual's and tilde's operators, two random ones.
+    skew.  Posts: none, the dual's and tilde's operators, two random ones;
+    the gram of the involution is G post^-1.
     """
     out = []
     for k, (spec, n) in enumerate((("fp:2", 1), ("fp:3", 1), ("fp:5", 1),
@@ -129,7 +127,7 @@ def criterion_involutions():
         posts = [None, minus_one_op(bt), j_map(bt)]
         posts += [_random_invertible(field, 2 * n, trial_rng(k, 10 + i))
                   for i in range(2)]
-        out += [Involution(Form(g, "hermitian"), post)
+        out += [Involution(g if post is None else g * mat_invert(post))
                 for g in grams for post in posts]
     return out
 
@@ -148,47 +146,49 @@ def test_order_two_does_not_need_a_hermitian_or_skew_gram():
     f9 = QuadraticExt(3)
     gram = split_form(f9, 1).gram.scale(f9.parse("1+t"))
     assert gram.conj_t() not in (gram, -gram)
-    inv = involution(Form(gram, "hermitian"))
+    inv = involution(gram)
     assert order_two_by_brute_force(inv)
 
 
 def test_tau_is_the_pushed_orthocomplement():
-    """Dual, tilde, and a shear post, which is not its own inverse."""
+    """The gram G post^-1 gives post . (x orthocomplement for G).
+
+    Posts: the dual's, the tilde's, and a shear, which is not its own
+    inverse; the dual and tilde builders produce exactly these grams.
+    """
     for spec in ("fp:3", "fp:5"):
         field = field_from_spec(spec)
         for n in (1, 2):
             bt = standard_triple(field, n)
-            omega = ortho_involution(symplectic_form(field, n))
+            form = symplectic_form(field, n)
+            omega = ortho_involution(form)
             shear = Matrix.build(field, [[int(j == i or (i, j) == (0, 1))
                                           for j in range(2 * n)]
                                          for i in range(2 * n)])
-            for inv in (dual_involution(omega, bt), tilde_tau(omega, bt),
-                        Involution(omega.form, shear)):
+            for post, built in ((minus_one_op(bt), dual_involution(omega, bt)),
+                                (j_map(bt), tilde_tau(omega, bt)),
+                                (shear, None)):
+                inv = Involution(form.gram * mat_invert(post))
+                assert built is None or built.gram == inv.gram
                 for x in enumerate_subspaces(field, 2 * n):
                     assert inv(x) == pushforward(
-                        inv.post, orthocomplement(x, inv.form)), (inv, x)
+                        post, orthocomplement(x, form)), (post, x)
 
 
 def test_order_two_over_q_is_decided_exactly():
     q = field_from_spec("rat")
     bt = standard_triple(q, 2)
     form = symplectic_form(q, 2)
-    dual = involution(form, minus_one_op(bt), "dual")
+    dual = dual_involution(ortho_involution(form), bt)
     assert dual.gram == form.gram * mat_invert(minus_one_op(bt))
     stretch = mat(q, [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     with pytest.raises(InvolutionError):
-        involution(form, stretch)
+        involution(form.gram * mat_invert(stretch))
 
 
 def test_ambient_zero_involution_has_order_two():
     inv = ortho_involution(symplectic_form(PrimeField(3), 0))
     assert inv.ambient == 0 and involutions._order_two_ok(inv)
-
-
-def test_singular_post_is_rejected_at_construction():
-    f3 = PrimeField(3)
-    with pytest.raises(SingularMatrixError):
-        Involution(symplectic_form(f3, 1), mat(f3, [[1, 0], [0, 0]]))
 
 
 def test_involution_enumerates_no_subspace(monkeypatch):
@@ -273,18 +273,19 @@ def test_involution_law_suites_exhaustive_f2():
 
 
 def count_tau_kernels(monkeypatch):
-    """Count tau's applications, by (subspace, form), at its kernel call.
+    """Count tau's applications, by (subspace, involution), at its kernel call.
 
     `Involution.__call__` is the only caller of `kernel_basis` in the
     module, and makes one call per application; its frame names the
-    subspace and the involution.
+    subspace and the involution.  Involutions are told apart by identity:
+    over F2 the symplectic and split forms share a gram.
     """
     seen = Counter()
     orig = involutions.kernel_basis
 
     def counted(m):
         caller = sys._getframe(1).f_locals
-        seen[caller["x"], caller["self"].form] += 1
+        seen[caller["x"], id(caller["self"])] += 1
         return orig(m)
 
     monkeypatch.setattr(involutions, "kernel_basis", counted)
@@ -298,7 +299,7 @@ def test_antihom_law_applies_tau_once_per_subspace(monkeypatch):
     for inv in invs:
         r = check_antihom_global(inv, CheckConfig(exhaustive=True))
         assert r.failures == 0 and r.cases == 5 ** 5
-    assert len({form for _, form in seen}) == len(invs)
+    assert len({inv for _, inv in seen}) == len(invs)
     assert seen and max(seen.values()) == 1
 
 
@@ -317,7 +318,7 @@ def test_closure_report_applies_tau_once_per_result(monkeypatch):
     r = closure_report(inv, a)
     assert r.failures == 0 and r.cases == len(points) ** 3
     # beyond the fixed-point enumeration and tau(a): tau of each result once
-    per_result = seen - enumeration - Counter({(a, inv.form): 1})
+    per_result = seen - enumeration - Counter({(a, id(inv)): 1})
     assert set(per_result.values()) == {1}
     assert sum(per_result.values()) == len(results)
 
@@ -438,32 +439,20 @@ def test_torsor_group_structure():
     f3 = PrimeField(3)
     inv = ortho_involution(symplectic_form(f3, 1))
     a = fixed_points(inv)[0]
-    carrier, _ = torsor_G(inv, a)
+    carrier = torsor_G(inv, a)
     assert carrier
     unit = carrier[0]
-    view = group_of_torsor(carrier, unit)
-    table = cayley_table(view, a, inv(a))
+    table = cayley_table(carrier, unit, a, inv(a))
     n = len(carrier)
     for i in range(n):
         row = set(table[i])
         col = {table[j][i] for j in range(n)}
         assert row == set(range(n))
         assert col == set(range(n))
-    u = view.index(unit)
+    u = carrier.index(unit)
     for i in range(n):
         assert table[u][i] == i
         assert table[i][u] == i
-
-
-def test_group_of_torsor_rejects_foreign_unit():
-    f3 = PrimeField(3)
-    inv = ortho_involution(symplectic_form(f3, 1))
-    a = fixed_points(inv)[0]
-    carrier, _ = torsor_G(inv, a)
-    outsider = span_rows(f3, 2, [[1, 0], [0, 1]])
-    assert outsider not in carrier
-    with pytest.raises(ValueError):
-        group_of_torsor(carrier, outsider)
 
 
 def test_cayley_table_rejects_a_product_outside_the_carrier():
@@ -471,27 +460,25 @@ def test_cayley_table_rejects_a_product_outside_the_carrier():
     f3 = PrimeField(3)
     inv = ortho_involution(symplectic_form(f3, 1))
     a = fixed_points(inv)[0]
-    carrier, _ = torsor_G(inv, a)
-    view = group_of_torsor(carrier[:-1], carrier[0])
+    carrier = torsor_G(inv, a)
     with pytest.raises(ValueError):
-        cayley_table(view, a, inv(a))
+        cayley_table(carrier[:-1], carrier[0], a, inv(a))
 
 
 def test_cayley_table_rejects_an_element_not_transversal_to_a():
     f3 = PrimeField(3)
     inv = ortho_involution(symplectic_form(f3, 1))
     a = fixed_points(inv)[0]
-    carrier, _ = torsor_G(inv, a)
-    view = group_of_torsor(carrier + (a,), carrier[0])
+    carrier = torsor_G(inv, a)
     with pytest.raises(TransversalityError):
-        cayley_table(view, a, inv(a))
+        cayley_table(carrier + (a,), carrier[0], a, inv(a))
 
 
-def _gamma_table(view, a, b):
-    index = {e: i for i, e in enumerate(view.elements)}
-    return tuple(tuple(index[gamma_oracle(x, a, view.unit, b, z)]
-                       for z in view.elements)
-                 for x in view.elements)
+def _gamma_table(elements, unit, a, b):
+    index = {e: i for i, e in enumerate(elements)}
+    return tuple(tuple(index[gamma_oracle(x, a, unit, b, z)]
+                       for z in elements)
+                 for x in elements)
 
 
 @pytest.mark.parametrize("spec,form,n", [
@@ -510,7 +497,7 @@ def test_cayley_table_matches_the_gamma_table(spec, form, n):
     inv = ortho_involution(form(field, n))
     tables = non_commutative = 0
     for a in itertools.islice(enumerate_subspaces(field, 2 * n, n), 12):
-        carrier, _ = torsor_G(inv, a)
+        carrier = torsor_G(inv, a)
         if not carrier:
             continue
         ta = inv(a)
@@ -519,9 +506,8 @@ def test_cayley_table_matches_the_gamma_table(spec, form, n):
         if (spec, n) == ("f3", 2):
             units = units[:1]
         for unit in dict.fromkeys(units):
-            view = group_of_torsor(carrier, unit)
-            table = cayley_table(view, a, ta)
-            assert table == _gamma_table(view, a, ta)
+            table = cayley_table(carrier, unit, a, ta)
+            assert table == _gamma_table(carrier, unit, a, ta)
             tables += 1
             non_commutative += table != tuple(zip(*table))
     assert tables >= 6
@@ -542,8 +528,8 @@ def test_cayley_table_makes_no_gamma_call(monkeypatch):
             monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
     inv = ortho_involution(symplectic_form(PrimeField(5), 1))
     a = fixed_points(inv)[0]
-    carrier, _ = torsor_G(inv, a)
-    table = cayley_table(group_of_torsor(carrier, carrier[0]), a, inv(a))
+    carrier = torsor_G(inv, a)
+    table = cayley_table(carrier, carrier[0], a, inv(a))
     assert len(table) == len(carrier) == 5
     assert calls == Counter()
 
@@ -557,7 +543,7 @@ def test_cayley_table_makes_linearly_many_products(monkeypatch, n, m):
     f5 = PrimeField(5)
     inv = ortho_involution(symplectic_form(f5, n))
     a = coord_subspace(f5, 2 * n, range(n))
-    carrier, _ = torsor_G(inv, a)
+    carrier = torsor_G(inv, a)
     ta = inv(a)
     products = Counter()
     mul = Matrix.__mul__
@@ -567,7 +553,7 @@ def test_cayley_table_makes_linearly_many_products(monkeypatch, n, m):
         return mul(self, other)
 
     monkeypatch.setattr(Matrix, "__mul__", counted)
-    table = cayley_table(group_of_torsor(carrier, carrier[0]), a, ta)
+    table = cayley_table(carrier, carrier[0], a, ta)
     assert len(table) == len(carrier) == m
     assert products["mul"] <= 3 * m + 3
 
@@ -582,31 +568,16 @@ def test_torsor_g_and_opposite_reports():
         assert o.failures == 0, o.first_counterexample
 
 
-def test_transported_view_keeps_table():
-    """Pushing the carrier through an invertible map transports the products."""
-    f3 = PrimeField(3)
-    inv = ortho_involution(symplectic_form(f3, 1))
-    a = fixed_points(inv)[0]
-    carrier, _ = torsor_G(inv, a)
-    unit = carrier[0]
-    view = group_of_torsor(carrier, unit)
-    g = mat(f3, [[1, 1], [0, 1]])
-    moved = transported_view(view, g)
-    assert len(moved.elements) == len(view.elements)
-    assert moved.unit == pushforward(g, unit)
-
-
 def test_unitary_group_closure():
     """Elements with tau(x) acting as inverse close under the pair product."""
     f3 = PrimeField(3)
     bt = standard_triple(f3, 1)
     inv = ortho_involution(symplectic_form(f3, 1))
-    view, product = unitary_group(inv, bt.o_plus, bt.e, bt.o_minus)
-    elements = view.elements
-    assert view.unit in elements
+    elements = unitary_group(inv, bt.o_plus, bt.e, bt.o_minus)
+    assert bt.e in elements
     for x in elements:
         for y in elements:
-            w = product(x, view.unit, y)
+            w = gamma_global(x, bt.o_plus, bt.e, bt.o_minus, y)
             assert w in elements
 
 

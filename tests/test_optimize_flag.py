@@ -75,12 +75,12 @@ def test_shape_mismatches_raise_under_optimize():
 ORDER_TWO_PROBE = """
 from torsorlab import field_from_spec, symplectic_form
 from torsorlab.involutions import InvolutionError, involution
-from torsorlab.matrices import Matrix
+from torsorlab.matrices import Matrix, mat_invert
 
 f5 = field_from_spec("f5")
 stretch = Matrix.build(f5, [[2, 0], [0, 1]])
 try:
-    involution(symplectic_form(f5, 1), stretch)
+    involution(symplectic_form(f5, 1).gram * mat_invert(stretch))
 except InvolutionError as exc:
     print("InvolutionError", exc)
 else:

@@ -2,8 +2,8 @@
 
 Every module-level import in the library modules and the tests is used,
 every module-level private name of the library is referenced somewhere in
-the library, only `reports.py` builds a Report, and only `matrices.py` calls
-`_eliminate`.  No linter ships with the project, so this walks each module's
+the library, only `reports.py` builds a Report, only `matrices.py` calls
+`_eliminate`, and only `involutions.involution` builds an Involution.  No linter ships with the project, so this walks each module's
 syntax tree with the stdlib `ast` module.  The package's `__init__.py` is
 exempt from the import guard: its imports are the package's exports.
 """
@@ -129,3 +129,14 @@ def test_only_reports_module_builds_reports():
 def test_only_matrices_module_eliminates():
     """Pivots come from `_eliminate`, or from `pivot_cols` on a stored basis."""
     assert calls_outside("matrices.py", "_eliminate") == {}
+
+
+def test_only_the_involution_builder_builds_involutions():
+    """Every Involution the library builds has passed the order-two check."""
+    assert calls_outside("involutions.py", "Involution") == {}
+    tree = library_trees()["involutions.py"]
+    builder = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "involution")
+    assert calls_to(tree, "Involution") == calls_to(builder, "Involution")
+    assert calls_to(builder, "Involution")
