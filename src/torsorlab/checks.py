@@ -18,7 +18,6 @@ only where one checker serves several forms or parameters.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -748,9 +747,8 @@ _SUITE_ROWS = (
 )
 
 
-SUITES = OrderedDict(
-    (name, Suite(name, module, description, runner))
-    for name, module, description, runner in _SUITE_ROWS)
+SUITES = {name: Suite(name, module, description, runner)
+          for name, module, description, runner in _SUITE_ROWS}
 
 
 def list_suites():

@@ -64,8 +64,11 @@ def _emit(lines, args):
     """Write the lines to --out or stdout; 0, the exit code of success."""
     text = "".join(line + "\n" for line in lines)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError("cannot write --out: %s" % exc)
     else:
         sys.stdout.write(text)
     return 0
@@ -266,13 +269,22 @@ def _non_negative_int(text):
     return _int_at_least(text, 0)
 
 
+def _seed(text):
+    """argparse type for --seed: SplitMix64 takes seeds modulo 2**64."""
+    value = _int_at_least(text, 0)
+    if value >= 1 << 64:
+        raise argparse.ArgumentTypeError(
+            "expected an integer below 2**64, got %r" % text)
+    return value
+
+
 def _add_sampling(p):
     g = p.add_mutually_exclusive_group()
     g.add_argument("--exhaustive", action="store_true",
                    help="enumerate every case instead of sampling")
     g.add_argument("--trials", type=_positive_int, default=200,
                    help="number of sampled cases (default 200)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="64-bit seed; case i is drawn from (seed, i)")
 
 

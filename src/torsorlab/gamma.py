@@ -87,20 +87,21 @@ def gamma_global(x, a, y, b, z):
 
 def gamma_oracle_enum(x, a, y, b, z):
     """Brute-force witness enumeration (tiny finite cases only)."""
-    from .subspaces import contains_vector, vectors
+    from .subspaces import vectors
+    _check_same_space(x, a, y, b, z)
     field = x.field
     n = x.ambient
     found = []
-    xs = list(vectors(x))
+    xs, ys, bs = list(vectors(x)), set(vectors(y)), set(vectors(b))
     for zeta in vectors(z):
         for alpha in vectors(a):
             w = tuple(field.add(p, q) for p, q in zip(zeta, alpha))
             for xi in xs:
                 eta = tuple(field.sub(p, q) for p, q in zip(alpha, xi))
-                if not contains_vector(y, eta):
+                if eta not in ys:
                     continue
                 beta = tuple(field.sub(p, q) for p, q in zip(w, xi))
-                if contains_vector(b, beta):
+                if beta in bs:
                     found.append(w)
                     break
     return span_rows(field, n, found)

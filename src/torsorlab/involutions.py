@@ -43,8 +43,7 @@ from .reports import (Slots, cases, describe_case, every, run_inclusion_law,
 from .subspaces import (Subspace, TransversalityError, chart_minus,
                         chart_of, coord_subspace, enumerate_subspaces,
                         graph_minus, image_under, is_isotropic, is_transversal,
-                        orthocomplement, pushforward, random_subspace,
-                        sort_key, span_rows)
+                        orthocomplement, pushforward, random_subspace)
 
 
 class InvolutionError(ValueError):
@@ -133,13 +132,8 @@ def standard_triple(field, n):
     """o+ = first n coordinates, o- = last n, e = diagonal, in K^{2n}."""
     o_plus = coord_subspace(field, 2 * n, range(n))
     o_minus = coord_subspace(field, 2 * n, range(n, 2 * n))
-    rows = []
-    for i in range(n):
-        v = [field.zero] * (2 * n)
-        v[i] = field.one
-        v[n + i] = field.one
-        rows.append(tuple(v))
-    return BaseTriple(o_plus, span_rows(field, 2 * n, rows), o_minus)
+    i = Matrix.identity(field, n)
+    return BaseTriple(o_plus, Subspace(hstack(i, i)), o_minus)
 
 
 def is_standard_triple(bt):
@@ -207,8 +201,8 @@ def fixed_points(inv):
     n = inv.ambient
     if n % 2 == 1:
         return ()
-    pts = [x for x in enumerate_subspaces(inv.field, n, n // 2) if inv(x) == x]
-    return tuple(sorted(pts, key=sort_key))
+    return tuple(x for x in enumerate_subspaces(inv.field, n, n // 2)
+                 if inv(x) == x)
 
 
 def isotropic_census(form):
@@ -216,9 +210,8 @@ def isotropic_census(form):
     n = form.ambient
     if n % 2 == 1:
         return ()
-    pts = [x for x in enumerate_subspaces(form.field, n, n // 2)
-           if is_isotropic(x, form)]
-    return tuple(sorted(pts, key=sort_key))
+    return tuple(x for x in enumerate_subspaces(form.field, n, n // 2)
+                 if is_isotropic(x, form))
 
 
 def census_report(form, suite="lagrangian", law="census-two-paths"):

@@ -29,6 +29,10 @@ once, and over `Rationals` each row of the left factor and each column of the
 right one is scaled to integers by the lcm of its denominators, so each entry
 is one int dot product over one denominator.
 
+Vector arithmetic outside `fields` and this module goes through `Matrix`, as
+1 x n matrices, so shapes are checked instead of cut short by `zip`; only the
+brute-force reference `gamma.gamma_oracle_enum` adds scalar tuples itself.
+
 A `Matrix` is a frozen, slotted value.  Its hash is computed once, on first
 use, and kept in the `_hash` slot; it equals the hash a frozen dataclass
 would generate, so set and dict orders do not depend on the cache.
@@ -236,25 +240,6 @@ def vstack(*mats):
         raise ShapeError("vstack needs equal column counts and one ring")
     rows = sum((m.entries for m in mats), ())
     return Matrix(first.ring, len(rows), first.ncols, rows)
-
-
-def vec_mul(v, m):
-    """Row-vector action: returns tuple v @ m."""
-    R = m.ring
-    add, mul, zero = R.add, R.mul, R.zero
-    if len(v) != m.nrows:
-        raise ShapeError("vector of length %d against %d rows"
-                         % (len(v), m.nrows))
-    out = [zero] * m.ncols
-    for c, row in zip(v, m.entries):
-        if R.is_zero(c):
-            continue
-        out = [add(acc, mul(c, a)) for acc, a in zip(out, row)]
-    return tuple(out)
-
-
-def neg_vec(ring, v):
-    return tuple(ring.neg(e) for e in v)
 
 
 def _eliminate(ring, rows, ncols):

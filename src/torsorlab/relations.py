@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .matrices import (Matrix, ShapeError, eliminate_front, hstack, neg_vec,
-                       vstack)
-from .subspaces import (Subspace, _check_same_space, make_form,
+from .matrices import Matrix, ShapeError, eliminate_front, hstack, vstack
+from .subspaces import (Subspace, _check_same_space, graph_of, make_form,
                         orthocomplement, span_rows)
 
 
@@ -48,8 +47,7 @@ def graph_rel(mat):
     if mat.nrows != mat.ncols:
         raise ShapeError("%dx%d matrix is not an endomorphism"
                          % (mat.nrows, mat.ncols))
-    basis = hstack(Matrix.identity(mat.ring, mat.nrows), mat.transpose())
-    return LinearRelation(Subspace(basis))
+    return LinearRelation(graph_of(mat))
 
 
 def identity_rel(field, half):
@@ -88,7 +86,7 @@ def compose(g, f):
     field = f.field
     zero = (field.zero,) * n
     rows = [row[n:] + row[:n] + zero for row in f.inner.basis.entries]
-    rows += [neg_vec(field, row[:n]) + zero + row[n:]
+    rows += [tuple(map(field.neg, row[:n])) + zero + row[n:]
              for row in g.inner.basis.entries]
     return LinearRelation(Subspace(eliminate_front(field, rows, n, 3 * n)))
 
@@ -115,27 +113,21 @@ def difference(f, g):
     return LinearRelation(Subspace(eliminate_front(field, rows, n, 3 * n)))
 
 
-def one_plus_minus(f, plus=True):
-    """1 + F (or 1 - F): pushforward of F by (v, w) -> (v, v +/- w)."""
-    field = f.field
+def _shear(f, op):
+    """1 + F or 1 - F: pushforward of F by (v, w) -> (v, op(v, w)) with op
+    the ring's add or sub, applied entrywise."""
     n = f.half
-    rows = []
-    for row in f.inner.basis.entries:
-        v, w = row[:n], row[n:]
-        if plus:
-            new = tuple(field.add(a, b) for a, b in zip(v, w))
-        else:
-            new = tuple(field.sub(a, b) for a, b in zip(v, w))
-        rows.append(v + new)
-    return LinearRelation(span_rows(field, 2 * n, rows))
+    rows = [row[:n] + tuple(map(op, row[:n], row[n:]))
+            for row in f.inner.basis.entries]
+    return LinearRelation(span_rows(f.field, 2 * n, rows))
 
 
 def one_plus(f):
-    return one_plus_minus(f, plus=True)
+    return _shear(f, f.field.add)
 
 
 def one_minus(f):
-    return one_plus_minus(f, plus=False)
+    return _shear(f, f.field.sub)
 
 
 @lru_cache(maxsize=None)

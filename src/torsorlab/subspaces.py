@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .fields import FieldSyntaxError
 from .matrices import (Matrix, ShapeError, SingularMatrixError,
                        eliminate_front, format_matrix, hstack, kernel_basis,
-                       mat_invert, pivot_cols, rank, rref, vec_mul, vstack)
+                       mat_invert, pivot_cols, rank, rref, vstack)
 
 DEFAULT_MAX_AMBIENT = 6
 
@@ -88,27 +88,15 @@ def full_subspace(field, ambient):
 
 def coord_subspace(field, ambient, indices):
     """Span of the given standard basis vectors."""
-    rows = []
-    for i in sorted(indices):
-        v = [field.zero] * ambient
-        v[i] = field.one
-        rows.append(tuple(v))
-    return Subspace(Matrix.from_rows(field, rows, ambient))
-
-
-def contains_vector(sub, v):
-    """Membership test by reduction against the RREF basis."""
-    R = sub.field
-    v = list(v)
-    for row, lead in zip(sub.basis.entries, pivot_cols(sub.basis)):
-        c = v[lead]
-        if not R.is_zero(c):
-            v = [R.sub(a, R.mul(c, b)) for a, b in zip(v, row)]
-    return all(R.is_zero(a) for a in v)
+    rows = Matrix.identity(field, ambient).entries
+    return Subspace(Matrix.from_rows(field, [rows[i] for i in sorted(indices)],
+                                     ambient))
 
 
 def contains(big, small):
-    return all(contains_vector(big, row) for row in small.basis.entries)
+    """small <= big: stacking small's basis under big's adds no rank."""
+    _check_same_space(big, small)
+    return rank(vstack(big.basis, small.basis)) == big.dim
 
 
 def meet(x, y):
@@ -217,15 +205,10 @@ class Form:
         return self.gram.nrows
 
     def evaluate(self, u, v):
+        """beta(u, v) as the 1x1 product conj(u) . gram . v^T."""
         R = self.field
-        return _dot(R, vec_mul(tuple(R.conj(a) for a in u), self.gram), v)
-
-
-def _dot(R, u, v):
-    acc = R.zero
-    for a, b in zip(u, v):
-        acc = R.add(acc, R.mul(a, b))
-    return acc
+        u, v = Matrix.build(R, (u,)), Matrix.build(R, (v,))
+        return (u.conj() * self.gram * v.transpose()).entries[0][0]
 
 
 def make_form(gram, kind):
@@ -292,14 +275,8 @@ def vectors(sub):
     R = sub.field
     if R.size is None:
         raise FieldSyntaxError("vector enumeration needs a finite field")
-    elems = tuple(R.elements())
-    rows = sub.basis.entries
-    for coeffs in itertools.product(elems, repeat=sub.dim):
-        v = (R.zero,) * sub.ambient
-        for c, row in zip(coeffs, rows):
-            if not R.is_zero(c):
-                v = tuple(R.add(a, R.mul(c, b)) for a, b in zip(v, row))
-        yield v
+    coeffs = itertools.product(tuple(R.elements()), repeat=sub.dim)
+    yield from (Matrix.from_rows(R, coeffs, sub.dim) * sub.basis).entries
 
 
 def enumerate_subspaces(field, ambient, dim=None):

@@ -142,6 +142,22 @@ def test_check_rejects_trial_counts_below_one(trials, capsys):
         assert "--trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64), "x"])
+def test_check_rejects_seeds_outside_64_bits(seed, capsys):
+    """SplitMix64 keeps 64 bits: a seed outside [0, 2**64) would alias one
+    inside it and print that seed's bytes."""
+    for command in (["check", "--suite", "field-axioms", "--field", "f3",
+                     "--ambient", "2"],
+                    ["bridge", "--check", "thm37"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command + ["--seed", seed])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+    args = cli.build_parser().parse_args(
+        ["check", "--seed", str(2 ** 64 - 1)])
+    assert args.seed == 2 ** 64 - 1
+
+
 @pytest.mark.parametrize("command", [
     ["check", "--suite", "all", "--field", "f3", "--ambient", "-1",
      "--trials", "2"],
@@ -222,10 +238,13 @@ def test_gtable_json_has_unit_row(capsys):
     assert len(obj["elements"]) == len(table)
 
 
-def test_gtable_bytes_match_the_benchmark_record(capsys):
-    """The torsor-table workload's stdout, against its recorded digest."""
+@pytest.mark.parametrize("workload",
+                         ["f3-sampled", "rat-sampled", "torsor-table"])
+def test_gtable_bytes_match_the_benchmark_record(workload, capsys):
+    """A benchmark workload's stdout, against its recorded digest (the
+    f2-exhaustive record is `test_exhaustive_flagship_run`'s golden)."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
-    record = json.loads(path.read_text(encoding="utf-8"))["torsor-table"]
+    record = json.loads(path.read_text(encoding="utf-8"))[workload]
     code, out, err = run_cli(capsys, *record["argv"])
     assert code == 0 and not err
     assert hashlib.sha256(out.encode()).hexdigest() == record["sha256"]
@@ -412,6 +431,20 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     capsys.readouterr()
     assert code2 == 0
     assert path.read_text() == out
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--field", "f2", "--ambient", "1"],
+    ["check", "--suite", "all", "--field", "f2", "--ambient", "1",
+     "--trials", "2"]],
+    ids=lambda argv: argv[0])
+def test_unwritable_out_is_usage_error(argv, tmp_path, capsys):
+    """A missing folder or a directory as --out exits 2, not 1 ("law
+    violated"), with a message in place of a traceback."""
+    for out in (tmp_path / "missing" / "x", tmp_path):
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 2 and not stdout
+        assert err.startswith("torsorlab: cannot write --out")
 
 
 def test_identical_invocations_print_identical_bytes(capsys):

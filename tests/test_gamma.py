@@ -82,14 +82,16 @@ def test_routes_reject_a_slot_from_another_field():
 
 @pytest.mark.parametrize("slot", range(1, 5))
 def test_oracle_rejects_a_foreign_space_in_each_slot(slot):
-    """A wrong ambient or ring after x fails whichever slot holds it."""
+    """A wrong ambient or ring after x fails whichever slot holds it, also
+    in the brute-force reference, whose vector sums would cut it short."""
     f3, f5 = PrimeField(3), PrimeField(5)
     args = [rand_sub(f3, 2, 43, i) for i in range(5)]
     for foreign in (rand_sub(f3, 3, 43, 5), rand_sub(f5, 2, 43, 6)):
         bad = list(args)
         bad[slot] = foreign
-        with pytest.raises(ShapeError):
-            gamma_oracle(*bad)
+        for route in (gamma_oracle, gamma_oracle_enum):
+            with pytest.raises(ShapeError):
+                route(*bad)
     assert gamma_oracle(*args).ambient == 2
 
 

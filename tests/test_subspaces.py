@@ -6,7 +6,8 @@ import os
 import pytest
 
 from torsorlab.fields import FieldSyntaxError, PrimeField, QuadraticExt, Rationals
-from torsorlab.matrices import Matrix, SingularMatrixError, parse_matrix, random_matrix
+from torsorlab.matrices import (Matrix, ShapeError, SingularMatrixError, parse_matrix,
+                                random_matrix)
 from torsorlab.rng import trial_rng
 from torsorlab.subspaces import (
     Subspace,
@@ -16,7 +17,6 @@ from torsorlab.subspaces import (
     chart_of,
     complement,
     contains,
-    contains_vector,
     coord_subspace,
     diag_form,
     enumerate_subspaces,
@@ -165,12 +165,26 @@ def test_is_transversal_is_complementary_dims_and_zero_meet(field, ambient):
     assert seen == {False, True}
 
 
+def vec_span(field, *ints):
+    """The line spanned by one vector given as ints."""
+    return span_rows(field, len(ints), [[field.from_int(v) for v in ints]])
+
+
 def test_contains_vector():
     f3 = PrimeField(3)
     x = span_rows(f3, 3, [[1, 0, 1], [0, 1, 0]])
-    assert contains_vector(x, tuple(f3.from_int(v) for v in (1, 1, 1)))
-    assert contains_vector(x, tuple(f3.from_int(v) for v in (2, 0, 2)))
-    assert not contains_vector(x, tuple(f3.from_int(v) for v in (0, 0, 1)))
+    assert contains(x, vec_span(f3, 1, 1, 1))
+    assert contains(x, vec_span(f3, 2, 0, 2))
+    assert not contains(x, vec_span(f3, 0, 0, 1))
+
+
+def test_contains_across_ambients_is_shape_error():
+    f3 = PrimeField(3)
+    x = full_subspace(f3, 2)
+    with pytest.raises(ShapeError):
+        contains(x, vec_span(f3, 1, 0, 1))
+    with pytest.raises(ShapeError):
+        contains(vec_span(f3, 1, 0, 1), x)
 
 
 def test_vectors_enumerates_all_points():
@@ -179,15 +193,15 @@ def test_vectors_enumerates_all_points():
     pts = list(vectors(x))
     assert len(pts) == 9
     assert len(set(pts)) == 9
-    assert all(contains_vector(x, v) for v in pts)
+    assert all(contains(x, span_rows(f3, 3, [v])) for v in pts)
 
 
 def test_coord_subspace():
     f2 = PrimeField(2)
     x = coord_subspace(f2, 4, range(2))
     assert x.dim == 2
-    assert contains_vector(x, tuple(f2.from_int(v) for v in (1, 1, 0, 0)))
-    assert not contains_vector(x, tuple(f2.from_int(v) for v in (0, 0, 1, 0)))
+    assert contains(x, vec_span(f2, 1, 1, 0, 0))
+    assert not contains(x, vec_span(f2, 0, 0, 1, 0))
 
 
 def test_graph_chart_roundtrip():
@@ -262,6 +276,16 @@ def test_form_conjugates_first_argument():
     assert form.evaluate(w, v) == a
 
 
+def test_form_evaluate_checks_vector_lengths():
+    f3 = PrimeField(3)
+    sym = symplectic_form(f3, 1)
+    short, right, long = (tuple(f3.from_int(v) for v in ints)
+                          for ints in ((1,), (1, 0), (0, 1, 1)))
+    for u, v in ((right, long), (long, right), (short, right), (right, short)):
+        with pytest.raises(ShapeError):
+            sym.evaluate(u, v)
+
+
 def test_make_form_rejects_wrong_symmetry():
     f3 = PrimeField(3)
     bad = mat(f3, [[1, 1], [0, 1]])
@@ -301,11 +325,14 @@ def test_gaussian_binomial_values():
 
 
 def test_enumeration_is_sorted_and_duplicate_free():
-    f2 = PrimeField(2)
-    subs = list(all_subspaces(f2, 3))
-    keys = [sort_key(x) for x in subs]
-    assert keys == sorted(keys)
-    assert len(set(subs)) == len(subs)
+    """Whole and one layer (`dim=`): fixed points, censuses and torsor
+    carriers take this order as it comes, without sorting again."""
+    for field, ambient, dim in ((PrimeField(2), 3, None), (PrimeField(3), 4, 2),
+                                (QuadraticExt(3), 2, 1)):
+        subs = list(all_subspaces(field, ambient, dim))
+        keys = [sort_key(x) for x in subs]
+        assert keys == sorted(keys)
+        assert len(set(subs)) == len(subs)
 
 
 def test_enumerate_needs_finite_field():
@@ -352,7 +379,7 @@ def test_pushforward_is_column_action():
     g = mat(f3, [[0, 1], [2, 0]])
     x = span_rows(f3, 2, [[1, 1]])
     y = pushforward(g, x)
-    assert contains_vector(y, tuple(f3.from_int(v) for v in (1, 2)))
+    assert contains(y, vec_span(f3, 1, 2))
 
 
 def test_rationals_subspaces():

@@ -4,7 +4,9 @@
 "which v admit witnesses?" by one block elimination.  Here the same answers
 are built by brute force from the vectors of the operands, with no row
 reduction on the checking side, and compared as sets.  The result's basis
-must also be independent: q^dim vectors for the q-element field.
+must also be independent: q^dim vectors for the q-element field.  The rank
+test of `contains` and the shears `one_plus` and `one_minus` are checked the
+same way.
 """
 
 import itertools
@@ -12,9 +14,11 @@ import itertools
 from torsorlab.fields import PrimeField
 from torsorlab.gamma import gamma_global, gamma_oracle
 from torsorlab.relations import (LinearRelation, apply_rel, compose,
-                                 difference, random_relation)
+                                 difference, one_minus, one_plus,
+                                 random_relation)
 from torsorlab.rng import trial_rng
-from torsorlab.subspaces import all_subspaces, meet, random_subspace, vectors
+from torsorlab.subspaces import (all_subspaces, contains, meet,
+                                 random_subspace, vectors)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -72,6 +76,11 @@ def _gamma_set(x, a, y, b, z):
     return out
 
 
+def _shear_set(f, op):
+    """(v, op(v, w)) for (v, w) in f, with op an entrywise vector map."""
+    return {v + op(f.field, v, w) for v, w in _pairs(f)}
+
+
 def _check_relation_pair(f, g):
     _same(compose(g, f).inner, _compose_set(g, f))
     _same(difference(f, g).inner, _difference_set(f, g))
@@ -96,12 +105,28 @@ def test_relation_operations_exhaustive_f2():
                 _check_relation_pair(f, g)
 
 
+def test_contains_exhaustive_f2():
+    subs = all_subspaces(F2, 3)
+    for x, y in itertools.product(subs, repeat=2):
+        assert contains(x, y) == (set(vectors(y)) <= set(vectors(x)))
+
+
+def test_one_plus_and_one_minus_exhaustive_f2():
+    for n in (1, 2):
+        for s in all_subspaces(F2, 2 * n):
+            f = LinearRelation(s)
+            _same(one_plus(f).inner, _shear_set(f, _add))
+            _same(one_minus(f).inner, _shear_set(f, _sub))
+
+
 def test_witness_operations_seeded_f3():
     for i in range(40):
         rng = trial_rng(17, i)
         f, g = (random_relation(F3, 2, rng) for _ in range(2))
         x, a, y, b, z = (random_subspace(F3, 2, rng) for _ in range(5))
         _check_relation_pair(f, g)
+        _same(one_plus(f).inner, _shear_set(f, _add))
+        _same(one_minus(f).inner, _shear_set(f, _sub))
         _same(apply_rel(f, z), _apply_set(f, z))
         _same(meet(x, y), _meet_set(x, y))
         _same(gamma_oracle(x, a, y, b, z), _gamma_set(x, a, y, b, z))
