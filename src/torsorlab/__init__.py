@@ -17,9 +17,8 @@ its iterate K[e1][e2] = DualRing(DualRing(K)) for derivatives, and provides:
 - a command line front end (`cli`).
 """
 
-from .fields import (CharacteristicTwoError, DualRing, FieldSyntaxError,
-                     GaussianRationals, PrimeField, QuadraticExt, Rationals,
-                     field_from_spec)
+from .fields import (DualRing, FieldSyntaxError, GaussianRationals,
+                     PrimeField, QuadraticExt, Rationals, field_from_spec)
 from .matrices import (Matrix, ShapeError, all_matrices, det, format_matrix,
                        hstack, is_invertible, kernel_basis, mat_invert,
                        parse_matrix, random_matrix, rank, rref, vstack)
@@ -29,21 +28,19 @@ from .subspaces import (Form, Subspace, all_subspaces, chart_of, complement,
                         graph_minus, graph_of, is_isotropic, is_transversal,
                         join, make_form, meet, orthocomplement, pushforward,
                         random_subspace, span, span_rows, split_form,
-                        standard_forms, subspace_from_json, subspace_to_json,
-                        symplectic_form, zero_subspace)
+                        standard_forms, subspace_to_json, symplectic_form)
 from .relations import (LinearRelation, adjoint, apply_rel, compose,
-                        difference, gen_projection, graph_rel, identity_rel,
-                        inverse_rel, one_minus, one_plus, random_relation,
-                        relation_from_json, relation_to_json)
-from .gamma import (common_complements, dilation, dilations, gamma_global,
-                    gamma_oracle, gamma_restricted, gamma_via_m, l_relation,
-                    m_operator, m_relation, proj_operator, transversal_tuple)
+                        difference, gen_projection, inverse_rel, one_minus,
+                        one_plus, random_relation, relation_to_json)
+from .gamma import (common_complements, dilations, gamma_global, gamma_oracle,
+                    gamma_restricted, gamma_via_m, l_relation, m_operator,
+                    m_relation, proj_operator, transversal_tuple)
 from .involutions import (BaseTriple, Involution, InvolutionError,
-                          cayley_rho, cayley_table, census_report,
-                          closure_report, dual_involution, fixed_points,
-                          involution, isotropic_census, j_map,
-                          ortho_involution, standard_triple, tilde_tau,
-                          torsor_G, translation_op, unitary_group)
+                          cayley_table, census_report, closure_report,
+                          dual_involution, fixed_points, involution,
+                          isotropic_census, ortho_involution,
+                          standard_triple, torsor_G, translation_op,
+                          unitary_group)
 from .homotopes import (ClassicalFamily, Homotope, classical_family,
                         family_table_bridge, graph_star_roundtrip,
                         hull, lie_bracket_dual, lie_bracket_formula, members,

@@ -538,8 +538,7 @@ def _run_invariant_transport(field, ambient, config):
 def _run_lagrangian_census(field, ambient, config):
     _needs_finite(field)
     _needs_even(ambient)
-    reports = [census_report(form, "lagrangian-census",
-                             "census-two-paths-" + name)
+    reports = [census_report(form, "census-two-paths-" + name)
                for name, form in _forms(field, ambient).items()]
     if field.char != 2:
         n = ambient // 2

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import checks, homotopes
@@ -61,16 +62,26 @@ def _parse_subspace(text, field, ambient=None):
 
 
 def _emit(lines, args):
-    """Write the lines to --out or stdout; 0, the exit code of success."""
+    """Write the lines to --out or stdout; 0, the exit code of success.
+
+    A write error on either exits 2.  After one on stdout, stdout is pointed
+    at the null device, so that the interpreter's flush of what is still
+    buffered cannot fail again at exit.
+    """
     text = "".join(line + "\n" for line in lines)
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if args.out:
             raise UsageError("cannot write --out: %s" % exc)
-    else:
-        sys.stdout.write(text)
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        raise UsageError("cannot write stdout: %s" % exc)
     return 0
 
 

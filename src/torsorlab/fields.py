@@ -31,10 +31,6 @@ class FieldSyntaxError(ValueError):
     """Malformed scalar/matrix literal or unknown field spec."""
 
 
-class CharacteristicTwoError(ArithmeticError):
-    """Operation needs 2 to be invertible in the base field."""
-
-
 class Ring:
     """Common interface: commutative ring with exact, normal-form elements."""
 

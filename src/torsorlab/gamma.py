@@ -145,11 +145,6 @@ def dilations(scalars, x, a, y):
     return [span(moved.scale(s) + fixed) for s in scalars]
 
 
-def dilation(s, x, a, y):
-    """Image of y under s P_a^x + P_x^a (x, y both transversal to a)."""
-    return dilations((s,), x, a, y)[0]
-
-
 def common_complements(a, b):
     """All common complements of a and b (finite fields), in enumeration order."""
     if a.dim != b.dim:

@@ -5,12 +5,9 @@ K, tau(x) = {v : conj(u) K v = 0 for all u in x}, and is stored as K alone.
 K need not be hermitian or skew: tau(tau(x)) = K^-1 K* x, so tau has order
 two exactly when K^-1 K* is a scalar, and `involution` builds only those.
 An invertible operator d composed after tau gives the orthocomplement for
-K d^-1, so this class of maps is closed under the two derived constructions
-used throughout:
-
-* the dual involution, which composes with the operator that is the identity
-  on o+ and minus the identity on o- (an automorphism of the product);
-* the swap-composed involution tilde, which composes with the block swap j.
+K d^-1, so this class of maps is closed under the dual involution, which
+composes with the operator that is the identity on o+ and minus the identity
+on o- (an automorphism of the product).
 
 Fixed-point sets are the Lagrangian-type subvarieties; the torsors G(inv, a)
 and the unitary groups U(inv; a, o, b), each a sorted tuple of subspaces
@@ -33,7 +30,6 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fields import CharacteristicTwoError
 from .gamma import (common_complements, dilations, gamma_global, gamma_oracle,
                     m_operator, subspace_slots, transversal_slots)
 from .matrices import (Matrix, det, format_matrix, hstack, kernel_basis,
@@ -116,12 +112,7 @@ def ortho_involution(form):
 @dataclass(frozen=True)
 class BaseTriple:
     o_plus: Subspace
-    e: Subspace
     o_minus: Subspace
-
-    @property
-    def field(self):
-        return self.o_plus.field
 
     @property
     def ambient(self):
@@ -129,24 +120,9 @@ class BaseTriple:
 
 
 def standard_triple(field, n):
-    """o+ = first n coordinates, o- = last n, e = diagonal, in K^{2n}."""
-    o_plus = coord_subspace(field, 2 * n, range(n))
-    o_minus = coord_subspace(field, 2 * n, range(n, 2 * n))
-    i = Matrix.identity(field, n)
-    return BaseTriple(o_plus, Subspace(hstack(i, i)), o_minus)
-
-
-def is_standard_triple(bt):
-    return bt == standard_triple(bt.field, bt.ambient // 2)
-
-
-def _base_point_type(inv, bt):
-    tp, tm = inv(bt.o_plus), inv(bt.o_minus)
-    if tp == bt.o_plus and tm == bt.o_minus:
-        return "preserving"
-    if tp == bt.o_minus and tm == bt.o_plus:
-        return "exchanging"
-    return None
+    """o+ = first n coordinates, o- = last n, in K^{2n}."""
+    return BaseTriple(coord_subspace(field, 2 * n, range(n)),
+                      coord_subspace(field, 2 * n, range(n, 2 * n)))
 
 
 def minus_one_op(bt):
@@ -156,37 +132,11 @@ def minus_one_op(bt):
 
 def dual_involution(inv, bt):
     """Compose with the minus-one automorphism of the base pair."""
-    kind = _base_point_type(inv, bt)
-    if kind is None:
+    if {inv(bt.o_plus), inv(bt.o_minus)} != {bt.o_plus, bt.o_minus}:
         raise InvolutionError(
             "dual involution needs a base point preserving or exchanging map")
     return involution(inv.gram * mat_invert(minus_one_op(bt)),
                       inv.label + "-dual")
-
-
-def j_map(bt):
-    """The swap operator exchanging o+ and o- while fixing the diagonal."""
-    return m_operator(bt.o_plus, bt.e, bt.e, bt.o_minus)
-
-
-def tilde_tau(inv, bt):
-    """Compose with j; needs tau fixing o+, o-, and e."""
-    if _base_point_type(inv, bt) != "preserving" or inv(bt.e) != bt.e:
-        raise InvolutionError(
-            "tilde construction needs a unital base point preserving map")
-    return involution(inv.gram * mat_invert(j_map(bt)), inv.label + "-tilde")
-
-
-def cayley_rho(bt):
-    """Block operator [[1, -1], [1, 1]] on the standard triple."""
-    field = bt.field
-    if field.char == 2:
-        raise CharacteristicTwoError("the transform needs 2 invertible")
-    if not is_standard_triple(bt):
-        raise ValueError("transform is pinned to the standard triple")
-    n = bt.ambient // 2
-    i = Matrix.identity(field, n)
-    return vstack(hstack(i, -i), hstack(i, i))
 
 
 # -- fixed points and Lagrangian geometries --------------------------------
@@ -214,12 +164,13 @@ def isotropic_census(form):
                  if is_isotropic(x, form))
 
 
-def census_report(form, suite="lagrangian", law="census-two-paths"):
+def census_report(form, law="census-two-paths"):
     """Two independent counts of the middle isotropic layer must agree."""
     direct = isotropic_census(form)
     fixed = fixed_points(ortho_involution(form))
     counts = {"direct-count": len(direct), "fixed-count": len(fixed)}
-    return run_law(suite, law, [counts], lambda c: direct == fixed,
+    return run_law("lagrangian-census", law, [counts],
+                   lambda c: direct == fixed,
                    notes=("count:%d" % len(direct),))
 
 

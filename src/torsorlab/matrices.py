@@ -6,7 +6,9 @@ K[e1][e2] (a `DualRing` of a `DualRing`); pivot selection asks the ring for a
 means an invertible constant part.  Reduced row echelon form (and everything
 built on it) is only offered over fields, where it is canonical.
 
-Every row reduction goes through `_eliminate`, which has three kernels:
+Every row reduction goes through `_eliminate`, except the loop of `det`,
+which keeps its own row swaps to track the sign.  `_eliminate` has three
+kernels:
 
 * `_eliminate_mod_p` for a `PrimeField` (F2, F3, F5, ...): entries stay ints
   in [0, p) and each row update is one list comprehension with an inline
@@ -532,10 +534,14 @@ def random_matrix(ring, nrows, ncols, rng):
                         for _ in range(nrows)))
 
 
+# How many matrices `all_matrices`, or subspaces `enumerate_subspaces`, may list.
+ENUMERATION_LIMIT = 1_000_000
+
+
 def all_matrices(ring, nrows, ncols):
     """All matrices over a finite field, in sorted scan order."""
     els = tuple(ring.elements())
-    if len(els) ** (nrows * ncols) > 1_000_000:
+    if len(els) ** (nrows * ncols) > ENUMERATION_LIMIT:
         raise ValueError("matrix space too large to enumerate")
     for combo in product(els, repeat=nrows * ncols):
         yield Matrix(ring, nrows, ncols,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .matrices import Matrix, ShapeError, eliminate_front, hstack, vstack
-from .subspaces import (Subspace, _check_same_space, graph_of, make_form,
+from .subspaces import (Subspace, _check_same_space, make_form,
                         orthocomplement, span_rows)
 
 
@@ -40,22 +40,6 @@ class LinearRelation:
     @property
     def dim(self):
         return self.inner.dim
-
-
-def graph_rel(mat):
-    """Relation {(v, mat v)} of an endomorphism matrix."""
-    if mat.nrows != mat.ncols:
-        raise ShapeError("%dx%d matrix is not an endomorphism"
-                         % (mat.nrows, mat.ncols))
-    return LinearRelation(graph_of(mat))
-
-
-def identity_rel(field, half):
-    return graph_rel(Matrix.identity(field, half))
-
-
-def zero_rel(field, half):
-    return graph_rel(Matrix.zeros(field, half, half))
 
 
 def gen_projection(x, a):
@@ -154,16 +138,6 @@ def relation_to_json(f):
     obj = subspace_to_json(f.inner)
     obj["half"] = f.half
     return obj
-
-
-def relation_from_json(obj):
-    from .subspaces import subspace_from_json
-    f = LinearRelation(subspace_from_json(obj))
-    half = int(obj["half"])
-    if half != f.half:
-        raise ShapeError("half %d does not match ambient %d"
-                         % (half, f.inner.ambient))
-    return f
 
 
 def random_relation(field, half, rng):

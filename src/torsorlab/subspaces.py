@@ -5,7 +5,10 @@ which is a canonical form: two subspaces are equal iff their representations
 are equal, and every Subspace is hashable.  The lattice operations (meet,
 join), the affine charts against a fixed complement, orthocomplements for a
 sesquilinear form, and a deterministic enumeration of all subspaces over a
-finite field live here.
+finite field live here.  Before it builds anything, the enumeration counts
+the subspaces asked for by Gaussian binomials, and it refuses a request for
+more than `matrices.ENUMERATION_LIMIT` of them with `FieldSyntaxError`.
+The limit is 10^6, so all of F2^8 or F3^6 passes and F5^6 does not.
 
 A Subspace is a frozen, slotted value whose hash is computed once, on first
 use, and kept in its `_hash` slot.  The value is the one a frozen dataclass
@@ -16,24 +19,13 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import os
 from dataclasses import dataclass
 
 from .fields import FieldSyntaxError
-from .matrices import (Matrix, ShapeError, SingularMatrixError,
-                       eliminate_front, format_matrix, hstack, kernel_basis,
-                       mat_invert, pivot_cols, rank, rref, vstack)
-
-DEFAULT_MAX_AMBIENT = 6
-
-
-def max_ambient():
-    raw = os.environ.get("TORSORLAB_MAX_AMBIENT", DEFAULT_MAX_AMBIENT)
-    try:
-        return int(raw)
-    except ValueError:
-        raise FieldSyntaxError("TORSORLAB_MAX_AMBIENT must be an integer,"
-                               " got %r" % raw) from None
+from .matrices import (ENUMERATION_LIMIT, Matrix, ShapeError,
+                       SingularMatrixError, eliminate_front, format_matrix,
+                       hstack, kernel_basis, mat_invert, pivot_cols, rank,
+                       rref, vstack)
 
 
 class TransversalityError(ValueError):
@@ -76,10 +68,6 @@ def span(rows_matrix):
 
 def span_rows(field, ambient, rows):
     return span(Matrix.from_rows(field, rows, ambient))
-
-
-def zero_subspace(field, ambient):
-    return Subspace(Matrix.from_rows(field, (), ambient))
 
 
 def full_subspace(field, ambient):
@@ -204,12 +192,6 @@ class Form:
     def ambient(self):
         return self.gram.nrows
 
-    def evaluate(self, u, v):
-        """beta(u, v) as the 1x1 product conj(u) . gram . v^T."""
-        R = self.field
-        u, v = Matrix.build(R, (u,)), Matrix.build(R, (v,))
-        return (u.conj() * self.gram * v.transpose()).entries[0][0]
-
 
 def make_form(gram, kind):
     """Validated form constructor: (skew-)hermitian and nondegenerate."""
@@ -287,11 +269,11 @@ def enumerate_subspaces(field, ambient, dim=None):
     """
     if field.size is None:
         raise FieldSyntaxError("subspace enumeration needs a finite field")
-    bound = max_ambient()
-    if ambient > bound:
-        raise FieldSyntaxError(
-            "ambient %d exceeds TORSORLAB_MAX_AMBIENT=%d" % (ambient, bound))
     dims = range(ambient + 1) if dim is None else (dim,)
+    if _more_than_the_limit(field.size, ambient, dims):
+        raise FieldSyntaxError(
+            "%s at ambient %d: more than %d subspaces or basis entries"
+            " requested" % (field.spec(), ambient, ENUMERATION_LIMIT))
     elems = tuple(field.elements())
     for k in dims:
         if k < 0 or k > ambient:
@@ -333,11 +315,24 @@ def gaussian_binomial(n, k, q):
     return num // den
 
 
-def sort_key(sub):
-    """Deterministic total order on subspaces of one ambient space."""
-    R = sub.field
-    return (sub.dim,
-            tuple(R.sort_key(e) for row in sub.basis.entries for e in row))
+def _more_than_the_limit(q, n, dims):
+    """Whether the k-dim subspaces of F_q^n, k in dims, exceed the limit.
+
+    [n, k]_q >= q^(k(n-k)) >= 2^(k(n-k)), and 2^b exceeds the limit for b
+    its bit length, so a layer with k(n-k) >= b is over the limit without
+    being counted.  A layer whose one basis has k n entries past the limit
+    (the whole space of an ambient over 1000) is over it as well.  Stops at
+    the first layer that goes over.
+    """
+    total = 0
+    for k in dims:
+        if (k * (n - k) >= ENUMERATION_LIMIT.bit_length()
+                or k * n > ENUMERATION_LIMIT):
+            return True
+        total += gaussian_binomial(n, k, q)
+        if total > ENUMERATION_LIMIT:
+            return True
+    return False
 
 
 def random_subspace(field, ambient, rng):
@@ -351,14 +346,6 @@ def subspace_to_json(sub):
     return {"ambient": sub.ambient,
             "field": R.spec(),
             "basis": [[R.format(e) for e in row] for row in sub.basis.entries]}
-
-
-def subspace_from_json(obj):
-    from .fields import field_from_spec
-    field = field_from_spec(obj["field"])
-    ambient = int(obj["ambient"])
-    rows = [tuple(field.parse(e) for e in row) for row in obj["basis"]]
-    return span_rows(field, ambient, rows)
 
 
 def _check_same_space(x, *others):

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -9,6 +13,7 @@ import pytest
 from torsorlab import cli
 from torsorlab.checks import SUITES
 from torsorlab.reports import Report
+from torsorlab.subspaces import gaussian_binomial
 
 
 def run_cli(capsys, *argv):
@@ -200,7 +205,9 @@ def test_lagrangian_list_and_report(capsys):
     code, out, _ = run_cli(
         capsys, "lagrangian", "--form", "symplectic", "--n", "1", "--field", "f3")
     assert code == 0
-    assert json.loads(out.strip())["law"] == "census-two-paths"
+    report = json.loads(out)
+    assert report["law"] == "census-two-paths"
+    assert report["suite"] == "lagrangian-census" and report["suite"] in SUITES
 
 
 def test_lagrangian_needs_finite_field(capsys):
@@ -394,23 +401,21 @@ def test_enumerate_dim_out_of_range_is_usage_error(dim, capsys):
     assert "--dim must be in 0..2" in err
 
 
-def test_enumerate_respects_ambient_cap(capsys, monkeypatch):
-    monkeypatch.setenv("TORSORLAB_MAX_AMBIENT", "3")
-    code, _, err = run_cli(
-        capsys, "enumerate", "--field", "f2", "--ambient", "4", "--count")
-    assert code == 2
-    assert "TORSORLAB_MAX_AMBIENT" in err
-
-
-@pytest.mark.parametrize("command", [
-    ["enumerate", "--field", "f2", "--ambient", "2", "--count"],
-    ["check", "--suite", "global-laws", "--field", "f2", "--ambient", "2",
-     "--exhaustive"]])
-def test_non_integer_ambient_cap_is_usage_error(command, capsys, monkeypatch):
-    monkeypatch.setenv("TORSORLAB_MAX_AMBIENT", "abc")
-    code, out, err = run_cli(capsys, *command)
-    assert code == 2 and not out
-    assert "TORSORLAB_MAX_AMBIENT" in err
+def test_enumerate_respects_ambient_cap(capsys):
+    """The bound counts subspaces: F2^7 passes, F9^6 (540,023,488) and an
+    absurd ambient exit 2 at once, before anything is enumerated."""
+    code, out, err = run_cli(
+        capsys, "enumerate", "--field", "f2", "--ambient", "7", "--count")
+    assert code == 0 and not err
+    assert int(out) == sum(gaussian_binomial(7, k, 2) for k in range(8))
+    assert int(out) == 29212
+    for argv in (("--field", "f9", "--ambient", "6"),
+                 ("--field", "f2", "--ambient", "1000000", "--dim", "500000")):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "enumerate", *argv, "--count")
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and not out
+        assert "more than 1000000 subspaces" in err
 
 
 def test_format_is_only_an_option_of_table_commands(capsys):
@@ -445,6 +450,26 @@ def test_unwritable_out_is_usage_error(argv, tmp_path, capsys):
         code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
         assert code == 2 and not stdout
         assert err.startswith("torsorlab: cannot write --out")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device whose writes fail")
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--field", "f3", "--ambient", "5"],
+    ["enumerate", "--field", "f2", "--ambient", "2", "--count"]],
+    ids=["large", "small"])
+def test_unwritable_stdout_is_usage_error(argv):
+    """A full stdout exits 2 with a message, at the write or at exit."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "torsorlab.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("torsorlab: cannot write")
+    assert "Traceback" not in proc.stderr
 
 
 def test_identical_invocations_print_identical_bytes(capsys):

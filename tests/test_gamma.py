@@ -17,7 +17,6 @@ from torsorlab.gamma import (
     check_restricted_agreement,
     check_torsor_axioms,
     common_complements,
-    dilation,
     dilations,
     gamma_global,
     gamma_oracle,
@@ -317,8 +316,9 @@ def test_dilation_fixes_endpoints():
         except TransversalityError:
             continue
         checked += 1
-        assert dilation(f5.one, x, a, y) == y
-        assert dilation(f5.zero, x, a, y) == image_under(proj_operator(x, a), y)
+        one, zero = dilations((f5.one, f5.zero), x, a, y)
+        assert one == y
+        assert zero == image_under(proj_operator(x, a), y)
     assert checked >= 50
 
 
@@ -338,7 +338,6 @@ def test_dilations_match_the_two_projection_operator(field):
         assert got == [image_under(proj_operator(a, x).scale(s)
                                    + proj_operator(x, a), y)
                        for s in scalars]
-        assert got == [dilation(s, x, a, y) for s in scalars]
         assert dilations((), x, a, y) == []
     assert checked >= 40
 
@@ -347,7 +346,7 @@ def test_dilation_needs_transversality():
     f3 = PrimeField(3)
     a = rand_sub(f3, 2, 31, 0)
     with pytest.raises(TransversalityError):
-        dilation(f3.one, a, a, a)
+        dilations((f3.one,), a, a, a)
     with pytest.raises(TransversalityError):
         dilations((), a, a, a)
 

@@ -8,13 +8,11 @@ import pytest
 
 from torsorlab import gamma, involutions, subspaces
 from torsorlab.checks import _random_invertible, run_suite
-from torsorlab.fields import (CharacteristicTwoError, PrimeField, QuadraticExt,
-                              field_from_spec)
+from torsorlab.fields import PrimeField, QuadraticExt, field_from_spec
 from torsorlab.gamma import gamma_global, gamma_oracle
 from torsorlab.involutions import (
     Involution,
     InvolutionError,
-    cayley_rho,
     cayley_table,
     census_report,
     check_antihom_global,
@@ -32,17 +30,16 @@ from torsorlab.involutions import (
     form_invariants,
     involution,
     isotropic_census,
-    j_map,
     minus_one_op,
     ortho_involution,
     random_isometry,
     standard_triple,
-    tilde_tau,
     torsor_G,
     translation_op,
     unitary_group,
 )
-from torsorlab.matrices import Matrix, mat_invert, random_matrix
+from torsorlab.matrices import (Matrix, hstack, mat_invert, random_matrix,
+                                vstack)
 from torsorlab.reports import CheckConfig
 from torsorlab.rng import trial_rng
 from torsorlab.subspaces import (
@@ -70,6 +67,12 @@ def mat(field, rows):
 
 def all_standard_involutions(field, n):
     return [ortho_involution(f) for f in standard_forms(field, n).values()]
+
+
+def block_swap(field, n):
+    """-[[0, I], [I, 0]] on K^{2n}: exchanges o+ and o-, fixes the diagonal."""
+    i, z = Matrix.identity(field, n), Matrix.zeros(field, n, n)
+    return -vstack(hstack(z, i), hstack(i, z))
 
 
 def test_order_two_exhaustive_f2():
@@ -111,8 +114,8 @@ def criterion_involutions():
 
     Grams: the standard forms, two random invertible (mostly non-reflexive)
     grams, and over F9 the gram (1+t) split, which is neither hermitian nor
-    skew.  Posts: none, the dual's and tilde's operators, two random ones;
-    the gram of the involution is G post^-1.
+    skew.  Posts: none, the dual's operator, the block swap, two random
+    ones; the gram of the involution is G post^-1.
     """
     out = []
     for k, (spec, n) in enumerate((("fp:2", 1), ("fp:3", 1), ("fp:5", 1),
@@ -124,7 +127,7 @@ def criterion_involutions():
                   for i in range(2)]
         if spec == "fp2:3":
             grams.append(split_form(field, n).gram.scale(field.parse("1+t")))
-        posts = [None, minus_one_op(bt), j_map(bt)]
+        posts = [None, minus_one_op(bt), block_swap(field, n)]
         posts += [_random_invertible(field, 2 * n, trial_rng(k, 10 + i))
                   for i in range(2)]
         out += [Involution(g if post is None else g * mat_invert(post))
@@ -153,8 +156,8 @@ def test_order_two_does_not_need_a_hermitian_or_skew_gram():
 def test_tau_is_the_pushed_orthocomplement():
     """The gram G post^-1 gives post . (x orthocomplement for G).
 
-    Posts: the dual's, the tilde's, and a shear, which is not its own
-    inverse; the dual and tilde builders produce exactly these grams.
+    Posts: the dual's, the block swap, and a shear, which is not its own
+    inverse; the dual builder produces exactly the first gram.
     """
     for spec in ("fp:3", "fp:5"):
         field = field_from_spec(spec)
@@ -166,7 +169,7 @@ def test_tau_is_the_pushed_orthocomplement():
                                           for j in range(2 * n)]
                                          for i in range(2 * n)])
             for post, built in ((minus_one_op(bt), dual_involution(omega, bt)),
-                                (j_map(bt), tilde_tau(omega, bt)),
+                                (block_swap(field, n), None),
                                 (shear, None)):
                 inv = Involution(form.gram * mat_invert(post))
                 assert built is None or built.gram == inv.gram
@@ -204,7 +207,6 @@ def test_involution_enumerates_no_subspace(monkeypatch):
         inv = ortho_involution(form)
         assert inv.ambient == 4
         dual_involution(inv, bt)
-    tilde_tau(ortho_involution(symplectic_form(f5, 2)), bt)
 
 
 def test_complement_dimension():
@@ -371,10 +373,8 @@ def test_closure_of_fixed_set():
 def test_standard_triple_geometry():
     f3 = PrimeField(3)
     bt = standard_triple(f3, 1)
-    assert bt.o_plus.dim == 1 and bt.o_minus.dim == 1 and bt.e.dim == 1
+    assert bt.o_plus.dim == 1 and bt.o_minus.dim == 1
     assert is_transversal(bt.o_plus, bt.o_minus)
-    assert is_transversal(bt.e, bt.o_plus)
-    assert is_transversal(bt.e, bt.o_minus)
 
 
 def test_minus_one_op_is_block_sign_flip():
@@ -383,15 +383,6 @@ def test_minus_one_op_is_block_sign_flip():
     d = minus_one_op(bt)
     assert d == mat(f3, [[1, 0], [0, -1]])
     assert d * d == Matrix.identity(f3, 2)
-
-
-def test_j_map_swaps_base_points():
-    f5 = PrimeField(5)
-    bt = standard_triple(f5, 2)
-    j = j_map(bt)
-    assert pushforward(j, bt.o_plus) == bt.o_minus
-    assert pushforward(j, bt.o_minus) == bt.o_plus
-    assert pushforward(j, bt.e) == bt.e
 
 
 def test_dual_involution_swaps_form_flavor():
@@ -403,35 +394,6 @@ def test_dual_involution_swaps_form_flavor():
     assert set(fixed_points(dual)) == set(isotropic_census(split_form(f3, 1)))
     r = check_order_two(dual, CheckConfig(trials=50, seed=3))
     assert r.failures == 0
-
-
-def test_tilde_tau_needs_unital_fixing():
-    f3 = PrimeField(3)
-    bt = standard_triple(f3, 1)
-    omega = ortho_involution(symplectic_form(f3, 1))
-    tilde = tilde_tau(omega, bt)
-    r = check_order_two(tilde, CheckConfig(trials=50, seed=4))
-    assert r.failures == 0
-    diag = ortho_involution(diag_form(f3, 1))
-    if diag(bt.e) != bt.e:
-        with pytest.raises(InvolutionError):
-            tilde_tau(diag, bt)
-
-
-def test_cayley_rho_char_two_rejected():
-    f2 = PrimeField(2)
-    bt = standard_triple(f2, 1)
-    with pytest.raises(CharacteristicTwoError):
-        cayley_rho(bt)
-
-
-def test_cayley_rho_squares_to_twice_rotation():
-    f5 = PrimeField(5)
-    bt = standard_triple(f5, 1)
-    rho = cayley_rho(bt)
-    two = f5.from_int(2)
-    rot = mat(f5, [[0, -1], [1, 0]])
-    assert rho * rho == rot.scale(two)
 
 
 def test_torsor_group_structure():
@@ -573,11 +535,12 @@ def test_unitary_group_closure():
     f3 = PrimeField(3)
     bt = standard_triple(f3, 1)
     inv = ortho_involution(symplectic_form(f3, 1))
-    elements = unitary_group(inv, bt.o_plus, bt.e, bt.o_minus)
-    assert bt.e in elements
+    diagonal = span_rows(f3, 2, [[1, 1]])
+    elements = unitary_group(inv, bt.o_plus, diagonal, bt.o_minus)
+    assert diagonal in elements
     for x in elements:
         for y in elements:
-            w = gamma_global(x, bt.o_plus, bt.e, bt.o_minus, y)
+            w = gamma_global(x, bt.o_plus, diagonal, bt.o_minus, y)
             assert w in elements
 
 

@@ -2,27 +2,22 @@
 
 import itertools
 
-import pytest
-
 from torsorlab.checks import run_suite
 from torsorlab.fields import PrimeField, QuadraticExt
 from torsorlab.gamma import l_relation
-from torsorlab.matrices import Matrix, ShapeError, random_matrix
+from torsorlab.matrices import Matrix, random_matrix
 from torsorlab.relations import (
+    LinearRelation,
     adjoint,
     apply_rel,
     compose,
     difference,
     gen_projection,
-    graph_rel,
-    identity_rel,
     inverse_rel,
     one_minus,
     one_plus,
     random_relation,
-    relation_from_json,
     relation_to_json,
-    zero_rel,
 )
 from torsorlab.reports import CheckConfig
 from torsorlab.rng import trial_rng
@@ -30,10 +25,11 @@ from torsorlab.subspaces import (
     all_subspaces,
     coord_subspace,
     full_subspace,
+    graph_of,
     meet,
     random_subspace,
+    span_rows,
     standard_forms,
-    zero_subspace,
 )
 
 
@@ -49,19 +45,24 @@ def rand_sub(field, ambient, seed, index):
     return random_subspace(field, ambient, trial_rng(seed, index))
 
 
+def graph_rel(m):
+    """The relation {(v, m v)} of a square matrix."""
+    return LinearRelation(graph_of(m))
+
+
 def test_identity_and_zero():
     f3 = PrimeField(3)
-    ident = identity_rel(f3, 2)
-    z = zero_rel(f3, 2)
+    ident = graph_rel(Matrix.identity(f3, 2))
+    z = graph_rel(Matrix.zeros(f3, 2, 2))
     for i in range(20):
         x = rand_sub(f3, 2, 1, i)
         assert apply_rel(ident, x) == x
-        assert apply_rel(z, x) == zero_subspace(f3, 2)
+        assert apply_rel(z, x) == span_rows(f3, 2, [])
 
 
 def test_compose_with_identity():
     f3 = PrimeField(3)
-    ident = identity_rel(f3, 2)
+    ident = graph_rel(Matrix.identity(f3, 2))
     for i in range(25):
         f = rand_rel(f3, 2, 3, i)
         assert compose(ident, f) == f
@@ -138,7 +139,7 @@ def test_inverse_rel():
     for i in range(30):
         f = rand_rel(f3, 2, 23, i)
         assert inverse_rel(inverse_rel(f)) == f
-    ident = identity_rel(f3, 2)
+    ident = graph_rel(Matrix.identity(f3, 2))
     assert inverse_rel(ident) == ident
 
 
@@ -230,20 +231,9 @@ def test_relation_json_roundtrip():
     for i in range(20):
         f = rand_rel(f5, 2, 59, i)
         obj = relation_to_json(f)
-        assert obj["half"] == 2
-        assert relation_from_json(obj) == f
-
-
-def test_relation_from_json_checks_half():
-    """A stored half must be ambient / 2, and the ambient must be even."""
-    f3 = PrimeField(3)
-    good = relation_to_json(rand_rel(f3, 2, 61, 0))
-    for half, ambient in ((3, 4), (1, 4), (1, 3), (2, 3)):
-        obj = dict(good, half=half, ambient=ambient,
-                   basis=[row[:ambient] for row in good["basis"]])
-        with pytest.raises(ShapeError):
-            relation_from_json(obj)
-    assert relation_from_json(good).half == 2
+        assert obj["half"] == 2 and obj["ambient"] == 4
+        rows = [[f5.parse(e) for e in row] for row in obj["basis"]]
+        assert LinearRelation(span_rows(f5, 4, rows)) == f
 
 
 RELATION_SUITES = ("projection-idempotent", "projection-conjugation",

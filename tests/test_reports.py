@@ -6,10 +6,10 @@ import pytest
 
 from torsorlab.fields import PrimeField
 from torsorlab.matrices import Matrix
-from torsorlab.relations import identity_rel
+from torsorlab.relations import LinearRelation
 from torsorlab.reports import CheckConfig, Report, describe_value, run_law, skipped_report
 from torsorlab.rng import SplitMix64, mix64, trial_rng
-from torsorlab.subspaces import span_rows
+from torsorlab.subspaces import graph_of, span_rows
 
 
 def test_run_law_counts_cases_and_failures():
@@ -55,7 +55,7 @@ def test_describe_value_renders_core_types():
     sub = span_rows(f3, 2, [[1, 0]])
     rendered = describe_value(sub)
     assert rendered["ambient"] == 2
-    rel = identity_rel(f3, 1)
+    rel = LinearRelation(graph_of(Matrix.identity(f3, 1)))
     assert describe_value(rel)["half"] == 1
     m = Matrix.identity(f3, 2)
     assert describe_value(m) == "1,0;0,1"

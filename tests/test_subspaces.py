@@ -1,13 +1,13 @@
 """Tests for subspaces: lattice operations, charts, forms, enumeration."""
 
 import dataclasses
-import os
+import time
 
 import pytest
 
 from torsorlab.fields import FieldSyntaxError, PrimeField, QuadraticExt, Rationals
-from torsorlab.matrices import (Matrix, ShapeError, SingularMatrixError, parse_matrix,
-                                random_matrix)
+from torsorlab.matrices import (ENUMERATION_LIMIT, Matrix, ShapeError,
+                                SingularMatrixError, parse_matrix, random_matrix)
 from torsorlab.rng import trial_rng
 from torsorlab.subspaces import (
     Subspace,
@@ -32,16 +32,13 @@ from torsorlab.subspaces import (
     orthocomplement,
     pushforward,
     random_subspace,
-    sort_key,
     span,
     span_rows,
     split_form,
     standard_forms,
-    subspace_from_json,
     subspace_to_json,
     symplectic_form,
     vectors,
-    zero_subspace,
 )
 
 
@@ -96,7 +93,7 @@ def test_span_rows_shortcut():
 
 def test_zero_and_full():
     f5 = PrimeField(5)
-    z = zero_subspace(f5, 3)
+    z = span_rows(f5, 3, [])
     u = full_subspace(f5, 3)
     assert z.dim == 0 and u.dim == 3
     for i in range(10):
@@ -259,31 +256,19 @@ def test_forms_evaluate_and_kinds():
     spl = split_form(f3, 1)
     dia = diag_form(f3, 1)
     assert spl.kind == "hermitian" and dia.kind == "hermitian"
-    v = (f3.from_int(1), f3.from_int(0))
-    w = (f3.from_int(0), f3.from_int(1))
-    assert sym.evaluate(v, w) == f3.one
-    assert sym.evaluate(w, v) == f3.neg(f3.one)
-    assert sym.evaluate(v, v) == f3.zero
+    assert sym.gram == mat(f3, [[0, 1], [-1, 0]])
 
 
 def test_form_conjugates_first_argument():
+    """The split form on F9^2 pairs u with v as conj(u) G v^T, so the line
+    through (a, 1) is orthogonal to the line through (-conj(a), 1)."""
     f9 = QuadraticExt(3)
-    form = diag_form(f9, 1)
-    a = next(e for e in f9.elements() if f9.conj(e) != e)
-    v = (a, f9.zero)
-    w = (f9.one, f9.zero)
-    assert form.evaluate(v, w) == f9.conj(a)
-    assert form.evaluate(w, v) == a
-
-
-def test_form_evaluate_checks_vector_lengths():
-    f3 = PrimeField(3)
-    sym = symplectic_form(f3, 1)
-    short, right, long = (tuple(f3.from_int(v) for v in ints)
-                          for ints in ((1,), (1, 0), (0, 1, 1)))
-    for u, v in ((right, long), (long, right), (short, right), (right, short)):
-        with pytest.raises(ShapeError):
-            sym.evaluate(u, v)
+    form = split_form(f9, 1)
+    for a in f9.elements():
+        x = span_rows(f9, 2, [[a, f9.one]])
+        perp = span_rows(f9, 2, [[f9.neg(f9.conj(a)), f9.one]])
+        assert orthocomplement(x, form) == perp
+        assert is_isotropic(x, form) == (x == perp)
 
 
 def test_make_form_rejects_wrong_symmetry():
@@ -330,7 +315,8 @@ def test_enumeration_is_sorted_and_duplicate_free():
     for field, ambient, dim in ((PrimeField(2), 3, None), (PrimeField(3), 4, 2),
                                 (QuadraticExt(3), 2, 1)):
         subs = list(all_subspaces(field, ambient, dim))
-        keys = [sort_key(x) for x in subs]
+        keys = [(x.dim, tuple(field.sort_key(e) for row in x.basis.entries
+                              for e in row)) for x in subs]
         assert keys == sorted(keys)
         assert len(set(subs)) == len(subs)
 
@@ -340,17 +326,31 @@ def test_enumerate_needs_finite_field():
         list(enumerate_subspaces(Rationals(), 2))
 
 
-def test_ambient_cap_respected(monkeypatch):
-    monkeypatch.setenv("TORSORLAB_MAX_AMBIENT", "3")
-    f2 = PrimeField(2)
-    with pytest.raises(FieldSyntaxError):
-        list(enumerate_subspaces(f2, 4))
-    monkeypatch.setenv("TORSORLAB_MAX_AMBIENT", "4")
-    assert len(list(enumerate_subspaces(f2, 4))) == 67
+def test_ambient_cap_respected():
+    """The bound is the count of the layers asked for, not the ambient."""
+    f2, f3, f7, f9 = (PrimeField(2), PrimeField(3), PrimeField(7),
+                      QuadraticExt(3))
+    assert len(list(enumerate_subspaces(f2, 7, 3))) == 11811
+    for field, ambient, dim in ((f9, 6, None), (f7, 6, None), (f7, 6, 2),
+                                (f3, 13, 6)):
+        with pytest.raises(FieldSyntaxError, match="more than 1000000"):
+            list(enumerate_subspaces(field, ambient, dim))
 
 
 def test_default_ambient_cap():
-    assert int(os.environ.get("TORSORLAB_MAX_AMBIENT", "6")) >= 4
+    """Sums of Gaussian binomials decide, and absurd ambients cost nothing."""
+    def total(q, n):
+        return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
+
+    assert ENUMERATION_LIMIT == 10 ** 6
+    assert total(2, 8) <= ENUMERATION_LIMIT < total(2, 9)
+    assert total(3, 6) <= ENUMERATION_LIMIT < total(5, 6)
+    start = time.perf_counter()
+    for n, dim in ((10 ** 6, None), (10 ** 6, 5 * 10 ** 5), (10 ** 6, 10 ** 6),
+                   (10 ** 100, 1)):
+        with pytest.raises(FieldSyntaxError):
+            next(enumerate_subspaces(PrimeField(2), n, dim))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_json_roundtrip():
@@ -360,7 +360,8 @@ def test_json_roundtrip():
         obj = subspace_to_json(x)
         assert obj["ambient"] == 3
         assert obj["field"] == "fp:5"
-        assert subspace_from_json(obj) == x
+        rows = [[f5.parse(e) for e in row] for row in obj["basis"]]
+        assert span_rows(f5, 3, rows) == x
 
 
 def test_pushforward_by_invertible_preserves_lattice():
@@ -388,4 +389,4 @@ def test_rationals_subspaces():
     assert x.dim == 2
     c = complement(x)
     assert is_transversal(x, c)
-    assert subspace_from_json(subspace_to_json(x)) == x
+    assert subspace_to_json(x)["basis"] == [["1", "0", "2"], ["0", "1", "0"]]

@@ -1,11 +1,14 @@
 """Static guards over the library's syntax trees.
 
-Every module-level import in the library modules and the tests is used,
-every module-level private name of the library is referenced somewhere in
-the library, only `reports.py` builds a Report, only `matrices.py` calls
-`_eliminate`, and only `involutions.involution` builds an Involution.  No linter ships with the project, so this walks each module's
-syntax tree with the stdlib `ast` module.  The package's `__init__.py` is
-exempt from the import guard: its imports are the package's exports.
+Every module-level import in the library modules and the tests is used;
+every module-level name a library module defines is loaded by the library
+itself, not only by the package's exports or the tests; no library module
+reads the process environment; only `reports.py` builds a Report, only
+`matrices.py` calls `_eliminate`, and only `involutions.involution` builds
+an Involution.  No linter ships with the project, so this walks each
+module's syntax tree with the stdlib `ast` module.  The package's
+`__init__.py` is exempt from the import guard and from the name guard: its
+imports are the package's exports, and an export alone is no caller.
 """
 
 import ast
@@ -60,8 +63,8 @@ def library_trees():
     return {p.name: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
 
 
-def private_definitions(tree):
-    """Module-level private names bound by def, class or assignment."""
+def definitions(tree):
+    """Module-level names bound by def, class or assignment."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -70,7 +73,7 @@ def private_definitions(tree):
             targets = node.targets if isinstance(node, ast.Assign) else [
                 node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+    return names
 
 
 def loaded_names(tree):
@@ -83,10 +86,28 @@ def loaded_names(tree):
     return found
 
 
-def unreferenced_private_names(trees):
+def unreferenced_names(trees):
+    """(module, name) for each name no module but `__init__.py` loads."""
+    trees = {m: t for m, t in trees.items() if m != "__init__.py"}
     used = set().union(*(loaded_names(t) for t in trees.values()))
     return sorted((module, name) for module, tree in trees.items()
-                  for name in private_definitions(tree) if name not in used)
+                  for name in definitions(tree) if name not in used)
+
+
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(tree):
+    """Lines that read the process environment through `os`."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+        else:
+            names = {getattr(node, "attr", None), getattr(node, "id", None)}
+        if names & ENVIRONMENT_NAMES:
+            lines.add(node.lineno)
+    return sorted(lines)
 
 
 def calls_to(tree, name):
@@ -106,14 +127,49 @@ def test_call_guard_sees_names_and_attributes():
 
 
 def test_private_guard_flags_a_stranded_helper():
+    """A stranded helper, private or not; exports are no callers."""
     trees = {"m.py": ast.parse("_kept = 1\n"
                                "def _stranded(x):\n"
-                               "    return _kept\n")}
-    assert unreferenced_private_names(trees) == [("m.py", "_stranded")]
+                               "    return _kept\n"
+                               "def used():\n"
+                               "    return 0\n"
+                               "def exported():\n"
+                               "    return 0\n"),
+             "n.py": ast.parse("import m\n"
+                               "LIMIT = m.used()\n"
+                               "def twice():\n"
+                               "    return 2 * LIMIT\n"
+                               "twice()\n"),
+             "__init__.py": ast.parse("from .m import exported\n"
+                                      "exported()\n")}
+    assert unreferenced_names(trees) == [("m.py", "_stranded"),
+                                         ("m.py", "exported")]
 
 
-def test_every_private_library_name_is_referenced():
-    assert unreferenced_private_names(library_trees()) == []
+# The brute-force reference that the tests compare Gamma against.
+REFERENCE_ONLY = [("gamma.py", "gamma_oracle_enum")]
+
+
+def test_every_library_name_has_a_library_caller():
+    """Each name feeds a law, a command or another library function."""
+    assert unreferenced_names(library_trees()) == REFERENCE_ONLY
+
+
+def test_environment_guard_sees_attributes_and_imports():
+    tree = ast.parse("import os\n"
+                     "os.environ.get('X')\n"
+                     "os.getenv('Y')\n"
+                     "from os import environ\n"
+                     "os.path.join('a', 'b')\n"
+                     "environment = 1\n")
+    assert environment_reads(tree) == [2, 3, 4]
+
+
+def test_no_library_module_reads_the_environment():
+    """A knob hidden in an environment variable cannot come back."""
+    found = {name: environment_reads(tree)
+             for name, tree in library_trees().items()}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def calls_outside(module, name):
