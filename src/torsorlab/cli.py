@@ -20,10 +20,8 @@ from .involutions import (cayley_table, census_report, isotropic_census,
                           ortho_involution, torsor_G)
 from .matrices import format_matrix, parse_matrix
 from .reports import CheckConfig
-from .subspaces import (enumerate_subspaces, span, standard_forms,
-                        subspace_to_json)
+from .subspaces import FORMS, enumerate_subspaces, span, subspace_to_json
 
-FORM_NAMES = ("symplectic", "split", "diag")
 BRIDGE_TOKENS = ("prop41", "thm33", "thm37")
 
 
@@ -149,7 +147,7 @@ def _cmd_check(args):
 
 
 def _form_for(args, field):
-    return standard_forms(field, args.n)[args.form]
+    return FORMS[args.form](field, args.n)
 
 
 def _cmd_lagrangian(args):
@@ -334,7 +332,7 @@ def build_parser():
 
     p = sub.add_parser("lagrangian",
                        help="enumerate middle-dimension isotropic subspaces")
-    p.add_argument("--form", required=True, choices=FORM_NAMES)
+    p.add_argument("--form", required=True, choices=FORMS)
     p.add_argument("--n", type=_non_negative_int, required=True,
                    help="half ambient; the form lives on K^(2n)")
     _add_field(p, required=True)
@@ -347,7 +345,7 @@ def build_parser():
 
     p = sub.add_parser("gtable",
                        help="Cayley table of a fixed-subspace torsor")
-    p.add_argument("--form", required=True, choices=FORM_NAMES)
+    p.add_argument("--form", required=True, choices=FORMS)
     p.add_argument("--n", type=_non_negative_int, required=True)
     _add_field(p, required=True)
     p.add_argument("--a", required=True,
@@ -360,7 +358,7 @@ def build_parser():
     p = sub.add_parser("homotope",
                        help="members and tables of a deformed matrix family")
     p.add_argument("--family", required=True,
-                   choices=homotopes.FAMILY_NAMES)
+                   choices=homotopes.FAMILIES)
     p.add_argument("--n", type=_non_negative_int, required=True)
     _add_field(p, required=True)
     p.add_argument("--A", help="deformation parameter matrix")
@@ -373,7 +371,8 @@ def build_parser():
     p = sub.add_parser("bridge",
                        help="chart bridges between torsors and matrix groups")
     p.add_argument("--check", required=True, choices=BRIDGE_TOKENS)
-    p.add_argument("--family", default="o", choices=("o", "sp"))
+    p.add_argument("--family", default="o",
+                   choices=homotopes.BRIDGE_FAMILIES)
     p.add_argument("--n", type=_non_negative_int, default=1)
     _add_field(p)
     p.add_argument("--A", help="symmetric (o) or antisymmetric (sp) matrix")

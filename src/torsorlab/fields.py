@@ -17,7 +17,10 @@ is equality of scalars:
 
 All operations live on ring objects; the element values carry no behaviour.
 A ring object is a frozen dataclass of its defining parameters, so rings
-compare, hash and print by those parameters.
+compare, hash and print by those parameters.  The two fields with a
+conjugation always carry it; the others carry the identity.  A finite field
+lists its elements in one fixed order, and `enumerate_subspaces` and
+`all_matrices` follow that order.
 """
 
 from __future__ import annotations
@@ -67,7 +70,8 @@ class FieldBase(Ring):
         return a
 
     def elements(self):
-        """Every element of a finite field, in increasing `sort_key` order."""
+        """Every element of a finite field, once each, in the order that
+        `enumerate_subspaces` and `all_matrices` follow."""
         raise FieldSyntaxError("field %s is not finite" % self.spec())
 
     def spec(self):
@@ -162,27 +166,6 @@ class Rationals(FieldBase):
     def format(self, a):
         return str(a)
 
-    def sort_key(self, a):
-        return a
-
-    def square_class(self, a):
-        """Squarefree part, the canonical representative modulo squares."""
-        if a == 0:
-            return Fraction(0)
-        n = a.numerator * a.denominator
-        sign = -1 if n < 0 else 1
-        n = abs(n)
-        out = 1
-        d = 2
-        while d * d <= n:
-            while n % (d * d) == 0:
-                n //= d * d
-            if n % d == 0:
-                out *= d
-                n //= d
-            d += 1
-        return Fraction(sign * out * n)
-
     def sample(self, rng):
         return Fraction(rng.below(19) - 9, rng.below(6) + 1)
 
@@ -191,11 +174,7 @@ class Rationals(FieldBase):
 class GaussianRationals(FieldBase):
     """Q(i); elements are (re, im) pairs of Fractions."""
 
-    involution: str = "conjugation"
-
-    def __post_init__(self):
-        if self.involution not in ("identity", "conjugation"):
-            raise FieldSyntaxError("bad involution %r" % self.involution)
+    involution = "conjugation"
 
     def spec(self):
         return "gauss"
@@ -222,8 +201,6 @@ class GaussianRationals(FieldBase):
         return a[0] == 0 and a[1] == 0
 
     def conj(self, a):
-        if self.involution == "identity":
-            return a
         return (a[0], -a[1])
 
     def parse(self, text):
@@ -238,9 +215,6 @@ class GaussianRationals(FieldBase):
         if re_part == 0:
             return im_str.lstrip("+")
         return str(re_part) + im_str
-
-    def sort_key(self, a):
-        return a
 
     def sample(self, rng):
         return (Fraction(rng.below(9) - 4, rng.below(3) + 1),
@@ -312,9 +286,6 @@ class PrimeField(FieldBase):
     def format(self, a):
         return str(a)
 
-    def sort_key(self, a):
-        return a
-
     def square_class(self, a):
         # 0, 1 (nonzero square) or the least non-square
         if a == 0:
@@ -342,7 +313,7 @@ class QuadraticExt(FieldBase):
     """F_{p^2} = F_p[t]/(t^2 - d), d the least positive non-square mod p."""
 
     p: int
-    involution: str = "conjugation"
+    involution = "conjugation"
     d: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -350,8 +321,6 @@ class QuadraticExt(FieldBase):
             raise FieldSyntaxError("%d is not prime" % self.p)
         if self.p == 2:
             raise FieldSyntaxError("no non-square mod 2; fp2 needs an odd prime")
-        if self.involution not in ("identity", "conjugation"):
-            raise FieldSyntaxError("bad involution %r" % self.involution)
         object.__setattr__(self, "d", least_nonsquare(self.p))
 
     @property
@@ -392,8 +361,6 @@ class QuadraticExt(FieldBase):
         return a == (0, 0)
 
     def conj(self, a):
-        if self.involution == "identity":
-            return a
         return (a[0], (-a[1]) % self.p)
 
     def elements(self):
@@ -414,20 +381,6 @@ class QuadraticExt(FieldBase):
         if a[0] == 0:
             return t_str
         return "%s+%s" % (a[0], t_str)
-
-    def sort_key(self, a):
-        return (a[1], a[0])
-
-    def square_class(self, a):
-        if a == (0, 0):
-            return (0, 0)
-        e = (self.p - 1) // 2
-        # a is a square iff its norm is a square in F_p, so every element of
-        # F_p is; non-squares are named by the first x + t of non-square norm
-        if pow(a[0] * a[0] - self.d * a[1] * a[1], e, self.p) == 1:
-            return (1, 0)
-        return next((x, 1) for x in range(self.p)
-                    if pow(x * x - self.d, e, self.p) != 1)
 
     def sample(self, rng):
         return (rng.below(self.p), rng.below(self.p))

@@ -32,13 +32,14 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .matrices import Matrix, eliminate_front, vstack
+from .matrices import Matrix, eliminate_front, mat_invert, vstack
 from .relations import (LinearRelation, apply_rel, compose, difference,
                         gen_projection, one_minus, random_relation)
 from .reports import Slots, cases, run_law
 from .subspaces import (Subspace, TransversalityError, _check_same_space,
                         all_subspaces, is_transversal, join, meet,
-                        pushforward, random_subspace, span, span_rows)
+                        pushforward, random_subspace, span, span_rows,
+                        vectors)
 
 
 def l_relation(x, a, y, b):
@@ -87,7 +88,6 @@ def gamma_global(x, a, y, b, z):
 
 def gamma_oracle_enum(x, a, y, b, z):
     """Brute-force witness enumeration (tiny finite cases only)."""
-    from .subspaces import vectors
     _check_same_space(x, a, y, b, z)
     field = x.field
     n = x.ambient
@@ -114,7 +114,6 @@ def proj_operator(x, a):
     field = x.field
     n = x.ambient
     basis_change = vstack(x.basis, a.basis)
-    from .matrices import mat_invert
     top = vstack(x.basis, Matrix.zeros(field, a.dim, n))
     return (mat_invert(basis_change) * top).transpose()
 

@@ -30,8 +30,8 @@ from .involutions import (ortho_involution, standard_triple, torsor_G,
 from .matrices import (Matrix, all_matrices, format_matrix, is_invertible,
                        mat_invert, random_matrix)
 from .reports import Slots, cases, every, run_law
-from .subspaces import (chart_of, graph_minus, graph_of, pushforward,
-                        split_form, symplectic_form)
+from .subspaces import (chart_of, diag_form, graph_minus, graph_of,
+                        pushforward, split_form, symplectic_form)
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,8 @@ FAMILIES = {
                      symplectic_form),
     "u": FamilyKind("unitary", Matrix.conj_t, 1, "a hermitian"),
 }
-FAMILY_NAMES = tuple(FAMILIES)
+BRIDGE_FAMILIES = tuple(name for name, kind in FAMILIES.items()
+                        if kind.bridge_form)
 
 
 @dataclass(frozen=True)
@@ -428,7 +429,6 @@ def check_triple_via_involution(field, n, config):
     result is graph(Z star(Y) X), outer slots entering in reverse order,
     including singular Y.
     """
-    from .subspaces import diag_form
     inv = ortho_involution(diag_form(field, n))
     bt = standard_triple(field, n)
 
@@ -468,9 +468,10 @@ def graph_star_roundtrip(field, n, config):
 
 
 def _bridge_setup(name, field, a_param):
-    kind = FAMILIES.get(name)
-    if kind is None or kind.bridge_form is None:
-        raise ValueError("bridge families are o and sp")
+    if name not in BRIDGE_FAMILIES:
+        raise ValueError("bridge families are %s"
+                         % " and ".join(BRIDGE_FAMILIES))
+    kind = FAMILIES[name]
     if not kind.fits(a_param):
         raise ValueError("the %s bridge needs %s parameter"
                          % (name, kind.adjective))
@@ -525,8 +526,6 @@ def unitary_transport_bridge(field, a_param):
     for the plain skew-form complement tau.  That the translation is a
     bijection is the first case; then, same translation, same table.
     """
-    if not FAMILIES["o"].fits(a_param):
-        raise ValueError("the bridge needs a symmetric parameter")
     n, bt, inv_split, a_sub, ta_sub = _bridge_setup("o", field, a_param)
     inv_symp = ortho_involution(symplectic_form(field, n))
     two_a = graph_minus(a_param + a_param)

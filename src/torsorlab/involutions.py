@@ -440,15 +440,14 @@ def form_invariants(a, form):
     """(rank of the restricted form, square class of its determinant).
 
     The determinant class is only returned for symmetric bilinear forms over
-    fields that expose square classes; it is 0 for a singular restriction
-    and None when the class is not defined for the form's kind.
+    prime fields, the finite fields with the identity involution; it is 0 for
+    a singular restriction and None for any other form.
     """
     field = form.field
     restricted = a.basis.conj() * form.gram * a.basis.transpose()
     r = rank(restricted)
     disc = None
-    if (form.kind == "hermitian" and field.involution == "identity"
-            and hasattr(field, "square_class")):
+    if form.kind == "hermitian" and field.involution == "identity":
         d = det(restricted)
         disc = 0 if field.is_zero(d) else field.square_class(d)
     return r, disc

@@ -17,7 +17,8 @@ from functools import lru_cache
 
 from .matrices import Matrix, ShapeError, eliminate_front, hstack, vstack
 from .subspaces import (Subspace, _check_same_space, make_form,
-                        orthocomplement, span_rows)
+                        orthocomplement, random_subspace, span_rows,
+                        subspace_to_json)
 
 
 @dataclass(frozen=True)
@@ -36,10 +37,6 @@ class LinearRelation:
     @property
     def field(self):
         return self.inner.field
-
-    @property
-    def dim(self):
-        return self.inner.dim
 
 
 def gen_projection(x, a):
@@ -134,12 +131,10 @@ def adjoint(f, form):
 
 
 def relation_to_json(f):
-    from .subspaces import subspace_to_json
     obj = subspace_to_json(f.inner)
     obj["half"] = f.half
     return obj
 
 
 def random_relation(field, half, rng):
-    from .subspaces import random_subspace
     return LinearRelation(random_subspace(field, 2 * half, rng))

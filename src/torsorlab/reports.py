@@ -21,7 +21,10 @@ import itertools
 import json
 from dataclasses import dataclass, replace
 
+from .matrices import Matrix, format_matrix
+from .relations import LinearRelation, relation_to_json
 from .rng import trial_rng
+from .subspaces import Subspace, contains, subspace_to_json
 
 
 @dataclass(frozen=True)
@@ -75,8 +78,6 @@ def run_inclusion_law(suite, law, cases, sides):
     Only a broken inclusion fails; the number of cases where it is strict
     goes into the notes, so genuinely strict cases can be collected.
     """
-    from .subspaces import contains
-
     strict = 0
 
     def holds(case):
@@ -143,14 +144,9 @@ def cases(config, slots):
 
 def describe_value(v):
     """Plain-JSON rendering of subspaces, relations, matrices, and scalars."""
-    from .matrices import Matrix, format_matrix
-    from .relations import LinearRelation
-    from .subspaces import Subspace, subspace_to_json
-
     if isinstance(v, Subspace):
         return subspace_to_json(v)
     if isinstance(v, LinearRelation):
-        from .relations import relation_to_json
         return relation_to_json(v)
     if isinstance(v, Matrix):
         return format_matrix(v)

@@ -123,10 +123,8 @@ def graph_of(mat):
                            mat.transpose()))
 
 
-def chart_of(x, p=None):
+def chart_of(x, p):
     """Matrix X with x = graph_of(X); x must be transversal to 0 + K^q."""
-    if p is None:
-        p = x.dim
     if x.dim != p:
         raise TransversalityError("dim %d subspace cannot chart to %d inputs"
                                   % (x.dim, p))
@@ -140,11 +138,8 @@ def graph_minus(mat):
     return span(hstack(mat.transpose(), Matrix.identity(mat.ring, mat.ncols)))
 
 
-def chart_minus(x, first=None):
+def chart_minus(x, first):
     """Matrix X with x = graph_minus(X); x must be transversal to K^n + 0."""
-    if first is None:
-        first = x.ambient - x.dim
-    m = x.dim
     sub = x.basis.take_cols(first, x.ambient)
     try:
         inv = mat_invert(sub)
@@ -232,10 +227,12 @@ def diag_form(field, n):
     return make_form(vstack(hstack(i, z), hstack(z, -i)), "hermitian")
 
 
+FORMS = {"symplectic": symplectic_form, "split": split_form,
+         "diag": diag_form}
+
+
 def standard_forms(field, n):
-    return {"symplectic": symplectic_form(field, n),
-            "split": split_form(field, n),
-            "diag": diag_form(field, n)}
+    return {name: build(field, n) for name, build in FORMS.items()}
 
 
 def orthocomplement(x, form):
@@ -262,10 +259,11 @@ def vectors(sub):
 
 
 def enumerate_subspaces(field, ambient, dim=None):
-    """Every subspace exactly once: dimension ascending, then entry-lex order.
+    """Every subspace exactly once: dimension ascending, then RREF bases in
+    lex order of their entries' positions in `field.elements()`.
 
     Bases are generated per pivot-column pattern (free entries right of each
-    pivot and off the pivot columns), then sorted by the encoded RREF rows.
+    pivot and off the pivot columns), then sorted by those positions.
     """
     if field.size is None:
         raise FieldSyntaxError("subspace enumeration needs a finite field")
@@ -275,6 +273,7 @@ def enumerate_subspaces(field, ambient, dim=None):
             "%s at ambient %d: more than %d subspaces or basis entries"
             " requested" % (field.spec(), ambient, ENUMERATION_LIMIT))
     elems = tuple(field.elements())
+    position = {e: i for i, e in enumerate(elems)}
     for k in dims:
         if k < 0 or k > ambient:
             continue
@@ -293,8 +292,8 @@ def enumerate_subspaces(field, ambient, dim=None):
                     rows[i][j] = val
                 batch.append(Matrix.from_rows(field, [tuple(r) for r in rows],
                                               ambient))
-        batch.sort(key=lambda m: tuple(field.sort_key(e)
-                                       for row in m.entries for e in row))
+        batch.sort(key=lambda m: tuple(position[e] for row in m.entries
+                                       for e in row))
         for m in batch:
             yield Subspace(m)
 

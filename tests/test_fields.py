@@ -1,5 +1,6 @@
 """Tests for exact scalar rings: axioms, conjugation, parsing, dual extensions."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -142,30 +143,16 @@ def test_parse_rejects_garbage():
             field.parse("not a scalar")
 
 
-def test_sort_key_total_order_on_finite_fields():
-    for field in (PrimeField(5), QuadraticExt(3)):
+def test_elements_are_duplicate_free():
+    """Positions in elements() order subspaces and matrices, so each element
+    has exactly one."""
+    for field in (PrimeField(2), PrimeField(5), QuadraticExt(3),
+                  QuadraticExt(5)):
         elems = list(field.elements())
-        keys = [field.sort_key(a) for a in elems]
-        assert len(set(keys)) == len(elems)
-        assert sorted(keys) == [field.sort_key(a) for a in sorted(elems, key=field.sort_key)]
-    # elements() already yields sort_key order, which enumerations rely on
-    for field in (PrimeField(2), PrimeField(5), QuadraticExt(3), QuadraticExt(5)):
-        elems = list(field.elements())
-        assert elems == sorted(elems, key=field.sort_key)
+        assert len(set(elems)) == len(elems) == field.size
 
 
-def test_square_class_signed_squarefree():
-    rat = Rationals()
-    assert rat.square_class(Fraction(4)) == Fraction(1)
-    assert rat.square_class(Fraction(8)) == Fraction(2)
-    assert rat.square_class(Fraction(-9, 4)) == Fraction(-1)
-    assert rat.square_class(Fraction(12, 25)) == Fraction(3)
-    assert rat.square_class(Fraction(0)) == Fraction(0)
-
-
-@pytest.mark.parametrize("field", [PrimeField(3), PrimeField(5),
-                                   QuadraticExt(3, "identity"),
-                                   QuadraticExt(5, "identity")],
+@pytest.mark.parametrize("field", [PrimeField(3), PrimeField(5)],
                          ids=lambda f: f.spec())
 def test_square_class_is_idempotent_and_separates_squares(field):
     squares = {field.mul(a, a) for a in field.elements()}
@@ -282,15 +269,14 @@ def test_ring_identity_is_its_parameters():
     """Rings compare and hash by their defining parameters only."""
     f3 = PrimeField(3)
     equal = [(PrimeField(3), f3), (Rationals(), Rationals()),
-             (GaussianRationals(), GaussianRationals("conjugation")),
-             (QuadraticExt(5), QuadraticExt(5, "conjugation")),
+             (GaussianRationals(), GaussianRationals()),
+             (QuadraticExt(5), QuadraticExt(5)),
              (DualRing(f3), DualRing(PrimeField(3))),
              (DualRing(DualRing(f3)), DualRing(DualRing(PrimeField(3))))]
     for a, b in equal:
         assert a == b and hash(a) == hash(b)
     unequal = [(PrimeField(3), QuadraticExt(3)),
-               (GaussianRationals("identity"), GaussianRationals()),
-               (QuadraticExt(3, "identity"), QuadraticExt(3)),
+               (Rationals(), GaussianRationals()),
                (DualRing(f3), DualRing(DualRing(f3))),
                (DualRing(f3), f3), (PrimeField(3), PrimeField(5))]
     for a, b in unequal:
@@ -299,10 +285,12 @@ def test_ring_identity_is_its_parameters():
     assert (PrimeField(7).char, PrimeField(7).size) == (7, 7)
     assert (QuadraticExt(5).char, QuadraticExt(5).size) == (5, 25)
     for bad in (lambda: PrimeField(4), lambda: PrimeField(1),
-                lambda: QuadraticExt(9), lambda: QuadraticExt(3, "frobenius"),
-                lambda: GaussianRationals("frobenius")):
+                lambda: QuadraticExt(9)):
         with pytest.raises(FieldSyntaxError):
             bad()
+    # the conjugation is fixed by the field, not chosen at construction
+    assert dataclasses.fields(GaussianRationals) == ()
+    assert [f.name for f in dataclasses.fields(QuadraticExt) if f.init] == ["p"]
 
 
 def test_quadratic_ext_rejects_char_two():

@@ -91,7 +91,7 @@ def test_transpose_and_conj():
 
 
 def test_conj_is_self_when_the_involution_is_the_identity():
-    for field in (PrimeField(3), Rationals(), QuadraticExt(3, "identity")):
+    for field in (PrimeField(3), Rationals()):
         m = rand(field, 2, 3, 7, 50)
         assert m.conj() is m
         assert m.conj_t() == m.transpose()

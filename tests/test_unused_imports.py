@@ -76,12 +76,15 @@ def definitions(tree):
     return names
 
 
-def loaded_names(tree):
+def loaded_names(tree, modules):
+    """Bare names loaded, and attributes read off one of the modules, as in
+    `homotopes.check_group_laws`; `field.sort_key` loads no module name."""
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif (isinstance(node, ast.Attribute)
+              and getattr(node.value, "id", None) in modules):
             found.add(node.attr)
     return found
 
@@ -89,7 +92,8 @@ def loaded_names(tree):
 def unreferenced_names(trees):
     """(module, name) for each name no module but `__init__.py` loads."""
     trees = {m: t for m, t in trees.items() if m != "__init__.py"}
-    used = set().union(*(loaded_names(t) for t in trees.values()))
+    modules = {Path(m).stem for m in trees}
+    used = set().union(*(loaded_names(t, modules) for t in trees.values()))
     return sorted((module, name) for module, tree in trees.items()
                   for name in definitions(tree) if name not in used)
 
@@ -127,23 +131,30 @@ def test_call_guard_sees_names_and_attributes():
 
 
 def test_private_guard_flags_a_stranded_helper():
-    """A stranded helper, private or not; exports are no callers."""
+    """A stranded helper, private or not; exports are no callers, and
+    neither is an attribute of the same name read off a value."""
     trees = {"m.py": ast.parse("_kept = 1\n"
                                "def _stranded(x):\n"
                                "    return _kept\n"
                                "def used():\n"
                                "    return 0\n"
                                "def exported():\n"
-                               "    return 0\n"),
+                               "    return 0\n"
+                               "def sort_key(e):\n"
+                               "    return e\n"),
              "n.py": ast.parse("import m\n"
                                "LIMIT = m.used()\n"
                                "def twice():\n"
                                "    return 2 * LIMIT\n"
-                               "twice()\n"),
+                               "def order(field, e):\n"
+                               "    return field.sort_key(e)\n"
+                               "twice()\n"
+                               "order\n"),
              "__init__.py": ast.parse("from .m import exported\n"
                                       "exported()\n")}
     assert unreferenced_names(trees) == [("m.py", "_stranded"),
-                                         ("m.py", "exported")]
+                                         ("m.py", "exported"),
+                                         ("m.py", "sort_key")]
 
 
 # The brute-force reference that the tests compare Gamma against.
