@@ -23,8 +23,9 @@ Their agreement, the para-associativity and Klein symmetries, and the derived
 operator identities are what the check suites exercise.  The laws about the
 product itself are defined here; the check suites in `checks` run them.  This
 module also builds the three slot kinds every law draws its cases from:
-subspace slots, relation slots and transversal tuples.  The case generator
-that enumerates or samples them is `reports.cases`.
+subspace slots, relation slots and transversal tuples, whose outer slots are
+drawn as graphs over complement(a), the chart U_a.  The case generator that
+enumerates or samples them is `reports.cases`.
 """
 
 from __future__ import annotations
@@ -32,12 +33,13 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .matrices import Matrix, eliminate_front, mat_invert, vstack
+from .matrices import (Matrix, eliminate_front, mat_invert, random_matrix,
+                       vstack)
 from .relations import (LinearRelation, apply_rel, compose, difference,
                         gen_projection, one_minus, random_relation)
 from .reports import Slots, cases, run_law
 from .subspaces import (Subspace, TransversalityError, _check_same_space,
-                        all_subspaces, is_transversal, join, meet,
+                        all_subspaces, complement, is_transversal, join, meet,
                         pushforward, random_subspace, span, span_rows,
                         vectors)
 
@@ -156,24 +158,30 @@ def common_complements(a, b):
 # -- case slots --------------------------------------------------------------
 
 
-def transversal_tuple(field, ambient, rng, tries=200):
-    """Deterministically sample (x, a, y, b, z) with x,y,z in U_{ab}."""
-    for _ in range(tries):
+def transversal_tuple(field, ambient, rng):
+    """Deterministically sample (x, a, y, b, z) with x,y,z in U_{ab}: a and
+    b random subspaces, b redrawn until dim b = dim a, then three
+    `_common_complement` draws."""
+    for _ in range(200):
         a = random_subspace(field, ambient, rng)
-        k = a.dim
         b = random_subspace(field, ambient, rng)
-        if b.dim != k:
-            continue
-        outer = []
-        for _ in range(3 * tries):
-            s = random_subspace(field, ambient, rng)
-            if s.dim == ambient - k and is_transversal(s, a) and is_transversal(s, b):
-                outer.append(s)
-                if len(outer) == 3:
-                    break
-        if len(outer) == 3:
-            return outer[0], a, outer[1], b, outer[2]
+        if b.dim == a.dim:
+            x, y, z = (_common_complement(a, b, rng) for _ in range(3))
+            if None not in (x, y, z):
+                return x, a, y, b, z
     raise TransversalityError("no transversal tuple found")
+
+
+def _common_complement(a, b, rng):
+    """A uniform common complement of a and b over a finite field: graphs
+    of uniform maps c -> a over c = complement(a), the chart U_a, drawn until
+    one is transversal to b (None after 600 draws)."""
+    c = complement(a).basis
+    for _ in range(600):
+        s = span(c + random_matrix(a.field, c.nrows, a.dim, rng) * a.basis)
+        if is_transversal(s, b):
+            return s
+    return None
 
 
 def subspace_slots(field, ambient, names):
@@ -220,9 +228,10 @@ def relation_slots(field, ambient, relations, subspaces=""):
 def transversal_slots(field, ambient, names):
     """Slots named from x, a, y, b, z with x, y, z complements of a and b.
 
-    Sampled, each case comes from one transversal_tuple draw.  Exhaustive,
-    a and b range over all subspaces (b is a itself when the law has no b
-    slot) and the outer slots over every common complement of the pair.
+    Sampled, each case comes from one transversal_tuple draw: (a, b) as
+    whole random subspaces, the outer slots as graphs in the chart U_a.
+    Exhaustive, a and b range over all subspaces (b is a itself when the law
+    has no b slot) and the outer slots over every common complement.
     """
     outer = [n for n in names if n in "xyz"]
 

@@ -352,10 +352,67 @@ def test_dilation_needs_transversality():
 
 
 def test_transversal_tuple_properties():
-    f3 = PrimeField(3)
-    for i in range(50):
-        rng = trial_rng(37, i)
-        x, a, y, b, z = transversal_tuple(f3, 2, rng)
-        for s in (x, y, z):
-            assert is_transversal(s, a)
-            assert is_transversal(s, b)
+    """(a, b) is the first pair of whole random subspaces of one dimension
+    drawn from the rng; x, y, z are common complements of it."""
+    for field, ambients in ((PrimeField(2), (1, 2, 3, 4)),
+                            (PrimeField(3), (1, 2, 3, 4)),
+                            (PrimeField(5), (1, 2, 3, 4)),
+                            (Rationals(), (2,))):
+        for n in ambients:
+            for i in range(300):
+                rng = trial_rng(37, i)
+                while True:
+                    a = random_subspace(field, n, rng)
+                    b = random_subspace(field, n, rng)
+                    if b.dim == a.dim:
+                        break
+                x, got_a, y, got_b, z = transversal_tuple(field, n,
+                                                          trial_rng(37, i))
+                assert (got_a, got_b) == (a, b)
+                for s in (x, y, z):
+                    assert s.dim == n - a.dim
+                    assert is_transversal(s, a)
+                    assert is_transversal(s, b)
+
+
+def _draw_pairs(field, n):
+    """(a, b) pairs of one dimension: a = b; a != b, meeting when they can;
+    a = b = 0; a = b = K^n."""
+    lines = all_subspaces(field, n, 1)
+    if n == 3:
+        planes = all_subspaces(field, n, 2)
+        a, b = planes[0], planes[1]
+        assert meet(a, b).dim == 1
+    else:
+        a, b = lines[0], lines[1]
+    zero, whole = all_subspaces(field, n, 0)[0], all_subspaces(field, n, n)[0]
+    return ((lines[0], lines[0]), (a, b), (zero, zero), (whole, whole))
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_outer_draw_is_uniform_on_common_complements(p, n):
+    """Every common complement occurs, each within 25% of the mean count."""
+    field = PrimeField(p)
+    for a, b in _draw_pairs(field, n):
+        carrier = common_complements(a, b)
+        counts = dict.fromkeys(carrier, 0)
+        for i in range(3000):
+            s = gamma._common_complement(a, b, trial_rng(41, i))
+            counts[s] += 1
+        assert len(counts) == len(carrier)
+        mean = 3000 / len(carrier)
+        assert all(abs(c - mean) <= 0.25 * mean for c in counts.values())
+
+
+def test_transversal_tuple_draws_few_random_subspaces(monkeypatch):
+    """Only a and b are whole random subspaces: no rejection of outer slots."""
+    calls = []
+
+    def counted(field, ambient, rng):
+        calls.append(1)
+        return random_subspace(field, ambient, rng)
+
+    monkeypatch.setattr(gamma, "random_subspace", counted)
+    for seed in range(200):
+        transversal_tuple(PrimeField(3), 4, trial_rng(seed, 0))
+    assert len(calls) / 200 <= 12
