@@ -25,8 +25,8 @@ from .matrices import (Matrix, ShapeError, all_matrices, det, format_matrix,
 from .subspaces import (Form, Subspace, all_subspaces, chart_of, complement,
                         contains, coord_subspace, diag_form,
                         enumerate_subspaces, full_subspace, gaussian_binomial,
-                        graph_minus, graph_of, is_isotropic, is_transversal,
-                        join, make_form, meet, orthocomplement, pushforward,
+                        graph_minus, graph_of, image_under, is_isotropic,
+                        is_transversal, join, make_form, meet, orthocomplement,
                         random_subspace, span, span_rows, split_form,
                         standard_forms, subspace_to_json, symplectic_form)
 from .relations import (LinearRelation, adjoint, apply_rel, compose,

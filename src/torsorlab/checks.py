@@ -500,12 +500,16 @@ def _run_involution_antihom(field, ambient, config):
     return reports
 
 
+# The largest fixed set the torsor and closure suites loop over in full.
+FIXED_SET_BUDGET = 24
+
+
 def _fixed_sample(inv, count):
     """A few fixed subspaces, guarded so carrier triple loops stay small."""
     pts = fixed_points(inv)
     if not pts:
         raise SuiteNotApplicable("the involution has no fixed subspaces here")
-    if len(pts) > 24:
+    if len(pts) > FIXED_SET_BUDGET:
         raise SuiteNotApplicable(
             "fixed set of size %d is too large for full-carrier loops"
             % len(pts))
@@ -556,7 +560,7 @@ def _run_semitorsor_closure(field, ambient, config):
     _needs_finite(field)
     _needs_even(ambient)
     inv = ortho_involution(symplectic_form(field, ambient // 2))
-    if len(fixed_points(inv)) > 24:
+    if len(fixed_points(inv)) > FIXED_SET_BUDGET:
         raise SuiteNotApplicable(
             "fixed set too large for full triple loops at this size")
     draws = cases(replace(config, trials=8),

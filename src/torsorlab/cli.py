@@ -52,11 +52,7 @@ def _parse_matrix(text, field, ncols=None):
 
 
 def _parse_subspace(text, field, ambient=None):
-    m = _parse_matrix(text, field, ncols=ambient)
-    if ambient is not None and m.ncols != ambient:
-        raise UsageError("literal %r has ambient %d, expected %d"
-                         % (text, m.ncols, ambient))
-    return span(m)
+    return span(_parse_matrix(text, field, ncols=ambient))
 
 
 def _emit(lines, args):
@@ -218,6 +214,8 @@ def _cmd_homotope(args):
 
 
 def _cmd_bridge(args):
+    if args.check != "prop41" and args.family != "o":
+        raise UsageError("--family selects the prop41 table only")
     field = _field(args.field or "fp:5")
     try:
         if args.check == "thm37":
@@ -372,7 +370,8 @@ def build_parser():
                        help="chart bridges between torsors and matrix groups")
     p.add_argument("--check", required=True, choices=BRIDGE_TOKENS)
     p.add_argument("--family", default="o",
-                   choices=homotopes.BRIDGE_FAMILIES)
+                   choices=homotopes.BRIDGE_FAMILIES,
+                   help="family of the prop41 table")
     p.add_argument("--n", type=_non_negative_int, default=1)
     _add_field(p)
     p.add_argument("--A", help="symmetric (o) or antisymmetric (sp) matrix")
@@ -396,10 +395,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print("torsorlab: %s" % exc, file=sys.stderr)
-        return 2
-    except FieldSyntaxError as exc:
+    except (UsageError, FieldSyntaxError) as exc:
         print("torsorlab: %s" % exc, file=sys.stderr)
         return 2
 

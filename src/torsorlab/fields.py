@@ -232,6 +232,13 @@ def _is_prime(n):
     return True
 
 
+def _rational_mod(q, p):
+    """The Fraction q as a residue mod the prime p."""
+    if q.denominator % p == 0:
+        raise FieldSyntaxError("denominator not invertible mod %d" % p)
+    return q.numerator * pow(q.denominator, p - 2, p) % p
+
+
 @dataclass(frozen=True)
 class PrimeField(FieldBase):
     p: int
@@ -278,10 +285,7 @@ class PrimeField(FieldBase):
         return range(self.p)
 
     def parse(self, text):
-        q = _parse_rational(text)
-        if q.denominator % self.p == 0:
-            raise FieldSyntaxError("denominator not invertible mod %d" % self.p)
-        return self.mul(q.numerator % self.p, self.inv(q.denominator % self.p))
+        return _rational_mod(_parse_rational(text), self.p)
 
     def format(self, a):
         return str(a)
@@ -368,11 +372,7 @@ class QuadraticExt(FieldBase):
 
     def parse(self, text):
         re_part, t_part = _parse_pair(text, "t")
-        for q in (re_part, t_part):
-            if q.denominator % self.p == 0:
-                raise FieldSyntaxError("denominator not invertible mod %d" % self.p)
-        to_fp = lambda q: (q.numerator * pow(q.denominator, self.p - 2, self.p)) % self.p
-        return (to_fp(re_part), to_fp(t_part))
+        return (_rational_mod(re_part, self.p), _rational_mod(t_part, self.p))
 
     def format(self, a):
         if a[1] == 0:

@@ -16,7 +16,7 @@ The other routes are audits, compared with the kernel by the
 * the relation route (1 - P_a^x P_y^b) applied to z, from `l_relation`;
 * `gamma_via_m` -- the difference relation P_x^a - P_b^z applied to y;
 * `gamma_restricted` -- on tuples transversal to both middle slots, the
-  pushforward of y under the difference of the two projections;
+  image of y under the difference of the two projections;
 * `gamma_oracle_enum` -- brute-force witness enumeration over tiny fields.
 
 Their agreement, the para-associativity and Klein symmetries, and the derived
@@ -24,8 +24,8 @@ operator identities are what the check suites exercise.  The laws about the
 product itself are defined here; the check suites in `checks` run them.  This
 module also builds the three slot kinds every law draws its cases from:
 subspace slots, relation slots and transversal tuples, whose outer slots are
-drawn as graphs over complement(a), the chart U_a.  The case generator that
-enumerates or samples them is `reports.cases`.
+graphs over complement(a), the chart U_a, whether drawn or enumerated.  The
+case generator that enumerates or samples them is `reports.cases`.
 """
 
 from __future__ import annotations
@@ -33,15 +33,14 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .matrices import (Matrix, eliminate_front, mat_invert, random_matrix,
-                       vstack)
+from .matrices import (Matrix, all_matrices, eliminate_front, mat_invert,
+                       random_matrix, vstack)
 from .relations import (LinearRelation, apply_rel, compose, difference,
                         gen_projection, one_minus, random_relation)
 from .reports import Slots, cases, run_law
 from .subspaces import (Subspace, TransversalityError, _check_same_space,
-                        all_subspaces, complement, is_transversal, join, meet,
-                        pushforward, random_subspace, span, span_rows,
-                        vectors)
+                        all_subspaces, complement, image_under, is_transversal,
+                        join, meet, random_subspace, span, span_rows, vectors)
 
 
 def l_relation(x, a, y, b):
@@ -130,7 +129,7 @@ def gamma_restricted(x, a, y, b, z):
     for s in (x, y, z):
         if not (is_transversal(s, a) and is_transversal(s, b)):
             raise TransversalityError("restricted product needs transversal tuples")
-    return pushforward(m_operator(x, a, b, z), y)
+    return image_under(m_operator(x, a, b, z), y)
 
 
 def dilations(scalars, x, a, y):
@@ -147,12 +146,19 @@ def dilations(scalars, x, a, y):
 
 
 def common_complements(a, b):
-    """All common complements of a and b (finite fields), in enumeration order."""
+    """All common complements of a and b over a finite field: the graphs of
+    the chart U_a, one per map X over `all_matrices`, transversal to b."""
     if a.dim != b.dim:
         return ()
-    n = a.ambient
-    return tuple(s for s in all_subspaces(a.field, n, n - a.dim)
-                 if is_transversal(s, a) and is_transversal(s, b))
+    c = complement(a).basis
+    graphs = (_chart_point(c, m, a)
+              for m in all_matrices(a.field, c.nrows, a.dim))
+    return tuple(s for s in graphs if is_transversal(s, b))
+
+
+def _chart_point(c, m, a):
+    """span(c + M a), the complement of a that is the graph of M: c -> a."""
+    return span(c + m * a.basis)
 
 
 # -- case slots --------------------------------------------------------------
@@ -173,12 +179,11 @@ def transversal_tuple(field, ambient, rng):
 
 
 def _common_complement(a, b, rng):
-    """A uniform common complement of a and b over a finite field: graphs
-    of uniform maps c -> a over c = complement(a), the chart U_a, drawn until
-    one is transversal to b (None after 600 draws)."""
+    """A common complement of a and b, uniform over a finite field: points
+    of the chart U_a drawn until one is transversal to b (None after 600)."""
     c = complement(a).basis
     for _ in range(600):
-        s = span(c + random_matrix(a.field, c.nrows, a.dim, rng) * a.basis)
+        s = _chart_point(c, random_matrix(a.field, c.nrows, a.dim, rng), a)
         if is_transversal(s, b):
             return s
     return None

@@ -31,7 +31,7 @@ from .matrices import (Matrix, all_matrices, format_matrix, is_invertible,
                        mat_invert, random_matrix)
 from .reports import Slots, cases, every, run_law
 from .subspaces import (chart_of, diag_form, graph_minus, graph_of,
-                        pushforward, split_form, symplectic_form)
+                        image_under, split_form, symplectic_form)
 
 
 @dataclass(frozen=True)
@@ -499,7 +499,7 @@ def family_table_bridge(name, field, a_param):
     fam = classical_family(name, field, a_param + a_param)
     carrier = torsor_G(inv, a_sub)
     t_op = translation_op(a_param, bt)
-    chart = {x: chart_of(pushforward(t_op, x), n) for x in carrier}
+    chart = {x: chart_of(image_under(t_op, x), n) for x in carrier}
     family = members(fam)
     onto = set(chart.values()) == set(family)
 
@@ -532,7 +532,7 @@ def unitary_transport_bridge(field, a_param):
     unitary = unitary_group(inv_symp, two_a, bt.o_plus, bt.o_minus)
     carrier = torsor_G(inv_split, a_sub)
     t_op = translation_op(a_param, bt)
-    moved = {x: pushforward(t_op, x) for x in carrier}
+    moved = {x: image_under(t_op, x) for x in carrier}
     onto = set(moved.values()) == set(unitary)
     inverse_moved = {y: x for x, y in moved.items()}
 

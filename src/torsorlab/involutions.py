@@ -32,14 +32,14 @@ from functools import lru_cache
 
 from .gamma import (common_complements, dilations, gamma_global, gamma_oracle,
                     m_operator, subspace_slots, transversal_slots)
-from .matrices import (Matrix, det, format_matrix, hstack, kernel_basis,
-                       mat_invert, rank, random_matrix, vstack)
+from .matrices import (Matrix, det, format_matrix, hstack, mat_invert, rank,
+                       random_matrix, vstack)
 from .reports import (Slots, cases, describe_case, every, run_inclusion_law,
                       run_law)
 from .subspaces import (Subspace, TransversalityError, chart_minus,
                         chart_of, coord_subspace, enumerate_subspaces,
                         graph_minus, image_under, is_isotropic, is_transversal,
-                        orthocomplement, pushforward, random_subspace)
+                        orthocomplement, random_subspace)
 
 
 class InvolutionError(ValueError):
@@ -65,7 +65,7 @@ class Involution:
         return self.gram.nrows
 
     def __call__(self, x):
-        return Subspace(kernel_basis(x.basis.conj() * self.gram))
+        return orthocomplement(x, self)
 
 
 def tabulated(inv):
@@ -242,7 +242,7 @@ def cayley_table(elements, unit, a, b):
 def unitary_group(inv, a, o, b):
     """Members x of the group (U_ab, o) with tau(x) equal to the inverse.
 
-    Sorted; the group product is (x, y) -> Gamma(x, a, o, b, y).
+    In `common_complements` order; product (x, y) -> Gamma(x, a, o, b, y).
     """
     for p in (a, o, b):
         if inv(p) != p:
@@ -325,8 +325,7 @@ def check_duality_inclusion(form, config, law="duality-inclusion"):
     notes so genuinely strict cases can be collected.  Sampled in every mode.
     """
 
-    def perp(s):
-        return orthocomplement(s, form)
+    perp = tabulated(ortho_involution(form))
 
     def sides(c):
         x, a, y, b, z = c["x"], c["a"], c["y"], c["b"], c["z"]
@@ -457,8 +456,10 @@ def random_isometry(form, rng):
     """A random invertible operator preserving the form.
 
     Implemented for ambient 2 over fields with the identity involution:
-    determinant-one operators for the skew form, torus and swap elements for
-    the split form, hyperbolic rotations and a reflection for diag(1, -1).
+    determinant-one operators for an alternating gram (the skew form, or the
+    split form in characteristic 2), else torus and swap elements for the
+    split form, hyperbolic rotations and a reflection for diag(1, -1).  Each
+    branch is uniform on the whole isometry group over F_p.
     """
     field = form.field
     if form.ambient != 2 or field.involution != "identity":
@@ -469,7 +470,8 @@ def random_isometry(form, rng):
     while field.is_zero(t):
         t = field.sample(rng)
     t_inv = field.inv(t)
-    if form.kind == "skew":
+    alternating = field.is_zero(g[0][0]) and field.is_zero(g[1][1])
+    if form.kind == "skew" or (field.char == 2 and alternating):
         while True:
             m = random_matrix(field, 2, 2, rng)
             d = det(m)
@@ -477,7 +479,7 @@ def random_isometry(form, rng):
                 di = field.inv(d)
                 top = tuple(field.mul(di, e) for e in m.entries[0])
                 return Matrix.build(field, [top, m.entries[1]])
-    if field.is_zero(g[0][0]) and g[0][1] == one:
+    if alternating and g[0][1] == one:
         if rng.below(2) == 0:
             return Matrix.build(field, [[t, zero], [zero, t_inv]])
         return Matrix.build(field, [[zero, t], [t_inv, zero]])
@@ -509,7 +511,7 @@ def check_invariant_transport(form, config, law="isometry-transport"):
 
     def holds(c):
         a, g = c["a"], c["g"]
-        b = pushforward(g, a)
+        b = image_under(g, a)
         if form_invariants(a, form) != form_invariants(b, form):
             return False
         ta = inv(a)
@@ -517,7 +519,7 @@ def check_invariant_transport(form, config, law="isometry-transport"):
         if not carrier:
             return True
         tb = inv(b)
-        moved = tuple(pushforward(g, x) for x in carrier)
+        moved = tuple(image_under(g, x) for x in carrier)
         return (set(moved) == set(_common_complements_in(points, b, tb))
                 and cayley_table(carrier, carrier[0], a, ta)
                 == cayley_table(moved, moved[0], b, tb))

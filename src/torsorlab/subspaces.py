@@ -155,15 +155,6 @@ def image_under(g, x):
     return span(x.basis * g.transpose())
 
 
-def pushforward(g, x):
-    """Image of x under an invertible operator g."""
-    try:
-        mat_invert(g)
-    except SingularMatrixError:
-        raise SingularMatrixError("pushforward needs an invertible operator")
-    return image_under(g, x)
-
-
 @dataclass(frozen=True)
 class Form:
     """Nondegenerate (skew-)hermitian form  beta(u, v) = conj(u)^T gram v.
@@ -236,12 +227,12 @@ def standard_forms(field, n):
 
 
 def orthocomplement(x, form):
-    """x^perp = {v : beta(u, v) = 0 for all u in x}."""
+    """x^perp = {v : conj(u) K v = 0 for all u in x} for K = form.gram; reads
+    only form.gram and form.ambient, so form may be an Involution too."""
     if x.ambient != form.ambient:
         raise ShapeError("subspace of K^%d against a form on K^%d"
                          % (x.ambient, form.ambient))
-    constraints = x.basis.conj() * form.gram
-    return Subspace(kernel_basis(constraints))
+    return Subspace(kernel_basis(x.basis.conj() * form.gram))
 
 
 def is_isotropic(x, form):

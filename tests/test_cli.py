@@ -372,6 +372,26 @@ def test_unitary_bridge_runs_over_a_conjugation(capsys):
     assert json.loads(out.strip())["notes"] == ["carrier:4", "unitary:4"]
 
 
+def test_thm33_default_output(capsys):
+    """Without --A, thm33 bridges the o family at its default parameter."""
+    code, out, err = run_cli(capsys, "bridge", "--check", "thm33", "--n", "2",
+                             "--field", "f3")
+    assert code == 0, err
+    assert out == (
+        '{"cases":65,"failures":0,"first_counterexample":null,'
+        '"law":"twisted-unitary-transport","notes":["carrier:8","unitary:8"],'
+        '"passed":true,"suite":"bridge"}\n')
+
+
+@pytest.mark.parametrize("token,n", [("thm33", "1"), ("thm33", "2"),
+                                     ("thm37", "1")])
+def test_only_prop41_takes_a_family(token, n, capsys):
+    code, out, err = run_cli(capsys, "bridge", "--check", token,
+                             "--family", "sp", "--n", n, "--field", "f3")
+    assert code == 2 and not out
+    assert "--family selects the prop41 table" in err
+
+
 def test_bridge_rejects_bad_parameter(capsys):
     code, _, err = run_cli(
         capsys, "bridge", "--check", "thm33", "--field", "f3", "--n", "2",

@@ -404,6 +404,22 @@ def test_outer_draw_is_uniform_on_common_complements(p, n):
         assert all(abs(c - mean) <= 0.25 * mean for c in counts.values())
 
 
+@pytest.mark.parametrize("p,ambients", [(2, (1, 2, 3, 4)), (3, (1, 2, 3))])
+def test_common_complements_match_the_grassmannian_filter(p, ambients):
+    """The chart enumeration lists, once each, exactly the subspaces of the
+    complementary dimension that are transversal to both a and b."""
+    field = PrimeField(p)
+    for n in ambients:
+        subspaces = all_subspaces(field, n)
+        for a in subspaces:
+            layer = [s for s in all_subspaces(field, n, n - a.dim)
+                     if is_transversal(s, a)]
+            for b in subspaces:
+                got = common_complements(a, b)
+                want = {s for s in layer if is_transversal(s, b)}
+                assert len(got) == len(set(got)) and set(got) == want, (a, b)
+
+
 def test_transversal_tuple_draws_few_random_subspaces(monkeypatch):
     """Only a and b are whole random subspaces: no rejection of outer slots."""
     calls = []

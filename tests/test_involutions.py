@@ -1,7 +1,6 @@
 """Tests for form-induced involutions, censuses, and the groups they carry."""
 
 import itertools
-import sys
 from collections import Counter
 
 import pytest
@@ -38,8 +37,8 @@ from torsorlab.involutions import (
     translation_op,
     unitary_group,
 )
-from torsorlab.matrices import (Matrix, hstack, mat_invert, random_matrix,
-                                vstack)
+from torsorlab.matrices import (Matrix, all_matrices, hstack, mat_invert,
+                                random_matrix, vstack)
 from torsorlab.reports import CheckConfig
 from torsorlab.rng import trial_rng
 from torsorlab.subspaces import (
@@ -48,11 +47,11 @@ from torsorlab.subspaces import (
     coord_subspace,
     diag_form,
     enumerate_subspaces,
+    image_under,
     is_isotropic,
     is_transversal,
     make_form,
     orthocomplement,
-    pushforward,
     random_subspace,
     span_rows,
     split_form,
@@ -174,7 +173,7 @@ def test_tau_is_the_pushed_orthocomplement():
                 inv = Involution(form.gram * mat_invert(post))
                 assert built is None or built.gram == inv.gram
                 for x in enumerate_subspaces(field, 2 * n):
-                    assert inv(x) == pushforward(
+                    assert inv(x) == image_under(
                         post, orthocomplement(x, form)), (post, x)
 
 
@@ -275,22 +274,21 @@ def test_involution_law_suites_exhaustive_f2():
 
 
 def count_tau_kernels(monkeypatch):
-    """Count tau's applications, by (subspace, involution), at its kernel call.
+    """Count tau's applications, by (subspace, involution), at one call each.
 
-    `Involution.__call__` is the only caller of `kernel_basis` in the
-    module, and makes one call per application; its frame names the
-    subspace and the involution.  Involutions are told apart by identity:
-    over F2 the symplectic and split forms share a gram.
+    `Involution.__call__` is the module's one caller of `orthocomplement`,
+    and makes one call per application with the subspace and the
+    involution itself.  Involutions are told apart by identity: over F2 the
+    symplectic and split forms share a gram.
     """
     seen = Counter()
-    orig = involutions.kernel_basis
+    orig = involutions.orthocomplement
 
-    def counted(m):
-        caller = sys._getframe(1).f_locals
-        seen[caller["x"], id(caller["self"])] += 1
-        return orig(m)
+    def counted(x, inv):
+        seen[x, id(inv)] += 1
+        return orig(x, inv)
 
-    monkeypatch.setattr(involutions, "kernel_basis", counted)
+    monkeypatch.setattr(involutions, "orthocomplement", counted)
     return seen
 
 
@@ -579,6 +577,22 @@ def test_random_isometry_preserves_form():
             for i in range(25):
                 g = random_isometry(form, trial_rng(47, i))
                 assert g.conj_t() * form.gram * g == form.gram, (field.spec(), name)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_random_isometry_reaches_the_whole_isometry_group(p):
+    """Over F2 the split gram is the symplectic one, so its group is all of
+    GL2(F2), six elements, not the two of a torus-and-swap draw."""
+    field = PrimeField(p)
+    for name, form in standard_forms(field, 1).items():
+        group = {g for g in all_matrices(field, 2, 2)
+                 if g.transpose() * form.gram * g == form.gram}
+        drawn = set()
+        for i in range(20000):
+            drawn.add(random_isometry(form, trial_rng(53, i)))
+            if len(drawn) == len(group):
+                break
+        assert drawn == group, (p, name, len(drawn), len(group))
 
 
 def test_invariant_transport_report():

@@ -24,13 +24,13 @@ from torsorlab.subspaces import (
     gaussian_binomial,
     graph_minus,
     graph_of,
+    image_under,
     is_isotropic,
     is_transversal,
     join,
     make_form,
     meet,
     orthocomplement,
-    pushforward,
     random_subspace,
     span,
     span_rows,
@@ -365,22 +365,22 @@ def test_json_roundtrip():
         assert span_rows(f5, 3, rows) == x
 
 
-def test_pushforward_by_invertible_preserves_lattice():
+def test_image_under_invertible_preserves_lattice():
     f3 = PrimeField(3)
     g = mat(f3, [[1, 1], [0, 1]])
     for i in range(30):
         x = rand_sub(f3, 2, 23, 2 * i)
         y = rand_sub(f3, 2, 23, 2 * i + 1)
-        assert pushforward(g, join(x, y)) == join(pushforward(g, x), pushforward(g, y))
-        assert pushforward(g, meet(x, y)) == meet(pushforward(g, x), pushforward(g, y))
-        assert pushforward(g, x).dim == x.dim
+        assert image_under(g, join(x, y)) == join(image_under(g, x), image_under(g, y))
+        assert image_under(g, meet(x, y)) == meet(image_under(g, x), image_under(g, y))
+        assert image_under(g, x).dim == x.dim
 
 
-def test_pushforward_is_column_action():
+def test_image_under_is_column_action():
     f3 = PrimeField(3)
     g = mat(f3, [[0, 1], [2, 0]])
     x = span_rows(f3, 2, [[1, 1]])
-    y = pushforward(g, x)
+    y = image_under(g, x)
     assert contains(y, vec_span(f3, 1, 2))
 
 

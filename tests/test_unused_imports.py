@@ -4,8 +4,9 @@ Every module-level import in the library modules and the tests is used;
 every module-level name a library module defines is loaded by the library
 itself, not only by the package's exports or the tests; no library module
 reads the process environment; only `reports.py` builds a Report, only
-`matrices.py` calls `_eliminate`, and only `involutions.involution` builds
-an Involution.  No linter ships with the project, so this walks each
+`matrices.py` calls `_eliminate`, only `involutions.involution` builds
+an Involution, and only `subspaces.orthocomplement` and the rank-nullity
+law call `kernel_basis`.  No linter ships with the project, so this walks each
 module's syntax tree with the stdlib `ast` module.  The package's
 `__init__.py` is exempt from the import guard and from the name guard: its
 imports are the package's exports, and an export alone is no caller.
@@ -196,6 +197,49 @@ def test_only_reports_module_builds_reports():
 def test_only_matrices_module_eliminates():
     """Pivots come from `_eliminate`, or from `pivot_cols` on a stored basis."""
     assert calls_outside("matrices.py", "_eliminate") == {}
+
+
+def callers_of(trees, name):
+    """(module, definition) for each top-level function, or method named
+    `Class.method`, whose body calls `name`; any other statement that calls
+    it counts as `<module>`."""
+    found = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            parts = node.body if isinstance(node, ast.ClassDef) else [node]
+            for part in parts:
+                if calls_to(part, name):
+                    owner = getattr(part, "name", "<module>")
+                    if part is not node:
+                        owner = node.name + "." + owner
+                    found.add((module, owner))
+    return sorted(found)
+
+
+def test_caller_guard_names_functions_methods_and_modules():
+    trees = {"m.py": ast.parse("import k\n"
+                               "def f(x):\n"
+                               "    def inner():\n"
+                               "        return k.kernel_basis(x)\n"
+                               "    return inner\n"
+                               "class C:\n"
+                               "    def __call__(self, x):\n"
+                               "        return kernel_basis(x)\n"
+                               "    def other(self):\n"
+                               "        return self.kernel_basis\n"
+                               "kernel_basis(0)\n"),
+             "n.py": ast.parse("def g():\n"
+                               "    return kernel_basis\n")}
+    assert callers_of(trees, "kernel_basis") == [
+        ("m.py", "<module>"), ("m.py", "C.__call__"), ("m.py", "f")]
+
+
+def test_only_orthocomplement_and_rank_nullity_take_kernels():
+    """tau has one kernel: an Involution applies itself through
+    `orthocomplement`, and the rank-nullity law checks `kernel_basis`."""
+    assert callers_of(library_trees(), "kernel_basis") == [
+        ("checks.py", "_run_rank_nullity"),
+        ("subspaces.py", "orthocomplement")]
 
 
 def test_only_the_involution_builder_builds_involutions():
