@@ -41,10 +41,10 @@ from .involutions import (BaseTriple, Involution, InvolutionError,
                           isotropic_census, ortho_involution,
                           standard_triple, torsor_G, translation_op,
                           unitary_group)
-from .homotopes import (ClassicalFamily, Homotope, classical_family,
-                        family_table_bridge, graph_star_roundtrip,
-                        hull, lie_bracket_dual, lie_bracket_formula, members,
-                        plain_triple, star_triple, unitary_transport_bridge)
+from .homotopes import (Homotope, classical_family, family_table_bridge,
+                        graph_star_roundtrip, hull, lie_bracket_dual,
+                        lie_bracket_formula, members, plain_triple,
+                        star_triple, unitary_transport_bridge)
 from .reports import CheckConfig, Report
 from .rng import SplitMix64, trial_rng
 from .checks import SUITES, SuiteNotApplicable, list_suites, run_all, run_suite

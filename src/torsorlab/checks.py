@@ -573,29 +573,28 @@ def _run_semitorsor_closure(field, ambient, config):
 
 
 def _chart_size(ambient):
-    return max(1, ambient // 2)
+    """The size n of the n x n matrices the homotope suites work with."""
+    return min(2, max(1, ambient // 2))
 
 
 def _run_homotope_monoid(field, ambient, config):
     reports = [homotopes.check_associativity(field, config),
                homotopes.check_member_criterion_sides(field, config)]
     if field.size is not None and field.size <= 5:
-        n = min(2, _chart_size(ambient))
-        fam = homotopes.classical_family(
-            "gl", field, Matrix.identity(field, n))
-        reports.append(homotopes.check_group_laws(fam, config))
+        gl = homotopes.Homotope(Matrix.identity(field, _chart_size(ambient)))
+        reports.append(homotopes.check_group_laws(gl))
     return reports
 
 
 def _run_hull_closure(field, ambient, config):
     _needs_finite(field)
-    n = min(2, _chart_size(ambient))
+    n = _chart_size(ambient)
     if field.size ** (n * n) > 10000:
         raise SuiteNotApplicable("matrix enumeration too large here")
     names = ["o", "sp"] if field.involution == "identity" else ["u"]
     reports = []
     for name in names:
-        for param in homotopes.family_params(name, field, n, config, 3):
+        for param in homotopes.family_params(name, field, n, config):
             fam = homotopes.classical_family(name, field, param)
             reports.append(homotopes.check_hull_closure(fam))
     return reports
@@ -610,7 +609,7 @@ def _run_bracket_laws(field, ambient, config):
 
 
 def _run_triple_systems(field, ambient, config):
-    n = min(2, _chart_size(ambient))
+    n = _chart_size(ambient)
     return [homotopes.check_pair_identity(field, 2, 3, config),
             homotopes.check_second_kind_identity(field, 2, 3, config),
             homotopes.check_first_kind_control(field, 2, 3, config),
@@ -618,7 +617,7 @@ def _run_triple_systems(field, ambient, config):
 
 
 def _run_bridge(field, ambient, config):
-    n = min(2, _chart_size(ambient))
+    n = _chart_size(ambient)
     reports = [homotopes.graph_star_roundtrip(field, n, config),
                homotopes.check_chart_product(field, n, config)]
     if field.size is not None and field.involution == "identity":

@@ -23,16 +23,22 @@ from .reports import CheckConfig
 from .subspaces import FORMS, enumerate_subspaces, span, subspace_to_json
 
 BRIDGE_TOKENS = ("prop41", "thm33", "thm37")
+SAMPLING = ("exhaustive", "trials", "seed")
 
 
 class UsageError(ValueError):
     """Bad command input; reported on stderr with exit code 2."""
 
 
+def _sampling(args):
+    """The sampling options given to `check` or `bridge`, by name."""
+    return {name: getattr(args, name) for name in SAMPLING
+            if getattr(args, name) is not None}
+
+
 def _check_config(args):
-    """The sampling options of `check` and `bridge` as a CheckConfig."""
-    return CheckConfig(exhaustive=args.exhaustive, trials=args.trials,
-                       seed=args.seed)
+    """The sampling options given, over CheckConfig's defaults."""
+    return CheckConfig(**_sampling(args))
 
 
 def _field(spec):
@@ -192,6 +198,9 @@ def _family(args, field):
 
 
 def _cmd_homotope(args):
+    if not (args.members or args.table or args.hull_check):
+        raise UsageError("homotope needs one of --members, --table,"
+                         " --hull-check")
     field = _field(args.field)
     fam = _family(args, field)
     if not args.hull_check and field.size is None:
@@ -204,18 +213,21 @@ def _cmd_homotope(args):
         raise UsageError(str(exc))
     if args.members:
         return _emit([format_matrix(m) for m in members], args)
-    if args.table:
-        h = fam.hom
-        index = {m: i for i, m in enumerate(members)}
-        table = [[index[h.product(x, y)] for y in members] for x in members]
-        return _emit_table([format_matrix(m) for m in members],
-                           index[h.zero], table, args)
-    raise UsageError("homotope needs one of --members, --table, --hull-check")
+    index = {m: i for i, m in enumerate(members)}
+    table = [[index[fam.product(x, y)] for y in members] for x in members]
+    return _emit_table([format_matrix(m) for m in members],
+                       index[fam.zero], table, args)
 
 
 def _cmd_bridge(args):
     if args.check != "prop41" and args.family != "o":
         raise UsageError("--family selects the prop41 table only")
+    if args.check == "thm37" and args.A is not None:
+        raise UsageError("--A sets the prop41 and thm33 parameter only")
+    sampled = _sampling(args)
+    if args.check != "thm37" and sampled:
+        raise UsageError("--%s samples thm37 only; %s sweeps its whole carrier"
+                         % (next(iter(sampled)), args.check))
     field = _field(args.field or "fp:5")
     try:
         if args.check == "thm37":
@@ -286,12 +298,13 @@ def _seed(text):
 
 
 def _add_sampling(p):
+    """Options left out stay None, so `bridge` can tell them from defaults."""
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--exhaustive", action="store_true",
+    g.add_argument("--exhaustive", action="store_true", default=None,
                    help="enumerate every case instead of sampling")
-    g.add_argument("--trials", type=_positive_int, default=200,
+    g.add_argument("--trials", type=_positive_int,
                    help="number of sampled cases (default 200)")
-    p.add_argument("--seed", type=_seed, default=0,
+    p.add_argument("--seed", type=_seed,
                    help="64-bit seed; case i is drawn from (seed, i)")
 
 
@@ -334,9 +347,10 @@ def build_parser():
     p.add_argument("--n", type=_non_negative_int, required=True,
                    help="half ambient; the form lives on K^(2n)")
     _add_field(p, required=True)
-    p.add_argument("--list", action="store_true",
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--list", action="store_true",
                    help="print one subspace JSON per line")
-    p.add_argument("--count", action="store_true",
+    g.add_argument("--count", action="store_true",
                    help="print only how many there are")
     _add_output(p)
     p.set_defaults(handler=_cmd_lagrangian)
@@ -360,9 +374,10 @@ def build_parser():
     p.add_argument("--n", type=_non_negative_int, required=True)
     _add_field(p, required=True)
     p.add_argument("--A", help="deformation parameter matrix")
-    p.add_argument("--members", action="store_true")
-    p.add_argument("--table", action="store_true")
-    p.add_argument("--hull-check", dest="hull_check", action="store_true")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--members", action="store_true")
+    g.add_argument("--table", action="store_true")
+    g.add_argument("--hull-check", dest="hull_check", action="store_true")
     _add_output(p, table=True)
     p.set_defaults(handler=_cmd_homotope)
 

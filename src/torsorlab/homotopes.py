@@ -13,9 +13,14 @@ Everything that tells the classical families gl, o, sp and u apart is one
 row of the table FAMILIES: the star map (transpose, or conjugate transpose
 for u), a sign (-1 for sp), the adjective a parameter must satisfy, the
 canonical parameter of the hull sweep and the form of the bridge (split for
-o, symplectic for sp).  A family member x satisfies
+o, symplectic for sp).  A family is a Homotope that carries the name of its
+row, gl when none is given.  A family member x satisfies
 star(x) + sign x = star(x) a x, its parameter star(a) = sign a, and
 r + sign star(r) symmetrizes any square r into a parameter.
+
+The laws sample fixed shapes: the bracket laws 2 x 2 matrices, the two-route
+bracket one of five shapes up to 3 x 3, and the member criterion 2 x 3
+matrices with a 3 x 2 parameter.
 """
 
 from __future__ import annotations
@@ -36,9 +41,11 @@ from .subspaces import (chart_of, diag_form, graph_minus, graph_of,
 
 @dataclass(frozen=True)
 class Homotope:
-    """p x q matrices under x . y = x + y - x a y for a fixed q x p a."""
+    """p x q matrices under x . y = x + y - x a y for a fixed q x p a,
+    cut out by the symmetry condition of a FAMILIES row."""
 
     param: Matrix
+    family: str = "gl"
 
     @property
     def field(self):
@@ -66,6 +73,9 @@ class Homotope:
     @property
     def zero(self):
         return Matrix.zeros(self.field, self.p, self.q)
+
+    def condition(self, x):
+        return FAMILIES[self.family].condition(x, self.param)
 
 
 def _matrix_slots(field, **shapes):
@@ -110,9 +120,9 @@ def lie_bracket_dual(x, y, a):
     return parts[3]
 
 
-def check_bracket_agreement(field, config,
-                            shapes=((1, 1), (2, 2), (3, 3), (2, 3), (3, 2))):
+def check_bracket_agreement(field, config):
     """Commutator route equals the formula, square and rectangular."""
+    shapes = ((1, 1), (2, 2), (3, 3), (2, 3), (3, 2))
 
     def draw(rng):
         p, q = shapes[rng.below(len(shapes))]
@@ -126,7 +136,7 @@ def check_bracket_agreement(field, config,
                    cases(config, Slots(draw)), holds)
 
 
-def check_bracket_laws(field, config, n=2):
+def check_bracket_laws(field, config):
     """Antisymmetry and the Jacobi identity for x a y - y a x."""
 
     def holds(c):
@@ -138,7 +148,7 @@ def check_bracket_laws(field, config, n=2):
                  + lie_bracket_formula(z, lie_bracket_formula(x, y, a), a))
         return total.is_zero()
 
-    slots = _matrix_slots(field, **dict.fromkeys("xyza", (n, n)))
+    slots = _matrix_slots(field, **dict.fromkeys("xyza", (2, 2)))
     return run_law("bracket-laws", "bracket-laws", cases(config, slots), holds)
 
 
@@ -187,25 +197,6 @@ BRIDGE_FAMILIES = tuple(name for name, kind in FAMILIES.items()
                         if kind.bridge_form)
 
 
-@dataclass(frozen=True)
-class ClassicalFamily:
-    """A symmetry-carved subfamily of a square deformed matrix group."""
-
-    name: str
-    hom: Homotope
-
-    @property
-    def field(self):
-        return self.hom.field
-
-    @property
-    def n(self):
-        return self.hom.p
-
-    def condition(self, x):
-        return FAMILIES[self.name].condition(x, self.hom.param)
-
-
 def classical_family(name, field, param):
     name = name.lower()
     if name not in FAMILIES:
@@ -218,16 +209,16 @@ def classical_family(name, field, param):
     if not kind.fits(param):
         raise ValueError("the %s family needs %s parameter"
                          % (kind.title, kind.adjective))
-    return ClassicalFamily(name, Homotope(param))
+    return Homotope(param, name)
 
 
-def family_params(name, field, n, config, count):
-    """Canonical parameter first, then symmetrized random draws, deduplicated.
+def family_params(name, field, n, config):
+    """Canonical parameter first, then two symmetrized draws, deduplicated.
 
     The draws are sampled in every mode.
     """
     kind = FAMILIES[name]
-    draws = cases(replace(config, trials=count - 1),
+    draws = cases(replace(config, trials=2),
                   _matrix_slots(field, r=(n, n)))
     params = [kind.canonical(field, n)]
     params += [kind.symmetrize(c["r"]) for c in draws]
@@ -246,65 +237,64 @@ def bridge_param(name, field, n):
 
 def hull(fam):
     """Monoid elements: the symmetry condition without invertibility."""
-    return [x for x in all_matrices(fam.field, fam.n, fam.n)
+    return [x for x in all_matrices(fam.field, fam.p, fam.q)
             if fam.condition(x)]
 
 
 def members(fam):
     """Group elements of the family, enumerated over a finite field."""
-    return [x for x in hull(fam) if fam.hom.is_member(x)]
+    return [x for x in hull(fam) if fam.is_member(x)]
 
 
-def check_group_laws(fam, config):
+def check_group_laws(fam):
     """Members form a group: closure, unit 0, two-sided inverses.
 
     `members` lists every member over the finite field, so a product or an
     inverse is a member exactly when it is one of them: closure is decided
     by lookup.  Without the unit 0 the whole check is one failing case.
     """
-    h = fam.hom
     pool = members(fam)
     member_set = set(pool)
-    if h.zero in member_set:
+    if fam.zero in member_set:
         swept = itertools.chain(every(pool, "x"), every(pool, "xy"))
     else:
         swept = [{"unit": "missing"}]
 
     def holds(c):
         if "unit" in c:
-            return h.zero in member_set
+            return fam.zero in member_set
         x = c["x"]
         if "y" in c:
-            return h.product(x, c["y"]) in member_set
-        xi = h.inverse(x)
+            return fam.product(x, c["y"]) in member_set
+        xi = fam.inverse(x)
         return (xi in member_set
-                and h.product(x, xi) == h.zero
-                and h.product(xi, x) == h.zero)
+                and fam.product(x, xi) == fam.zero
+                and fam.product(xi, x) == fam.zero)
 
     return run_law("homotope-monoid", "family-group-laws", swept, holds,
-                   notes=("family:%s" % fam.name, "members:%d" % len(pool)))
+                   notes=("family:%s" % fam.family, "members:%d" % len(pool)))
 
 
 def check_hull_closure(fam):
     """The hull contains 0, the first case, and is closed under the product."""
-    h = fam.hom
     pool = hull(fam)
     hull_set = set(pool)
 
     def holds(c):
         if "unit" in c:
-            return fam.condition(h.zero)
-        return h.product(c["x"], c["y"]) in hull_set
+            return fam.condition(fam.zero)
+        return fam.product(c["x"], c["y"]) in hull_set
 
     swept = itertools.chain([{"unit": "missing"}], every(pool, "xy"))
     return run_law("hull-closure", "hull-closure", swept, holds,
-                   notes=("family:%s" % fam.name,
-                          "param:%s" % format_matrix(h.param),
+                   notes=("family:%s" % fam.family,
+                          "param:%s" % format_matrix(fam.param),
                           "hull:%d" % len(pool)))
 
 
-def check_member_criterion_sides(field, config, p=2, q=3):
+def check_member_criterion_sides(field, config):
     """1 - x a and 1 - a x are invertible together."""
+    p, q = 2, 3
 
     def holds(c):
         x, a = c["x"], c["a"]
@@ -363,9 +353,9 @@ def plain_triple(x, y, z):
     return x * y * z
 
 
-def star_triple(star):
-    """x star(y) z on one matrix space, star a transpose-like map."""
-    return lambda x, y, z: x * star(y) * z
+def star_triple(x, y, z):
+    """x y* z on one matrix space, y* the conjugate transpose."""
+    return x * y.conj_t() * z
 
 
 def check_pair_identity(field, p, q, config):
@@ -389,8 +379,8 @@ def check_pair_identity(field, p, q, config):
 
 
 def check_second_kind_identity(field, p, q, config):
-    """x star(y) z obeys the shift law with a reversed middle triple."""
-    t = star_triple(Matrix.conj_t)
+    """x y* z obeys the shift law with a reversed middle triple."""
+    t = star_triple
 
     def holds(c):
         x, y, z, u, v = c["x"], c["y"], c["z"], c["u"], c["v"]
@@ -411,7 +401,7 @@ def check_first_kind_control(field, p, q, config):
     The report passes when at least one counterexample turns up; a clean
     sweep would mean the two shift laws are indistinguishable here.
     """
-    t = star_triple(Matrix.conj_t)
+    t = star_triple
     slots = _matrix_slots(field, **dict.fromkeys("xyzuv", (p, q)))
     found = sum(t(c["x"], t(c["y"], c["z"], c["u"]), c["v"])
                 != t(c["x"], c["y"], t(c["z"], c["u"], c["v"]))
@@ -508,7 +498,7 @@ def family_table_bridge(name, field, a_param):
             return onto
         x1, x2 = c["x1"], c["x2"]
         w = gamma_global(x1, ta_sub, bt.o_plus, a_sub, x2)
-        return chart.get(w) == fam.hom.product(chart[x1], chart[x2])
+        return chart.get(w) == fam.product(chart[x1], chart[x2])
 
     sizes = {"carrier": len(carrier), "family": len(family)}
     swept = itertools.chain([sizes],

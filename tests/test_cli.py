@@ -325,6 +325,55 @@ def test_homotope_needs_action(capsys):
     assert "one of" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("homotope", "--family", "gl", "--n", "1", "--field", "f3", "--A", "1",
+     "--members", "--table"),
+    ("homotope", "--family", "gl", "--n", "1", "--field", "f3", "--A", "1",
+     "--members", "--hull-check"),
+    ("lagrangian", "--form", "split", "--n", "1", "--field", "f3", "--list",
+     "--count")], ids=["members-table", "members-hull-check", "list-count"])
+def test_mode_flags_exclude_each_other(argv, capsys):
+    """Two modes of one command exit 2; neither silently wins."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert not captured.out and "not allowed with" in captured.err
+
+
+# The exact stdout of family commands that no benchmark workload runs.
+PINNED = [
+    (("homotope", "--family", "sp", "--n", "2", "--field", "f3",
+      "--A", "0,1;2,0", "--table"),
+     "bed36f2ac2150a187adbcf6e420be5df93b3484b4734bf7a5922baf68f18db64"),
+    (("homotope", "--family", "o", "--n", "2", "--field", "f5",
+      "--A", "1,0;0,0", "--hull-check"),
+     '{"cases":101,"failures":0,"first_counterexample":null,'
+     '"law":"hull-closure","notes":["family:o","param:1,0;0,0","hull:10"],'
+     '"passed":true,"suite":"hull-closure"}\n'),
+    (("homotope", "--family", "u", "--n", "1", "--field", "f9", "--A", "1",
+      "--hull-check"),
+     '{"cases":17,"failures":0,"first_counterexample":null,'
+     '"law":"hull-closure","notes":["family:u","param:1","hull:4"],'
+     '"passed":true,"suite":"hull-closure"}\n'),
+    (("bridge", "--check", "prop41", "--family", "sp", "--n", "2",
+      "--field", "f3"),
+     '{"cases":577,"failures":0,"first_counterexample":null,'
+     '"law":"sp-family-table","notes":["carrier:24"],"passed":true,'
+     '"suite":"bridge"}\n')]
+
+
+@pytest.mark.parametrize("argv,expected", PINNED,
+                         ids=["sp-table", "o-hull", "u-hull", "sp-bridge"])
+def test_family_outputs_are_pinned(argv, expected, capsys):
+    """A long output is pinned by its sha256, a short one verbatim."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and not err
+    if "\n" not in expected:
+        out = hashlib.sha256(out.encode()).hexdigest()
+    assert out == expected
+
+
 def test_homotope_rejects_wrong_symmetry(capsys):
     code, _, err = run_cli(
         capsys, "homotope", "--family", "sp", "--n", "2", "--field", "f3",
@@ -390,6 +439,29 @@ def test_only_prop41_takes_a_family(token, n, capsys):
                              "--family", "sp", "--n", n, "--field", "f3")
     assert code == 2 and not out
     assert "--family selects the prop41 table" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("thm37", "--A", "1", "--n", "1", "--field", "f3"), "--A sets"),
+    (("prop41", "--trials", "5"), "--trials samples thm37 only"),
+    (("prop41", "--seed", "3"), "--seed samples thm37 only"),
+    (("thm33", "--exhaustive"), "--exhaustive samples thm37 only"),
+    (("thm33", "--seed", "0", "--n", "2", "--field", "f3"),
+     "--seed samples thm37 only")],
+    ids=["thm37-A", "prop41-trials", "prop41-seed", "thm33-exhaustive",
+         "thm33-seed"])
+def test_bridge_refuses_options_its_check_ignores(argv, message, capsys):
+    code, out, err = run_cli(capsys, "bridge", "--check", *argv)
+    assert code == 2 and not out
+    assert message in err
+
+
+def test_thm37_samples_200_cases_at_seed_0_by_default(capsys):
+    _, default, _ = run_cli(capsys, "bridge", "--check", "thm37")
+    _, explicit, _ = run_cli(capsys, "bridge", "--check", "thm37",
+                             "--trials", "200", "--seed", "0")
+    assert json.loads(default)["cases"] == 200
+    assert default == explicit
 
 
 def test_bridge_rejects_bad_parameter(capsys):

@@ -165,16 +165,15 @@ def test_family_validation():
 
 def test_group_laws_per_family():
     f3 = PrimeField(3)
-    cfg = CheckConfig(trials=40, seed=9)
     for name, param in (("gl", Matrix.identity(f3, 2)),
                         ("o", Matrix.identity(f3, 2)),
                         ("sp", mat(f3, [[0, 1], [-1, 0]]))):
         fam = classical_family(name, f3, param)
-        r = check_group_laws(fam, cfg)
+        r = check_group_laws(fam)
         assert r.failures == 0, (name, r.first_counterexample)
     f9 = QuadraticExt(3)
     fam = classical_family("u", f9, Matrix.identity(f9, 1))
-    r = check_group_laws(fam, cfg)
+    r = check_group_laws(fam)
     assert r.failures == 0, r.first_counterexample
 
 

@@ -9,7 +9,7 @@ for reports produced through `run_suite`.
 from torsorlab import checks, homotopes, involutions
 from torsorlab.checks import run_suite
 from torsorlab.fields import PrimeField
-from torsorlab.homotopes import (ClassicalFamily, check_first_kind_control,
+from torsorlab.homotopes import (Homotope, check_first_kind_control,
                                  check_group_laws, check_hull_closure,
                                  classical_family, family_table_bridge,
                                  unitary_transport_bridge)
@@ -62,14 +62,14 @@ def test_opposite_torsor_fails_on_unequal_carriers(monkeypatch):
 
 
 def reject_zero(monkeypatch):
-    monkeypatch.setattr(ClassicalFamily, "condition",
+    monkeypatch.setattr(Homotope, "condition",
                         lambda self, x: not x.is_zero())
 
 
 def test_group_laws_fail_without_the_unit(monkeypatch):
     reject_zero(monkeypatch)
     fam = classical_family("gl", F3, Matrix.identity(F3, 1))
-    report = check_group_laws(fam, CFG)
+    report = check_group_laws(fam)
     assert verdict(report) == (
         1, 1, {"unit": "missing"}, ("family:gl", "members:1"))
 

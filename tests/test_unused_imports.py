@@ -6,7 +6,8 @@ itself, not only by the package's exports or the tests; no library module
 reads the process environment; only `reports.py` builds a Report, only
 `matrices.py` calls `_eliminate`, only `involutions.involution` builds
 an Involution, and only `subspaces.orthocomplement` and the rank-nullity
-law call `kernel_basis`.  No linter ships with the project, so this walks each
+law call `kernel_basis`; every library function reads each of its
+parameters.  No linter ships with the project, so this walks each
 module's syntax tree with the stdlib `ast` module.  The package's
 `__init__.py` is exempt from the import guard and from the name guard: its
 imports are the package's exports, and an export alone is no caller.
@@ -251,3 +252,73 @@ def test_only_the_involution_builder_builds_involutions():
                    and node.name == "involution")
     assert calls_to(tree, "Involution") == calls_to(builder, "Involution")
     assert calls_to(builder, "Involution")
+
+
+def unread_parameters(tree, module):
+    """(function, parameter) for each parameter that a function's body never
+    loads, nested functions and methods included.
+
+    Exempt are a method's receiver, which dispatch sets and no caller
+    chooses; bodies that only raise, the stubs a subclass overrides; the
+    suite runners `checks._run_*`, which share the registry's
+    (field, ambient, config) signature; and lambdas, which are not
+    definitions.
+    """
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, owner + child.name + ".")
+                continue
+            if not isinstance(child, ast.FunctionDef):
+                visit(child, owner)
+                continue
+            name = owner + child.name
+            visit(child, name + ".")
+            body = child.body
+            if ast.get_docstring(child) is not None:
+                body = body[1:]
+            if (all(isinstance(s, ast.Raise) for s in body)
+                    or (module == "checks.py" and name.startswith("_run_"))):
+                continue
+            args = child.args
+            params = [a.arg for a in args.posonlyargs + args.args
+                      + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+            if isinstance(node, ast.ClassDef):
+                params = params[1:]
+            read = {n.id for n in ast.walk(child)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found.extend((name, p) for p in params if p not in read)
+
+    visit(tree, "")
+    return found
+
+
+def test_parameter_guard_sees_functions_methods_and_nesting():
+    tree = ast.parse("def f(x, unused, *rest, flag=0):\n"
+                     "    unused = 0\n"
+                     "    def inner(y, lost):\n"
+                     "        return x + y\n"
+                     "    return inner, rest, lambda ignored: 0\n"
+                     "class C:\n"
+                     "    def method(self, value):\n"
+                     "        return 1\n"
+                     "    def stub(self, k):\n"
+                     "        \"Overridden.\"\n"
+                     "        raise NotImplementedError\n"
+                     "def _run_x(field, ambient, config):\n"
+                     "    return field\n")
+    unread = [("f.inner", "lost"), ("f", "unused"), ("f", "flag"),
+              ("C.method", "value")]
+    assert unread_parameters(tree, "m.py") == unread + [
+        ("_run_x", "ambient"), ("_run_x", "config")]
+    assert unread_parameters(tree, "checks.py") == unread
+
+
+def test_every_library_function_reads_its_parameters():
+    """A parameter that the body never reads is a setting no caller can
+    change; it goes, or the body starts to read it."""
+    found = {name: unread_parameters(tree, name)
+             for name, tree in library_trees().items()}
+    assert {name: hits for name, hits in found.items() if hits} == {}
