@@ -10,10 +10,11 @@ Each law is defined once.  The laws of scalars, matrices, the Grassmannian
 and relations, and a few derived gamma identities, are defined here; the
 laws of the pentary product live in `gamma`, those of involutions and their
 torsors in `involutions`, and those of deformed matrix products in
-`homotopes`.  Every law draws its cases from `reports.cases` through the
-slot kinds built in `gamma`.  A law names the suite that runs it with a
-constant in its own module, so the runners here pass only law names, and
-only where one checker serves several forms or parameters.
+`homotopes`.  Every law takes its cases from `reports.cases`, most through
+`gamma`'s `subspace_cases`, `relation_cases` and `transversal_cases`.  A
+law names the suite that runs it with a constant in its own module, so the
+runners here pass only law names, and only where one checker serves several
+forms or parameters.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .gamma import (check_agreement, check_commutativity_aa,
                     check_idempotent_laws, check_klein,
                     check_para_associativity, check_restricted_agreement,
                     check_torsor_axioms, gamma_global, l_relation, m_operator,
-                    relation_slots, subspace_slots, transversal_slots)
+                    relation_cases, subspace_cases, transversal_cases)
 from .involutions import (census_report, check_antihom_global,
                           check_antihom_restricted, check_dilation_compat,
                           check_duality_inclusion, check_invariant_transport,
@@ -39,7 +40,7 @@ from .matrices import (Matrix, is_invertible, kernel_basis, mat_invert,
                        random_matrix, rank, rref)
 from .relations import (adjoint, apply_rel, compose, gen_projection,
                         inverse_rel, one_minus, one_plus)
-from .reports import Slots, cases, run_inclusion_law, run_law, skipped_report
+from .reports import cases, run_inclusion_law, run_law, skipped_report
 from .subspaces import (complement, contains, coord_subspace, full_subspace,
                         graph_of, chart_of, is_transversal, join, meet,
                         orthocomplement, random_subspace, split_form,
@@ -63,14 +64,6 @@ def _needs_even(ambient):
 def _forms(field, ambient):
     _needs_even(ambient)
     return standard_forms(field, ambient // 2)
-
-
-def _pair_cases(field, ambient, config):
-    return cases(config, subspace_slots(field, ambient, "xa"))
-
-
-def _relation_cases(field, ambient, config, names="f"):
-    return cases(config, relation_slots(field, ambient, names))
 
 
 # -- scalars -----------------------------------------------------------------
@@ -105,7 +98,7 @@ def _run_field_axioms(field, ambient, config):
         return {k: field.format(v) for k, v in c.items()}
 
     return [run_law("field-axioms", "field-axioms",
-                    cases(config, Slots(draw)), holds, show)]
+                    cases(config, draw), holds, show)]
 
 
 def _run_conjugation(field, ambient, config):
@@ -125,7 +118,7 @@ def _run_conjugation(field, ambient, config):
         return {k: field.format(v) for k, v in c.items()}
 
     return [run_law("conjugation-involutive", "conjugation-involutive",
-                    cases(config, Slots(draw)), holds, show)]
+                    cases(config, draw), holds, show)]
 
 
 def _run_dual_nilpotency(field, ambient, config):
@@ -168,14 +161,14 @@ def _run_dual_nilpotency(field, ambient, config):
                 "s": field.format(c["s"])}
 
     return [run_law("dual-nilpotency", "dual-nilpotency",
-                    cases(config, Slots(draw)), holds, show)]
+                    cases(config, draw), holds, show)]
 
 
 # -- matlin ------------------------------------------------------------------
 
 
-def _random_invertible(field, n, rng, tries=64):
-    for _ in range(tries):
+def _random_invertible(field, n, rng):
+    for _ in range(64):
         t = random_matrix(field, n, n, rng)
         if is_invertible(t):
             return t
@@ -199,7 +192,7 @@ def _run_rref_canonical(field, ambient, config):
         return mixed == red
 
     return [run_law("rref-canonical", "rref-canonical",
-                    cases(config, Slots(draw)), holds)]
+                    cases(config, draw), holds)]
 
 
 def _run_rank_nullity(field, ambient, config):
@@ -213,7 +206,7 @@ def _run_rank_nullity(field, ambient, config):
         return rank(m) + kernel_basis(m).nrows == m.ncols
 
     return [run_law("rank-nullity", "rank-nullity",
-                    cases(config, Slots(draw)), holds)]
+                    cases(config, draw), holds)]
 
 
 def _run_dual_matrix_arithmetic(field, ambient, config):
@@ -243,7 +236,7 @@ def _run_dual_matrix_arithmetic(field, ambient, config):
 
         reports.append(run_law("dual-matrix-arithmetic",
                                "nilpotent-entries-%s" % label,
-                               cases(config, Slots(draw)), holds))
+                               cases(config, draw), holds))
     return reports
 
 
@@ -256,7 +249,7 @@ def _run_modular_dimension(field, ambient, config):
         return meet(x, a).dim + join(x, a).dim == x.dim + a.dim
 
     return [run_law("modular-dimension", "modular-dimension",
-                    _pair_cases(field, ambient, config), holds)]
+                    subspace_cases(config, field, ambient, "xa"), holds)]
 
 
 def _run_complement_transversal(field, ambient, config):
@@ -266,8 +259,7 @@ def _run_complement_transversal(field, ambient, config):
         return is_transversal(x, y) and y.dim == ambient - x.dim
 
     return [run_law("complement-transversal", "complement-transversal",
-                    cases(config, subspace_slots(field, ambient, "x")),
-                    holds)]
+                    subspace_cases(config, field, ambient, "x"), holds)]
 
 
 def _run_ortho_lattice(field, ambient, config):
@@ -287,7 +279,8 @@ def _run_ortho_lattice(field, ambient, config):
             return True
 
         reports.append(run_law("ortho-lattice", "ortho-lattice-%s" % name,
-                               _pair_cases(field, ambient, config), holds))
+                               subspace_cases(config, field, ambient, "xa"),
+                               holds))
     return reports
 
 
@@ -311,7 +304,7 @@ def _run_chart_graph(field, ambient, config):
         return True
 
     return [run_law("chart-graph-inverse", "chart-graph-inverse",
-                    cases(config, Slots(draw)), holds)]
+                    cases(config, draw), holds)]
 
 
 # -- relations ---------------------------------------------------------------
@@ -325,7 +318,7 @@ def _run_projection_idempotent(field, ambient, config):
         return one_minus(p) == gen_projection(c["a"], c["x"])
 
     return [run_law("projection-idempotent", "projection-idempotent",
-                    _pair_cases(field, ambient, config), holds)]
+                    subspace_cases(config, field, ambient, "xa"), holds)]
 
 
 def _run_projection_conjugation(field, ambient, config):
@@ -336,8 +329,7 @@ def _run_projection_conjugation(field, ambient, config):
         return lhs == rhs
 
     return [run_law("projection-conjugation", "projection-conjugation",
-                    cases(config, relation_slots(field, ambient, "f", "zc")),
-                    holds)]
+                    relation_cases(config, field, ambient, "f", "zc"), holds)]
 
 
 def _run_adjoint_reversal(field, ambient, config):
@@ -357,11 +349,11 @@ def _run_adjoint_reversal(field, ambient, config):
 
         reports.append(run_law("adjoint-reversal",
                                "adjoint-reversal-%s" % name,
-                               _relation_cases(field, ambient, config, "fg"),
+                               relation_cases(config, field, ambient, "fg"),
                                rel_holds))
         reports.append(run_law("adjoint-reversal",
                                "adjoint-projection-%s" % name,
-                               _pair_cases(field, ambient, config),
+                               subspace_cases(config, field, ambient, "xa"),
                                proj_holds))
     return reports
 
@@ -377,7 +369,7 @@ def _run_adjoint_shift(field, ambient, config):
             return adjoint(one_minus(f), form) == one_minus(fs)
 
         reports.append(run_law("adjoint-shift", "adjoint-shift-%s" % name,
-                               _relation_cases(field, ambient, config),
+                               relation_cases(config, field, ambient, "f"),
                                holds))
     return reports
 
@@ -391,7 +383,7 @@ def _run_adjoint_involutive(field, ambient, config):
 
         reports.append(run_law("adjoint-involutive",
                                "adjoint-involutive-%s" % name,
-                               _relation_cases(field, ambient, config),
+                               relation_cases(config, field, ambient, "f"),
                                holds))
     return reports
 
@@ -407,7 +399,7 @@ def _run_adjoint_image_inclusion(field, ambient, config):
 
     return [run_inclusion_law(
         "adjoint-image-inclusion", "adjoint-image-inclusion",
-        cases(config, relation_slots(field, ambient, "f", "z")), sides)]
+        relation_cases(config, field, ambient, "f", "z"), sides)]
 
 
 def _run_relation_dimension(field, ambient, config):
@@ -421,7 +413,7 @@ def _run_relation_dimension(field, ambient, config):
         return f.inner.dim == ker_dim + im_dim
 
     return [run_law("relation-dimension", "relation-dimension",
-                    _relation_cases(field, ambient, config), holds)]
+                    relation_cases(config, field, ambient, "f"), holds)]
 
 
 # -- gamma -------------------------------------------------------------------
@@ -451,7 +443,7 @@ def _run_m_symmetries(field, ambient, config):
         return mi == m_operator(z, a, b, x) == m_operator(x, b, a, z)
 
     return [run_law("m-symmetries", "m-symmetries",
-                    cases(config, transversal_slots(field, ambient, "xabz")),
+                    transversal_cases(config, field, ambient, "xabz"),
                     holds)]
 
 
@@ -468,7 +460,7 @@ def _run_l_inversion(field, ambient, config):
         return gamma_global(y, a, x, b, w) == z
 
     return [run_law("l-inversion", "l-inversion",
-                    cases(config, transversal_slots(field, ambient, "xaybz")),
+                    transversal_cases(config, field, ambient, "xaybz"),
                     holds)]
 
 
@@ -563,8 +555,7 @@ def _run_semitorsor_closure(field, ambient, config):
     if len(fixed_points(inv)) > FIXED_SET_BUDGET:
         raise SuiteNotApplicable(
             "fixed set too large for full triple loops at this size")
-    draws = cases(replace(config, trials=8),
-                  subspace_slots(field, ambient, "a"))
+    draws = subspace_cases(replace(config, trials=8), field, ambient, "a")
     return [closure_report(inv, a)
             for a in dict.fromkeys(c["a"] for c in draws)]
 

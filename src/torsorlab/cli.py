@@ -198,9 +198,6 @@ def _family(args, field):
 
 
 def _cmd_homotope(args):
-    if not (args.members or args.table or args.hull_check):
-        raise UsageError("homotope needs one of --members, --table,"
-                         " --hull-check")
     field = _field(args.field)
     fam = _family(args, field)
     if not args.hull_check and field.size is None:
@@ -374,7 +371,7 @@ def build_parser():
     p.add_argument("--n", type=_non_negative_int, required=True)
     _add_field(p, required=True)
     p.add_argument("--A", help="deformation parameter matrix")
-    g = p.add_mutually_exclusive_group()
+    g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--members", action="store_true")
     g.add_argument("--table", action="store_true")
     g.add_argument("--hull-check", dest="hull_check", action="store_true")
@@ -406,8 +403,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; returns its exit code, argparse's included."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     try:
         return args.handler(args)
     except (UsageError, FieldSyntaxError) as exc:

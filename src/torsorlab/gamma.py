@@ -22,10 +22,11 @@ The other routes are audits, compared with the kernel by the
 Their agreement, the para-associativity and Klein symmetries, and the derived
 operator identities are what the check suites exercise.  The laws about the
 product itself are defined here; the check suites in `checks` run them.  This
-module also builds the three slot kinds every law draws its cases from:
-subspace slots, relation slots and transversal tuples, whose outer slots are
-graphs over complement(a), the chart U_a, whether drawn or enumerated.  The
-case generator that enumerates or samples them is `reports.cases`.
+module also gives the cases most laws run over: `subspace_cases`,
+`relation_cases` and `transversal_cases`, the last with outer slots that are
+graphs over complement(a), the chart U_a, whether drawn or enumerated.  Each
+passes a draw function and an enumeration to `reports.cases`, which picks
+one.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .matrices import (Matrix, all_matrices, eliminate_front, mat_invert,
                        random_matrix, vstack)
 from .relations import (LinearRelation, apply_rel, compose, difference,
                         gen_projection, one_minus, random_relation)
-from .reports import Slots, cases, run_law
+from .reports import cases, every, run_law
 from .subspaces import (Subspace, TransversalityError, _check_same_space,
                         all_subspaces, complement, image_under, is_transversal,
                         join, meet, random_subspace, span, span_rows, vectors)
@@ -161,7 +162,7 @@ def _chart_point(c, m, a):
     return span(c + m * a.basis)
 
 
-# -- case slots --------------------------------------------------------------
+# -- cases -------------------------------------------------------------------
 
 
 def transversal_tuple(field, ambient, rng):
@@ -189,8 +190,8 @@ def _common_complement(a, b, rng):
     return None
 
 
-def subspace_slots(field, ambient, names):
-    """One slot per name, each a subspace of K^ambient.
+def subspace_cases(config, field, ambient, names):
+    """Cases with one slot per name, each a subspace of K^ambient.
 
     Sampled, every slot takes one random_subspace draw, in slot order;
     exhaustive, every slot ranges over all subspaces.
@@ -198,12 +199,12 @@ def subspace_slots(field, ambient, names):
     def draw(rng):
         return {n: random_subspace(field, ambient, rng) for n in names}
 
-    return Slots(draw, lambda: dict.fromkeys(names,
-                                             all_subspaces(field, ambient)))
+    return cases(config, draw,
+                 lambda: every(all_subspaces(field, ambient), names))
 
 
-def relation_slots(field, ambient, relations, subspaces=""):
-    """Relation slots on K^ambient, followed by subspace slots.
+def relation_cases(config, field, ambient, relations, subspaces=""):
+    """Cases with relation slots on K^ambient, then subspace slots.
 
     Sampled, each relation slot takes one random_relation draw and then each
     subspace slot one random_subspace draw, in slot order.  Exhaustive, the
@@ -217,42 +218,39 @@ def relation_slots(field, ambient, relations, subspaces=""):
             case[n] = random_subspace(field, ambient, rng)
         return case
 
-    def pools():
+    def enumerate_all():
         rels = tuple(LinearRelation(inner)
                      for inner in all_subspaces(field, 2 * ambient))
-        out = {n: rels if k == 0 else rels[:4]
-               for k, n in enumerate(relations)}
+        ranges = [rels] + [rels[:4]] * (len(relations) - 1)
         if subspaces:
-            subs = all_subspaces(field, ambient)
-            out.update(dict.fromkeys(subspaces, subs))
-        return out
+            ranges += [all_subspaces(field, ambient)] * len(subspaces)
+        for values in itertools.product(*ranges):
+            yield dict(zip(relations + subspaces, values))
 
-    return Slots(draw, pools)
+    return cases(config, draw, enumerate_all)
 
 
-def transversal_slots(field, ambient, names):
-    """Slots named from x, a, y, b, z with x, y, z complements of a and b.
+def transversal_cases(config, field, ambient, names):
+    """Cases with slots named from x, a, y, b, z; x, y, z complement a, b.
 
     Sampled, each case comes from one transversal_tuple draw: (a, b) as
     whole random subspaces, the outer slots as graphs in the chart U_a.
     Exhaustive, a and b range over all subspaces (b is a itself when the law
     has no b slot) and the outer slots over every common complement.
     """
-    outer = [n for n in names if n in "xyz"]
-
     def draw(rng):
         t = dict(zip("xaybz", transversal_tuple(field, ambient, rng)))
         return {n: t[n] for n in names}
 
-    def expand(case):
-        carrier = common_complements(case["a"], case.get("b", case["a"]))
-        for values in itertools.product(carrier, repeat=len(outer)):
-            yield dict(case, **dict(zip(outer, values)))
+    def enumerate_all():
+        middle = [n for n in names if n in "ab"]
+        outer = [n for n in names if n in "xyz"]
+        for m in every(all_subspaces(field, ambient), middle):
+            carrier = common_complements(m["a"], m.get("b", m["a"]))
+            for o in every(carrier, outer):
+                yield dict(m, **o)
 
-    middle = [n for n in names if n in "ab"]
-    return Slots(draw, lambda: dict.fromkeys(middle,
-                                             all_subspaces(field, ambient)),
-                 expand)
+    return cases(config, draw, enumerate_all)
 
 
 # -- law checks ------------------------------------------------------------
@@ -270,8 +268,7 @@ def check_para_associativity(field, ambient, config):
         return lhs == mid == rhs
 
     return run_law("global-laws", "para-associativity",
-                   cases(config, subspace_slots(field, ambient, "xaybzuv")),
-                   holds)
+                   subspace_cases(config, field, ambient, "xaybzuv"), holds)
 
 
 def check_klein(field, ambient, config):
@@ -283,8 +280,7 @@ def check_klein(field, ambient, config):
         return g == gamma_global(a, x, y, z, b) == gamma_global(z, b, y, a, x)
 
     return run_law("global-laws", "klein-invariance",
-                   cases(config, subspace_slots(field, ambient, "xaybz")),
-                   holds)
+                   subspace_cases(config, field, ambient, "xaybz"), holds)
 
 
 def check_idempotent_laws(field, ambient, config):
@@ -297,7 +293,7 @@ def check_idempotent_laws(field, ambient, config):
         return one_minus(gen_projection(x, a)) == gen_projection(a, x)
 
     return run_law("idempotent-projection", "projection-complement",
-                   cases(config, subspace_slots(field, ambient, "xaz")), holds)
+                   subspace_cases(config, field, ambient, "xaz"), holds)
 
 
 def check_agreement(field, ambient, config):
@@ -310,8 +306,7 @@ def check_agreement(field, ambient, config):
                 and g == gamma_via_m(x, a, y, b, z))
 
     return run_law("gamma-agreement", "route-agreement",
-                   cases(config, subspace_slots(field, ambient, "xaybz")),
-                   holds)
+                   subspace_cases(config, field, ambient, "xaybz"), holds)
 
 
 def check_restricted_agreement(field, ambient, config):
@@ -322,8 +317,7 @@ def check_restricted_agreement(field, ambient, config):
         return gamma_restricted(*t) == gamma_global(*t)
 
     return run_law("gamma-agreement", "restricted-agreement",
-                   cases(config, transversal_slots(field, ambient, "xaybz")),
-                   holds)
+                   transversal_cases(config, field, ambient, "xaybz"), holds)
 
 
 def check_torsor_axioms(field, ambient, config):
@@ -336,8 +330,7 @@ def check_torsor_axioms(field, ambient, config):
         return gamma_global(y, a, y, b, x) == x
 
     return run_law("global-laws", "torsor-idempotents",
-                   cases(config, transversal_slots(field, ambient, "xayb")),
-                   holds)
+                   transversal_cases(config, field, ambient, "xayb"), holds)
 
 
 def check_commutativity_aa(field, ambient, config):
@@ -348,5 +341,4 @@ def check_commutativity_aa(field, ambient, config):
         return (gamma_global(x, a, y, a, z) == gamma_global(z, a, y, a, x))
 
     return run_law("global-laws", "middle-pair-commutativity",
-                   cases(config, transversal_slots(field, ambient, "xayz")),
-                   holds)
+                   transversal_cases(config, field, ambient, "xayz"), holds)

@@ -34,7 +34,7 @@ from .involutions import (ortho_involution, standard_triple, torsor_G,
                           translation_op, unitary_group)
 from .matrices import (Matrix, all_matrices, format_matrix, is_invertible,
                        mat_invert, random_matrix)
-from .reports import Slots, cases, every, run_law
+from .reports import cases, every, run_law
 from .subspaces import (chart_of, diag_form, graph_minus, graph_of,
                         image_under, split_form, symplectic_form)
 
@@ -78,10 +78,10 @@ class Homotope:
         return FAMILIES[self.family].condition(x, self.param)
 
 
-def _matrix_slots(field, **shapes):
-    """Sampled slots: one random matrix per name, of its (rows, cols) shape."""
-    return Slots(lambda rng: {n: random_matrix(field, p, q, rng)
-                              for n, (p, q) in shapes.items()})
+def _matrix_draw(field, **shapes):
+    """A draw of one random matrix per name, of its (rows, cols) shape."""
+    return lambda rng: {n: random_matrix(field, p, q, rng)
+                        for n, (p, q) in shapes.items()}
 
 
 # -- bracket -----------------------------------------------------------------
@@ -126,14 +126,14 @@ def check_bracket_agreement(field, config):
 
     def draw(rng):
         p, q = shapes[rng.below(len(shapes))]
-        return _matrix_slots(field, x=(p, q), y=(p, q), a=(q, p)).draw(rng)
+        return _matrix_draw(field, x=(p, q), y=(p, q), a=(q, p))(rng)
 
     def holds(c):
         return (lie_bracket_dual(c["x"], c["y"], c["a"])
                 == lie_bracket_formula(c["x"], c["y"], c["a"]))
 
-    return run_law("lie-bracket", "bracket-two-routes",
-                   cases(config, Slots(draw)), holds)
+    return run_law("lie-bracket", "bracket-two-routes", cases(config, draw),
+                   holds)
 
 
 def check_bracket_laws(field, config):
@@ -148,8 +148,8 @@ def check_bracket_laws(field, config):
                  + lie_bracket_formula(z, lie_bracket_formula(x, y, a), a))
         return total.is_zero()
 
-    slots = _matrix_slots(field, **dict.fromkeys("xyza", (2, 2)))
-    return run_law("bracket-laws", "bracket-laws", cases(config, slots), holds)
+    draw = _matrix_draw(field, **dict.fromkeys("xyza", (2, 2)))
+    return run_law("bracket-laws", "bracket-laws", cases(config, draw), holds)
 
 
 # -- classical families ------------------------------------------------------
@@ -198,7 +198,6 @@ BRIDGE_FAMILIES = tuple(name for name, kind in FAMILIES.items()
 
 
 def classical_family(name, field, param):
-    name = name.lower()
     if name not in FAMILIES:
         raise ValueError("unknown family %r" % name)
     kind = FAMILIES[name]
@@ -218,8 +217,7 @@ def family_params(name, field, n, config):
     The draws are sampled in every mode.
     """
     kind = FAMILIES[name]
-    draws = cases(replace(config, trials=2),
-                  _matrix_slots(field, r=(n, n)))
+    draws = cases(replace(config, trials=2), _matrix_draw(field, r=(n, n)))
     params = [kind.canonical(field, n)]
     params += [kind.symmetrize(c["r"]) for c in draws]
     return list(dict.fromkeys(params))
@@ -303,14 +301,14 @@ def check_member_criterion_sides(field, config):
         return left == right
 
     return run_law("homotope-monoid", "member-criterion-sides",
-                   cases(config, _matrix_slots(field, x=(p, q), a=(q, p))),
+                   cases(config, _matrix_draw(field, x=(p, q), a=(q, p))),
                    holds)
 
 
 def check_associativity(field, config, p=2, q=2):
     """The deformed product is associative on all matrices."""
 
-    slots = _matrix_slots(field, a=(q, p), x=(p, q), y=(p, q), z=(p, q))
+    draw = _matrix_draw(field, a=(q, p), x=(p, q), y=(p, q), z=(p, q))
 
     def holds(c):
         h = Homotope(c["a"])
@@ -318,7 +316,7 @@ def check_associativity(field, config, p=2, q=2):
         return h.product(h.product(x, y), z) == h.product(x, h.product(y, z))
 
     return run_law("homotope-monoid", "product-associativity",
-                   cases(config, slots), holds)
+                   cases(config, draw), holds)
 
 
 # -- charts of the pentary product -------------------------------------------
@@ -339,9 +337,9 @@ def check_chart_product(field, n, config):
                          graph_of(Z))
         return w == graph_of(X + Z - X * B * Z)
 
-    slots = _matrix_slots(field, **dict.fromkeys("XBZ", (n, n)))
+    draw = _matrix_draw(field, **dict.fromkeys("XBZ", (n, n)))
     # The bridge suite runs this law; perfbench/expected.json pins its name.
-    return run_law("homotope", "pentary-chart-product", cases(config, slots),
+    return run_law("homotope", "pentary-chart-product", cases(config, draw),
                    holds)
 
 
@@ -372,10 +370,10 @@ def check_pair_identity(field, p, q, config):
         e3 = plain_triple(x, plain_triple(y, z, u), v)
         return e1 == e2 and e2 == e3
 
-    slots = _matrix_slots(field, x=(p, q), y=(q, p), z=(p, q), u=(q, p),
-                          v=(p, q))
+    draw = _matrix_draw(field, x=(p, q), y=(q, p), z=(p, q), u=(q, p),
+                        v=(p, q))
     return run_law("triple-systems", "pair-shift-identity",
-                   cases(config, slots), holds)
+                   cases(config, draw), holds)
 
 
 def check_second_kind_identity(field, p, q, config):
@@ -390,9 +388,9 @@ def check_second_kind_identity(field, p, q, config):
             return False
         return t(u, t(x, y, z), v) == t(t(u, z, y), x, v)
 
-    slots = _matrix_slots(field, **dict.fromkeys("xyzuv", (p, q)))
+    draw = _matrix_draw(field, **dict.fromkeys("xyzuv", (p, q)))
     return run_law("triple-systems", "second-kind-shift-identity",
-                   cases(config, slots), holds)
+                   cases(config, draw), holds)
 
 
 def check_first_kind_control(field, p, q, config):
@@ -402,10 +400,10 @@ def check_first_kind_control(field, p, q, config):
     sweep would mean the two shift laws are indistinguishable here.
     """
     t = star_triple
-    slots = _matrix_slots(field, **dict.fromkeys("xyzuv", (p, q)))
+    draw = _matrix_draw(field, **dict.fromkeys("xyzuv", (p, q)))
     found = sum(t(c["x"], t(c["y"], c["z"], c["u"]), c["v"])
                 != t(c["x"], c["y"], t(c["z"], c["u"], c["v"]))
-                for c in cases(config, slots))
+                for c in cases(config, draw))
     return run_law("triple-systems", "first-kind-negative-control",
                    [{"violations": found}], lambda c: found > 0,
                    notes=("violations:%d" % found,))
@@ -428,9 +426,9 @@ def check_triple_via_involution(field, n, config):
                          bt.o_minus, graph_of(Z))
         return w == graph_of(Z * Y.conj_t() * X)
 
-    slots = _matrix_slots(field, **dict.fromkeys("XYZ", (n, n)))
+    draw = _matrix_draw(field, **dict.fromkeys("XYZ", (n, n)))
     return run_law("triple-systems", "starred-triple-chart",
-                   cases(config, slots), holds)
+                   cases(config, draw), holds)
 
 
 # -- bridges -----------------------------------------------------------------
@@ -444,16 +442,15 @@ def graph_star_roundtrip(field, n, config):
     """
     inv = ortho_involution(symplectic_form(field, n))
 
-    slots = Slots(_matrix_slots(field, a=(n, n)).draw,
-                  lambda: {"a": tuple(all_matrices(field, n, n))})
-
     def holds(c):
         a = c["a"]
         g = graph_of(a)
         image = inv(g)
         return image == graph_of(a.conj_t()) and inv(image) == g
 
-    return run_law("bridge", "graph-star-roundtrip", cases(config, slots),
+    return run_law("bridge", "graph-star-roundtrip",
+                   cases(config, _matrix_draw(field, a=(n, n)),
+                         lambda: every(all_matrices(field, n, n), "a")),
                    holds)
 
 

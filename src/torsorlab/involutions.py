@@ -27,14 +27,14 @@ Gamma remains the only path for arbitrary tuples.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .gamma import (common_complements, dilations, gamma_global, gamma_oracle,
-                    m_operator, subspace_slots, transversal_slots)
+                    m_operator, subspace_cases, transversal_cases)
 from .matrices import (Matrix, det, format_matrix, hstack, mat_invert, rank,
                        random_matrix, vstack)
-from .reports import (Slots, cases, describe_case, every, run_inclusion_law,
+from .reports import (cases, describe_case, every, run_inclusion_law,
                       run_law)
 from .subspaces import (Subspace, TransversalityError, chart_minus,
                         chart_of, coord_subspace, enumerate_subspaces,
@@ -273,7 +273,7 @@ def translation_op(a_chart, bt):
 def check_order_two(inv, config, law="order-two"):
     tau = tabulated(inv)
     return run_law("involution-antihom", law,
-                   cases(config, subspace_slots(inv.field, inv.ambient, "x")),
+                   subspace_cases(config, inv.field, inv.ambient, "x"),
                    lambda c: tau(tau(c["x"])) == c["x"],
                    notes=("label:%s" % (inv.label or "anonymous"),))
 
@@ -287,7 +287,7 @@ def check_transversality_preservation(inv, config,
                 == is_transversal(tau(c["x"]), tau(c["a"])))
 
     return run_law("involution-antihom", law,
-                   cases(config, subspace_slots(inv.field, inv.ambient, "xa")),
+                   subspace_cases(config, inv.field, inv.ambient, "xa"),
                    holds)
 
 
@@ -306,15 +306,15 @@ def _reverses_gamma(inv):
 
 def check_antihom_restricted(inv, config, law="restricted-anti-homomorphism"):
     """The reversal identity of `_reverses_gamma` on transversal tuples."""
-    slots = transversal_slots(inv.field, inv.ambient, "xaybz")
-    return run_law("involution-antihom", law, cases(config, slots),
+    return run_law("involution-antihom", law,
+                   transversal_cases(config, inv.field, inv.ambient, "xaybz"),
                    _reverses_gamma(inv))
 
 
 def check_antihom_global(inv, config, law="global-anti-homomorphism"):
     """The same identity on arbitrary tuples, no transversality at all."""
-    slots = subspace_slots(inv.field, inv.ambient, "xaybz")
-    return run_law("involution-duality", law, cases(config, slots),
+    return run_law("involution-duality", law,
+                   subspace_cases(config, inv.field, inv.ambient, "xaybz"),
                    _reverses_gamma(inv))
 
 
@@ -332,9 +332,10 @@ def check_duality_inclusion(form, config, law="duality-inclusion"):
         return (perp(gamma_global(x, a, y, b, z)),
                 gamma_global(perp(x), perp(b), perp(y), perp(a), perp(z)))
 
-    draw = subspace_slots(form.field, form.ambient, "xaybz").draw
-    return run_inclusion_law("involution-duality", law,
-                             cases(config, Slots(draw)), sides)
+    sampled = replace(config, exhaustive=False)
+    return run_inclusion_law(
+        "involution-duality", law,
+        subspace_cases(sampled, form.field, form.ambient, "xaybz"), sides)
 
 
 def check_dilation_compat(inv, config, law="dilation-compatibility"):
@@ -356,12 +357,13 @@ def check_dilation_compat(inv, config, law="dilation-compatibility"):
         return all(tau(got) == want for got, want
                    in zip(dilations(scalars, x, a, y), expect))
 
-    draw = transversal_slots(field, inv.ambient, "xay").draw
-    return run_law("involution-antihom", law, cases(config, Slots(draw)),
+    sampled = replace(config, exhaustive=False)
+    return run_law("involution-antihom", law,
+                   transversal_cases(sampled, field, inv.ambient, "xay"),
                    holds)
 
 
-def closure_report(inv, a, law="fixed-set-closure"):
+def closure_report(inv, a):
     """The fixed set is closed under (x, y, z) -> Gamma(x, a, y, tau a, z).
 
     Membership of the result is decided by tau(result) == result, so no
@@ -381,8 +383,8 @@ def closure_report(inv, a, law="fixed-set-closure"):
         w = result(c)
         return tau(w) == w
 
-    return run_law("semitorsor-closure", law, every(fixed_points(inv), "xyz"),
-                   holds,
+    return run_law("semitorsor-closure", "fixed-set-closure",
+                   every(fixed_points(inv), "xyz"), holds,
                    lambda c: describe_case(dict(c, result=result(c))),
                    notes=("a:%s" % format_matrix(a.basis),))
 
@@ -524,5 +526,4 @@ def check_invariant_transport(form, config, law="isometry-transport"):
                 and cayley_table(carrier, carrier[0], a, ta)
                 == cayley_table(moved, moved[0], b, tb))
 
-    return run_law("invariant-transport", law, cases(config, Slots(draw)),
-                   holds)
+    return run_law("invariant-transport", law, cases(config, draw), holds)

@@ -112,10 +112,10 @@ def one_minus(f):
 
 
 @lru_cache(maxsize=None)
-def _pairing_form(form, half):
+def _pairing_form(form):
     """Gram of Omega((u,v),(u',v')) = beta(u, v') - beta(v, u') on K^{2n}."""
     b = form.gram
-    z = Matrix.zeros(form.field, half, half)
+    z = Matrix.zeros(form.field, form.ambient, form.ambient)
     gram = vstack(hstack(z, b), hstack(-b, z))
     kind = "hermitian" if form.kind == "skew" else "skew"
     return make_form(gram, kind)
@@ -126,7 +126,7 @@ def adjoint(f, form):
     if form.ambient != f.half:
         raise ShapeError("form on K^%d for a relation on K^%d"
                          % (form.ambient, f.half))
-    omega = _pairing_form(form, f.half)
+    omega = _pairing_form(form)
     return LinearRelation(orthocomplement(f.inner, omega))
 
 

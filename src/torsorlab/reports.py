@@ -10,9 +10,10 @@ runs over a one-case list, so its counterexample is rendered like any other.
 A law is a predicate over named-slot cases, defined once in the module whose
 objects it is about (`checks`, `gamma`, `involutions`, `homotopes`).  Its
 cases come from `cases`, the only code that chooses between enumerating and
-sampling: an exhaustive run walks every combination of the law's slot pools,
-a sampled run draws trial i from trial_rng(seed, i).  The slot kinds the laws
-share (subspaces, relations and transversal tuples) are built in `gamma`.
+sampling: a law passes a draw function and, if it can enumerate, a function
+that yields every case.  An exhaustive run takes the enumeration, and any
+other run draws trial i from trial_rng(seed, i).  The cases the laws share
+(subspaces, relations and transversal tuples) come from `gamma`.
 """
 
 from __future__ import annotations
@@ -107,39 +108,16 @@ class CheckConfig:
     trials: int = 200
     seed: int = 0
 
-    def indices(self):
-        return range(self.trials)
 
-
-@dataclass(frozen=True)
-class Slots:
-    """Where the cases of one law come from.
-
-    draw(rng) returns one sampled case, a dict from slot name to value.
-    pools(), when given, maps each slot name to the tuple of values an
-    exhaustive run takes it through; expand(case), when given, completes each
-    such combination with the slots whose values depend on it.  A law without
-    pools samples in every mode.
-    """
-
-    draw: object
-    pools: object = None
-    expand: object = None
-
-
-def cases(config, slots):
-    """The cases of one law, lazily: enumerated when exhaustive, else drawn."""
-    if config.exhaustive and slots.pools is not None:
-        pools = slots.pools()
-        for values in itertools.product(*pools.values()):
-            case = dict(zip(pools, values))
-            if slots.expand is None:
-                yield case
-            else:
-                yield from slots.expand(case)
+def cases(config, draw, enumerate_all=None):
+    """The cases of one law, lazily: enumerate_all() when the run is
+    exhaustive and the law passes one, else draw(trial_rng(seed, i)) for
+    each trial i.  A case is a dict from slot name to value."""
+    if config.exhaustive and enumerate_all is not None:
+        yield from enumerate_all()
     else:
-        for i in config.indices():
-            yield slots.draw(trial_rng(config.seed, i))
+        for i in range(config.trials):
+            yield draw(trial_rng(config.seed, i))
 
 
 def describe_value(v):

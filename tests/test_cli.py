@@ -128,11 +128,11 @@ def test_check_all_small(capsys):
         assert set(obj) >= {"suite", "law", "cases", "failures", "passed"}
 
 
-def test_exhaustive_conflicts_with_trials():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["check", "--suite", "global-laws", "--field", "f2",
-                  "--ambient", "2", "--exhaustive", "--trials", "9"])
-    assert exc.value.code == 2
+def test_exhaustive_conflicts_with_trials(capsys):
+    code, _, _ = run_cli(capsys, "check", "--suite", "global-laws",
+                         "--field", "f2", "--ambient", "2", "--exhaustive",
+                         "--trials", "9")
+    assert code == 2
 
 
 @pytest.mark.parametrize("trials", ["0", "-5", "many"])
@@ -141,10 +141,9 @@ def test_check_rejects_trial_counts_below_one(trials, capsys):
     for command in (["check", "--suite", "field-axioms", "--field", "f3",
                      "--ambient", "2"],
                     ["bridge", "--check", "thm37"]):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(command + ["--trials", trials])
-        assert exc.value.code == 2
-        assert "--trials" in capsys.readouterr().err
+        code, _, err = run_cli(capsys, *command, "--trials", trials)
+        assert code == 2
+        assert "--trials" in err
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), "x"])
@@ -154,10 +153,9 @@ def test_check_rejects_seeds_outside_64_bits(seed, capsys):
     for command in (["check", "--suite", "field-axioms", "--field", "f3",
                      "--ambient", "2"],
                     ["bridge", "--check", "thm37"]):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(command + ["--seed", seed])
-        assert exc.value.code == 2
-        assert "--seed" in capsys.readouterr().err
+        code, _, err = run_cli(capsys, *command, "--seed", seed)
+        assert code == 2
+        assert "--seed" in err
     args = cli.build_parser().parse_args(
         ["check", "--seed", str(2 ** 64 - 1)])
     assert args.seed == 2 ** 64 - 1
@@ -178,10 +176,8 @@ def test_check_rejects_seeds_outside_64_bits(seed, capsys):
 ], ids=lambda command: command[0])
 def test_negative_sizes_are_usage_errors(command, capsys):
     """A negative --ambient or --n exits 2, never 1 ("law violated") or 0."""
-    with pytest.raises(SystemExit) as exc:
-        cli.main(command)
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
+    code, _, err = run_cli(capsys, *command)
+    assert code == 2
     assert "at least 0" in err and "Traceback" not in err
 
 
@@ -334,11 +330,9 @@ def test_homotope_needs_action(capsys):
      "--count")], ids=["members-table", "members-hull-check", "list-count"])
 def test_mode_flags_exclude_each_other(argv, capsys):
     """Two modes of one command exit 2; neither silently wins."""
-    with pytest.raises(SystemExit) as exc:
-        cli.main(list(argv))
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert not captured.out and "not allowed with" in captured.err
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert not out and "not allowed with" in err
 
 
 # The exact stdout of family commands that no benchmark workload runs.
@@ -511,11 +505,10 @@ def test_enumerate_respects_ambient_cap(capsys):
 
 
 def test_format_is_only_an_option_of_table_commands(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["check", "--format", "tsv", "--suite", "all", "--field",
-                  "f2", "--ambient", "2"])
-    assert exc.value.code == 2
-    assert "--format" in capsys.readouterr().err
+    code, _, err = run_cli(capsys, "check", "--format", "tsv", "--suite",
+                           "all", "--field", "f2", "--ambient", "2")
+    assert code == 2
+    assert "--format" in err
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):

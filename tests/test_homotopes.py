@@ -161,6 +161,8 @@ def test_family_validation():
         classical_family("u", f3, Matrix.identity(f3, 2))  # needs conjugation
     with pytest.raises(ValueError):
         classical_family("o", f3, mat(f3, [[0, 1], [2, 0]]))  # not symmetric
+    with pytest.raises(ValueError, match="unknown family 'SP'"):
+        classical_family("SP", f3, mat(f3, [[0, 1], [2, 0]]))  # exact key
 
 
 def test_group_laws_per_family():

@@ -1,13 +1,15 @@
 """Tests for report plumbing and the deterministic generator."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from torsorlab.fields import PrimeField
 from torsorlab.matrices import Matrix
 from torsorlab.relations import LinearRelation
-from torsorlab.reports import CheckConfig, Report, describe_value, run_law, skipped_report
+from torsorlab.reports import (CheckConfig, Report, cases, describe_value,
+                               run_law, skipped_report)
 from torsorlab.rng import SplitMix64, mix64, trial_rng
 from torsorlab.subspaces import graph_of, span_rows
 
@@ -44,10 +46,23 @@ def test_skipped_report_shape():
     assert r.notes[0].startswith("skipped:")
 
 
-def test_check_config_indices():
-    cfg = CheckConfig(trials=13, seed=5)
-    assert list(cfg.indices()) == list(range(13))
-    assert not cfg.exhaustive
+def first_draw(rng):
+    return rng.next_u64()
+
+
+def test_cases_enumerates_only_exhaustive_laws_that_can():
+    """Sampled trials draw from trial_rng(seed, i) for i < trials; an
+    exhaustive run yields exactly enumerate_all's cases, and samples when a
+    law passes no enumeration."""
+    sampled = CheckConfig(trials=13, seed=5)
+    expected = [trial_rng(5, i).next_u64() for i in range(13)]
+    assert not sampled.exhaustive
+    assert list(cases(sampled, first_draw)) == expected
+    assert list(cases(sampled, first_draw, lambda: "never")) == expected
+    exhaustive = replace(sampled, exhaustive=True)
+    assert list(cases(exhaustive, first_draw, lambda: iter("abc"))) == [
+        "a", "b", "c"]
+    assert list(cases(exhaustive, first_draw)) == expected
 
 
 def test_describe_value_renders_core_types():

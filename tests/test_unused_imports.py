@@ -5,10 +5,11 @@ every module-level name a library module defines is loaded by the library
 itself, not only by the package's exports or the tests; no library module
 reads the process environment; only `reports.py` builds a Report, only
 `matrices.py` calls `_eliminate`, only `involutions.involution` builds
-an Involution, and only `subspaces.orthocomplement` and the rank-nullity
-law call `kernel_basis`; every library function reads each of its
-parameters.  No linter ships with the project, so this walks each
-module's syntax tree with the stdlib `ast` module.  The package's
+an Involution, only `subspaces.orthocomplement` and the rank-nullity
+law call `kernel_basis`, and only `reports.cases` calls `trial_rng`; every
+library function reads each of its parameters.  No linter ships with the
+project, so this walks each module's syntax tree with the stdlib `ast`
+module.  The package's
 `__init__.py` is exempt from the import guard and from the name guard: its
 imports are the package's exports, and an export alone is no caller.
 """
@@ -241,6 +242,13 @@ def test_only_orthocomplement_and_rank_nullity_take_kernels():
     assert callers_of(library_trees(), "kernel_basis") == [
         ("checks.py", "_run_rank_nullity"),
         ("subspaces.py", "orthocomplement")]
+
+
+def test_only_the_case_generator_seeds_trials():
+    """Sampled cases have one source: trial i of every law is drawn from
+    trial_rng(seed, i) inside `reports.cases`."""
+    assert callers_of(library_trees(), "trial_rng") == [
+        ("reports.py", "cases")]
 
 
 def test_only_the_involution_builder_builds_involutions():
