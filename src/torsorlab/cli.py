@@ -4,6 +4,16 @@ Exit codes: 0 success or all checks passed, 1 a property violation was
 found, 2 usage or input error.  All sampling is driven by (seed, trial
 index) through the documented generator, so identical invocations print
 identical bytes.
+
+Each bad input is refused once, by the first layer that can see it.
+argparse refuses bad types, missing required options and conflicting
+options.  The library refuses bad field specs, bad literals and
+enumerations of an infinite field or past `ENUMERATION_LIMIT`; `main`
+reports its `FieldSyntaxError` as it reports a `UsageError`, and a handler
+passes on the library's other `ValueError`s as `UsageError`s only around
+the calls that refuse input.  A handler checks by hand only what neither
+can see, such as a `--dim` outside the ambient or a unit outside the
+torsor carrier.
 """
 
 from __future__ import annotations
@@ -44,16 +54,13 @@ def _check_config(args):
 def _field(spec):
     if not spec:
         raise UsageError("a field is required (try --field f5 or rat)")
-    try:
-        return field_from_spec(spec)
-    except FieldSyntaxError as exc:
-        raise UsageError(str(exc))
+    return field_from_spec(spec)
 
 
 def _parse_matrix(text, field, ncols=None):
     try:
         return parse_matrix(text, field, ncols=ncols)
-    except (FieldSyntaxError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError("bad matrix literal %r: %s" % (text, exc))
 
 
@@ -109,20 +116,13 @@ def _emit_table(elements, unit, table, args):
 
 def _cmd_gamma(args):
     field = _field(args.field)
-    ambient = args.ambient
-    subs = {}
-    for name in ("x", "a", "y", "b", "z"):
-        text = getattr(args, name)
-        if text is None:
-            raise UsageError("gamma needs all five of --x --a --y --b --z")
-        subs[name] = _parse_subspace(text, field, ambient)
-    ambients = {s.ambient for s in subs.values()}
+    subs = [_parse_subspace(getattr(args, name), field, args.ambient)
+            for name in ("x", "a", "y", "b", "z")]
+    ambients = {s.ambient for s in subs}
     if len(ambients) != 1:
         raise UsageError("mismatched ambient dimensions %s"
                          % sorted(ambients))
-    result = gamma_global(subs["x"], subs["a"], subs["y"], subs["b"],
-                          subs["z"])
-    return _emit([_json_line(subspace_to_json(result))], args)
+    return _emit([_json_line(subspace_to_json(gamma_global(*subs)))], args)
 
 
 def _cmd_check(args):
@@ -148,15 +148,8 @@ def _cmd_check(args):
     return _emit_reports(reports, args)
 
 
-def _form_for(args, field):
-    return FORMS[args.form](field, args.n)
-
-
 def _cmd_lagrangian(args):
-    field = _field(args.field)
-    if field.size is None:
-        raise UsageError("lagrangian enumeration needs a finite field")
-    form = _form_for(args, field)
+    form = FORMS[args.form](_field(args.field), args.n)
     if args.count:
         return _emit([str(len(isotropic_census(form)))], args)
     if args.list:
@@ -167,9 +160,7 @@ def _cmd_lagrangian(args):
 
 def _cmd_gtable(args):
     field = _field(args.field)
-    if field.size is None:
-        raise UsageError("gtable enumeration needs a finite field")
-    form = _form_for(args, field)
+    form = FORMS[args.form](field, args.n)
     inv = ortho_involution(form)
     a = _parse_subspace(args.a, field, form.ambient)
     carrier = torsor_G(inv, a)
@@ -185,24 +176,13 @@ def _cmd_gtable(args):
                        cayley_table(carrier, unit, a, inv(a)), args)
 
 
-def _family(args, field):
-    if args.A is None:
-        raise UsageError("homotope needs --A <matrix>")
-    param = _parse_matrix(args.A, field, ncols=args.n)
-    if param.nrows != args.n or param.ncols != args.n:
-        raise UsageError("--A must be %d x %d here" % (args.n, args.n))
-    try:
-        return homotopes.classical_family(args.family, field, param)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
 def _cmd_homotope(args):
     field = _field(args.field)
-    fam = _family(args, field)
-    if not args.hull_check and field.size is None:
-        raise UsageError("member enumeration needs a finite field")
-    try:  # all_matrices refuses to scan too large a matrix space
+    param = _parse_matrix(args.A, field, ncols=args.n)
+    # classical_family refuses a parameter that is not square or does not
+    # fit the family, and all_matrices an infinite or too large a space
+    try:
+        fam = homotopes.classical_family(args.family, field, param)
         if args.hull_check:
             return _emit_reports([homotopes.check_hull_closure(fam)], args)
         members = homotopes.members(fam)
@@ -237,7 +217,7 @@ def _cmd_bridge(args):
             report = (homotopes.family_table_bridge(args.family, field, param)
                       if args.check == "prop41"
                       else homotopes.unitary_transport_bridge(field, param))
-    except (ValueError, FieldSyntaxError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc))
     return _emit_reports([report], args)
 
@@ -247,10 +227,7 @@ def _cmd_enumerate(args):
     if args.dim is not None and not 0 <= args.dim <= args.ambient:
         raise UsageError("--dim must be in 0..%d, got %d"
                          % (args.ambient, args.dim))
-    try:
-        subs = list(enumerate_subspaces(field, args.ambient, dim=args.dim))
-    except FieldSyntaxError as exc:
-        raise UsageError(str(exc))
+    subs = list(enumerate_subspaces(field, args.ambient, dim=args.dim))
     if args.count:
         return _emit([str(len(subs))], args)
     return _emit([_json_line(subspace_to_json(s)) for s in subs], args)
@@ -324,7 +301,8 @@ def build_parser():
     p.add_argument("--ambient", type=_non_negative_int, default=None,
                    help="ambient dimension (needed for 0 literals)")
     for name in ("x", "a", "y", "b", "z"):
-        p.add_argument("--" + name, help="basis rows, e.g. \"1,0;0,1\"")
+        p.add_argument("--" + name, required=True,
+                       help="basis rows, e.g. \"1,0;0,1\"")
     _add_output(p)
     p.set_defaults(handler=_cmd_gamma)
 
@@ -370,7 +348,8 @@ def build_parser():
                    choices=homotopes.FAMILIES)
     p.add_argument("--n", type=_non_negative_int, required=True)
     _add_field(p, required=True)
-    p.add_argument("--A", help="deformation parameter matrix")
+    p.add_argument("--A", required=True,
+                   help="deformation parameter matrix")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--members", action="store_true")
     g.add_argument("--table", action="store_true")

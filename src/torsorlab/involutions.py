@@ -9,11 +9,12 @@ K d^-1, so this class of maps is closed under the dual involution, which
 composes with the operator that is the identity on o+ and minus the identity
 on o- (an automorphism of the product).
 
-Fixed-point sets are the Lagrangian-type subvarieties; the torsors G(inv, a)
-and the unitary groups U(inv; a, o, b), each a sorted tuple of subspaces
-whose product is Gamma with the middle pair bound, and the closure of the
-fixed set under the pentary product with middle pair (a, tau a) all live
-here.
+Fixed-point sets are the Lagrangian-type subvarieties.  The torsors
+G(inv, a), each a sorted tuple of subspaces, and the unitary groups
+U(inv; a, o, b), each a tuple of subspaces in `common_complements` order,
+take Gamma with the middle pair bound as their product.  They live here
+with the closure of the fixed set under the pentary product with middle
+pair (a, tau a).
 
 Carrier tables (`cayley_table`) are computed in the chart of U_a centred at
 the unit, where the torsor product is the homotope product X + (1 - X B) Z.

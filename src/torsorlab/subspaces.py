@@ -180,7 +180,8 @@ class Form:
 
 
 def make_form(gram, kind):
-    """Validated form constructor: (skew-)hermitian and nondegenerate."""
+    """Validated form constructor: (skew-)hermitian and nondegenerate;
+    `Form` refuses any other kind."""
     ct = gram.conj_t()
     if kind == "hermitian":
         if ct != gram:
@@ -188,8 +189,6 @@ def make_form(gram, kind):
     elif kind == "skew":
         if ct != -gram:
             raise ValueError("gram matrix is not skew")
-    else:
-        raise ValueError("kind must be hermitian or skew")
     try:
         mat_invert(gram)
     except SingularMatrixError:

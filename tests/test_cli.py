@@ -55,7 +55,7 @@ def test_gamma_mismatched_ambient_is_usage_error(capsys):
 def test_gamma_missing_slot_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "gamma", "--field", "f3", "--x", "1,0")
     assert code == 2
-    assert "five" in err
+    assert "--b" in err and "required" in err
 
 
 def test_gamma_ragged_literal_is_usage_error(capsys):
@@ -70,6 +70,41 @@ def test_bad_field_spec_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--field", "f6", "--ambient", "2")
     assert code == 2
     assert err.startswith("torsorlab:")
+
+
+# Refusals that argparse or the library make, each with a word of its message.
+REFUSED_ONCE = [
+    (("gamma", "--field", "f3", "--x", "1,0", "--a", "0,1", "--y", "1,1",
+      "--z", "0,1"), "--b"),
+    (("homotope", "--family", "gl", "--n", "1", "--field", "f3",
+      "--members"), "--A"),
+    (("homotope", "--family", "gl", "--n", "2", "--field", "f3",
+      "--A", "1,0;0,1;1,1", "--members"), "square"),
+    (("homotope", "--family", "gl", "--n", "2", "--field", "f3",
+      "--A", "1", "--members"), "expected 2 columns"),
+    (("lagrangian", "--form", "split", "--n", "1", "--field", "rat"),
+     "finite field"),
+    (("lagrangian", "--form", "split", "--n", "1", "--field", "rat",
+      "--count"), "finite field"),
+    (("gtable", "--form", "split", "--n", "1", "--field", "rat",
+      "--a", "1,0"), "finite field"),
+    (("homotope", "--family", "gl", "--n", "1", "--field", "rat",
+      "--A", "1", "--members"), "not finite"),
+    (("enumerate", "--field", "f6", "--ambient", "2"), "'f6'"),
+    (("enumerate", "--field", "fp2:2", "--ambient", "2"), "odd prime")]
+
+
+@pytest.mark.parametrize("argv,message", REFUSED_ONCE, ids=[
+    "gamma-without-b", "homotope-without-A", "homotope-A-not-square",
+    "homotope-A-too-narrow", "lagrangian-rat", "lagrangian-rat-count",
+    "gtable-rat", "homotope-members-rat", "enumerate-f6",
+    "enumerate-fp2-2"])
+def test_refusals_without_a_hand_check_exit_2(argv, message, capsys):
+    """Each input here is refused by argparse or by the library, not by a
+    check of the command's own; main reports it with exit code 2."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out
+    assert message in err and "Traceback" not in err
 
 
 def test_check_list_matches_registry(capsys):

@@ -280,6 +280,8 @@ def test_make_form_rejects_wrong_symmetry():
         make_form(bad, "skew")
     with pytest.raises(SingularMatrixError):
         make_form(mat(f3, [[1, 0], [0, 0]]), "hermitian")
+    with pytest.raises(ValueError, match="kind must be hermitian or skew"):
+        make_form(mat(f3, [[1, 0], [0, 1]]), "bogus")
 
 
 def test_isotropy():

@@ -7,9 +7,9 @@ reads the process environment; only `reports.py` builds a Report, only
 `matrices.py` calls `_eliminate`, only `involutions.involution` builds
 an Involution, only `subspaces.orthocomplement` and the rank-nullity
 law call `kernel_basis`, and only `reports.cases` calls `trial_rng`; every
-library function reads each of its parameters.  No linter ships with the
-project, so this walks each module's syntax tree with the stdlib `ast`
-module.  The package's
+library function reads each of its parameters; and only `cli.main`
+catches `FieldSyntaxError`.  No linter ships with the project, so this
+walks each module's syntax tree with the stdlib `ast` module.  The package's
 `__init__.py` is exempt from the import guard and from the name guard: its
 imports are the package's exports, and an export alone is no caller.
 """
@@ -330,3 +330,52 @@ def test_every_library_function_reads_its_parameters():
     found = {name: unread_parameters(tree, name)
              for name, tree in library_trees().items()}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def handlers_of(tree, name):
+    """(definition, line) for each `except` clause that names `name`, alone,
+    in a tuple or as a module attribute; the definition is the top-level
+    function or class around the clause, or `<module>`."""
+    found = []
+    for node in tree.body:
+        owner = getattr(node, "name", "<module>")
+        for handler in ast.walk(node):
+            if (isinstance(handler, ast.ExceptHandler) and handler.type
+                    and any(name in (getattr(n, "id", None),
+                                     getattr(n, "attr", None))
+                            for n in ast.walk(handler.type))):
+                found.append((owner, handler.lineno))
+    return found
+
+
+def test_handler_guard_sees_tuples_attributes_and_nesting():
+    tree = ast.parse("try:\n"
+                     "    pass\n"
+                     "except FieldSyntaxError:\n"
+                     "    pass\n"
+                     "def f():\n"
+                     "    try:\n"
+                     "        pass\n"
+                     "    except (ValueError, fields.FieldSyntaxError):\n"
+                     "        pass\n"
+                     "    except:\n"
+                     "        pass\n"
+                     "def g():\n"
+                     "    def inner():\n"
+                     "        try:\n"
+                     "            pass\n"
+                     "        except (FieldSyntaxError, KeyError) as exc:\n"
+                     "            raise ValueError(exc)\n"
+                     "    try:\n"
+                     "        pass\n"
+                     "    except ValueError:\n"
+                     "        FieldSyntaxError\n")
+    assert handlers_of(tree, "FieldSyntaxError") == [
+        ("<module>", 3), ("f", 8), ("g", 16)]
+
+
+def test_only_main_catches_field_syntax_errors():
+    """`main` reports a FieldSyntaxError with exit code 2, so a command that
+    re-raises one as a UsageError refuses the same input twice."""
+    found = handlers_of(library_trees()["cli.py"], "FieldSyntaxError")
+    assert [owner for owner, _ in found] == ["main"]
