@@ -19,7 +19,6 @@ torsor carrier.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -29,7 +28,7 @@ from .gamma import gamma_global
 from .involutions import (cayley_table, census_report, isotropic_census,
                           ortho_involution, torsor_G)
 from .matrices import format_matrix, parse_matrix
-from .reports import CheckConfig
+from .reports import CheckConfig, json_line
 from .subspaces import FORMS, enumerate_subspaces, span, subspace_to_json
 
 BRIDGE_TOKENS = ("prop41", "thm33", "thm37")
@@ -92,10 +91,6 @@ def _emit(lines, args):
     return 0
 
 
-def _json_line(data):
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
 def _emit_reports(reports, args):
     _emit([r.to_json() for r in reports], args)
     return 0 if all(r.passed for r in reports) else 1
@@ -106,7 +101,7 @@ def _emit_table(elements, unit, table, args):
     if args.format == "tsv":
         lines = ["\t".join(str(v) for v in row) for row in table]
     else:
-        lines = [_json_line({"elements": elements, "unit": unit,
+        lines = [json_line({"elements": elements, "unit": unit,
                              "table": [list(row) for row in table]})]
     return _emit(lines, args)
 
@@ -122,7 +117,7 @@ def _cmd_gamma(args):
     if len(ambients) != 1:
         raise UsageError("mismatched ambient dimensions %s"
                          % sorted(ambients))
-    return _emit([_json_line(subspace_to_json(gamma_global(*subs)))], args)
+    return _emit([json_line(subspace_to_json(gamma_global(*subs)))], args)
 
 
 def _cmd_check(args):
@@ -153,7 +148,7 @@ def _cmd_lagrangian(args):
     if args.count:
         return _emit([str(len(isotropic_census(form)))], args)
     if args.list:
-        return _emit([_json_line(subspace_to_json(s))
+        return _emit([json_line(subspace_to_json(s))
                       for s in isotropic_census(form)], args)
     return _emit_reports([census_report(form)], args)
 
@@ -180,14 +175,14 @@ def _cmd_homotope(args):
     field = _field(args.field)
     param = _parse_matrix(args.A, field, ncols=args.n)
     # classical_family refuses a parameter that is not square or does not
-    # fit the family, and all_matrices an infinite or too large a space
+    # fit the family; main reports all_matrices' FieldSyntaxError itself
     try:
-        fam = homotopes.classical_family(args.family, field, param)
-        if args.hull_check:
-            return _emit_reports([homotopes.check_hull_closure(fam)], args)
-        members = homotopes.members(fam)
+        fam = homotopes.classical_family(args.family, param)
     except ValueError as exc:
         raise UsageError(str(exc))
+    if args.hull_check:
+        return _emit_reports([homotopes.check_hull_closure(fam)], args)
+    members = homotopes.members(fam)
     if args.members:
         return _emit([format_matrix(m) for m in members], args)
     index = {m: i for i, m in enumerate(members)}
@@ -206,17 +201,15 @@ def _cmd_bridge(args):
         raise UsageError("--%s samples thm37 only; %s sweeps its whole carrier"
                          % (next(iter(sampled)), args.check))
     field = _field(args.field or "fp:5")
+    if args.check == "thm37":
+        return _emit_reports([homotopes.graph_star_roundtrip(
+            field, args.n, _check_config(args))], args)
+    param = (homotopes.bridge_param(args.family, field, args.n)
+             if args.A is None else _parse_matrix(args.A, field, ncols=args.n))
     try:
-        if args.check == "thm37":
-            report = homotopes.graph_star_roundtrip(field, args.n,
-                                                    _check_config(args))
-        else:
-            param = (homotopes.bridge_param(args.family, field, args.n)
-                     if args.A is None
-                     else _parse_matrix(args.A, field, ncols=args.n))
-            report = (homotopes.family_table_bridge(args.family, field, param)
-                      if args.check == "prop41"
-                      else homotopes.unitary_transport_bridge(field, param))
+        report = (homotopes.family_table_bridge(args.family, param)
+                  if args.check == "prop41"
+                  else homotopes.unitary_transport_bridge(param))
     except ValueError as exc:
         raise UsageError(str(exc))
     return _emit_reports([report], args)
@@ -230,7 +223,7 @@ def _cmd_enumerate(args):
     subs = list(enumerate_subspaces(field, args.ambient, dim=args.dim))
     if args.count:
         return _emit([str(len(subs))], args)
-    return _emit([_json_line(subspace_to_json(s)) for s in subs], args)
+    return _emit([json_line(subspace_to_json(s)) for s in subs], args)
 
 
 # -- argument parsing --------------------------------------------------------

@@ -31,7 +31,7 @@ import re
 
 
 class FieldSyntaxError(ValueError):
-    """Malformed scalar/matrix literal or unknown field spec."""
+    """A malformed literal, an unknown field spec or an enumeration refused."""
 
 
 class Ring:

@@ -18,9 +18,10 @@ row, gl when none is given.  A family member x satisfies
 star(x) + sign x = star(x) a x, its parameter star(a) = sign a, and
 r + sign star(r) symmetrizes any square r into a parameter.
 
-The laws sample fixed shapes: the bracket laws 2 x 2 matrices, the two-route
-bracket one of five shapes up to 3 x 3, and the member criterion 2 x 3
-matrices with a 3 x 2 parameter.
+The laws sample fixed shapes: the bracket laws and associativity 2 x 2
+matrices, the two-route bracket one of five shapes up to 3 x 3, the member
+criterion 2 x 3 matrices with a 3 x 2 parameter, and the triple laws 2 x 3
+matrices (3 x 2 in the middle slots of the pair identity).
 """
 
 from __future__ import annotations
@@ -197,13 +198,14 @@ BRIDGE_FAMILIES = tuple(name for name, kind in FAMILIES.items()
                         if kind.bridge_form)
 
 
-def classical_family(name, field, param):
+def classical_family(name, param):
+    """Homotope(param, name), over param's ring, if param fits the row."""
     if name not in FAMILIES:
         raise ValueError("unknown family %r" % name)
     kind = FAMILIES[name]
     if param.ncols != param.nrows:
         raise ValueError("family parameter must be square")
-    if kind.star is Matrix.conj_t and field.involution == "identity":
+    if kind.star is Matrix.conj_t and param.ring.involution == "identity":
         raise ValueError("the %s family needs a conjugation" % kind.title)
     if not kind.fits(param):
         raise ValueError("the %s family needs %s parameter"
@@ -305,10 +307,10 @@ def check_member_criterion_sides(field, config):
                    holds)
 
 
-def check_associativity(field, config, p=2, q=2):
-    """The deformed product is associative on all matrices."""
+def check_associativity(field, config):
+    """The deformed product is associative on all 2 x 2 matrices."""
 
-    draw = _matrix_draw(field, a=(q, p), x=(p, q), y=(p, q), z=(p, q))
+    draw = _matrix_draw(field, **dict.fromkeys("axyz", (2, 2)))
 
     def holds(c):
         h = Homotope(c["a"])
@@ -356,10 +358,10 @@ def star_triple(x, y, z):
     return x * y.conj_t() * z
 
 
-def check_pair_identity(field, p, q, config):
+def check_pair_identity(field, config):
     """Shifting the product through the two-component pair.
 
-    x, z, v sit in M(p, q) and y, u in M(q, p); moving the inner triple
+    x, z, v sit in M(2, 3) and y, u in M(3, 2); moving the inner triple
     across slots never changes the value.
     """
 
@@ -370,13 +372,13 @@ def check_pair_identity(field, p, q, config):
         e3 = plain_triple(x, plain_triple(y, z, u), v)
         return e1 == e2 and e2 == e3
 
-    draw = _matrix_draw(field, x=(p, q), y=(q, p), z=(p, q), u=(q, p),
-                        v=(p, q))
+    draw = _matrix_draw(field, x=(2, 3), y=(3, 2), z=(2, 3), u=(3, 2),
+                        v=(2, 3))
     return run_law("triple-systems", "pair-shift-identity",
                    cases(config, draw), holds)
 
 
-def check_second_kind_identity(field, p, q, config):
+def check_second_kind_identity(field, config):
     """x y* z obeys the shift law with a reversed middle triple."""
     t = star_triple
 
@@ -388,19 +390,19 @@ def check_second_kind_identity(field, p, q, config):
             return False
         return t(u, t(x, y, z), v) == t(t(u, z, y), x, v)
 
-    draw = _matrix_draw(field, **dict.fromkeys("xyzuv", (p, q)))
+    draw = _matrix_draw(field, **dict.fromkeys("xyzuv", (2, 3)))
     return run_law("triple-systems", "second-kind-shift-identity",
                    cases(config, draw), holds)
 
 
-def check_first_kind_control(field, p, q, config):
+def check_first_kind_control(field, config):
     """The unreversed middle shift must fail for the starred triple.
 
     The report passes when at least one counterexample turns up; a clean
     sweep would mean the two shift laws are indistinguishable here.
     """
     t = star_triple
-    draw = _matrix_draw(field, **dict.fromkeys("xyzuv", (p, q)))
+    draw = _matrix_draw(field, **dict.fromkeys("xyzuv", (2, 3)))
     found = sum(t(c["x"], t(c["y"], c["z"], c["u"]), c["v"])
                 != t(c["x"], c["y"], t(c["z"], c["u"], c["v"]))
                 for c in cases(config, draw))
@@ -454,7 +456,7 @@ def graph_star_roundtrip(field, n, config):
                    holds)
 
 
-def _bridge_setup(name, field, a_param):
+def _bridge_setup(name, a_param):
     if name not in BRIDGE_FAMILIES:
         raise ValueError("bridge families are %s"
                          % " and ".join(BRIDGE_FAMILIES))
@@ -462,14 +464,14 @@ def _bridge_setup(name, field, a_param):
     if not kind.fits(a_param):
         raise ValueError("the %s bridge needs %s parameter"
                          % (name, kind.adjective))
-    n = a_param.nrows
+    field, n = a_param.ring, a_param.nrows
     inv = ortho_involution(kind.bridge_form(field, n))
     bt = standard_triple(field, n)
     a_sub = graph_minus(a_param)
     return n, bt, inv, a_sub, inv(a_sub)
 
 
-def family_table_bridge(name, field, a_param):
+def family_table_bridge(name, a_param):
     """The fixed-point torsor charts onto the classical family table.
 
     Elements move by the chart translation with parameter A; the images
@@ -479,13 +481,13 @@ def family_table_bridge(name, field, a_param):
     The family conditions use the plain transpose, so a field with a
     conjugation is out of scope (ValueError).
     """
-    n, bt, inv, a_sub, ta_sub = _bridge_setup(name, field, a_param)
-    if field.involution != "identity":
+    n, bt, inv, a_sub, ta_sub = _bridge_setup(name, a_param)
+    if a_param.ring.involution != "identity":
         raise ValueError("the %s family table bridge assumes a plain"
                          " transpose" % name)
-    fam = classical_family(name, field, a_param + a_param)
+    fam = classical_family(name, a_param + a_param)
     carrier = torsor_G(inv, a_sub)
-    t_op = translation_op(a_param, bt)
+    t_op = translation_op(a_param)
     chart = {x: chart_of(image_under(t_op, x), n) for x in carrier}
     family = members(fam)
     onto = set(chart.values()) == set(family)
@@ -504,7 +506,7 @@ def family_table_bridge(name, field, a_param):
                    notes=("carrier:%d" % len(carrier),))
 
 
-def unitary_transport_bridge(field, a_param):
+def unitary_transport_bridge(a_param):
     """Translation by A carries the fixed torsor onto the twisted unitary set.
 
     The source is the fixed-point torsor of the split-form complement at
@@ -513,12 +515,12 @@ def unitary_transport_bridge(field, a_param):
     for the plain skew-form complement tau.  That the translation is a
     bijection is the first case; then, same translation, same table.
     """
-    n, bt, inv_split, a_sub, ta_sub = _bridge_setup("o", field, a_param)
-    inv_symp = ortho_involution(symplectic_form(field, n))
+    n, bt, inv_split, a_sub, ta_sub = _bridge_setup("o", a_param)
+    inv_symp = ortho_involution(symplectic_form(a_param.ring, n))
     two_a = graph_minus(a_param + a_param)
     unitary = unitary_group(inv_symp, two_a, bt.o_plus, bt.o_minus)
     carrier = torsor_G(inv_split, a_sub)
-    t_op = translation_op(a_param, bt)
+    t_op = translation_op(a_param)
     moved = {x: image_under(t_op, x) for x in carrier}
     onto = set(moved.values()) == set(unitary)
     inverse_moved = {y: x for x, y in moved.items()}

@@ -115,10 +115,6 @@ class BaseTriple:
     o_plus: Subspace
     o_minus: Subspace
 
-    @property
-    def ambient(self):
-        return self.o_plus.ambient
-
 
 def standard_triple(field, n):
     """o+ = first n coordinates, o- = last n, in K^{2n}."""
@@ -131,8 +127,10 @@ def minus_one_op(bt):
     return m_operator(bt.o_plus, bt.o_minus, bt.o_minus, bt.o_plus)
 
 
-def dual_involution(inv, bt):
-    """Compose with the minus-one automorphism of the base pair."""
+def dual_involution(inv):
+    """Compose with the minus-one automorphism of the base pair of the
+    standard triple of K^{2n}, for inv on K^{2n}."""
+    bt = standard_triple(inv.field, inv.ambient // 2)
     if {inv(bt.o_plus), inv(bt.o_minus)} != {bt.o_plus, bt.o_minus}:
         raise InvolutionError(
             "dual involution needs a base point preserving or exchanging map")
@@ -220,7 +218,7 @@ def cayley_table(elements, unit, a, b):
     g = mat_invert(vstack(unit.basis, a.basis)).transpose()
     charts = [chart_of(image_under(g, x), k) for x in elements]
     index = {c.entries: i for i, c in enumerate(charts)}
-    B = chart_minus(image_under(g, b), k)
+    B = chart_minus(image_under(g, b))
     one = Matrix.identity(B.ring, B.ncols)
     if not charts:
         return ()
@@ -254,15 +252,16 @@ def unitary_group(inv, a, o, b):
                  if inv(x) == gamma_global(o, a, x, b, o))
 
 
-def translation_op(a_chart, bt):
+def translation_op(a_chart):
     """Operator adding the chart point a to the group of complements of o+.
 
-    a_chart is the matrix A of the subspace {(Av, v)}; in standard
-    coordinates the composite is the block matrix [[1, A], [0, 1]].
+    a_chart is the n x n matrix A of the subspace {(Av, v)}, and the base
+    points are those of the standard triple of K^{2n} over A's ring; in
+    standard coordinates the composite is the block matrix [[1, A], [0, 1]].
     """
-    n = bt.ambient // 2
-    if a_chart.nrows != n or a_chart.ncols != n:
-        raise ValueError("chart parameter must be n x n")
+    if a_chart.nrows != a_chart.ncols:
+        raise ValueError("chart parameter must be square")
+    bt = standard_triple(a_chart.ring, a_chart.nrows)
     a_sub = graph_minus(a_chart)
     first = m_operator(bt.o_plus, a_sub, bt.o_minus, bt.o_plus)
     return first * minus_one_op(bt)

@@ -24,12 +24,12 @@ kernels:
   scalar arithmetic through the ring's methods, pivoting on units.
 
 All three make the same row swaps and row operations, so they leave the same
-rows for the same input, and `rref`, `eliminate_front`, `kernel_basis` and
-`mat_invert` do not care which one ran.  Matrix products dispatch the same
-way: over a `PrimeField` each entry is one int dot product reduced ``% p``
-once, and over `Rationals` each row of the left factor and each column of the
-right one is scaled to integers by the lcm of its denominators, so each entry
-is one int dot product over one denominator.
+rows for the same input, and `rref`, `eliminate_front`, `kernel_basis`,
+`mat_invert` and `is_invertible` do not care which one ran.  Matrix products
+dispatch the same way: over a `PrimeField` each entry is one int dot product
+reduced ``% p`` once, and over `Rationals` each row of the left factor and
+each column of the right one is scaled to integers by the lcm of its
+denominators, so each entry is one int dot product over one denominator.
 
 Vector arithmetic outside `fields` and this module goes through `Matrix`, as
 1 x n matrices, so shapes are checked instead of cut short by `zip`; only the
@@ -467,13 +467,11 @@ def mat_invert(m):
 
 
 def is_invertible(m):
+    """Whether `mat_invert` would succeed: a unit pivot in every column."""
     if m.nrows != m.ncols:
         return False
-    try:
-        mat_invert(m)
-        return True
-    except SingularMatrixError:
-        return False
+    rows = [list(r) for r in m.entries]
+    return _eliminate(m.ring, rows, m.ncols) == list(range(m.ncols))
 
 
 def det(m):
@@ -542,7 +540,7 @@ def all_matrices(ring, nrows, ncols):
     """All matrices over a finite field, in sorted scan order."""
     els = tuple(ring.elements())
     if len(els) ** (nrows * ncols) > ENUMERATION_LIMIT:
-        raise ValueError("matrix space too large to enumerate")
+        raise FieldSyntaxError("matrix space too large to enumerate")
     for combo in product(els, repeat=nrows * ncols):
         yield Matrix(ring, nrows, ncols,
                      tuple(tuple(combo[i * ncols + j] for j in range(ncols))

@@ -2,7 +2,8 @@
 
 Every law checker produces a Report: suite and law names, how many cases ran,
 how many failed, and the first counterexample (as plain JSON data) if any.
-Serialization is sorted and minimal so identical runs are byte-identical.
+`json_line` serializes sorted and minimal, for reports and every other JSON
+line the command line prints, so identical runs are byte-identical.
 A Report is frozen and built in one place, `run_law` (or `skipped_report`
 for a suite that did not run): a law whose verdict is a single comparison
 runs over a one-case list, so its counterexample is rendered like any other.
@@ -53,7 +54,12 @@ class Report:
         }
 
     def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return json_line(self.to_dict())
+
+
+def json_line(data):
+    """Sorted, spaceless JSON: the bytes of every JSON line printed."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def run_law(suite, law, cases, predicate, describe=None, notes=()):
@@ -96,8 +102,9 @@ def run_inclusion_law(suite, law, cases, sides):
     return report
 
 
-def skipped_report(suite, law, reason):
-    return Report(suite, law, notes=(reason,))
+def skipped_report(suite, reason):
+    """The report of a suite that did not run: law "skipped", one note."""
+    return Report(suite, "skipped", notes=("skipped: %s" % reason,))
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ which is a canonical form: two subspaces are equal iff their representations
 are equal, and every Subspace is hashable.  The lattice operations (meet,
 join), the affine charts against a fixed complement, orthocomplements for a
 sesquilinear form, and a deterministic enumeration of all subspaces over a
-finite field live here.  Before it builds anything, the enumeration counts
-the subspaces asked for by Gaussian binomials, and it refuses a request for
-more than `matrices.ENUMERATION_LIMIT` of them with `FieldSyntaxError`.
+finite field live here.  Before it builds anything, the enumeration asks
+for `field.elements()`, which refuses an infinite field, and counts the
+subspaces asked for by Gaussian binomials; it refuses a request for more
+than `matrices.ENUMERATION_LIMIT` of them with `FieldSyntaxError`.
 The limit is 10^6, so all of F2^8 or F3^6 passes and F5^6 does not.
 
 A Subspace is a frozen, slotted value whose hash is computed once, on first
@@ -138,8 +139,10 @@ def graph_minus(mat):
     return span(hstack(mat.transpose(), Matrix.identity(mat.ring, mat.ncols)))
 
 
-def chart_minus(x, first):
-    """Matrix X with x = graph_minus(X); x must be transversal to K^n + 0."""
+def chart_minus(x):
+    """Matrix X with x = graph_minus(X); x must be transversal to K^n + 0,
+    so n is the ambient less the dimension of x."""
+    first = x.ambient - x.dim
     sub = x.basis.take_cols(first, x.ambient)
     try:
         inv = mat_invert(sub)
@@ -242,8 +245,6 @@ def is_isotropic(x, form):
 def vectors(sub):
     """All vectors of a subspace over a finite field (deterministic order)."""
     R = sub.field
-    if R.size is None:
-        raise FieldSyntaxError("vector enumeration needs a finite field")
     coeffs = itertools.product(tuple(R.elements()), repeat=sub.dim)
     yield from (Matrix.from_rows(R, coeffs, sub.dim) * sub.basis).entries
 
@@ -255,14 +256,13 @@ def enumerate_subspaces(field, ambient, dim=None):
     Bases are generated per pivot-column pattern (free entries right of each
     pivot and off the pivot columns), then sorted by those positions.
     """
-    if field.size is None:
-        raise FieldSyntaxError("subspace enumeration needs a finite field")
+    elements = field.elements()
     dims = range(ambient + 1) if dim is None else (dim,)
     if _more_than_the_limit(field.size, ambient, dims):
         raise FieldSyntaxError(
             "%s at ambient %d: more than %d subspaces or basis entries"
             " requested" % (field.spec(), ambient, ENUMERATION_LIMIT))
-    elems = tuple(field.elements())
+    elems = tuple(elements)
     position = {e: i for i, e in enumerate(elems)}
     for k in dims:
         if k < 0 or k > ambient:
@@ -288,8 +288,8 @@ def enumerate_subspaces(field, ambient, dim=None):
             yield Subspace(m)
 
 
-def all_subspaces(field, ambient, dim=None):
-    return tuple(enumerate_subspaces(field, ambient, dim))
+def all_subspaces(field, ambient):
+    return tuple(enumerate_subspaces(field, ambient))
 
 
 def gaussian_binomial(n, k, q):

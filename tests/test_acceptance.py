@@ -244,7 +244,7 @@ def test_criterion_07_hull_closure():
             ("u", F9, 1, 173)]
     for name, field, n, seed in jobs:
         for param in _seeded_params(name, field, n, seed, 20):
-            fam = classical_family(name, field, param)
+            fam = classical_family(name, param)
             r = check_hull_closure(fam)
             ok = ok and r.failures == 0
             swept += 1
@@ -257,18 +257,18 @@ def test_criterion_08_bridges():
     ok = True
     sp_f3 = Matrix.build(F3, [[F3.zero, F3.one], [F3.neg(F3.one), F3.zero]])
     table_jobs = (
-        ("o", F5, Matrix.identity(F5, 1)),
-        ("o", F3, Matrix.identity(F3, 2)),
-        ("sp", F5, Matrix.zeros(F5, 1, 1)),
-        ("sp", F3, sp_f3),
+        ("o", Matrix.identity(F5, 1)),
+        ("o", Matrix.identity(F3, 2)),
+        ("sp", Matrix.zeros(F5, 1, 1)),
+        ("sp", sp_f3),
     )
-    for name, field, param in table_jobs:
-        r = family_table_bridge(name, field, param)
+    for name, param in table_jobs:
+        r = family_table_bridge(name, param)
         ok = ok and r.failures == 0 and r.cases > 0
 
     sym_f3 = Matrix.build(F3, [[F3.one, F3.one], [F3.one, F3.zero]])
-    for field, param in ((F5, Matrix.identity(F5, 1)), (F3, sym_f3)):
-        r = unitary_transport_bridge(field, param)
+    for param in (Matrix.identity(F5, 1), sym_f3):
+        r = unitary_transport_bridge(param)
         ok = ok and r.failures == 0 and r.cases > 0
 
     exact = graph_star_roundtrip(F3, 1, CheckConfig(exhaustive=True))
@@ -281,9 +281,9 @@ def test_criterion_08_bridges():
 
 def test_criterion_09_triple_identities():
     """Pair and second-kind identities hold; the first-kind control fails."""
-    pair = check_pair_identity(F3, 2, 3, CheckConfig(trials=200, seed=181))
-    second = check_second_kind_identity(F3, 2, 3, CheckConfig(trials=200, seed=191))
-    control = check_first_kind_control(F3, 2, 3, CheckConfig(trials=200, seed=193))
+    pair = check_pair_identity(F3, CheckConfig(trials=200, seed=181))
+    second = check_second_kind_identity(F3, CheckConfig(trials=200, seed=191))
+    control = check_first_kind_control(F3, CheckConfig(trials=200, seed=193))
     violations = 0
     for note in control.notes:
         if note.startswith("violations:"):

@@ -83,11 +83,11 @@ REFUSED_ONCE = [
     (("homotope", "--family", "gl", "--n", "2", "--field", "f3",
       "--A", "1", "--members"), "expected 2 columns"),
     (("lagrangian", "--form", "split", "--n", "1", "--field", "rat"),
-     "finite field"),
+     "not finite"),
     (("lagrangian", "--form", "split", "--n", "1", "--field", "rat",
-      "--count"), "finite field"),
+      "--count"), "not finite"),
     (("gtable", "--form", "split", "--n", "1", "--field", "rat",
-      "--a", "1,0"), "finite field"),
+      "--a", "1,0"), "not finite"),
     (("homotope", "--family", "gl", "--n", "1", "--field", "rat",
       "--A", "1", "--members"), "not finite"),
     (("enumerate", "--field", "f6", "--ambient", "2"), "'f6'"),

@@ -34,6 +34,7 @@ from torsorlab.reports import CheckConfig
 from torsorlab.rng import trial_rng
 from torsorlab.subspaces import (
     all_subspaces,
+    enumerate_subspaces,
     image_under,
     is_transversal,
     join,
@@ -243,7 +244,7 @@ def test_torsor_axioms_on_carriers():
 def test_carrier_elements_form_a_torsor():
     """Left and right translations by carrier elements are bijections."""
     f2 = PrimeField(2)
-    subs = list(all_subspaces(f2, 2, dim=1))
+    subs = list(enumerate_subspaces(f2, 2, 1))
     for a in subs:
         for b in subs:
             carrier = common_complements(a, b)
@@ -378,14 +379,14 @@ def test_transversal_tuple_properties():
 def _draw_pairs(field, n):
     """(a, b) pairs of one dimension: a = b; a != b, meeting when they can;
     a = b = 0; a = b = K^n."""
-    lines = all_subspaces(field, n, 1)
+    lines = tuple(enumerate_subspaces(field, n, 1))
     if n == 3:
-        planes = all_subspaces(field, n, 2)
+        planes = tuple(enumerate_subspaces(field, n, 2))
         a, b = planes[0], planes[1]
         assert meet(a, b).dim == 1
     else:
         a, b = lines[0], lines[1]
-    zero, whole = all_subspaces(field, n, 0)[0], all_subspaces(field, n, n)[0]
+    zero, whole = (next(enumerate_subspaces(field, n, k)) for k in (0, n))
     return ((lines[0], lines[0]), (a, b), (zero, zero), (whole, whole))
 
 
@@ -412,7 +413,7 @@ def test_common_complements_match_the_grassmannian_filter(p, ambients):
     for n in ambients:
         subspaces = all_subspaces(field, n)
         for a in subspaces:
-            layer = [s for s in all_subspaces(field, n, n - a.dim)
+            layer = [s for s in enumerate_subspaces(field, n, n - a.dim)
                      if is_transversal(s, a)]
             for b in subspaces:
                 got = common_complements(a, b)

@@ -167,7 +167,7 @@ def test_tau_is_the_pushed_orthocomplement():
             shear = Matrix.build(field, [[int(j == i or (i, j) == (0, 1))
                                           for j in range(2 * n)]
                                          for i in range(2 * n)])
-            for post, built in ((minus_one_op(bt), dual_involution(omega, bt)),
+            for post, built in ((minus_one_op(bt), dual_involution(omega)),
                                 (block_swap(field, n), None),
                                 (shear, None)):
                 inv = Involution(form.gram * mat_invert(post))
@@ -181,7 +181,7 @@ def test_order_two_over_q_is_decided_exactly():
     q = field_from_spec("rat")
     bt = standard_triple(q, 2)
     form = symplectic_form(q, 2)
-    dual = dual_involution(ortho_involution(form), bt)
+    dual = dual_involution(ortho_involution(form))
     assert dual.gram == form.gram * mat_invert(minus_one_op(bt))
     stretch = mat(q, [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     with pytest.raises(InvolutionError):
@@ -201,11 +201,10 @@ def test_involution_enumerates_no_subspace(monkeypatch):
     monkeypatch.setattr(subspaces, "enumerate_subspaces", refuse)
     involutions._order_two_ok.cache_clear()
     f5 = PrimeField(5)
-    bt = standard_triple(f5, 2)
     for form in standard_forms(f5, 2).values():
         inv = ortho_involution(form)
         assert inv.ambient == 4
-        dual_involution(inv, bt)
+        dual_involution(inv)
 
 
 def test_complement_dimension():
@@ -386,9 +385,8 @@ def test_minus_one_op_is_block_sign_flip():
 def test_dual_involution_swaps_form_flavor():
     """Composing with the sign flip exchanges the two middle censuses."""
     f3 = PrimeField(3)
-    bt = standard_triple(f3, 1)
     omega = ortho_involution(symplectic_form(f3, 1))
-    dual = dual_involution(omega, bt)
+    dual = dual_involution(omega)
     assert set(fixed_points(dual)) == set(isotropic_census(split_form(f3, 1)))
     r = check_order_two(dual, CheckConfig(trials=50, seed=3))
     assert r.failures == 0
@@ -544,17 +542,16 @@ def test_unitary_group_closure():
 
 def test_translation_op_is_unipotent_shear():
     f5 = PrimeField(5)
-    bt = standard_triple(f5, 2)
     a = random_matrix(f5, 2, 2, trial_rng(41, 0))
-    t = translation_op(a, bt)
+    t = translation_op(a)
     eye = Matrix.identity(f5, 4)
     top_right = all(
         t.entries[i][j + 2] == a.entries[i][j] for i in range(2) for j in range(2)
     )
     assert top_right
     b = random_matrix(f5, 2, 2, trial_rng(41, 1))
-    assert translation_op(a, bt) * translation_op(b, bt) == translation_op(a + b, bt)
-    assert mat_invert(t) == translation_op(-a, bt)
+    assert translation_op(a) * translation_op(b) == translation_op(a + b)
+    assert mat_invert(t) == translation_op(-a)
     assert (t - eye) * (t - eye) == Matrix.zeros(f5, 4, 4)
 
 

@@ -281,6 +281,32 @@ def test_mat_invert_rejects_singular():
         mat_invert(m)
 
 
+@pytest.mark.parametrize("ring", [
+    PrimeField(2), PrimeField(5), Rationals(), DualRing(PrimeField(3)),
+    DualRing(DualRing(PrimeField(3)))], ids=["f2", "f5", "rat", "dual",
+                                              "bidual"])
+def test_is_invertible_agrees_with_mat_invert(ring):
+    """Random square and non-square matrices, and square products through
+    a narrower middle, which are singular: is_invertible is True exactly
+    when mat_invert returns."""
+    seen = set()
+    for i in range(60):
+        rng = trial_rng(43, i)
+        p, q = rng.below(4), rng.below(4)
+        for m in (random_matrix(ring, p, q, rng),
+                  random_matrix(ring, p + 1, p + 1, rng),
+                  random_matrix(ring, p + 1, p, rng)
+                  * random_matrix(ring, p, p + 1, rng)):
+            try:
+                mat_invert(m)
+                inverts = True
+            except (SingularMatrixError, ShapeError):
+                inverts = False
+            assert is_invertible(m) == inverts, m
+            seen.add((m.nrows == m.ncols, inverts))
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
 def test_mat_invert_over_dual_rings():
     """Inversion only needs unit pivots, so it works with nilpotent entries."""
     base = PrimeField(5)

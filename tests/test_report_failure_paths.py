@@ -1,20 +1,22 @@
-"""The failing branches of reports whose verdict comes from a precheck.
+"""The failing branches of reports whose verdict comes from a precheck,
+and the per-pair branch of the two transport bridges.
 
 Each test breaks one input of a law on purpose (a census, a carrier, a
-family condition) and pins the report it must then give: cases, failures,
-the first counterexample and the notes.  The suite name is asserted only
-for reports produced through `run_suite`.
+family condition, a product) and pins the report it must then give: cases,
+failures, the first counterexample and the notes.  The suite name is
+asserted only for reports produced through `run_suite`.
 """
 
 from torsorlab import checks, homotopes, involutions
 from torsorlab.checks import run_suite
 from torsorlab.fields import PrimeField
-from torsorlab.homotopes import (Homotope, check_first_kind_control,
-                                 check_group_laws, check_hull_closure,
-                                 classical_family, family_table_bridge,
-                                 unitary_transport_bridge)
+from torsorlab.homotopes import (Homotope, bridge_param,
+                                 check_first_kind_control, check_group_laws,
+                                 check_hull_closure, classical_family,
+                                 family_table_bridge, unitary_transport_bridge)
 from torsorlab.involutions import (census_report, check_opposite_torsor,
-                                   fixed_points, ortho_involution)
+                                   fixed_points, ortho_involution,
+                                   standard_triple)
 from torsorlab.matrices import Matrix
 from torsorlab.reports import CheckConfig
 from torsorlab.subspaces import symplectic_form
@@ -68,7 +70,7 @@ def reject_zero(monkeypatch):
 
 def test_group_laws_fail_without_the_unit(monkeypatch):
     reject_zero(monkeypatch)
-    fam = classical_family("gl", F3, Matrix.identity(F3, 1))
+    fam = classical_family("gl", Matrix.identity(F3, 1))
     report = check_group_laws(fam)
     assert verdict(report) == (
         1, 1, {"unit": "missing"}, ("family:gl", "members:1"))
@@ -76,21 +78,22 @@ def test_group_laws_fail_without_the_unit(monkeypatch):
 
 def test_hull_closure_counts_the_missing_unit_first(monkeypatch):
     reject_zero(monkeypatch)
-    fam = classical_family("o", F3, Matrix.identity(F3, 1))
+    fam = classical_family("o", Matrix.identity(F3, 1))
     report = check_hull_closure(fam)
     assert verdict(report) == (
         5, 2, {"unit": "missing"}, ("family:o", "param:1", "hull:2"))
 
 
-def test_first_kind_control_fails_without_violations():
-    report = check_first_kind_control(F3, 1, 1, CFG)
+def test_first_kind_control_fails_without_violations(monkeypatch):
+    monkeypatch.setattr(homotopes, "star_triple", lambda x, y, z: x)
+    report = check_first_kind_control(F3, CFG)
     assert verdict(report) == (1, 1, {"violations": 0}, ("violations:0",))
 
 
 def test_family_table_bridge_fails_on_a_lost_member(monkeypatch):
     real = homotopes.members
     monkeypatch.setattr(homotopes, "members", lambda fam: real(fam)[:1])
-    report = family_table_bridge("o", F5, Matrix.identity(F5, 1))
+    report = family_table_bridge("o", Matrix.identity(F5, 1))
     assert verdict(report) == (
         1, 1, {"carrier": 2, "family": 1}, ("carrier:2",))
 
@@ -102,6 +105,40 @@ def test_unitary_transport_bridge_fails_on_a_lost_element(monkeypatch):
         return real(*args)[:1]
 
     monkeypatch.setattr(homotopes, "unitary_group", truncated)
-    report = unitary_transport_bridge(F5, Matrix.identity(F5, 1))
+    report = unitary_transport_bridge(Matrix.identity(F5, 1))
     assert verdict(report) == (
         1, 1, {"carrier": 2, "unitary": 1}, ("carrier:2", "unitary:1"))
+
+
+def test_family_table_bridge_fails_on_a_reversed_product(monkeypatch):
+    """Sp_2(F3) has 24 members and is not abelian, so reversing the family
+    product breaks some pair; the carrier and the family stay whole."""
+    param = bridge_param("sp", F3, 2)
+    clean = family_table_bridge("sp", param)
+    real = Homotope.product
+    monkeypatch.setattr(Homotope, "product",
+                        lambda self, x, y: real(self, y, x))
+    report = family_table_bridge("sp", param)
+    assert clean.failures == 0 and 0 < report.failures < report.cases
+    assert (report.cases, report.notes) == (clean.cases, clean.notes)
+    assert report.notes == ("carrier:24",) and clean.cases == 1 + 24 * 24
+
+
+def test_unitary_transport_bridge_fails_on_a_reversed_product(monkeypatch):
+    """At A = 1 and n = 2 over F3 the carrier has 8 elements and is not
+    abelian, so reversing the product on the unitary side breaks some pair;
+    both sets stay whole."""
+    param = Matrix.identity(F3, 2)
+    clean = unitary_transport_bridge(param)
+    o_minus = standard_triple(F3, 2).o_minus
+    real = homotopes.gamma_global
+
+    def unitary_side_reversed(x, a, y, b, z):
+        return real(z, a, y, b, x) if b == o_minus else real(x, a, y, b, z)
+
+    monkeypatch.setattr(homotopes, "gamma_global", unitary_side_reversed)
+    report = unitary_transport_bridge(param)
+    assert clean.failures == 0 and 0 < report.failures < report.cases
+    assert (report.cases, report.notes) == (clean.cases, clean.notes)
+    assert report.notes == ("carrier:8", "unitary:8")
+    assert clean.cases == 1 + 8 * 8

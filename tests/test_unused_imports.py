@@ -7,8 +7,10 @@ reads the process environment; only `reports.py` builds a Report, only
 `matrices.py` calls `_eliminate`, only `involutions.involution` builds
 an Involution, only `subspaces.orthocomplement` and the rank-nullity
 law call `kernel_basis`, and only `reports.cases` calls `trial_rng`; every
-library function reads each of its parameters; and only `cli.main`
-catches `FieldSyntaxError`.  No linter ships with the project, so this
+library function reads each of its parameters, and no parameter takes one
+value from every library call; only `cli.main` catches `FieldSyntaxError`;
+and no handler in `cli.py` that catches ValueError wraps a call that
+raises `UsageError` itself.  No linter ships with the project, so this
 walks each module's syntax tree with the stdlib `ast` module.  The package's
 `__init__.py` is exempt from the import guard and from the name guard: its
 imports are the package's exports, and an export alone is no caller.
@@ -379,3 +381,209 @@ def test_only_main_catches_field_syntax_errors():
     re-raises one as a UsageError refuses the same input twice."""
     found = handlers_of(library_trees()["cli.py"], "FieldSyntaxError")
     assert [owner for owner, _ in found] == ["main"]
+
+
+
+def _functions(tree, owner=""):
+    """(qualified name, def) for each function that is not a method, nested
+    functions included as `outer.inner`."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            continue
+        if isinstance(node, ast.FunctionDef):
+            yield owner + node.name, node
+            yield from _functions(node, owner + node.name + ".")
+        else:
+            yield from _functions(node, owner)
+
+
+def direct_calls(trees):
+    """{(module, function): (def, calls)}, with the calls that name the
+    function: bare in its own module, where a nested function of that name
+    counts too, bare in a module that imports it, or as an attribute of its
+    module."""
+    stems = {Path(m).stem: m for m in trees}
+    defs = {m: dict(_functions(tree)) for m, tree in trees.items()}
+    found = {(m, name): (node, []) for m, named in defs.items()
+             for name, node in named.items()}
+    for module, tree in trees.items():
+        imported = {alias.asname or alias.name: stems[node.module]
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1
+                    and node.module in stems for alias in node.names}
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            targets = []
+            if isinstance(func, ast.Name):
+                targets = [(module, name) for name in defs[module]
+                           if name.rsplit(".", 1)[-1] == func.id]
+                if not targets and func.id in imported:
+                    targets = [(imported[func.id], func.id)]
+            elif (isinstance(func, ast.Attribute)
+                  and getattr(func.value, "id", None) in stems):
+                targets = [(stems[func.value.id], func.attr)]
+            for target in targets:
+                if target in found:
+                    found[target][1].append(call)
+    return found
+
+
+def _literal(node):
+    """(type name, repr) of a literal argument, or None for any other."""
+    try:
+        value = ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return None
+    return type(value).__name__, repr(value)
+
+
+def _spreads(call):
+    """Whether a call passes `*args` or `**kwargs`, which hide its values."""
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg is None for k in call.keywords))
+
+
+def _argument(call, name, index, npositional):
+    """The argument a call passes to parameter `name`, at `index` among the
+    parameters, or None if it passes none."""
+    for keyword in call.keywords:
+        if keyword.arg == name:
+            return keyword.value
+    if index < npositional and index < len(call.args):
+        return call.args[index]
+    return None
+
+
+# The interpreter's command line sets `argv`, not a library call.
+COMMAND_LINE = [("cli.py", "main", "argv")]
+
+
+def unvaried_parameters(trees):
+    """(module, function, parameter) for each parameter that one value
+    serves: every library call passes it the same literal, or it has a
+    default that no library call overrides.
+
+    Only direct calls count (see `direct_calls`), so a function with none,
+    such as a suite runner or a `partial` target, is exempt, and so is one
+    that some call passes `*args` or `**kwargs`.  A default that binds the
+    outer name of the same name (`ring=ring`) captures a loop variable in a
+    closure and is exempt too, as is `cli.main`'s `argv`.
+    """
+    found = []
+    for (module, name), (node, sites) in sorted(direct_calls(trees).items()):
+        if not sites or any(map(_spreads, sites)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaults = dict(zip([a.arg for a in positional][::-1],
+                            args.defaults[::-1]))
+        defaults.update((a.arg, d) for a, d in
+                        zip(args.kwonlyargs, args.kw_defaults) if d)
+        for index, param in enumerate(positional + args.kwonlyargs):
+            default = defaults.get(param.arg)
+            if getattr(default, "id", None) == param.arg:
+                continue
+            passed = [_argument(call, param.arg, index, len(positional))
+                      for call in sites]
+            if all(p is None for p in passed):
+                unvaried = default is not None
+            else:
+                values = {None if e is None else _literal(e) for e in
+                          (default if p is None else p for p in passed)}
+                unvaried = len(values) == 1 and None not in values
+            if unvaried:
+                found.append((module, name, param.arg))
+    return sorted(set(found) - set(COMMAND_LINE))
+
+
+def test_unvaried_guard_sees_literals_defaults_and_exemptions():
+    trees = {"m.py": ast.parse("def f(x, mode, flag=False, limit=3):\n"
+                               "    return x, mode, flag, limit\n"
+                               "def g(x, mode=1):\n"
+                               "    def inner(rng, ring=ring, k=0):\n"
+                               "        return rng, ring, k\n"
+                               "    return inner(x), mode\n"
+                               "def h(*rows, scale=2):\n"
+                               "    return rows, scale\n"
+                               "def runner(field, size=4):\n"
+                               "    return field, size\n"
+                               "f(1, 'a', limit=3)\n"
+                               "f(2, 'a')\n"
+                               "g(3, mode=2)\n"
+                               "g(4)\n"
+                               "h(*rows)\n"),
+             "n.py": ast.parse("from . import m\n"
+                               "from .m import f\n"
+                               "f(5, 'a', flag=True)\n"
+                               "m.f(6, mode='a', flag=True)\n"
+                               "m.runner\n"),
+             "cli.py": ast.parse("def main(argv=None):\n"
+                                 "    return argv\n"
+                                 "def other(argv=None):\n"
+                                 "    return argv\n"
+                                 "main()\n"
+                                 "other()\n")}
+    assert unvaried_parameters(trees) == [
+        ("cli.py", "other", "argv"), ("m.py", "f", "limit"),
+        ("m.py", "f", "mode"), ("m.py", "g.inner", "k")]
+
+
+def test_no_library_parameter_has_one_value():
+    """A value that one caller sets, or no caller, is a constant; a value
+    that the other arguments fix is derived from them."""
+    trees = {m: t for m, t in library_trees().items() if m != "__init__.py"}
+    assert unvaried_parameters(trees) == []
+
+
+CATCHES_VALUE_ERRORS = {"ValueError", "UsageError", "Exception",
+                        "BaseException"}
+
+
+def rewrapped_calls(tree):
+    """(line, name) for each call to `_parse_matrix`, `_parse_subspace` or an
+    `_emit*` function inside the body of a `try` that catches ValueError,
+    bare, by name or by a base class."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Try) and any(
+                h.type is None or CATCHES_VALUE_ERRORS & {
+                    getattr(n, "id", None) for n in ast.walk(h.type)}
+                for h in node.handlers)):
+            continue
+        for call in (n for stmt in node.body for n in ast.walk(stmt)):
+            if not isinstance(call, ast.Call):
+                continue
+            name = (getattr(call.func, "id", None)
+                    or getattr(call.func, "attr", ""))
+            if (name in ("_parse_matrix", "_parse_subspace")
+                    or name.startswith("_emit")):
+                found.append((call.lineno, name))
+    return sorted(found)
+
+
+def test_rewrap_guard_sees_bodies_tuples_and_bare_handlers():
+    tree = ast.parse("try:\n"
+                     "    _emit_reports(r, args)\n"
+                     "except (KeyError, ValueError):\n"
+                     "    _emit(x, args)\n"
+                     "try:\n"
+                     "    m = _parse_matrix(t, f)\n"
+                     "except:\n"
+                     "    pass\n"
+                     "try:\n"
+                     "    s = _parse_subspace(t, f)\n"
+                     "except KeyError:\n"
+                     "    pass\n"
+                     "else:\n"
+                     "    _emit_table(e, u, t, args)\n")
+    assert rewrapped_calls(tree) == [(2, "_emit_reports"),
+                                     (6, "_parse_matrix")]
+
+
+def test_no_handler_rewraps_a_usage_error():
+    """`_parse_matrix` and the `_emit` functions raise UsageError, a
+    ValueError; a handler around them that re-raises a UsageError with the
+    same text refuses the same input twice."""
+    assert rewrapped_calls(library_trees()["cli.py"]) == []
