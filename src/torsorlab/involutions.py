@@ -214,6 +214,8 @@ def cayley_table(elements, unit, a, b):
     """
     if not is_transversal(unit, a):
         raise TransversalityError("the unit is not a complement of a")
+    if not is_transversal(unit, b):
+        raise TransversalityError("b is not a complement of the unit")
     k = unit.dim
     g = mat_invert(vstack(unit.basis, a.basis)).transpose()
     charts = [chart_of(image_under(g, x), k) for x in elements]

@@ -26,10 +26,23 @@ kernels:
 All three make the same row swaps and row operations, so they leave the same
 rows for the same input, and `rref`, `eliminate_front`, `kernel_basis`,
 `mat_invert` and `is_invertible` do not care which one ran.  Matrix products
-dispatch the same way: over a `PrimeField` each entry is one int dot product
-reduced ``% p`` once, and over `Rationals` each row of the left factor and
-each column of the right one is scaled to integers by the lcm of its
-denominators, so each entry is one int dot product over one denominator.
+go through one dispatch, `_product`: over a `PrimeField` each entry is one
+int dot product reduced ``% p`` once, and over `Rationals` each row of the
+left factor and each column of the right one is scaled to integers by the
+lcm of its denominators, so each entry is one int dot product over one
+denominator.
+
+A matrix over a dual ring R[eps] is a pair A + eps B of matrices over R, so
+the dual rings leave the scalar route for products and inverses.
+`_mul_dual` takes (A + eps B)(C + eps D) as AC + eps [A | B][D ; C], two
+products over R through `_product`, and K[e1][e2] recurses into K[e1].
+`mat_invert` over R[eps] is A^-1 - eps A^-1 B A^-1, with A^-1 from
+`mat_invert` over R; a matrix is invertible over the local ring exactly
+when its constant part A is, so a singular A raises `SingularMatrixError`
+as a missing unit pivot would.  `is_invertible` stays on unit-pivot
+elimination: the `nilpotent-entries` laws compare it with the invertibility
+of the constant part, and that comparison would hold by construction if
+both went through A.
 
 Vector arithmetic outside `fields` and this module goes through `Matrix`, as
 1 x n matrices, so shapes are checked instead of cut short by `zip`; only the
@@ -49,7 +62,7 @@ from itertools import product
 from math import gcd, lcm
 from operator import mul as _int_mul
 
-from .fields import FieldSyntaxError, PrimeField, Rationals
+from .fields import DualRing, FieldSyntaxError, PrimeField, Rationals
 
 
 class SingularMatrixError(ArithmeticError):
@@ -136,15 +149,9 @@ class Matrix:
             raise ShapeError("cannot multiply %dx%d by %dx%d"
                              % (self.nrows, self.ncols, other.nrows,
                                 other.ncols))
-        R = self.ring
         cols = list(zip(*other.entries)) if other.entries else [()] * other.ncols
-        if type(R) is PrimeField:
-            out = _mul_mod_p(R.p, self.entries, cols)
-        elif type(R) is Rationals:
-            out = _mul_rat(self.entries, cols)
-        else:
-            out = _mul_generic(R, self.entries, cols)
-        return Matrix(R, self.nrows, other.ncols, out)
+        return Matrix(self.ring, self.nrows, other.ncols,
+                      _product(self.ring, self.entries, cols))
 
     def scale(self, s):
         R = self.ring
@@ -184,10 +191,22 @@ class Matrix:
                                 other.ncols))
 
 
+def _product(ring, rows, cols):
+    """Entries of the product of `rows` with the matrix whose columns are
+    `cols`, by the kernel for the ring."""
+    if type(ring) is PrimeField:
+        return _mul_mod_p(ring.p, rows, cols)
+    if type(ring) is Rationals:
+        return _mul_rat(rows, cols)
+    if type(ring) is DualRing:
+        return _mul_dual(ring.base, rows, cols)
+    return _mul_generic(ring, rows, cols)
+
+
 def _mul_mod_p(p, rows, cols):
     """Product entries over F_p: one int dot product, reduced once."""
-    return tuple(tuple(sum(map(_int_mul, row, col)) % p for col in cols)
-                 for row in rows)
+    return tuple([tuple([sum(map(_int_mul, row, col)) % p for col in cols])
+                  for row in rows])
 
 
 _QZERO = Fraction(0)
@@ -210,6 +229,23 @@ def _mul_rat(rows, cols):
         dots = [(sum(map(_int_mul, ia, ib)), da * db) for ib, db in icols]
         out.append(tuple(Fraction(n, d) if n else _QZERO for n, d in dots))
     return tuple(out)
+
+
+def _mul_dual(base, rows, cols):
+    """Product entries over base[eps], as pairs of base-ring products:
+    (A + eps B)(C + eps D) = AC + eps [A | B][D ; C]."""
+    a, ab = [], []
+    for row in rows:
+        x, y = zip(*row) if row else ((), ())
+        a.append(x)
+        ab.append(x + y)
+    c, dc = [], []
+    for col in cols:
+        x, y = zip(*col) if col else ((), ())
+        c.append(x)
+        dc.append(y + x)
+    return tuple(map(tuple, map(zip, _product(base, a, c),
+                                _product(base, ab, dc))))
 
 
 def _mul_generic(ring, rows, cols):
@@ -457,6 +493,8 @@ def _check_square(m):
 def mat_invert(m):
     """Exact inverse; SingularMatrixError if no inverse over the ring."""
     _check_square(m)
+    if type(m.ring) is DualRing:
+        return _invert_dual(m)
     n = m.nrows
     ident = Matrix.identity(m.ring, n)
     rows = [list(a + b) for a, b in zip(m.entries, ident.entries)]
@@ -464,6 +502,22 @@ def mat_invert(m):
     if pivots[:n] != list(range(n)) or len(pivots) < n:
         raise SingularMatrixError("matrix is not invertible")
     return Matrix(m.ring, n, n, tuple(tuple(row[n:]) for row in rows[:n]))
+
+
+def _invert_dual(m):
+    """(A + eps B)^-1 = A^-1 - eps A^-1 B A^-1, with A^-1 over the base."""
+    base, n = m.ring.base, m.nrows
+    a, b = [], []
+    for row in m.entries:
+        x, y = zip(*row)
+        a.append(x)
+        b.append(y)
+    ai = mat_invert(Matrix(base, n, n, tuple(a))).entries
+    bai = _product(base, b, list(zip(*ai)))
+    neg = base.neg
+    return Matrix(m.ring, n, n,
+                  tuple(tuple(zip(r0, map(neg, r1))) for r0, r1
+                        in zip(ai, _product(base, ai, list(zip(*bai))))))
 
 
 def is_invertible(m):

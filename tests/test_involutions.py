@@ -47,6 +47,7 @@ from torsorlab.subspaces import (
     coord_subspace,
     diag_form,
     enumerate_subspaces,
+    full_subspace,
     image_under,
     is_isotropic,
     is_transversal,
@@ -430,6 +431,17 @@ def test_cayley_table_rejects_an_element_not_transversal_to_a():
     carrier = torsor_G(inv, a)
     with pytest.raises(TransversalityError):
         cayley_table(carrier + (a,), carrier[0], a, inv(a))
+
+
+def test_cayley_table_rejects_a_b_not_transversal_to_the_unit():
+    f3 = PrimeField(3)
+    inv = ortho_involution(symplectic_form(f3, 1))
+    a = fixed_points(inv)[0]
+    carrier = torsor_G(inv, a)
+    with pytest.raises(TransversalityError):
+        cayley_table(carrier, carrier[0], a, full_subspace(f3, 2))
+    with pytest.raises(TransversalityError):
+        cayley_table(carrier, carrier[0], a, carrier[0])
 
 
 def _gamma_table(elements, unit, a, b):

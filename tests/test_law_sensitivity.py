@@ -1,0 +1,57 @@
+"""Planted kernel faults that the laws must see.
+
+Each test plants one fault in a matrix kernel by monkeypatch, runs a law
+suite at a small fixed configuration, and pins the report that must fail.
+A law that passes on a broken kernel no longer checks that kernel.
+"""
+
+import pytest
+
+from torsorlab import matrices
+from torsorlab.checks import run_suite
+from torsorlab.fields import PrimeField, Rationals
+from torsorlab.matrices import Matrix
+from torsorlab.reports import CheckConfig
+
+CFG = CheckConfig(trials=20)
+
+
+def failures(name, field, law):
+    (report,) = [r for r in run_suite(name, field, 2, CFG) if r.law == law]
+    return report.failures
+
+
+@pytest.mark.parametrize("field", (Rationals(), PrimeField(3)),
+                         ids=("rat", "f3"))
+def test_bracket_sees_a_dual_product_without_the_bc_term(monkeypatch, field):
+    """(A + eps B)(C + eps D) taken as AC + eps AD, at every dual level."""
+    assert failures("lie-bracket", field, "bracket-two-routes") == 0
+    real = matrices._mul_dual
+
+    def without_bc(base, rows, cols):
+        return real(base, [[(e[0], base.zero) for e in row] for row in rows],
+                    cols)
+
+    monkeypatch.setattr(matrices, "_mul_dual", without_bc)
+    assert failures("lie-bracket", field, "bracket-two-routes") > 0
+
+
+@pytest.mark.parametrize("field", (Rationals(), PrimeField(3)),
+                         ids=("rat", "f3"))
+def test_nilpotent_entries_see_a_dual_inverse_with_the_wrong_sign(
+        monkeypatch, field):
+    """A^-1 + eps A^-1 B A^-1 times A + eps B is 1 + 2 eps A^-1 B, so the
+    flip shows in every characteristic but 2."""
+    law = "nilpotent-entries-dual"
+    assert failures("dual-matrix-arithmetic", field, law) == 0
+    real = matrices._invert_dual
+
+    def eps_negated(m):
+        inv = real(m)
+        neg = m.ring.base.neg
+        return Matrix(inv.ring, inv.nrows, inv.ncols,
+                      tuple(tuple((x, neg(y)) for x, y in row)
+                            for row in inv.entries))
+
+    monkeypatch.setattr(matrices, "_invert_dual", eps_negated)
+    assert failures("dual-matrix-arithmetic", field, law) > 0

@@ -16,6 +16,7 @@ from torsorlab.matrices import (
     _eliminate_generic,
     _eliminate_mod_p,
     _eliminate_rat,
+    _mul_dual,
     _mul_generic,
     _mul_mod_p,
     _mul_rat,
@@ -509,9 +510,13 @@ def test_other_rings_keep_the_generic_kernel(monkeypatch):
     rref(rand(f9, 3, 5, 47, 0))
     assert {"mul", "sub", "is_unit"} <= set(calls)
     dual = DualRing(PrimeField(3))
+    m = Matrix.identity(dual, 2).scale(dual.from_int(2))
     calls = count_scalar_calls(monkeypatch, dual)
-    mat_invert(Matrix.identity(dual, 2).scale(dual.from_int(2)))
+    assert is_invertible(m)
     assert {"mul", "inv", "is_unit"} <= set(calls)
+    calls.clear()
+    mat_invert(m)
+    assert calls == []
 
 
 def test_det_multiplicative():
@@ -594,7 +599,7 @@ def log_kernels(monkeypatch):
     """Record which elimination and product kernels run, by name."""
     ran = []
     for name in ("_eliminate_generic", "_eliminate_mod_p", "_eliminate_rat",
-                 "_mul_generic", "_mul_mod_p", "_mul_rat"):
+                 "_mul_dual", "_mul_generic", "_mul_mod_p", "_mul_rat"):
         def logged(*args, _name=name, _kernel=getattr(matrices, name)):
             ran.append(_name)
             return _kernel(*args)
@@ -605,10 +610,16 @@ def log_kernels(monkeypatch):
 @pytest.mark.parametrize("ring, kernels", (
     (Rationals(), ["_eliminate_rat", "_mul_rat"]),
     (GaussianRationals(), ["_eliminate_generic", "_mul_generic"]),
-    (DualRing(Rationals()), ["_eliminate_generic", "_mul_generic"]),
+    (DualRing(Rationals()),
+     ["_eliminate_generic", "_mul_dual", "_mul_rat", "_mul_rat"]),
+    (DualRing(PrimeField(3)),
+     ["_eliminate_generic", "_mul_dual", "_mul_mod_p", "_mul_mod_p"]),
+    (DualRing(DualRing(Rationals())),
+     ["_eliminate_generic", "_mul_dual", "_mul_dual", "_mul_rat", "_mul_rat",
+      "_mul_dual", "_mul_rat", "_mul_rat"]),
     (QuadraticExt(3), ["_eliminate_generic", "_mul_generic"]),
     (PrimeField(3), ["_eliminate_mod_p", "_mul_mod_p"]),
-), ids=("rat", "gauss", "dual-rat", "f9", "f3"))
+), ids=("rat", "gauss", "dual-rat", "dual-f3", "bidual-rat", "f9", "f3"))
 def test_kernel_dispatch_by_ring(monkeypatch, ring, kernels):
     m = Matrix.identity(ring, 2)
     ran = log_kernels(monkeypatch)
@@ -627,3 +638,79 @@ def test_rational_kernels_make_no_scalar_calls(monkeypatch):
     mat_invert(square)
     eliminate_front(q, [list(row) for row in m.entries], 3, 9)
     assert calls == []
+
+
+PAIR_RINGS = (DualRing(PrimeField(2)), DualRing(PrimeField(3)),
+              DualRing(Rationals()), DualRing(QuadraticExt(3)),
+              DualRing(DualRing(Rationals())),
+              DualRing(DualRing(PrimeField(3))))
+PAIR_IDS = ("dual-f2", "dual-f3", "dual-rat", "dual-f9", "bidual-rat",
+            "bidual-f3")
+
+
+def base_field(ring):
+    while isinstance(ring, DualRing):
+        ring = ring.base
+    return ring
+
+
+def leaves(e):
+    """The base-field scalars of a (nested) dual-number pair."""
+    if not isinstance(e, tuple):
+        return [e]
+    return [x for part in e for x in leaves(part)]
+
+
+@pytest.mark.parametrize("ring", PAIR_RINGS, ids=PAIR_IDS)
+def test_dual_product_matches_the_scalar_route(ring):
+    shapes = ((0, 2, 3), (2, 0, 3), (3, 2, 0), (1, 1, 1), (2, 3, 1),
+              (1, 3, 2), (3, 3, 3))
+    for i, (p, k, q) in enumerate(shapes * 4):
+        x = rand(ring, p, k, 79, 2 * i)
+        y = rand(ring, k, q, 79, 2 * i + 1)
+        cols = list(zip(*y.entries)) if y.entries else [()] * q
+        got = _mul_dual(ring.base, x.entries, cols)
+        assert got == _mul_generic(ring, x.entries, cols)
+        assert (x * y).entries == got
+        if base_field(ring) == Rationals():
+            assert all(type(v) is Fraction
+                       for row in got for e in row for v in leaves(e))
+
+
+def invert_by_elimination(m):
+    """The inverse read off [m | I] by the unit-pivot generic kernel."""
+    n = m.nrows
+    rows = [list(a + b) for a, b in
+            zip(m.entries, Matrix.identity(m.ring, n).entries)]
+    if _eliminate_generic(m.ring, rows, 2 * n)[:n] != list(range(n)):
+        return None
+    return Matrix(m.ring, n, n, tuple(tuple(row[n:]) for row in rows[:n]))
+
+
+@pytest.mark.parametrize("ring", PAIR_RINGS, ids=PAIR_IDS)
+def test_dual_inverse_matches_the_scalar_route(ring):
+    inverted = singular = 0
+    for n in range(4):
+        for i in range(15):
+            m = rand(ring, n, n, 83, 10 * i + n)
+            expect = invert_by_elimination(m)
+            if expect is None:
+                singular += 1
+                with pytest.raises(SingularMatrixError):
+                    mat_invert(m)
+            else:
+                inverted += 1
+                assert mat_invert(m) == expect
+    assert inverted and (singular or base_field(ring) == Rationals())
+
+
+@pytest.mark.parametrize("ring", PAIR_RINGS, ids=PAIR_IDS)
+def test_dual_inverse_refuses_a_singular_base_part(ring):
+    """Base part [[1, 1], [1, 1]] plus eps times a random matrix."""
+    one = ring.one
+    nil = rand(ring, 2, 2, 89, 0)
+    m = Matrix.build(ring, [[one, one], [one, one]]) + Matrix.build(
+        ring, [[ring.eps_times(e[0]) for e in row] for row in nil.entries])
+    assert not is_invertible(m)
+    with pytest.raises(SingularMatrixError):
+        mat_invert(m)

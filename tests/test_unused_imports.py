@@ -4,7 +4,8 @@ Every module-level import in the library modules and the tests is used;
 every module-level name a library module defines is loaded by the library
 itself, not only by the package's exports or the tests; no library module
 reads the process environment; only `reports.py` builds a Report, only
-`matrices.py` calls `_eliminate`, only `involutions.involution` builds
+`matrices.py` calls `_eliminate`, only `matrices._product` calls the
+product kernels, only `involutions.involution` builds
 an Involution, only `subspaces.orthocomplement` and the rank-nullity
 law call `kernel_basis`, and only `reports.cases` calls `trial_rng`; every
 library function reads each of its parameters, and no parameter takes one
@@ -236,6 +237,42 @@ def test_caller_guard_names_functions_methods_and_modules():
                                "    return kernel_basis\n")}
     assert callers_of(trees, "kernel_basis") == [
         ("m.py", "<module>"), ("m.py", "C.__call__"), ("m.py", "f")]
+
+
+PRODUCT_KERNELS = ("_mul_mod_p", "_mul_rat", "_mul_dual", "_mul_generic")
+
+
+def product_kernel_calls(trees):
+    """(module, definition, kernel) for each product kernel call made
+    anywhere but in `matrices._product`."""
+    return sorted((module, owner, kernel) for kernel in PRODUCT_KERNELS
+                  for module, owner in callers_of(trees, kernel)
+                  if (module, owner) != ("matrices.py", "_product"))
+
+
+def test_product_guard_sees_functions_methods_and_modules():
+    source = ("def _product(ring, rows, cols):\n"
+              "    if ring:\n"
+              "        return _mul_rat(rows, cols)\n"
+              "    return _mul_dual(ring, rows, cols)\n"
+              "class Matrix:\n"
+              "    def __mul__(self, other):\n"
+              "        return _mul_mod_p(2, self, other)\n")
+    trees = {"matrices.py": ast.parse(source),
+             "n.py": ast.parse("import matrices\n"
+                               "def _product(x):\n"
+                               "    return matrices._mul_generic(x, (), ())\n"
+                               "def f(x):\n"
+                               "    return matrices._mul_dual\n")}
+    assert product_kernel_calls(trees) == [
+        ("matrices.py", "Matrix.__mul__", "_mul_mod_p"),
+        ("n.py", "_product", "_mul_generic")]
+
+
+def test_only_the_product_dispatch_calls_product_kernels():
+    """Every matrix product, the pair products of the dual rings
+    included, picks its kernel in `matrices._product`."""
+    assert product_kernel_calls(library_trees()) == []
 
 
 def test_only_orthocomplement_and_rank_nullity_take_kernels():
