@@ -513,12 +513,17 @@ def unitary_transport_bridge(a_param):
     {(A v, v)}; the target is the subgroup of complements x of both
     {(2A v, v)} and the second axis with tau(x) equal to the group inverse,
     for the plain skew-form complement tau.  That the translation is a
-    bijection is the first case; then, same translation, same table.
+    bijection is the first case; then, same translation, same table.  If
+    `unitary_group` refuses its parameters (a tau that moves one of them),
+    the target is empty and the first case fails.
     """
     n, bt, inv_split, a_sub, ta_sub = _bridge_setup("o", a_param)
     inv_symp = ortho_involution(symplectic_form(a_param.ring, n))
     two_a = graph_minus(a_param + a_param)
-    unitary = unitary_group(inv_symp, two_a, bt.o_plus, bt.o_minus)
+    try:
+        unitary = unitary_group(inv_symp, two_a, bt.o_plus, bt.o_minus)
+    except ValueError:
+        unitary = ()
     carrier = torsor_G(inv_split, a_sub)
     t_op = translation_op(a_param)
     moved = {x: image_under(t_op, x) for x in carrier}

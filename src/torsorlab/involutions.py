@@ -7,7 +7,9 @@ two exactly when K^-1 K* is a scalar, and `involution` builds only those.
 An invertible operator d composed after tau gives the orthocomplement for
 K d^-1, so this class of maps is closed under the dual involution, which
 composes with the operator that is the identity on o+ and minus the identity
-on o- (an automorphism of the product).
+on o- (an automorphism of the product).  Every law applies tau by
+calling its Involution; a law that applies it to many subspaces tabulates
+it with `functools.cache(inv)`, a table local to that law's run.
 
 Fixed-point sets are the Lagrangian-type subvarieties.  The torsors
 G(inv, a), each a sorted tuple of subspaces, and the unitary groups
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .gamma import (common_complements, dilations, gamma_global, gamma_oracle,
                     m_operator, subspace_cases, transversal_cases)
@@ -51,7 +53,9 @@ class InvolutionError(ValueError):
 class Involution:
     """x -> the orthocomplement of x for gram, the kernel of conj(x) . gram.
 
-    `involution` is the builder that checks order two.
+    `involution` is the builder that checks order two.  Applying one is
+    unmemoized; a law that wants a table wraps it in `functools.cache`
+    for its own run, so no image outlives that run.
     """
 
     gram: Matrix
@@ -67,24 +71,6 @@ class Involution:
 
     def __call__(self, x):
         return orthocomplement(x, self)
-
-
-def tabulated(inv):
-    """inv as a function that applies it once per distinct argument.
-
-    The table is local to the returned function, so a law that calls this
-    once per run keeps its images for that run only; `Involution.__call__`
-    itself stays unmemoized.
-    """
-    table = {}
-
-    def tau(x):
-        y = table.get(x)
-        if y is None:
-            y = table[x] = inv(x)
-        return y
-
-    return tau
 
 
 @lru_cache(maxsize=None)
@@ -273,7 +259,7 @@ def translation_op(a_chart):
 
 
 def check_order_two(inv, config, law="order-two"):
-    tau = tabulated(inv)
+    tau = cache(inv)
     return run_law("involution-antihom", law,
                    subspace_cases(config, inv.field, inv.ambient, "x"),
                    lambda c: tau(tau(c["x"])) == c["x"],
@@ -282,7 +268,7 @@ def check_order_two(inv, config, law="order-two"):
 
 def check_transversality_preservation(inv, config,
                                       law="transversality-preservation"):
-    tau = tabulated(inv)
+    tau = cache(inv)
 
     def holds(c):
         return (is_transversal(c["x"], c["a"])
@@ -295,7 +281,7 @@ def check_transversality_preservation(inv, config,
 
 def _reverses_gamma(inv):
     """tau Gamma(x,a,y,b,z) = Gamma(tx,tb,ty,ta,tz) = Gamma(tz,ta,ty,tb,tx)."""
-    tau = tabulated(inv)
+    tau = cache(inv)
 
     def holds(c):
         lhs = tau(gamma_global(c["x"], c["a"], c["y"], c["b"], c["z"]))
@@ -327,7 +313,7 @@ def check_duality_inclusion(form, config, law="duality-inclusion"):
     notes so genuinely strict cases can be collected.  Sampled in every mode.
     """
 
-    perp = tabulated(ortho_involution(form))
+    perp = cache(ortho_involution(form))
 
     def sides(c):
         x, a, y, b, z = c["x"], c["a"], c["y"], c["b"], c["z"]
@@ -351,7 +337,7 @@ def check_dilation_compat(inv, config, law="dilation-compatibility"):
     else:
         scalars = [field.zero, field.one, field.from_int(2), field.from_int(-3)]
     conj_scalars = [field.conj(s) for s in scalars]
-    tau = tabulated(inv)
+    tau = cache(inv)
 
     def holds(c):
         x, a, y = c["x"], c["a"], c["y"]
@@ -376,7 +362,7 @@ def closure_report(inv, a):
     once per distinct result.
     """
     ta = inv(a)
-    tau = tabulated(inv)
+    tau = cache(inv)
 
     def result(c):
         return gamma_oracle(c["x"], a, c["y"], ta, c["z"])
@@ -395,7 +381,7 @@ def check_torsor_g(inv, a, law="fixed-torsor-axioms"):
     """Torsor axioms on G(inv, a), plus commutativity when a is fixed."""
     carrier = torsor_G(inv, a)
     ta = inv(a)
-    tau = tabulated(inv)
+    tau = cache(inv)
 
     def product(x, y, z):
         return gamma_global(x, a, y, ta, z)

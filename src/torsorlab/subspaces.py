@@ -230,7 +230,11 @@ def standard_forms(field, n):
 
 def orthocomplement(x, form):
     """x^perp = {v : conj(u) K v = 0 for all u in x} for K = form.gram; reads
-    only form.gram and form.ambient, so form may be an Involution too."""
+    only form.gram and form.ambient, so form may be an Involution too.
+
+    It has two callers: `Involution.__call__`, the one way a law applies
+    tau, and `relations.adjoint`, whose pairing is a Form (`involutions`
+    imports `relations` through `gamma`, so no Involution is built there)."""
     if x.ambient != form.ambient:
         raise ShapeError("subspace of K^%d against a form on K^%d"
                          % (x.ambient, form.ambient))

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from torsorlab import gamma, involutions, subspaces
+from torsorlab import checks, gamma, involutions, subspaces
 from torsorlab.checks import _random_invertible, run_suite
 from torsorlab.fields import PrimeField, QuadraticExt, field_from_spec
 from torsorlab.gamma import gamma_global, gamma_oracle
@@ -301,6 +301,26 @@ def test_antihom_law_applies_tau_once_per_subspace(monkeypatch):
         assert r.failures == 0 and r.cases == 5 ** 5
     assert len({inv for _, inv in seen}) == len(invs)
     assert seen and max(seen.values()) == 1
+
+
+def test_ortho_lattice_applies_tau_once_per_subspace(monkeypatch):
+    """One cached tau per form and run: every (subspace, involution) pair
+    reaches the kernel once.  The involutions are held here, so no two of
+    them can share an id."""
+    built = []
+
+    def kept(form):
+        built.append(ortho_involution(form))
+        return built[-1]
+
+    monkeypatch.setattr(checks, "ortho_involution", kept)
+    seen = count_tau_kernels(monkeypatch)
+    reports = run_suite("ortho-lattice", PrimeField(2), 2,
+                        CheckConfig(exhaustive=True))
+    assert len(reports) == 3
+    assert all(r.failures == 0 and r.cases == 5 ** 2 for r in reports)
+    assert {inv for _, inv in seen} == {id(inv) for inv in built}
+    assert len(built) == 3 and set(seen.values()) == {1}
 
 
 def test_closure_report_applies_tau_once_per_result(monkeypatch):

@@ -1,8 +1,8 @@
 """Planted kernel faults that the laws must see.
 
-Each test plants one fault in a matrix kernel by monkeypatch, runs a law
-suite at a small fixed configuration, and pins the report that must fail.
-A law that passes on a broken kernel no longer checks that kernel.
+Each test plants one fault in a kernel by monkeypatch, runs a law suite
+at a small fixed configuration, and pins the reports that must fail.  A
+law that passes on a broken kernel no longer checks that kernel.
 """
 
 import pytest
@@ -10,8 +10,10 @@ import pytest
 from torsorlab import matrices
 from torsorlab.checks import run_suite
 from torsorlab.fields import PrimeField, Rationals
+from torsorlab.involutions import Involution
 from torsorlab.matrices import Matrix
 from torsorlab.reports import CheckConfig
+from torsorlab.subspaces import make_form, orthocomplement
 
 CFG = CheckConfig(trials=20)
 
@@ -55,3 +57,45 @@ def test_nilpotent_entries_see_a_dual_inverse_with_the_wrong_sign(
 
     monkeypatch.setattr(matrices, "_invert_dual", eps_negated)
     assert failures("dual-matrix-arithmetic", field, law) > 0
+
+
+def plant_identity_tau(monkeypatch):
+    """Every Involution applies the orthocomplement for the identity gram,
+    whatever its own gram."""
+
+    def identity_perp(inv, x):
+        one = Matrix.identity(inv.field, inv.ambient)
+        return orthocomplement(x, make_form(one, "hermitian"))
+
+    monkeypatch.setattr(Involution, "__call__", identity_perp)
+
+
+def failing_laws(names, field):
+    return {r.law for name in names for r in run_suite(name, field, 2, CFG)
+            if r.failures}
+
+
+@pytest.mark.parametrize("field", (Rationals(), PrimeField(3)),
+                         ids=("rat", "f3"))
+def test_adjoint_laws_see_a_wrong_tau(monkeypatch, field):
+    """The relation adjoints keep their own pairing, so only the laws that
+    compare them with tau fail."""
+    suites = ("adjoint-reversal", "adjoint-image-inclusion")
+    assert failing_laws(suites, field) == set()
+    plant_identity_tau(monkeypatch)
+    assert failing_laws(suites, field) == {
+        "adjoint-projection-symplectic", "adjoint-projection-split",
+        "adjoint-projection-diag", "adjoint-image-inclusion"}
+
+
+def test_bridge_suite_reports_a_wrong_tau(monkeypatch):
+    """A tau that moves the unitary parameters empties the unitary target
+    instead of stopping the suite; at n = 1 that target and the carrier are
+    both empty, so the unitary transport passes."""
+    f3 = PrimeField(3)
+    assert failing_laws(("bridge",), f3) == set()
+    plant_identity_tau(monkeypatch)
+    reports = run_suite("bridge", f3, 2, CFG)
+    assert len(reports) == 5
+    assert {r.law for r in reports if r.failures} == {
+        "graph-star-roundtrip", "o-family-table", "sp-family-table"}

@@ -7,7 +7,8 @@ reads the process environment; only `reports.py` builds a Report, only
 `matrices.py` calls `_eliminate`, only `matrices._product` calls the
 product kernels, only `involutions.involution` builds
 an Involution, only `subspaces.orthocomplement` and the rank-nullity
-law call `kernel_basis`, and only `reports.cases` calls `trial_rng`; every
+law call `kernel_basis`, only `Involution.__call__` and
+`relations.adjoint` call `orthocomplement`, and only `reports.cases` calls `trial_rng`; every
 library function reads each of its parameters, and no parameter takes one
 value from every library call; only `cli.main` catches `FieldSyntaxError`;
 and no handler in `cli.py` that catches ValueError wraps a call that
@@ -281,6 +282,15 @@ def test_only_orthocomplement_and_rank_nullity_take_kernels():
     assert callers_of(library_trees(), "kernel_basis") == [
         ("checks.py", "_run_rank_nullity"),
         ("subspaces.py", "orthocomplement")]
+
+
+def test_a_law_applies_tau_through_its_involution():
+    """tau is applied one way: through `Involution.__call__`.  The only
+    other caller of `orthocomplement` is `relations.adjoint`, whose pairing
+    is a Form, since `relations` cannot import `involutions`."""
+    assert callers_of(library_trees(), "orthocomplement") == [
+        ("involutions.py", "Involution.__call__"),
+        ("relations.py", "adjoint")]
 
 
 def test_only_the_case_generator_seeds_trials():
