@@ -223,7 +223,7 @@ def _run_dual_matrix_arithmetic(field, ambient, config):
             a, b, c = case["a"], case["b"], case["c"]
             if (a + b) * c != a * c + b * c:
                 return False
-            base_part = Matrix(field, a.nrows, a.ncols,
+            base_part = Matrix(field, a.ncols,
                                tuple(tuple(constant(e) for e in row)
                                      for row in a.entries))
             invertible = is_invertible(a)
@@ -615,7 +615,6 @@ def _run_bridge(field, ambient, config):
 
 @dataclass(frozen=True)
 class Suite:
-    name: str
     module: str
     description: str
     runner: object
@@ -730,12 +729,12 @@ _SUITE_ROWS = (
 )
 
 
-SUITES = {name: Suite(name, module, description, runner)
+SUITES = {name: Suite(module, description, runner)
           for name, module, description, runner in _SUITE_ROWS}
 
 
 def list_suites():
-    return [(s.name, s.module, s.description) for s in SUITES.values()]
+    return [(name, s.module, s.description) for name, s in SUITES.items()]
 
 
 def run_suite(name, field, ambient, config):
@@ -747,9 +746,9 @@ def run_suite(name, field, ambient, config):
 def run_all(field, ambient, config):
     """Run every suite, turning inapplicable ones into explicit skips."""
     reports = []
-    for suite in SUITES.values():
+    for name, suite in SUITES.items():
         try:
             reports.extend(suite.runner(field, ambient, config))
         except SuiteNotApplicable as exc:
-            reports.append(skipped_report(suite.name, exc))
+            reports.append(skipped_report(name, exc))
     return reports

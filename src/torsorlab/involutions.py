@@ -37,7 +37,7 @@ from .gamma import (common_complements, dilations, gamma_global, gamma_oracle,
                     m_operator, subspace_cases, transversal_cases)
 from .matrices import (Matrix, det, format_matrix, hstack, mat_invert, rank,
                        random_matrix, vstack)
-from .reports import (cases, describe_case, every, run_inclusion_law,
+from .reports import (cases, describe_value, every, run_inclusion_law,
                       run_law)
 from .subspaces import (Subspace, TransversalityError, chart_minus,
                         chart_of, coord_subspace, enumerate_subspaces,
@@ -373,7 +373,7 @@ def closure_report(inv, a):
 
     return run_law("semitorsor-closure", "fixed-set-closure",
                    every(fixed_points(inv), "xyz"), holds,
-                   lambda c: describe_case(dict(c, result=result(c))),
+                   lambda c: describe_value(dict(c, result=result(c))),
                    notes=("a:%s" % format_matrix(a.basis),))
 
 

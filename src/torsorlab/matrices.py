@@ -48,9 +48,11 @@ Vector arithmetic outside `fields` and this module goes through `Matrix`, as
 1 x n matrices, so shapes are checked instead of cut short by `zip`; only the
 brute-force reference `gamma.gamma_oracle_enum` adds scalar tuples itself.
 
-A `Matrix` is a frozen, slotted value.  Its hash is computed once, on first
-use, and kept in the `_hash` slot; it equals the hash a frozen dataclass
-would generate, so set and dict orders do not depend on the cache.
+A `Matrix` is a frozen, slotted value: its ring, its column count and its
+entries.  `nrows` is `len(entries)`; `ncols` is stored, since a 0 x n matrix
+has no row to measure.  Its hash is computed once, on first use, and kept in
+the `_hash` slot; it equals the hash a frozen dataclass would generate, so
+set and dict orders do not depend on the cache.
 """
 
 from __future__ import annotations
@@ -76,22 +78,23 @@ class ShapeError(ValueError):
 @dataclass(frozen=True, slots=True)
 class Matrix:
     ring: object
-    nrows: int
     ncols: int
-    entries: tuple  # row-major tuple of row tuples
+    entries: tuple  # row-major tuple of row tuples; nrows is its length
     _hash: int = dataclasses.field(default=None, init=False, repr=False,
                                    compare=False)
 
     def __post_init__(self):
-        if (len(self.entries) != self.nrows
-                or not set(map(len, self.entries)) <= {self.ncols}):
-            raise ShapeError("entries do not form a %dx%d matrix"
-                             % (self.nrows, self.ncols))
+        if not set(map(len, self.entries)) <= {self.ncols}:
+            raise ShapeError("rows of entries are not %d wide" % self.ncols)
+
+    @property
+    def nrows(self):
+        return len(self.entries)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.ring, self.nrows, self.ncols, self.entries))
+            h = hash((self.ring, self.ncols, self.entries))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -101,45 +104,45 @@ class Matrix:
     def build(ring, rows):
         rows = [tuple(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
-        return Matrix(ring, len(rows), ncols, tuple(rows))
+        return Matrix(ring, ncols, tuple(rows))
 
     @staticmethod
     def from_rows(ring, rows, ncols):
         """Like build(), but keeps ncols explicit so zero-row matrices work."""
         rows = tuple(tuple(r) for r in rows)
-        return Matrix(ring, len(rows), ncols, rows)
+        return Matrix(ring, ncols, rows)
 
     @staticmethod
     def identity(ring, n):
         z, o = ring.zero, ring.one
-        return Matrix(ring, n, n,
+        return Matrix(ring, n,
                       tuple(tuple(o if i == j else z for j in range(n))
                             for i in range(n)))
 
     @staticmethod
     def zeros(ring, nrows, ncols):
         z = ring.zero
-        return Matrix(ring, nrows, ncols, ((z,) * ncols,) * nrows)
+        return Matrix(ring, ncols, ((z,) * ncols,) * nrows)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         self._match(other)
         R = self.ring
-        return Matrix(R, self.nrows, self.ncols,
+        return Matrix(R, self.ncols,
                       tuple(tuple(R.add(a, b) for a, b in zip(ra, rb))
                             for ra, rb in zip(self.entries, other.entries)))
 
     def __sub__(self, other):
         self._match(other)
         R = self.ring
-        return Matrix(R, self.nrows, self.ncols,
+        return Matrix(R, self.ncols,
                       tuple(tuple(R.sub(a, b) for a, b in zip(ra, rb))
                             for ra, rb in zip(self.entries, other.entries)))
 
     def __neg__(self):
         R = self.ring
-        return Matrix(R, self.nrows, self.ncols,
+        return Matrix(R, self.ncols,
                       tuple(tuple(R.neg(a) for a in row) for row in self.entries))
 
     def __mul__(self, other):
@@ -150,24 +153,24 @@ class Matrix:
                              % (self.nrows, self.ncols, other.nrows,
                                 other.ncols))
         cols = list(zip(*other.entries)) if other.entries else [()] * other.ncols
-        return Matrix(self.ring, self.nrows, other.ncols,
+        return Matrix(self.ring, other.ncols,
                       _product(self.ring, self.entries, cols))
 
     def scale(self, s):
         R = self.ring
-        return Matrix(R, self.nrows, self.ncols,
+        return Matrix(R, self.ncols,
                       tuple(tuple(R.mul(s, a) for a in row) for row in self.entries))
 
     def transpose(self):
         if not self.entries:
-            return Matrix(self.ring, self.ncols, 0, ((),) * self.ncols)
-        return Matrix(self.ring, self.ncols, self.nrows, tuple(zip(*self.entries)))
+            return Matrix(self.ring, 0, ((),) * self.ncols)
+        return Matrix(self.ring, self.nrows, tuple(zip(*self.entries)))
 
     def conj(self):
         R = self.ring
         if getattr(R, "involution", None) == "identity":
             return self
-        return Matrix(R, self.nrows, self.ncols,
+        return Matrix(R, self.ncols,
                       tuple(tuple(R.conj(a) for a in row) for row in self.entries))
 
     def conj_t(self):
@@ -176,7 +179,7 @@ class Matrix:
     # -- pieces ------------------------------------------------------------
 
     def take_cols(self, j0, j1):
-        return Matrix(self.ring, self.nrows, j1 - j0,
+        return Matrix(self.ring, j1 - j0,
                       tuple(row[j0:j1] for row in self.entries))
 
     def is_zero(self):
@@ -269,7 +272,7 @@ def hstack(*mats):
         raise ShapeError("hstack needs equal row counts and one ring")
     rows = tuple(sum((m.entries[i] for m in mats), ())
                  for i in range(first.nrows))
-    return Matrix(first.ring, first.nrows, sum(m.ncols for m in mats), rows)
+    return Matrix(first.ring, sum(m.ncols for m in mats), rows)
 
 
 def vstack(*mats):
@@ -277,7 +280,7 @@ def vstack(*mats):
     if any(m.ncols != first.ncols or m.ring != first.ring for m in mats):
         raise ShapeError("vstack needs equal column counts and one ring")
     rows = sum((m.entries for m in mats), ())
-    return Matrix(first.ring, len(rows), first.ncols, rows)
+    return Matrix(first.ring, first.ncols, rows)
 
 
 def _eliminate(ring, rows, ncols):
@@ -428,10 +431,10 @@ def rref(m):
     """Reduced row echelon form with zero rows dropped; returns (Matrix, rank)."""
     if not m.ring.is_field:
         raise TypeError("rref is canonical over fields only")
-    rows = [list(r) for r in m.entries]
+    rows = list(m.entries)
     pivots = _eliminate(m.ring, rows, m.ncols)
     r = len(pivots)
-    return Matrix(m.ring, r, m.ncols, tuple(tuple(row) for row in rows[:r])), r
+    return Matrix(m.ring, m.ncols, tuple(tuple(row) for row in rows[:r])), r
 
 
 def eliminate_front(field, rows, k, ncols):
@@ -471,7 +474,7 @@ def kernel_basis(m):
     R = m.ring
     if not R.is_field:
         raise TypeError("kernel_basis over fields only")
-    rows = [list(r) for r in m.entries]
+    rows = list(m.entries)
     pivots = _eliminate(R, rows, m.ncols)
     kernel = []
     for j in range(m.ncols):
@@ -497,11 +500,11 @@ def mat_invert(m):
         return _invert_dual(m)
     n = m.nrows
     ident = Matrix.identity(m.ring, n)
-    rows = [list(a + b) for a, b in zip(m.entries, ident.entries)]
+    rows = [a + b for a, b in zip(m.entries, ident.entries)]
     pivots = _eliminate(m.ring, rows, 2 * n)
-    if pivots[:n] != list(range(n)) or len(pivots) < n:
+    if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is not invertible")
-    return Matrix(m.ring, n, n, tuple(tuple(row[n:]) for row in rows[:n]))
+    return Matrix(m.ring, n, tuple(tuple(row[n:]) for row in rows[:n]))
 
 
 def _invert_dual(m):
@@ -512,10 +515,10 @@ def _invert_dual(m):
         x, y = zip(*row)
         a.append(x)
         b.append(y)
-    ai = mat_invert(Matrix(base, n, n, tuple(a))).entries
+    ai = mat_invert(Matrix(base, n, tuple(a))).entries
     bai = _product(base, b, list(zip(*ai)))
     neg = base.neg
-    return Matrix(m.ring, n, n,
+    return Matrix(m.ring, n,
                   tuple(tuple(zip(r0, map(neg, r1))) for r0, r1
                         in zip(ai, _product(base, ai, list(zip(*bai))))))
 
@@ -524,8 +527,7 @@ def is_invertible(m):
     """Whether `mat_invert` would succeed: a unit pivot in every column."""
     if m.nrows != m.ncols:
         return False
-    rows = [list(r) for r in m.entries]
-    return _eliminate(m.ring, rows, m.ncols) == list(range(m.ncols))
+    return _eliminate(m.ring, list(m.entries), m.ncols) == list(range(m.ncols))
 
 
 def det(m):
@@ -581,7 +583,7 @@ def format_matrix(m):
 
 
 def random_matrix(ring, nrows, ncols, rng):
-    return Matrix(ring, nrows, ncols,
+    return Matrix(ring, ncols,
                   tuple(tuple(ring.sample(rng) for _ in range(ncols))
                         for _ in range(nrows)))
 
@@ -596,6 +598,6 @@ def all_matrices(ring, nrows, ncols):
     if len(els) ** (nrows * ncols) > ENUMERATION_LIMIT:
         raise FieldSyntaxError("matrix space too large to enumerate")
     for combo in product(els, repeat=nrows * ncols):
-        yield Matrix(ring, nrows, ncols,
+        yield Matrix(ring, ncols,
                      tuple(tuple(combo[i * ncols + j] for j in range(ncols))
                            for i in range(nrows)))

@@ -2,6 +2,8 @@
 
 Every law checker produces a Report: suite and law names, how many cases ran,
 how many failed, and the first counterexample (as plain JSON data) if any.
+`to_dict` is the dataclass fields plus `passed`, so a new field serializes
+with no second edit.
 `json_line` serializes sorted and minimal, for reports and every other JSON
 line the command line prints, so identical runs are byte-identical.
 A Report is frozen and built in one place, `run_law` (or `skipped_report`
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .matrices import Matrix, format_matrix
 from .relations import LinearRelation, relation_to_json
@@ -43,15 +45,7 @@ class Report:
         return self.failures == 0
 
     def to_dict(self):
-        return {
-            "suite": self.suite,
-            "law": self.law,
-            "cases": self.cases,
-            "failures": self.failures,
-            "first_counterexample": self.first_counterexample,
-            "notes": list(self.notes),
-            "passed": self.passed,
-        }
+        return dict(asdict(self), passed=self.passed)
 
     def to_json(self):
         return json_line(self.to_dict())
@@ -65,9 +59,9 @@ def json_line(data):
 def run_law(suite, law, cases, predicate, describe=None, notes=()):
     """Evaluate predicate over an iterable of cases and collect a Report.
 
-    describe renders the first failing case; by default describe_case.
+    describe renders the first failing case; by default describe_value.
     """
-    describe = describe or describe_case
+    describe = describe or describe_value
     count = failures = 0
     first = None
     for case in cases:
@@ -148,8 +142,3 @@ def every(pool, names):
     """Lazily, every assignment of values from one pool to the named slots."""
     return (dict(zip(names, values))
             for values in itertools.product(pool, repeat=len(names)))
-
-
-def describe_case(case):
-    """Plain-JSON rendering of a named-slot case."""
-    return {k: describe_value(v) for k, v in case.items()}

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from .fields import FieldSyntaxError
 from .matrices import (ENUMERATION_LIMIT, Matrix, ShapeError,
                        SingularMatrixError, eliminate_front, format_matrix,
-                       hstack, kernel_basis, mat_invert, pivot_cols, rank,
-                       rref, vstack)
+                       hstack, kernel_basis, mat_invert, pivot_cols,
+                       random_matrix, rank, rref, vstack)
 
 
 class TransversalityError(ValueError):
@@ -329,9 +329,7 @@ def _more_than_the_limit(q, n, dims):
 
 
 def random_subspace(field, ambient, rng):
-    k = rng.below(ambient + 1)
-    rows = [tuple(field.sample(rng) for _ in range(ambient)) for _ in range(k)]
-    return span_rows(field, ambient, rows)
+    return span(random_matrix(field, rng.below(ambient + 1), ambient, rng))
 
 
 def subspace_to_json(sub):

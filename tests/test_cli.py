@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 from torsorlab import cli
-from torsorlab.checks import SUITES
-from torsorlab.reports import Report
+from torsorlab.checks import SUITES, SuiteNotApplicable, run_suite
+from torsorlab.fields import PrimeField
+from torsorlab.reports import CheckConfig, Report
 from torsorlab.subspaces import gaussian_binomial
 
 
@@ -143,6 +144,18 @@ def test_check_inapplicable_suite_is_usage_error(capsys):
         "--ambient", "2", "--trials", "4")
     assert code == 2
     assert "hull-closure" in err
+
+
+def test_hull_closure_refuses_a_large_matrix_space(capsys):
+    """11^4 2x2 matrices over F11 exceed the budget: the suite refuses before
+    enumerating, and the command line reports the refusal with exit code 2."""
+    with pytest.raises(SuiteNotApplicable, match="matrix enumeration too large"):
+        run_suite("hull-closure", PrimeField(11), 4, CheckConfig())
+    code, out, err = run_cli(
+        capsys, "check", "--suite", "hull-closure", "--field", "f11",
+        "--ambient", "4")
+    assert code == 2 and not out
+    assert "suite hull-closure: matrix enumeration too large here" in err
 
 
 def test_check_requires_ambient(capsys):

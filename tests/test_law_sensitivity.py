@@ -51,7 +51,7 @@ def test_nilpotent_entries_see_a_dual_inverse_with_the_wrong_sign(
     def eps_negated(m):
         inv = real(m)
         neg = m.ring.base.neg
-        return Matrix(inv.ring, inv.nrows, inv.ncols,
+        return Matrix(inv.ring, inv.ncols,
                       tuple(tuple((x, neg(y)) for x, y in row)
                             for row in inv.entries))
 

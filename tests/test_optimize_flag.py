@@ -32,8 +32,7 @@ probes = {
     "compose": lambda: compose(r3, r2),
     "apply_rel": lambda: apply_rel(r2, k3),
     "odd_relation": lambda: LinearRelation(k3),
-    "ragged_matrix": lambda: Matrix(f3, 2, 2, ((0, 1), (1,))),
-    "short_matrix": lambda: Matrix(f3, 2, 2, ((0, 1),)),
+    "ragged_matrix": lambda: Matrix(f3, 2, ((0, 1), (1,))),
     "tau_ambient": lambda: tau(k3),
     "tau_ring": lambda: tau(k2_f5),
 }
@@ -66,7 +65,7 @@ def test_shape_mismatches_raise_under_optimize():
     assert proc.stdout.splitlines() == [
         "join ShapeError", "meet ShapeError", "compose ShapeError",
         "apply_rel ShapeError", "odd_relation ShapeError",
-        "ragged_matrix ShapeError", "short_matrix ShapeError",
+        "ragged_matrix ShapeError",
         "tau_ambient ShapeError", "tau_ring ShapeError"] + [
         "gamma_%s_%d ShapeError" % (kind, slot)
         for slot in range(1, 5) for kind in ("ambient", "ring")]
