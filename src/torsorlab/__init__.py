@@ -25,10 +25,11 @@ from .matrices import (Matrix, ShapeError, all_matrices, det, format_matrix,
 from .subspaces import (Form, Subspace, all_subspaces, chart_of, complement,
                         contains, coord_subspace, diag_form,
                         enumerate_subspaces, full_subspace, gaussian_binomial,
-                        graph_minus, graph_of, image_under, is_isotropic,
-                        is_transversal, join, make_form, meet, orthocomplement,
-                        random_subspace, span, span_rows, split_form,
-                        standard_forms, subspace_to_json, symplectic_form)
+                        graph_minus, graph_of, hyperbolic_form, image_under,
+                        is_isotropic, is_transversal, join, meet,
+                        orthocomplement, random_subspace, span, span_rows,
+                        split_form, standard_forms, subspace_to_json,
+                        symplectic_form)
 from .relations import (LinearRelation, adjoint, apply_rel, compose,
                         difference, gen_projection, inverse_rel, one_minus,
                         one_plus, random_relation, relation_to_json)

@@ -37,7 +37,7 @@ from .involutions import (census_report, check_antihom_global,
                           closure_report, dual_involution, fixed_points,
                           isotropic_census, ortho_involution)
 from .matrices import (Matrix, is_invertible, kernel_basis, mat_invert,
-                       random_matrix, rank, rref)
+                       random_invertible, random_matrix, rank, rref)
 from .relations import (adjoint, apply_rel, compose, gen_projection,
                         inverse_rel, one_minus, one_plus)
 from .reports import cases, run_inclusion_law, run_law, skipped_report
@@ -167,20 +167,12 @@ def _run_dual_nilpotency(field, ambient, config):
 # -- matlin ------------------------------------------------------------------
 
 
-def _random_invertible(field, n, rng):
-    for _ in range(64):
-        t = random_matrix(field, n, n, rng)
-        if is_invertible(t):
-            return t
-    return Matrix.identity(field, n)
-
-
 def _run_rref_canonical(field, ambient, config):
     def draw(rng):
         p = rng.below(3) + 1
         q = rng.below(3) + 1
         m = random_matrix(field, p, q, rng)
-        return dict(m=m, t=_random_invertible(field, p, rng))
+        return dict(m=m, t=random_invertible(field, p, rng))
 
     def holds(c):
         m, t = c["m"], c["t"]

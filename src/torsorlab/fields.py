@@ -355,9 +355,7 @@ class QuadraticExt(FieldBase):
         # (a + bt)^-1 = (a - bt)/(a^2 - d b^2); norm is 0 only at 0
         n = (a[0] * a[0] - self.d * a[1] * a[1]) % self.p
         if n == 0:
-            if a == (0, 0):
-                raise ZeroDivisionError("inverse of 0")
-            raise AssertionError("norm vanished on nonzero element")
+            raise ZeroDivisionError("inverse of 0")
         ninv = pow(n, self.p - 2, self.p)
         return ((a[0] * ninv) % self.p, (-a[1] * ninv) % self.p)
 

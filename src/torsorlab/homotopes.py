@@ -11,12 +11,14 @@ pentary product on subspaces.
 
 Everything that tells the classical families gl, o, sp and u apart is one
 row of the table FAMILIES: the star map (transpose, or conjugate transpose
-for u), a sign (-1 for sp), the adjective a parameter must satisfy, the
-canonical parameter of the hull sweep and the form of the bridge (split for
-o, symplectic for sp).  A family is a Homotope that carries the name of its
-row, gl when none is given.  A family member x satisfies
-star(x) + sign x = star(x) a x, its parameter star(a) = sign a, and
-r + sign star(r) symmetrizes any square r into a parameter.
+for u), a sign (-1 for sp), the adjective a parameter must satisfy and the
+canonical parameter of the hull sweep.  A row's bridge form is the
+hyperbolic form of its sign, [[0, I], [sign I, 0]] (split for o, symplectic
+for sp); the rows that bridge are those whose star is the plain transpose.
+A family is a Homotope that carries the name of its row, gl when none is
+given.  A family member x satisfies star(x) + sign x = star(x) a x, its
+parameter star(a) = sign a, and r + sign star(r) symmetrizes any square r
+into a parameter.
 
 The laws sample fixed shapes: the bracket laws and associativity 2 x 2
 matrices, the two-route bracket one of five shapes up to 3 x 3, the member
@@ -37,7 +39,7 @@ from .matrices import (Matrix, all_matrices, format_matrix, is_invertible,
                        mat_invert, random_matrix)
 from .reports import cases, every, run_law
 from .subspaces import (chart_of, diag_form, graph_minus, graph_of,
-                        image_under, split_form, symplectic_form)
+                        hyperbolic_form, image_under, symplectic_form)
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,6 @@ class FamilyKind:
     sign: int = 1
     adjective: str = ""
     canonical: object = Matrix.identity
-    bridge_form: object = None
 
     def signed(self, m):
         return m if self.sign > 0 else -m
@@ -187,15 +188,13 @@ class FamilyKind:
 
 FAMILIES = {
     "gl": FamilyKind("general linear"),
-    "o": FamilyKind("orthogonal", Matrix.transpose, 1, "a symmetric",
-                    bridge_form=split_form),
+    "o": FamilyKind("orthogonal", Matrix.transpose, 1, "a symmetric"),
     "sp": FamilyKind("symplectic", Matrix.transpose, -1, "an antisymmetric",
-                     lambda field, n: Matrix.zeros(field, n, n),
-                     symplectic_form),
+                     lambda field, n: Matrix.zeros(field, n, n)),
     "u": FamilyKind("unitary", Matrix.conj_t, 1, "a hermitian"),
 }
 BRIDGE_FAMILIES = tuple(name for name, kind in FAMILIES.items()
-                        if kind.bridge_form)
+                        if kind.star is Matrix.transpose)
 
 
 def classical_family(name, param):
@@ -465,7 +464,8 @@ def _bridge_setup(name, a_param):
         raise ValueError("the %s bridge needs %s parameter"
                          % (name, kind.adjective))
     field, n = a_param.ring, a_param.nrows
-    inv = ortho_involution(kind.bridge_form(field, n))
+    inv = ortho_involution(hyperbolic_form(Matrix.identity(field, n),
+                                           kind.sign))
     bt = standard_triple(field, n)
     a_sub = graph_minus(a_param)
     return n, bt, inv, a_sub, inv(a_sub)

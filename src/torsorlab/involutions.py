@@ -35,14 +35,14 @@ from functools import cache, lru_cache
 
 from .gamma import (common_complements, dilations, gamma_global, gamma_oracle,
                     m_operator, subspace_cases, transversal_cases)
-from .matrices import (Matrix, det, format_matrix, hstack, mat_invert, rank,
-                       random_matrix, vstack)
+from .matrices import (Matrix, det, format_matrix, hstack, mat_invert,
+                       random_invertible, rank, vstack)
 from .reports import (cases, describe_value, every, run_inclusion_law,
                       run_law)
 from .subspaces import (Subspace, TransversalityError, chart_minus,
                         chart_of, coord_subspace, enumerate_subspaces,
                         graph_minus, image_under, is_isotropic, is_transversal,
-                        orthocomplement, random_subspace)
+                        orthocomplement)
 
 
 class InvolutionError(ValueError):
@@ -428,9 +428,10 @@ def check_opposite_torsor(inv, a, law="opposite-torsor"):
 def form_invariants(a, form):
     """(rank of the restricted form, square class of its determinant).
 
-    The determinant class is only returned for symmetric bilinear forms over
-    prime fields, the finite fields with the identity involution; it is 0 for
-    a singular restriction and None for any other form.
+    The determinant class is only returned for symmetric bilinear forms (the
+    symplectic gram over F2 is one) over prime fields, the finite fields with
+    the identity involution; it is 0 for a singular restriction and None for
+    any other form.
     """
     field = form.field
     restricted = a.basis.conj() * form.gram * a.basis.transpose()
@@ -462,13 +463,10 @@ def random_isometry(form, rng):
     t_inv = field.inv(t)
     alternating = field.is_zero(g[0][0]) and field.is_zero(g[1][1])
     if form.kind == "skew" or (field.char == 2 and alternating):
-        while True:
-            m = random_matrix(field, 2, 2, rng)
-            d = det(m)
-            if not field.is_zero(d):
-                di = field.inv(d)
-                top = tuple(field.mul(di, e) for e in m.entries[0])
-                return Matrix.build(field, [top, m.entries[1]])
+        m = random_invertible(field, 2, rng)
+        di = field.inv(det(m))
+        top = tuple(field.mul(di, e) for e in m.entries[0])
+        return Matrix.build(field, [top, m.entries[1]])
     if alternating and g[0][1] == one:
         if rng.below(2) == 0:
             return Matrix.build(field, [[t, zero], [zero, t_inv]])
@@ -489,15 +487,19 @@ def random_isometry(form, rng):
 def check_invariant_transport(form, config, law="isometry-transport"):
     """Isometries preserve the invariants and transport torsor tables.
 
-    The tables compared are chart tables (`cayley_table`); the fixed set is
-    enumerated once per run and both carriers are filtered from it.
+    The tables compared are chart tables (`cayley_table`).  `a` is drawn
+    uniformly from the middle layer, where the fixed points lie; that layer
+    and the fixed set are enumerated once per run, and both carriers are
+    filtered from the fixed set.
     """
     inv = ortho_involution(form)
     points = fixed_points(inv)
+    layer = tuple(enumerate_subspaces(form.field, form.ambient,
+                                      form.ambient // 2))
 
     def draw(rng):
         return dict(g=random_isometry(form, rng),
-                    a=random_subspace(form.field, form.ambient, rng))
+                    a=layer[rng.below(len(layer))])
 
     def holds(c):
         a, g = c["a"], c["g"]

@@ -537,7 +537,7 @@ def det(m):
         raise TypeError("det by elimination over fields only")
     _check_square(m)
     n = m.nrows
-    rows = [list(r) for r in m.entries]
+    rows = list(m.entries)
     result = R.one
     for c in range(n):
         pv = None
@@ -586,6 +586,14 @@ def random_matrix(ring, nrows, ncols, rng):
     return Matrix(ring, ncols,
                   tuple(tuple(ring.sample(rng) for _ in range(ncols))
                         for _ in range(nrows)))
+
+
+def random_invertible(ring, n, rng):
+    """An n x n `random_matrix`, redrawn until it is invertible."""
+    while True:
+        t = random_matrix(ring, n, n, rng)
+        if is_invertible(t):
+            return t
 
 
 # How many matrices `all_matrices`, or subspaces `enumerate_subspaces`, may list.

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .matrices import Matrix, ShapeError, eliminate_front, hstack, vstack
-from .subspaces import (Subspace, _check_same_space, make_form,
+from .matrices import ShapeError, eliminate_front
+from .subspaces import (Subspace, _check_same_space, hyperbolic_form,
                         orthocomplement, random_subspace, span_rows,
                         subspace_to_json)
 
@@ -113,12 +113,8 @@ def one_minus(f):
 
 @lru_cache(maxsize=None)
 def _pairing_form(form):
-    """Gram of Omega((u,v),(u',v')) = beta(u, v') - beta(v, u') on K^{2n}."""
-    b = form.gram
-    z = Matrix.zeros(form.field, form.ambient, form.ambient)
-    gram = vstack(hstack(z, b), hstack(-b, z))
-    kind = "hermitian" if form.kind == "skew" else "skew"
-    return make_form(gram, kind)
+    """Omega((u,v),(u',v')) = beta(u, v') - beta(v, u') on K^{2n}."""
+    return hyperbolic_form(form.gram, -1)
 
 
 def adjoint(f, form):

@@ -14,6 +14,11 @@ The limit is 10^6, so all of F2^8 or F3^6 passes and F5^6 does not.
 A Subspace is a frozen, slotted value whose hash is computed once, on first
 use, and kept in its `_hash` slot.  The value is the one a frozen dataclass
 would generate, so set and dict orders do not depend on the cache.
+
+A Form is its gram: building one refuses a gram that is neither hermitian
+nor skew, or is singular, and its kind is read off the gram.  The split and
+symplectic forms and the pairing of `relations.adjoint` are one
+construction, the hyperbolic form [[0, B], [sign B, 0]].
 """
 
 from __future__ import annotations
@@ -167,11 +172,21 @@ class Form:
     """
 
     gram: Matrix
-    kind: str  # "hermitian" | "skew"
 
     def __post_init__(self):
-        if self.kind not in ("hermitian", "skew"):
-            raise ValueError("kind must be hermitian or skew")
+        ct = self.gram.conj_t()
+        if ct != self.gram and ct != -self.gram:
+            raise ValueError("gram matrix is neither hermitian nor skew")
+        try:
+            mat_invert(self.gram)
+        except SingularMatrixError:
+            raise SingularMatrixError("degenerate gram matrix") from None
+
+    @property
+    def kind(self):
+        """hermitian when gram* = gram, as every valid gram is in
+        characteristic 2, else skew."""
+        return "hermitian" if self.gram.conj_t() == self.gram else "skew"
 
     @property
     def field(self):
@@ -182,42 +197,27 @@ class Form:
         return self.gram.nrows
 
 
-def make_form(gram, kind):
-    """Validated form constructor: (skew-)hermitian and nondegenerate;
-    `Form` refuses any other kind."""
-    ct = gram.conj_t()
-    if kind == "hermitian":
-        if ct != gram:
-            raise ValueError("gram matrix is not hermitian")
-    elif kind == "skew":
-        if ct != -gram:
-            raise ValueError("gram matrix is not skew")
-    try:
-        mat_invert(gram)
-    except SingularMatrixError:
-        raise SingularMatrixError("degenerate gram matrix") from None
-    return Form(gram, kind)
+def hyperbolic_form(b, sign):
+    """[[0, B], [sign B, 0]] on K^{2n} for an n x n B and sign +1 or -1."""
+    z = Matrix.zeros(b.ring, b.nrows, b.nrows)
+    return Form(vstack(hstack(z, b), hstack(b if sign > 0 else -b, z)))
 
 
 def symplectic_form(field, n):
     """[[0, I], [-I, 0]] on K^{2n}."""
-    i = Matrix.identity(field, n)
-    z = Matrix.zeros(field, n, n)
-    return make_form(vstack(hstack(z, i), hstack(-i, z)), "skew")
+    return hyperbolic_form(Matrix.identity(field, n), -1)
 
 
 def split_form(field, n):
     """[[0, I], [I, 0]] on K^{2n}."""
-    i = Matrix.identity(field, n)
-    z = Matrix.zeros(field, n, n)
-    return make_form(vstack(hstack(z, i), hstack(i, z)), "hermitian")
+    return hyperbolic_form(Matrix.identity(field, n), 1)
 
 
 def diag_form(field, n):
     """diag(I, -I) on K^{2n}."""
     i = Matrix.identity(field, n)
     z = Matrix.zeros(field, n, n)
-    return make_form(vstack(hstack(i, z), hstack(z, -i)), "hermitian")
+    return Form(vstack(hstack(i, z), hstack(z, -i)))
 
 
 FORMS = {"symplectic": symplectic_form, "split": split_form,

@@ -158,6 +158,21 @@ def test_hull_closure_refuses_a_large_matrix_space(capsys):
     assert "suite hull-closure: matrix enumeration too large here" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("check", "--suite", "field-axioms", "--ambient", "2"),
+     "a field is required (try --field f5 or rat)"),
+    (("check", "--field", "f3", "--ambient", "2"),
+     "check needs --suite <name> or --list"),
+    (("gtable", "--form", "symplectic", "--n", "1", "--field", "f3",
+      "--a", "1,0;0,1"),
+     "the torsor carrier at this parameter is empty")],
+    ids=["no-field", "no-suite", "empty-carrier"])
+def test_refusals_print_their_message(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out
+    assert err == "torsorlab: %s\n" % message
+
+
 def test_check_requires_ambient(capsys):
     code, _, err = run_cli(capsys, "check", "--suite", "global-laws", "--field", "f2")
     assert code == 2
@@ -289,11 +304,10 @@ def test_gtable_json_has_unit_row(capsys):
     assert len(obj["elements"]) == len(table)
 
 
-@pytest.mark.parametrize("workload",
-                         ["f3-sampled", "rat-sampled", "torsor-table"])
-def test_gtable_bytes_match_the_benchmark_record(workload, capsys):
-    """A benchmark workload's stdout, against its recorded digest (the
-    f2-exhaustive record is `test_exhaustive_flagship_run`'s golden)."""
+@pytest.mark.parametrize("workload", ["f2-exhaustive", "f3-sampled",
+                                      "rat-sampled", "torsor-table"])
+def test_workload_stdout_matches_the_benchmark_record(workload, capsys):
+    """A benchmark workload's stdout, against its recorded digest."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
     record = json.loads(path.read_text(encoding="utf-8"))[workload]
     code, out, err = run_cli(capsys, *record["argv"])

@@ -4,6 +4,7 @@ import pytest
 
 from torsorlab.fields import PrimeField, QuadraticExt, Rationals
 from torsorlab.homotopes import (
+    BRIDGE_FAMILIES,
     Homotope,
     check_associativity,
     check_bracket_agreement,
@@ -282,6 +283,16 @@ def test_family_table_bridge_small():
     f3 = PrimeField(3)
     r = family_table_bridge("sp", mat(f3, [[0, 1], [-1, 0]]))
     assert r.failures == 0, r.first_counterexample
+
+
+def test_bridge_families_are_the_plain_transpose_rows():
+    """o and sp bridge, each through the hyperbolic form of its sign; gl
+    has no star and u a conjugate one, so both are refused."""
+    assert BRIDGE_FAMILIES == ("o", "sp")
+    f3 = PrimeField(3)
+    for name in ("gl", "u"):
+        with pytest.raises(ValueError, match="bridge families are o and sp"):
+            family_table_bridge(name, Matrix.identity(f3, 1))
 
 
 def test_unitary_transport_bridge_small():

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from torsorlab import checks, gamma, involutions, subspaces
-from torsorlab.checks import _random_invertible, run_suite
+from torsorlab.checks import run_suite
 from torsorlab.fields import PrimeField, QuadraticExt, field_from_spec
 from torsorlab.gamma import gamma_global, gamma_oracle
 from torsorlab.involutions import (
@@ -38,7 +38,7 @@ from torsorlab.involutions import (
     unitary_group,
 )
 from torsorlab.matrices import (Matrix, all_matrices, hstack, mat_invert,
-                                random_matrix, vstack)
+                                random_invertible, random_matrix, vstack)
 from torsorlab.reports import CheckConfig
 from torsorlab.rng import trial_rng
 from torsorlab.subspaces import (
@@ -51,7 +51,6 @@ from torsorlab.subspaces import (
     image_under,
     is_isotropic,
     is_transversal,
-    make_form,
     orthocomplement,
     random_subspace,
     span_rows,
@@ -99,9 +98,11 @@ def test_degenerate_form_breaks_order_two():
 
 def test_strict_construction_rejects_degenerate_form():
     f3 = PrimeField(3)
-    degenerate = Form(mat(f3, [[1, 0], [0, 0]]), "hermitian")
+    degenerate = mat(f3, [[1, 0], [0, 0]])
+    with pytest.raises(ArithmeticError, match="degenerate gram matrix"):
+        Form(degenerate)
     with pytest.raises((InvolutionError, ArithmeticError)):
-        ortho_involution(degenerate)
+        involution(degenerate)
 
 
 def order_two_by_brute_force(inv):
@@ -123,12 +124,12 @@ def criterion_involutions():
         field = field_from_spec(spec)
         bt = standard_triple(field, n)
         grams = [f.gram for f in standard_forms(field, n).values()]
-        grams += [_random_invertible(field, 2 * n, trial_rng(k, i))
+        grams += [random_invertible(field, 2 * n, trial_rng(k, i))
                   for i in range(2)]
         if spec == "fp2:3":
             grams.append(split_form(field, n).gram.scale(field.parse("1+t")))
         posts = [None, minus_one_op(bt), block_swap(field, n)]
-        posts += [_random_invertible(field, 2 * n, trial_rng(k, 10 + i))
+        posts += [random_invertible(field, 2 * n, trial_rng(k, 10 + i))
                   for i in range(2)]
         out += [Involution(g if post is None else g * mat_invert(post))
                 for g in grams for post in posts]
@@ -356,7 +357,7 @@ def test_fixed_points_are_isotropic_middle_layer():
 def test_fixed_points_empty_for_odd_ambient():
     f3 = PrimeField(3)
     gram = mat(f3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    inv = ortho_involution(make_form(gram, "hermitian"))
+    inv = ortho_involution(Form(gram))
     assert fixed_points(inv) == ()
 
 
@@ -629,3 +630,43 @@ def test_invariant_transport_report():
     for form in standard_forms(f3, 1).values():
         r = check_invariant_transport(form, CheckConfig(trials=60, seed=11))
         assert r.failures == 0, r.first_counterexample
+
+
+def record_carriers(monkeypatch):
+    """Wrap `_common_complements_in`: each call appends (a, carrier)."""
+    calls = []
+    common = involutions._common_complements_in
+
+    def recording(points, a, b):
+        carrier = common(points, a, b)
+        calls.append((a, carrier))
+        return carrier
+
+    monkeypatch.setattr(involutions, "_common_complements_in", recording)
+    return calls
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_invariant_transport_compares_tables_in_every_case(monkeypatch, p):
+    """`a` comes from the middle layer, so no case has an empty carrier and
+    passes without comparing tables."""
+    calls = record_carriers(monkeypatch)
+    for form in standard_forms(PrimeField(p), 1).values():
+        r = check_invariant_transport(form, CheckConfig(trials=100))
+        assert r.failures == 0, r.first_counterexample
+    assert len(calls) == 2 * 3 * 100
+    assert all(carrier for _, carrier in calls)
+
+
+def test_invariant_transport_draws_each_line_uniformly(monkeypatch):
+    """2,000 draws of `a` over F3 reach each of the 4 lines, each within
+    25% of the mean count.  Every carrier is nonempty, so each case makes
+    two calls and the first names the drawn `a`."""
+    f3 = PrimeField(3)
+    calls = record_carriers(monkeypatch)
+    check_invariant_transport(symplectic_form(f3, 1), CheckConfig(trials=2000))
+    assert len(calls) == 2 * 2000
+    counts = Counter(a for a, _ in calls[::2])
+    assert set(counts) == set(enumerate_subspaces(f3, 2, 1))
+    mean = 2000 / len(counts)
+    assert all(abs(c - mean) <= 0.25 * mean for c in counts.values())

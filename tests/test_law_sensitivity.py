@@ -13,7 +13,7 @@ from torsorlab.fields import PrimeField, Rationals
 from torsorlab.involutions import Involution
 from torsorlab.matrices import Matrix
 from torsorlab.reports import CheckConfig
-from torsorlab.subspaces import make_form, orthocomplement
+from torsorlab.subspaces import Form, orthocomplement
 
 CFG = CheckConfig(trials=20)
 
@@ -65,7 +65,7 @@ def plant_identity_tau(monkeypatch):
 
     def identity_perp(inv, x):
         one = Matrix.identity(inv.field, inv.ambient)
-        return orthocomplement(x, make_form(one, "hermitian"))
+        return orthocomplement(x, Form(one))
 
     monkeypatch.setattr(Involution, "__call__", identity_perp)
 

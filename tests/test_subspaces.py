@@ -10,6 +10,7 @@ from torsorlab.matrices import (ENUMERATION_LIMIT, Matrix, ShapeError,
                                 SingularMatrixError, parse_matrix, random_matrix)
 from torsorlab.rng import trial_rng
 from torsorlab.subspaces import (
+    Form,
     Subspace,
     TransversalityError,
     all_subspaces,
@@ -24,11 +25,11 @@ from torsorlab.subspaces import (
     gaussian_binomial,
     graph_minus,
     graph_of,
+    hyperbolic_form,
     image_under,
     is_isotropic,
     is_transversal,
     join,
-    make_form,
     meet,
     orthocomplement,
     random_subspace,
@@ -259,6 +260,20 @@ def test_forms_evaluate_and_kinds():
     assert sym.gram == mat(f3, [[0, 1], [-1, 0]])
 
 
+def test_kind_is_read_off_the_gram():
+    """Split and symplectic are the hyperbolic forms of +1 and -1; over F2
+    their grams agree, and a gram equal to its transpose reads hermitian."""
+    for field in (PrimeField(2), PrimeField(3), QuadraticExt(3)):
+        one = Matrix.identity(field, 2)
+        assert hyperbolic_form(one, 1) == split_form(field, 2)
+        assert hyperbolic_form(one, -1) == symplectic_form(field, 2)
+    f2 = PrimeField(2)
+    assert symplectic_form(f2, 1) == split_form(f2, 1)
+    assert symplectic_form(f2, 1).kind == "hermitian"
+    assert hyperbolic_form(symplectic_form(PrimeField(3), 1).gram,
+                           -1).kind == "hermitian"
+
+
 def test_form_conjugates_first_argument():
     """The split form on F9^2 pairs u with v as conj(u) G v^T, so the line
     through (a, 1) is orthogonal to the line through (-conj(a), 1)."""
@@ -274,14 +289,10 @@ def test_form_conjugates_first_argument():
 def test_make_form_rejects_wrong_symmetry():
     f3 = PrimeField(3)
     bad = mat(f3, [[1, 1], [0, 1]])
-    with pytest.raises(ValueError):
-        make_form(bad, "hermitian")
-    with pytest.raises(ValueError):
-        make_form(bad, "skew")
+    with pytest.raises(ValueError, match="neither hermitian nor skew"):
+        Form(bad)
     with pytest.raises(SingularMatrixError):
-        make_form(mat(f3, [[1, 0], [0, 0]]), "hermitian")
-    with pytest.raises(ValueError, match="kind must be hermitian or skew"):
-        make_form(mat(f3, [[1, 0], [0, 1]]), "bogus")
+        Form(mat(f3, [[1, 0], [0, 0]]))
 
 
 def test_isotropy():
