@@ -20,7 +20,7 @@ forms or parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import partial
 
 from . import homotopes
 from .fields import DualRing
@@ -41,6 +41,7 @@ from .matrices import (Matrix, is_invertible, kernel_basis, mat_invert,
 from .relations import (adjoint, apply_rel, compose, gen_projection,
                         inverse_rel, one_minus, one_plus)
 from .reports import cases, run_inclusion_law, run_law, skipped_report
+from .rng import run_table
 from .subspaces import (complement, contains, coord_subspace, full_subspace,
                         graph_of, chart_of, is_transversal, join, meet,
                         random_subspace, split_form, standard_forms,
@@ -255,7 +256,7 @@ def _run_complement_transversal(field, ambient, config):
 def _run_ortho_lattice(field, ambient, config):
     reports = []
     for name, form in _forms(field, ambient).items():
-        def holds(c, tau=cache(ortho_involution(form))):
+        def holds(c, tau=ortho_involution(form)):
             x, a = c["x"], c["a"]
             if tau(tau(x)) != x:
                 return False
@@ -730,17 +731,20 @@ def list_suites():
 
 
 def run_suite(name, field, ambient, config):
-    """Run one named suite; KeyError on unknown names."""
+    """Run one named suite in one check run; KeyError on unknown names."""
     suite = SUITES[name]
-    return suite.runner(field, ambient, config)
+    with run_table():
+        return suite.runner(field, ambient, config)
 
 
 def run_all(field, ambient, config):
-    """Run every suite, turning inapplicable ones into explicit skips."""
+    """Run every suite in one check run, whose draws and tau images all
+    suites share, turning inapplicable ones into explicit skips."""
     reports = []
-    for name, suite in SUITES.items():
-        try:
-            reports.extend(suite.runner(field, ambient, config))
-        except SuiteNotApplicable as exc:
-            reports.append(skipped_report(name, exc))
+    with run_table():
+        for name, suite in SUITES.items():
+            try:
+                reports.extend(suite.runner(field, ambient, config))
+            except SuiteNotApplicable as exc:
+                reports.append(skipped_report(name, exc))
     return reports

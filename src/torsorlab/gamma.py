@@ -39,6 +39,7 @@ from .matrices import (Matrix, all_matrices, eliminate_front, mat_invert,
 from .relations import (LinearRelation, apply_rel, compose, difference,
                         gen_projection, one_minus, random_relation)
 from .reports import cases, every, run_law
+from .rng import shared_draw
 from .subspaces import (Subspace, TransversalityError, _check_same_space,
                         all_subspaces, complement, image_under, is_transversal,
                         join, meet, random_subspace, span, span_rows, vectors)
@@ -165,10 +166,12 @@ def _chart_point(c, m, a):
 # -- cases -------------------------------------------------------------------
 
 
+@shared_draw
 def transversal_tuple(field, ambient, rng):
     """Deterministically sample (x, a, y, b, z) with x,y,z in U_{ab}: a and
     b random subspaces, b redrawn until dim b = dim a, then three
-    `_common_complement` draws."""
+    `_common_complement` draws.  Within a check run, drawn once per
+    generator state."""
     for _ in range(200):
         a = random_subspace(field, ambient, rng)
         b = random_subspace(field, ambient, rng)

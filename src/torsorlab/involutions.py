@@ -8,8 +8,9 @@ An invertible operator d composed after tau gives the orthocomplement for
 K d^-1, so this class of maps is closed under the dual involution, which
 composes with the operator that is the identity on o+ and minus the identity
 on o- (an automorphism of the product).  Every law applies tau by
-calling its Involution; a law that applies it to many subspaces tabulates
-it with `functools.cache(inv)`, a table local to that law's run.
+calling its Involution.  Within a check run each image is computed once per
+(subspace, gram), in the run's table (`rng.run_shared`), whichever laws
+apply it; outside a run nothing is kept.
 
 Fixed-point sets are the Lagrangian-type subvarieties.  The torsors
 G(inv, a), each a sorted tuple of subspaces, and the unitary groups
@@ -31,8 +32,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache
+from functools import lru_cache
 
+from .fields import PrimeField
 from .gamma import (common_complements, dilations, gamma_global, gamma_oracle,
                     m_operator, subspace_cases, transversal_cases)
 from .matrices import (Matrix, det, format_matrix, hstack, mat_invert,
@@ -53,9 +55,9 @@ class InvolutionError(ValueError):
 class Involution:
     """x -> the orthocomplement of x for gram, the kernel of conj(x) . gram.
 
-    `involution` is the builder that checks order two.  Applying one is
-    unmemoized; a law that wants a table wraps it in `functools.cache`
-    for its own run, so no image outlives that run.
+    `involution` is the builder that checks order two.  Applying one goes
+    through `orthocomplement`, which a check run tabulates by gram, so no
+    image outlives that run.
     """
 
     gram: Matrix
@@ -259,20 +261,17 @@ def translation_op(a_chart):
 
 
 def check_order_two(inv, config, law="order-two"):
-    tau = cache(inv)
     return run_law("involution-antihom", law,
                    subspace_cases(config, inv.field, inv.ambient, "x"),
-                   lambda c: tau(tau(c["x"])) == c["x"],
+                   lambda c: inv(inv(c["x"])) == c["x"],
                    notes=("label:%s" % (inv.label or "anonymous"),))
 
 
 def check_transversality_preservation(inv, config,
                                       law="transversality-preservation"):
-    tau = cache(inv)
-
     def holds(c):
         return (is_transversal(c["x"], c["a"])
-                == is_transversal(tau(c["x"]), tau(c["a"])))
+                == is_transversal(inv(c["x"]), inv(c["a"])))
 
     return run_law("involution-antihom", law,
                    subspace_cases(config, inv.field, inv.ambient, "xa"),
@@ -281,11 +280,9 @@ def check_transversality_preservation(inv, config,
 
 def _reverses_gamma(inv):
     """tau Gamma(x,a,y,b,z) = Gamma(tx,tb,ty,ta,tz) = Gamma(tz,ta,ty,tb,tx)."""
-    tau = cache(inv)
-
     def holds(c):
-        lhs = tau(gamma_global(c["x"], c["a"], c["y"], c["b"], c["z"]))
-        x, a, y, b, z = (tau(c[k]) for k in "xaybz")
+        lhs = inv(gamma_global(c["x"], c["a"], c["y"], c["b"], c["z"]))
+        x, a, y, b, z = (inv(c[k]) for k in "xaybz")
         return (lhs == gamma_global(x, b, y, a, z)
                 and lhs == gamma_global(z, a, y, b, x))
 
@@ -312,8 +309,7 @@ def check_duality_inclusion(form, config, law="duality-inclusion"):
     Equality candidates are not asserted here; strictness counts go into the
     notes so genuinely strict cases can be collected.  Sampled in every mode.
     """
-
-    perp = cache(ortho_involution(form))
+    perp = ortho_involution(form)
 
     def sides(c):
         x, a, y, b, z = c["x"], c["a"], c["y"], c["b"], c["z"]
@@ -337,12 +333,11 @@ def check_dilation_compat(inv, config, law="dilation-compatibility"):
     else:
         scalars = [field.zero, field.one, field.from_int(2), field.from_int(-3)]
     conj_scalars = [field.conj(s) for s in scalars]
-    tau = cache(inv)
 
     def holds(c):
         x, a, y = c["x"], c["a"], c["y"]
-        expect = dilations(conj_scalars, tau(x), tau(a), tau(y))
-        return all(tau(got) == want for got, want
+        expect = dilations(conj_scalars, inv(x), inv(a), inv(y))
+        return all(inv(got) == want for got, want
                    in zip(dilations(scalars, x, a, y), expect))
 
     sampled = replace(config, exhaustive=False)
@@ -358,18 +353,17 @@ def closure_report(inv, a):
     lookup in the enumerated fixed set is needed for the check itself.
     Every (x, a, y, tau a, z) of one sweep is distinct, so the kernel is
     called unmemoized: a memo would only hold memory.  The results w are
-    few, so tau(w) comes from a table local to the sweep, which applies tau
+    few, and tau(w) comes from the check run's table, which applies tau
     once per distinct result.
     """
     ta = inv(a)
-    tau = cache(inv)
 
     def result(c):
         return gamma_oracle(c["x"], a, c["y"], ta, c["z"])
 
     def holds(c):
         w = result(c)
-        return tau(w) == w
+        return inv(w) == w
 
     return run_law("semitorsor-closure", "fixed-set-closure",
                    every(fixed_points(inv), "xyz"), holds,
@@ -381,7 +375,6 @@ def check_torsor_g(inv, a, law="fixed-torsor-axioms"):
     """Torsor axioms on G(inv, a), plus commutativity when a is fixed."""
     carrier = torsor_G(inv, a)
     ta = inv(a)
-    tau = cache(inv)
 
     def product(x, y, z):
         return gamma_global(x, a, y, ta, z)
@@ -393,7 +386,7 @@ def check_torsor_g(inv, a, law="fixed-torsor-axioms"):
         if product(x, y, y) != x or product(y, y, x) != x:
             return False
         w = product(x, y, x)
-        return tau(w) == w and w in carrier
+        return inv(w) == w and w in carrier
 
     swept = every(carrier, "xy")
     if ta == a:
@@ -437,7 +430,7 @@ def form_invariants(a, form):
     restricted = a.basis.conj() * form.gram * a.basis.transpose()
     r = rank(restricted)
     disc = None
-    if form.kind == "hermitian" and field.involution == "identity":
+    if form.kind == "hermitian" and isinstance(field, PrimeField):
         d = det(restricted)
         disc = 0 if field.is_zero(d) else field.square_class(d)
     return r, disc

@@ -16,7 +16,9 @@ cases come from `cases`, the only code that chooses between enumerating and
 sampling: a law passes a draw function and, if it can enumerate, a function
 that yields every case.  An exhaustive run takes the enumeration, and any
 other run draws trial i from trial_rng(seed, i).  The cases the laws share
-(subspaces, relations and transversal tuples) come from `gamma`.
+(subspaces, relations and transversal tuples) come from `gamma`; since
+every law's trial i starts from one generator state, their draws are made
+once per check run and shared (`rng.shared_draw`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import asdict, dataclass, replace
 
 from .matrices import Matrix, format_matrix
 from .relations import LinearRelation, relation_to_json
-from .rng import trial_rng
+from .rng import run_table, trial_rng
 from .subspaces import Subspace, contains, subspace_to_json
 
 
@@ -60,16 +62,19 @@ def run_law(suite, law, cases, predicate, describe=None, notes=()):
     """Evaluate predicate over an iterable of cases and collect a Report.
 
     describe renders the first failing case; by default describe_value.
+    The law runs inside a check run's table (`rng.run_table`), its own
+    unless a suite or the whole check opened one around it.
     """
     describe = describe or describe_value
     count = failures = 0
     first = None
-    for case in cases:
-        count += 1
-        if not predicate(case):
-            failures += 1
-            if failures == 1:
-                first = describe(case)
+    with run_table():
+        for case in cases:
+            count += 1
+            if not predicate(case):
+                failures += 1
+                if failures == 1:
+                    first = describe(case)
     return Report(suite, law, count, failures, first, tuple(notes))
 
 

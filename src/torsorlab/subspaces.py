@@ -32,6 +32,7 @@ from .matrices import (ENUMERATION_LIMIT, Matrix, ShapeError,
                        SingularMatrixError, eliminate_front, format_matrix,
                        hstack, kernel_basis, mat_invert, pivot_cols,
                        random_matrix, rank, rref, vstack)
+from .rng import run_shared, shared_draw
 
 
 class TransversalityError(ValueError):
@@ -234,11 +235,19 @@ def orthocomplement(x, form):
 
     It has two callers: `Involution.__call__`, the one way a law applies
     tau, and `relations.adjoint`, whose pairing is a Form (`involutions`
-    imports `relations` through `gamma`, so no Involution is built there)."""
-    if x.ambient != form.ambient:
-        raise ShapeError("subspace of K^%d against a form on K^%d"
-                         % (x.ambient, form.ambient))
-    return Subspace(kernel_basis(x.basis.conj() * form.gram))
+    imports `relations` through `gamma`, so no Involution is built there).
+    Within a check run the kernel is taken once per (x, gram), for every
+    form and involution with that gram (`rng.run_shared`); a repeat skips
+    the shape check as well, which the first call passed."""
+    gram = form.gram
+
+    def perp():
+        if x.ambient != form.ambient:
+            raise ShapeError("subspace of K^%d against a form on K^%d"
+                             % (x.ambient, form.ambient))
+        return Subspace(kernel_basis(x.basis.conj() * gram))
+
+    return run_shared((x, gram), perp)
 
 
 def is_isotropic(x, form):
@@ -328,7 +337,10 @@ def _more_than_the_limit(q, n, dims):
     return False
 
 
+@shared_draw
 def random_subspace(field, ambient, rng):
+    """A subspace of K^ambient: a uniform dimension, then the span of that
+    many random rows.  Within a check run, drawn once per generator state."""
     return span(random_matrix(field, rng.below(ambient + 1), ambient, rng))
 
 

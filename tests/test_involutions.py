@@ -7,7 +7,8 @@ import pytest
 
 from torsorlab import checks, gamma, involutions, subspaces
 from torsorlab.checks import run_suite
-from torsorlab.fields import PrimeField, QuadraticExt, field_from_spec
+from torsorlab.fields import (PrimeField, QuadraticExt, Rationals,
+                              field_from_spec)
 from torsorlab.gamma import gamma_global, gamma_oracle
 from torsorlab.involutions import (
     Involution,
@@ -275,39 +276,52 @@ def test_involution_law_suites_exhaustive_f2():
 
 
 def count_tau_kernels(monkeypatch):
-    """Count tau's applications, by (subspace, involution), at one call each.
+    """Count tau's kernel computations, by (subspace, gram).
 
     `Involution.__call__` is the module's one caller of `orthocomplement`,
-    and makes one call per application with the subspace and the
-    involution itself.  Involutions are told apart by identity: over F2 the
-    symplectic and split forms share a gram.
+    which takes the kernel (`kernel_basis`) only when the check run's table
+    does not hold the image yet, and outside a run every time.  Each kernel
+    taken while tau is applied counts against that (subspace, gram).
     """
     seen = Counter()
-    orig = involutions.orthocomplement
+    applying = []
+    orig_perp = involutions.orthocomplement
+    orig_kernel = subspaces.kernel_basis
 
-    def counted(x, inv):
-        seen[x, id(inv)] += 1
-        return orig(x, inv)
+    def perp(x, inv):
+        applying.append((x, inv.gram))
+        try:
+            return orig_perp(x, inv)
+        finally:
+            applying.pop()
 
-    monkeypatch.setattr(involutions, "orthocomplement", counted)
+    def kernel(m):
+        seen[applying[-1]] += 1
+        return orig_kernel(m)
+
+    monkeypatch.setattr(involutions, "orthocomplement", perp)
+    monkeypatch.setattr(subspaces, "kernel_basis", kernel)
     return seen
 
 
 def test_antihom_law_applies_tau_once_per_subspace(monkeypatch):
+    """Each law is one run: its involution reaches the kernel, at most once
+    per subspace."""
     f2 = PrimeField(2)
     invs = all_standard_involutions(f2, 1)
     seen = count_tau_kernels(monkeypatch)
     for inv in invs:
+        seen.clear()
         r = check_antihom_global(inv, CheckConfig(exhaustive=True))
         assert r.failures == 0 and r.cases == 5 ** 5
-    assert len({inv for _, inv in seen}) == len(invs)
-    assert seen and max(seen.values()) == 1
+        assert {gram for _, gram in seen} == {inv.gram}
+        assert max(seen.values()) == 1
 
 
 def test_ortho_lattice_applies_tau_once_per_subspace(monkeypatch):
-    """One cached tau per form and run: every (subspace, involution) pair
-    reaches the kernel once.  The involutions are held here, so no two of
-    them can share an id."""
+    """One table for the suite's run: every (subspace, gram) pair reaches
+    the kernel once.  Over F2 the symplectic and split forms share a gram,
+    so every distinct gram reaches it, not every involution."""
     built = []
 
     def kept(form):
@@ -320,8 +334,10 @@ def test_ortho_lattice_applies_tau_once_per_subspace(monkeypatch):
                         CheckConfig(exhaustive=True))
     assert len(reports) == 3
     assert all(r.failures == 0 and r.cases == 5 ** 2 for r in reports)
-    assert {inv for _, inv in seen} == {id(inv) for inv in built}
-    assert len(built) == 3 and set(seen.values()) == {1}
+    grams = {inv.gram for inv in built}
+    assert len(built) == 3 and len(grams) == 2
+    assert {gram for _, gram in seen} == grams
+    assert set(seen.values()) == {1}
 
 
 def test_closure_report_applies_tau_once_per_result(monkeypatch):
@@ -339,7 +355,7 @@ def test_closure_report_applies_tau_once_per_result(monkeypatch):
     r = closure_report(inv, a)
     assert r.failures == 0 and r.cases == len(points) ** 3
     # beyond the fixed-point enumeration and tau(a): tau of each result once
-    per_result = seen - enumeration - Counter({(a, id(inv)): 1})
+    per_result = seen - enumeration - Counter({(a, inv.gram): 1})
     assert set(per_result.values()) == {1}
     assert sum(per_result.values()) == len(results)
 
@@ -599,6 +615,14 @@ def test_form_invariants_classify_orbits():
     x = span_rows(f3, 2, [[1, 0]])
     r, disc = form_invariants(x, form)
     assert r == 1 and disc is not None
+
+
+def test_form_invariants_over_q_give_no_determinant_class():
+    """Only prime fields carry a square class; Q has the identity
+    involution too, and gets None."""
+    q = Rationals()
+    assert form_invariants(span_rows(q, 2, [[1, 1]]), split_form(q, 1)) == (
+        1, None)
 
 
 def test_random_isometry_preserves_form():
