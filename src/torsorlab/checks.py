@@ -1,20 +1,21 @@
 """Named check suites: one runnable suite per library invariant.
 
-Each suite has a stable name, the module whose invariant it validates, a
-one-line description, and a runner producing Report objects.  Runners take
-(field, ambient, config) so the command line can point any suite at any
-field and size; suites that need a finite field or an even ambient raise
-SuiteNotApplicable, which the all-suites driver turns into a skip note.
+Each suite is a registry row: a stable name, the module whose invariant it
+validates, a one-line description, and a runner producing Report objects.
+Runners take (field, ambient, config) so the command line can point any
+suite at any field and size; suites that need a finite field or an even
+ambient raise SuiteNotApplicable, which the all-suites driver turns into a
+skip note.  A runner is written out only where a suite picks parameters or
+refuses input; a row whose suite only runs laws names them: `_laws` for laws
+taking (field, ambient, config), `_tau_laws` for (tau, config, law) checks
+run for each standard form's tau, each law name suffixed with the form's.
 
-Each law is defined once.  The laws of scalars, matrices, the Grassmannian
-and relations, and a few derived gamma identities, are defined here; the
-laws of the pentary product live in `gamma`, those of involutions and their
-torsors in `involutions`, and those of deformed matrix products in
-`homotopes`.  Every law takes its cases from `reports.cases`, most through
-`gamma`'s `subspace_cases`, `relation_cases` and `transversal_cases`.  A
-law names the suite that runs it with a constant in its own module, so the
-runners here pass only law names, and only where one checker serves several
-forms or parameters.
+Each law is defined once: those of scalars, matrices, the Grassmannian and
+relations here, those of the pentary product and its operators in `gamma`,
+of involutions and their torsors in `involutions`, and of deformed matrix
+products in `homotopes`.  Every law takes its cases from `reports.cases`,
+most through `gamma`'s `subspace_cases`, `relation_cases` and
+`transversal_cases`, and names its suite with a constant in its own module.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from functools import partial
 from . import homotopes
 from .fields import DualRing
 from .gamma import (check_agreement, check_commutativity_aa,
-                    check_idempotent_laws, check_klein,
-                    check_para_associativity, check_restricted_agreement,
-                    check_torsor_axioms, gamma_global, l_relation, m_operator,
-                    relation_cases, subspace_cases, transversal_cases)
+                    check_idempotent_laws, check_klein, check_l_inversion,
+                    check_m_symmetries, check_para_associativity,
+                    check_restricted_agreement, check_torsor_axioms,
+                    relation_cases, subspace_cases)
 from .involutions import (census_report, check_antihom_global,
                           check_antihom_restricted, check_dilation_compat,
                           check_duality_inclusion, check_invariant_transport,
@@ -44,8 +45,7 @@ from .reports import cases, run_inclusion_law, run_law, skipped_report
 from .rng import run_table
 from .subspaces import (complement, contains, coord_subspace, full_subspace,
                         graph_of, chart_of, is_transversal, join, meet,
-                        random_subspace, split_form, standard_forms,
-                        symplectic_form)
+                        random_subspace, standard_forms)
 
 
 class SuiteNotApplicable(Exception):
@@ -57,17 +57,18 @@ def _needs_finite(field):
         raise SuiteNotApplicable("needs a finite field")
 
 
-def _needs_even(ambient):
+def _forms(field, ambient):
     if ambient % 2 != 0 or ambient == 0:
         raise SuiteNotApplicable("needs a positive even ambient")
-
-
-def _forms(field, ambient):
-    _needs_even(ambient)
     return standard_forms(field, ambient // 2)
 
 
 # -- scalars -----------------------------------------------------------------
+
+
+def _describe_scalars(field):
+    """Render a case whose every slot holds a scalar of field."""
+    return lambda c: {k: field.format(v) for k, v in c.items()}
 
 
 def _run_field_axioms(field, ambient, config):
@@ -95,11 +96,8 @@ def _run_field_axioms(field, ambient, config):
                 return False
         return True
 
-    def show(c):
-        return {k: field.format(v) for k, v in c.items()}
-
     return [run_law("field-axioms", "field-axioms",
-                    cases(config, draw), holds, show)]
+                    cases(config, draw), holds, _describe_scalars(field))]
 
 
 def _run_conjugation(field, ambient, config):
@@ -115,11 +113,8 @@ def _run_conjugation(field, ambient, config):
             return False
         return F.conj(F.add(x, y)) == F.add(F.conj(x), F.conj(y))
 
-    def show(c):
-        return {k: field.format(v) for k, v in c.items()}
-
     return [run_law("conjugation-involutive", "conjugation-involutive",
-                    cases(config, draw), holds, show)]
+                    cases(config, draw), holds, _describe_scalars(field))]
 
 
 def _run_dual_nilpotency(field, ambient, config):
@@ -253,21 +248,17 @@ def _run_complement_transversal(field, ambient, config):
                     subspace_cases(config, field, ambient, "x"), holds)]
 
 
-def _run_ortho_lattice(field, ambient, config):
-    reports = []
-    for name, form in _forms(field, ambient).items():
-        def holds(c, tau=ortho_involution(form)):
-            x, a = c["x"], c["a"]
-            if tau(tau(x)) != x:
-                return False
-            if tau(meet(x, a)) != join(tau(x), tau(a)):
-                return False
-            return not contains(x, a) or contains(tau(a), tau(x))
+def check_ortho_lattice(tau, config, law):
+    def holds(c):
+        x, a = c["x"], c["a"]
+        if tau(tau(x)) != x:
+            return False
+        if tau(meet(x, a)) != join(tau(x), tau(a)):
+            return False
+        return not contains(x, a) or contains(tau(a), tau(x))
 
-        reports.append(run_law("ortho-lattice", "ortho-lattice-%s" % name,
-                               subspace_cases(config, field, ambient, "xa"),
-                               holds))
-    return reports
+    return run_law("ortho-lattice", law,
+                   subspace_cases(config, tau.field, tau.ambient, "xa"), holds)
 
 
 def _run_chart_graph(field, ambient, config):
@@ -318,68 +309,53 @@ def _run_projection_conjugation(field, ambient, config):
                     relation_cases(config, field, ambient, "f", "zc"), holds)]
 
 
-def _run_adjoint_reversal(field, ambient, config):
-    reports = []
-    for name, form in _forms(field, ambient).items():
-        def rel_holds(c, form=form):
-            f, g = c["f"], c["g"]
-            return (adjoint(compose(g, f), form)
-                    == compose(adjoint(f, form), adjoint(g, form)))
+def check_adjoint_reversal(tau, config, law):
+    def holds(c):
+        f, g = c["f"], c["g"]
+        return (adjoint(compose(g, f), tau)
+                == compose(adjoint(f, tau), adjoint(g, tau)))
 
-        def proj_holds(c, form=form, tau=ortho_involution(form)):
-            x, a = c["x"], c["a"]
-            return (adjoint(gen_projection(x, a), form)
-                    == gen_projection(tau(a), tau(x)))
-
-        reports.append(run_law("adjoint-reversal",
-                               "adjoint-reversal-%s" % name,
-                               relation_cases(config, field, ambient, "fg"),
-                               rel_holds))
-        reports.append(run_law("adjoint-reversal",
-                               "adjoint-projection-%s" % name,
-                               subspace_cases(config, field, ambient, "xa"),
-                               proj_holds))
-    return reports
+    return run_law("adjoint-reversal", law,
+                   relation_cases(config, tau.field, tau.ambient, "fg"), holds)
 
 
-def _run_adjoint_shift(field, ambient, config):
-    reports = []
-    for name, form in _forms(field, ambient).items():
-        def holds(c, form=form):
-            f = c["f"]
-            fs = adjoint(f, form)
-            if adjoint(one_plus(f), form) != one_plus(fs):
-                return False
-            return adjoint(one_minus(f), form) == one_minus(fs)
+def check_adjoint_projection(tau, config, law):
+    def holds(c):
+        x, a = c["x"], c["a"]
+        return (adjoint(gen_projection(x, a), tau)
+                == gen_projection(tau(a), tau(x)))
 
-        reports.append(run_law("adjoint-shift", "adjoint-shift-%s" % name,
-                               relation_cases(config, field, ambient, "f"),
-                               holds))
-    return reports
+    return run_law("adjoint-reversal", law,
+                   subspace_cases(config, tau.field, tau.ambient, "xa"), holds)
 
 
-def _run_adjoint_involutive(field, ambient, config):
-    reports = []
-    for name, form in _forms(field, ambient).items():
-        def holds(c, form=form):
-            f = c["f"]
-            return adjoint(adjoint(f, form), form) == f
+def check_adjoint_shift(tau, config, law):
+    def holds(c):
+        f = c["f"]
+        fs = adjoint(f, tau)
+        if adjoint(one_plus(f), tau) != one_plus(fs):
+            return False
+        return adjoint(one_minus(f), tau) == one_minus(fs)
 
-        reports.append(run_law("adjoint-involutive",
-                               "adjoint-involutive-%s" % name,
-                               relation_cases(config, field, ambient, "f"),
-                               holds))
-    return reports
+    return run_law("adjoint-shift", law,
+                   relation_cases(config, tau.field, tau.ambient, "f"), holds)
+
+
+def check_adjoint_involutive(tau, config, law):
+    def holds(c):
+        return adjoint(adjoint(c["f"], tau), tau) == c["f"]
+
+    return run_law("adjoint-involutive", law,
+                   relation_cases(config, tau.field, tau.ambient, "f"), holds)
 
 
 def _run_adjoint_image_inclusion(field, ambient, config):
-    form = _forms(field, ambient)["symplectic"]
-    tau = ortho_involution(form)
+    tau = ortho_involution(_forms(field, ambient)["symplectic"])
 
     def sides(c):
         f, z = c["f"], c["z"]
         return (tau(apply_rel(f, z)),
-                apply_rel(inverse_rel(adjoint(f, form)), tau(z)))
+                apply_rel(inverse_rel(adjoint(f, tau)), tau(z)))
 
     return [run_inclusion_law(
         "adjoint-image-inclusion", "adjoint-image-inclusion",
@@ -400,54 +376,6 @@ def _run_relation_dimension(field, ambient, config):
                     relation_cases(config, field, ambient, "f"), holds)]
 
 
-# -- gamma -------------------------------------------------------------------
-
-
-def _run_global_laws(field, ambient, config):
-    return [check_para_associativity(field, ambient, config),
-            check_klein(field, ambient, config),
-            check_torsor_axioms(field, ambient, config),
-            check_commutativity_aa(field, ambient, config)]
-
-
-def _run_gamma_agreement(field, ambient, config):
-    return [check_agreement(field, ambient, config),
-            check_restricted_agreement(field, ambient, config)]
-
-
-def _run_m_symmetries(field, ambient, config):
-    def holds(c):
-        x, a, b, z = c["x"], c["a"], c["b"], c["z"]
-        m = m_operator(x, a, b, z)
-        if m != m_operator(z, b, a, x):
-            return False
-        if m != -m_operator(a, x, z, b):
-            return False
-        mi = mat_invert(m)
-        return mi == m_operator(z, a, b, x) == m_operator(x, b, a, z)
-
-    return [run_law("m-symmetries", "m-symmetries",
-                    transversal_cases(config, field, ambient, "xabz"),
-                    holds)]
-
-
-def _run_idempotent_projection(field, ambient, config):
-    return [check_idempotent_laws(field, ambient, config)]
-
-
-def _run_l_inversion(field, ambient, config):
-    def holds(c):
-        x, a, y, b, z = c["x"], c["a"], c["y"], c["b"], c["z"]
-        if inverse_rel(l_relation(x, a, y, b)) != l_relation(y, a, x, b):
-            return False
-        w = gamma_global(x, a, y, b, z)
-        return gamma_global(y, a, x, b, w) == z
-
-    return [run_law("l-inversion", "l-inversion",
-                    transversal_cases(config, field, ambient, "xaybz"),
-                    holds)]
-
-
 # -- involutions -------------------------------------------------------------
 
 
@@ -458,21 +386,6 @@ def _run_involution_duality(field, ambient, config):
             form, config, "duality-inclusion-" + name))
         reports.append(check_antihom_global(
             ortho_involution(form), config, "duality-equality-" + name))
-    return reports
-
-
-def _run_involution_antihom(field, ambient, config):
-    reports = []
-    for name, form in _forms(field, ambient).items():
-        inv = ortho_involution(form)
-        reports += [
-            check_order_two(inv, config, "order-two-" + name),
-            check_transversality_preservation(
-                inv, config, "transversality-preservation-" + name),
-            check_antihom_restricted(
-                inv, config, "restricted-anti-homomorphism-" + name),
-            check_dilation_compat(
-                inv, config, "dilation-compatibility-" + name)]
     return reports
 
 
@@ -517,14 +430,12 @@ def _run_invariant_transport(field, ambient, config):
 
 def _run_lagrangian_census(field, ambient, config):
     _needs_finite(field)
-    _needs_even(ambient)
+    forms = _forms(field, ambient)
     reports = [census_report(form, "census-two-paths-" + name)
-               for name, form in _forms(field, ambient).items()]
+               for name, form in forms.items()]
     if field.char != 2:
-        n = ambient // 2
-        omega = ortho_involution(symplectic_form(field, n))
-        dual = dual_involution(omega)
-        same = fixed_points(dual) == isotropic_census(split_form(field, n))
+        dual = dual_involution(ortho_involution(forms["symplectic"]))
+        same = fixed_points(dual) == isotropic_census(forms["split"])
         reports.append(run_law("lagrangian-census", "dual-fixed-lagrangian",
                                [{"mismatch": "fixed set vs census"}],
                                lambda c: same))
@@ -533,8 +444,7 @@ def _run_lagrangian_census(field, ambient, config):
 
 def _run_semitorsor_closure(field, ambient, config):
     _needs_finite(field)
-    _needs_even(ambient)
-    inv = ortho_involution(symplectic_form(field, ambient // 2))
+    inv = ortho_involution(_forms(field, ambient)["symplectic"])
     if len(fixed_points(inv)) > FIXED_SET_BUDGET:
         raise SuiteNotApplicable(
             "fixed set too large for full triple loops at this size")
@@ -606,6 +516,26 @@ def _run_bridge(field, ambient, config):
 # -- registry ----------------------------------------------------------------
 
 
+def _laws(*laws):
+    """The runner of a suite that runs law(field, ambient, config) for each
+    law, in order."""
+    def run(field, ambient, config):
+        return [law(field, ambient, config) for law in laws]
+
+    return run
+
+
+def _tau_laws(*pairs):
+    """The runner of a suite that, for the tau of each standard form in turn,
+    runs check(tau, config, law + "-" + form name) for each (law, check)."""
+    def run(field, ambient, config):
+        return [check(ortho_involution(form), config, law + "-" + name)
+                for name, form in _forms(field, ambient).items()
+                for law, check in pairs]
+
+    return run
+
+
 @dataclass(frozen=True)
 class Suite:
     module: str
@@ -637,7 +567,8 @@ _SUITE_ROWS = (
      _run_complement_transversal),
     ("ortho-lattice", "grassmann",
      "the orthocomplement swaps meets with joins, reverses inclusions, and"
-     " squares to the identity", _run_ortho_lattice),
+     " squares to the identity",
+     _tau_laws(("ortho-lattice", check_ortho_lattice))),
     ("chart-graph-inverse", "grassmann",
      "chart and graph invert each other on graph subspaces",
      _run_chart_graph),
@@ -649,13 +580,15 @@ _SUITE_ROWS = (
      " of the image pair", _run_projection_conjugation),
     ("adjoint-reversal", "relations",
      "the adjoint reverses composition and sends projections to projections"
-     " of orthocomplements", _run_adjoint_reversal),
+     " of orthocomplements",
+     _tau_laws(("adjoint-reversal", check_adjoint_reversal),
+               ("adjoint-projection", check_adjoint_projection))),
     ("adjoint-shift", "relations",
      "adjoint of 1 + F is 1 + adjoint(F), and the same with minus",
-     _run_adjoint_shift),
+     _tau_laws(("adjoint-shift", check_adjoint_shift))),
     ("adjoint-involutive", "relations",
      "taking the adjoint twice returns the original relation",
-     _run_adjoint_involutive),
+     _tau_laws(("adjoint-involutive", check_adjoint_involutive))),
     ("adjoint-image-inclusion", "relations",
      "the orthocomplement of F(z) contains the adjoint-inverse image of the"
      " orthocomplement of z", _run_adjoint_image_inclusion),
@@ -664,26 +597,33 @@ _SUITE_ROWS = (
      _run_relation_dimension),
     ("global-laws", "gamma",
      "para-associativity, the outer-pair exchange symmetry, and the torsor"
-     " identities of the pentary product", _run_global_laws),
+     " identities of the pentary product",
+     _laws(check_para_associativity, check_klein, check_torsor_axioms,
+           check_commutativity_aa)),
     ("gamma-agreement", "gamma",
      "projection route, witness route, and restricted route of the pentary"
-     " product agree", _run_gamma_agreement),
+     " product agree", _laws(check_agreement, check_restricted_agreement)),
     ("m-symmetries", "gamma",
      "difference-of-projections operators obey the swap, negation, and"
-     " inversion symmetries", _run_m_symmetries),
+     " inversion symmetries", _laws(check_m_symmetries)),
     ("idempotent-projection", "gamma",
      "the pentary product with repeated middle pair is meet with join and"
-     " matches the projection", _run_idempotent_projection),
+     " matches the projection", _laws(check_idempotent_laws)),
     ("l-inversion", "gamma",
      "left multiplication by (x, a, y, b) is inverted by swapping x with y",
-     _run_l_inversion),
+     _laws(check_l_inversion)),
     ("involution-duality", "involutions",
      "orthocomplement of a pentary product contains, and over finite fields"
      " equals, the pentary product of orthocomplements in reversed order",
      _run_involution_duality),
     ("involution-antihom", "involutions",
      "form complements square to the identity, preserve transversality, and"
-     " reverse restricted products and dilations", _run_involution_antihom),
+     " reverse restricted products and dilations",
+     _tau_laws(("order-two", check_order_two),
+               ("transversality-preservation",
+                check_transversality_preservation),
+               ("restricted-anti-homomorphism", check_antihom_restricted),
+               ("dilation-compatibility", check_dilation_compat))),
     ("torsor-g", "involutions",
      "fixed subspaces transversal to a and tau(a) form a torsor, abelian"
      " when a is fixed", partial(_run_fixed_torsors, check_torsor_g,

@@ -19,14 +19,14 @@ The other routes are audits, compared with the kernel by the
   image of y under the difference of the two projections;
 * `gamma_oracle_enum` -- brute-force witness enumeration over tiny fields.
 
-Their agreement, the para-associativity and Klein symmetries, and the derived
-operator identities are what the check suites exercise.  The laws about the
-product itself are defined here; the check suites in `checks` run them.  This
-module also gives the cases most laws run over: `subspace_cases`,
-`relation_cases` and `transversal_cases`, the last with outer slots that are
-graphs over complement(a), the chart U_a, whether drawn or enumerated.  Each
-passes a draw function and an enumeration to `reports.cases`, which picks
-one.
+The laws about the product are defined here, and `checks` runs them in the
+suites `global-laws` (para-associativity, the Klein symmetries, the torsor
+identities), `gamma-agreement`, `idempotent-projection`, `m-symmetries` (of
+the difference operators) and `l-inversion`.  This module also gives the
+cases most laws run over: `subspace_cases`, `relation_cases` and
+`transversal_cases`, the last with outer slots that are graphs over
+complement(a), the chart U_a, whether drawn or enumerated.  Each passes a
+draw function and an enumeration to `reports.cases`, which picks one.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from functools import lru_cache
 from .matrices import (Matrix, all_matrices, eliminate_front, mat_invert,
                        random_matrix, vstack)
 from .relations import (LinearRelation, apply_rel, compose, difference,
-                        gen_projection, one_minus, random_relation)
+                        gen_projection, inverse_rel, one_minus,
+                        random_relation)
 from .reports import cases, every, run_law
 from .rng import shared_draw
 from .subspaces import (Subspace, TransversalityError, _check_same_space,
@@ -345,3 +346,35 @@ def check_commutativity_aa(field, ambient, config):
 
     return run_law("global-laws", "middle-pair-commutativity",
                    transversal_cases(config, field, ambient, "xayz"), holds)
+
+
+def check_m_symmetries(field, ambient, config):
+    """M(x,a,b,z) = M(z,b,a,x) = -M(a,x,z,b), and its inverse is
+    M(z,a,b,x) = M(x,b,a,z)."""
+
+    def holds(c):
+        x, a, b, z = c["x"], c["a"], c["b"], c["z"]
+        m = m_operator(x, a, b, z)
+        if m != m_operator(z, b, a, x):
+            return False
+        if m != -m_operator(a, x, z, b):
+            return False
+        mi = mat_invert(m)
+        return mi == m_operator(z, a, b, x) == m_operator(x, b, a, z)
+
+    return run_law("m-symmetries", "m-symmetries",
+                   transversal_cases(config, field, ambient, "xabz"), holds)
+
+
+def check_l_inversion(field, ambient, config):
+    """L(x,a,y,b)^-1 = L(y,a,x,b): swapping x with y undoes the product."""
+
+    def holds(c):
+        x, a, y, b, z = c["x"], c["a"], c["y"], c["b"], c["z"]
+        if inverse_rel(l_relation(x, a, y, b)) != l_relation(y, a, x, b):
+            return False
+        w = gamma_global(x, a, y, b, z)
+        return gamma_global(y, a, x, b, w) == z
+
+    return run_law("l-inversion", "l-inversion",
+                   transversal_cases(config, field, ambient, "xaybz"), holds)

@@ -118,7 +118,8 @@ def _pairing_form(form):
 
 
 def adjoint(f, form):
-    """F* = {(v', w') : beta(v', w) = beta(w', v) for all (v, w) in F}."""
+    """F* = {(v', w') : beta(v', w) = beta(w', v) for all (v, w) in F};
+    reads only form.gram and form.ambient, so form may be an Involution."""
     if form.ambient != f.half:
         raise ShapeError("form on K^%d for a relation on K^%d"
                          % (form.ambient, f.half))

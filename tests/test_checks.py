@@ -6,7 +6,7 @@ import pytest
 
 from torsorlab.checks import SUITES, SuiteNotApplicable, list_suites, run_all, run_suite
 from torsorlab.fields import PrimeField, Rationals, field_from_spec
-from torsorlab.reports import CheckConfig, Report
+from torsorlab.reports import CheckConfig, Report, skipped_report
 
 # sha256 of the newline-joined JSON reports of run_all, recorded once.  The
 # laws, their case sources and their order must reproduce these bytes, so a
@@ -93,19 +93,63 @@ def test_finite_only_suites_decline_infinite_fields():
             run_suite(name, rat, 2, cfg)
 
 
+# The suites that work form by form, each refusing an odd ambient before
+# any of its laws runs.
+PER_FORM_SUITES = (
+    "ortho-lattice", "adjoint-reversal", "adjoint-shift", "adjoint-involutive",
+    "adjoint-image-inclusion", "involution-duality", "involution-antihom",
+    "torsor-g", "opposite-torsor", "lagrangian-census", "semitorsor-closure")
+
+
 def test_even_ambient_suites_decline_odd_ambient():
     f3 = PrimeField(3)
     cfg = CheckConfig(trials=4, seed=0)
-    with pytest.raises(SuiteNotApplicable):
-        run_suite("involution-duality", f3, 3, cfg)
+    for name in PER_FORM_SUITES:
+        with pytest.raises(SuiteNotApplicable, match="positive even ambient"):
+            run_suite(name, f3, 3, cfg)
+
+
+# (suite, law) of each report filed under another suite's name: the bridge
+# suite runs the chart-product law, which names the homotope suite.
+MISFILED = {("bridge", "pentary-chart-product"): "homotope"}
 
 
 def test_reports_carry_suite_names():
+    """A report names the suite whose row ran it, so a row that runs a law
+    of another suite shows here."""
+    cfg = CheckConfig(trials=4, seed=0)
+    for spec in ("f3", "f9"):
+        field = field_from_spec(spec)
+        misfiled = {}
+        for name in SUITES:
+            try:
+                reports = run_suite(name, field, 2, cfg)
+            except SuiteNotApplicable:
+                continue
+            misfiled.update(((name, r.law), r.suite) for r in reports
+                            if r.suite != name)
+        assert misfiled == MISFILED, spec
     f2 = PrimeField(2)
     cfg = CheckConfig(trials=5, seed=2)
     for name in ("field-axioms", "global-laws", "m-symmetries"):
         for r in run_suite(name, f2, 2, cfg):
             assert r.suite == name
+
+
+@pytest.mark.parametrize("spec,ambient,trials,seed", [
+    ("f3", 2, 8, 0), ("f3", 4, 3, 0), ("rat", 2, 6, 1)])
+def test_suites_alone_concatenate_to_run_all(spec, ambient, trials, seed):
+    """A suite's reports do not depend on the run around it: each suite in
+    its own check run, in registry order, gives the reports of run_all."""
+    field = field_from_spec(spec)
+    cfg = CheckConfig(trials=trials, seed=seed)
+    alone = []
+    for name in SUITES:
+        try:
+            alone += run_suite(name, field, ambient, cfg)
+        except SuiteNotApplicable as exc:
+            alone.append(skipped_report(name, exc))
+    assert alone == run_all(field, ambient, cfg)
 
 
 def test_report_keys_unique_within_run():

@@ -317,9 +317,9 @@ def unread_parameters(tree, module):
 
     Exempt are a method's receiver, which dispatch sets and no caller
     chooses; bodies that only raise, the stubs a subclass overrides; the
-    suite runners `checks._run_*`, which share the registry's
-    (field, ambient, config) signature; and lambdas, which are not
-    definitions.
+    field, ambient and config of a suite runner, a top-level `checks._run_*`,
+    which the registry's signature sets; and lambdas, which are not
+    definitions.  A function nested in a runner is not exempt.
     """
     found = []
 
@@ -336,14 +336,17 @@ def unread_parameters(tree, module):
             body = child.body
             if ast.get_docstring(child) is not None:
                 body = body[1:]
-            if (all(isinstance(s, ast.Raise) for s in body)
-                    or (module == "checks.py" and name.startswith("_run_"))):
+            if all(isinstance(s, ast.Raise) for s in body):
                 continue
             args = child.args
             params = [a.arg for a in args.posonlyargs + args.args
                       + args.kwonlyargs + [args.vararg, args.kwarg] if a]
             if isinstance(node, ast.ClassDef):
                 params = params[1:]
+            if module == "checks.py" and owner == "" and name.startswith(
+                    "_run_"):
+                params = [p for p in params
+                          if p not in ("field", "ambient", "config")]
             read = {n.id for n in ast.walk(child)
                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             found.extend((name, p) for p in params if p not in read)
@@ -365,12 +368,18 @@ def test_parameter_guard_sees_functions_methods_and_nesting():
                      "        \"Overridden.\"\n"
                      "        raise NotImplementedError\n"
                      "def _run_x(field, ambient, config):\n"
-                     "    return field\n")
+                     "    return field\n"
+                     "def _run_y(check, field, ambient, config):\n"
+                     "    def holds(c):\n"
+                     "        return field\n"
+                     "    return holds\n")
     unread = [("f.inner", "lost"), ("f", "unused"), ("f", "flag"),
               ("C.method", "value")]
+    nested = [("_run_y.holds", "c"), ("_run_y", "check")]
     assert unread_parameters(tree, "m.py") == unread + [
-        ("_run_x", "ambient"), ("_run_x", "config")]
-    assert unread_parameters(tree, "checks.py") == unread
+        ("_run_x", "ambient"), ("_run_x", "config")] + nested + [
+        ("_run_y", "ambient"), ("_run_y", "config")]
+    assert unread_parameters(tree, "checks.py") == unread + nested
 
 
 def test_every_library_function_reads_its_parameters():
@@ -514,9 +523,8 @@ def unvaried_parameters(trees):
 
     Only direct calls count (see `direct_calls`), so a function with none,
     such as a suite runner or a `partial` target, is exempt, and so is one
-    that some call passes `*args` or `**kwargs`.  A default that binds the
-    outer name of the same name (`ring=ring`) captures a loop variable in a
-    closure and is exempt too, as is `cli.main`'s `argv`.
+    that some call passes `*args` or `**kwargs`.  `cli.main`'s `argv` is
+    exempt too.
     """
     found = []
     for (module, name), (node, sites) in sorted(direct_calls(trees).items()):
@@ -530,8 +538,6 @@ def unvaried_parameters(trees):
                         zip(args.kwonlyargs, args.kw_defaults) if d)
         for index, param in enumerate(positional + args.kwonlyargs):
             default = defaults.get(param.arg)
-            if getattr(default, "id", None) == param.arg:
-                continue
             passed = [_argument(call, param.arg, index, len(positional))
                       for call in sites]
             if all(p is None for p in passed):
@@ -574,7 +580,8 @@ def test_unvaried_guard_sees_literals_defaults_and_exemptions():
                                  "other()\n")}
     assert unvaried_parameters(trees) == [
         ("cli.py", "other", "argv"), ("m.py", "f", "limit"),
-        ("m.py", "f", "mode"), ("m.py", "g.inner", "k")]
+        ("m.py", "f", "mode"), ("m.py", "g.inner", "k"),
+        ("m.py", "g.inner", "ring")]
 
 
 def test_no_library_parameter_has_one_value():
