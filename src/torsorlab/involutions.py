@@ -12,12 +12,12 @@ calling its Involution.  Within a check run each image is computed once per
 (subspace, gram), in the run's table (`rng.run_shared`), whichever laws
 apply it; outside a run nothing is kept.
 
-Fixed-point sets are the Lagrangian-type subvarieties.  The torsors
-G(inv, a), each a sorted tuple of subspaces, and the unitary groups
-U(inv; a, o, b), each a tuple of subspaces in `common_complements` order,
-take Gamma with the middle pair bound as their product.  They live here
-with the closure of the fixed set under the pentary product with middle
-pair (a, tau a).
+Fixed-point sets are the Lagrangian-type subvarieties, enumerated once per
+gram in a check run's table.  The torsors G(inv, a), sorted tuples of fixed
+subspaces, and the unitary groups U(inv; a, o, b), each a tuple of
+subspaces in `common_complements` order, take Gamma with the middle pair
+bound as their product.  They live here with the closure of the fixed set
+under the pentary product with middle pair (a, tau a).
 
 Carrier tables (`cayley_table`) are computed in the chart of U_a centred at
 the unit, where the torsor product is the homotope product X + (1 - X B) Z.
@@ -41,6 +41,7 @@ from .matrices import (Matrix, det, format_matrix, hstack, mat_invert,
                        random_invertible, rank, vstack)
 from .reports import (cases, describe_value, every, run_inclusion_law,
                       run_law)
+from .rng import run_shared
 from .subspaces import (Subspace, TransversalityError, chart_minus,
                         chart_of, coord_subspace, enumerate_subspaces,
                         graph_minus, image_under, is_isotropic, is_transversal,
@@ -133,13 +134,13 @@ def fixed_points(inv):
     """All tau-fixed subspaces, sorted (finite fields, even ambient only).
 
     An invertible gram forces every fixed point into the middle dimension,
-    so only that layer is enumerated.
+    so only that layer is enumerated, once per check run and gram.
     """
     n = inv.ambient
     if n % 2 == 1:
         return ()
-    return tuple(x for x in enumerate_subspaces(inv.field, n, n // 2)
-                 if inv(x) == x)
+    return run_shared(("fixed-points", inv.gram), lambda: tuple(
+        x for x in enumerate_subspaces(inv.field, n, n // 2) if inv(x) == x))
 
 
 def isotropic_census(form):
@@ -164,18 +165,14 @@ def census_report(form, law="census-two-paths"):
 # -- torsors, groups, tables ------------------------------------------------
 
 
-def _common_complements_in(points, a, b):
-    """The members of points transversal to both a and b, in their order."""
-    return tuple(x for x in points
-                 if is_transversal(x, a) and is_transversal(x, b))
-
-
 def torsor_G(inv, a):
     """Fixed subspaces transversal to both a and tau(a), sorted.
 
     Their torsor product is (x, y, z) -> Gamma(x, a, y, tau a, z).
     """
-    return _common_complements_in(fixed_points(inv), a, inv(a))
+    ta = inv(a)
+    return tuple(x for x in fixed_points(inv)
+                 if is_transversal(x, a) and is_transversal(x, ta))
 
 
 def cayley_table(elements, unit, a, b):
@@ -303,23 +300,21 @@ def check_antihom_global(inv, config, law="global-anti-homomorphism"):
                    _reverses_gamma(inv))
 
 
-def check_duality_inclusion(form, config, law="duality-inclusion"):
+def check_duality_inclusion(inv, config, law="duality-inclusion"):
     """Gamma of complements sits inside the complement of Gamma (inclusion).
 
     Equality candidates are not asserted here; strictness counts go into the
     notes so genuinely strict cases can be collected.  Sampled in every mode.
     """
-    perp = ortho_involution(form)
-
     def sides(c):
         x, a, y, b, z = c["x"], c["a"], c["y"], c["b"], c["z"]
-        return (perp(gamma_global(x, a, y, b, z)),
-                gamma_global(perp(x), perp(b), perp(y), perp(a), perp(z)))
+        return (inv(gamma_global(x, a, y, b, z)),
+                gamma_global(inv(x), inv(b), inv(y), inv(a), inv(z)))
 
     sampled = replace(config, exhaustive=False)
     return run_inclusion_law(
         "involution-duality", law,
-        subspace_cases(sampled, form.field, form.ambient, "xaybz"), sides)
+        subspace_cases(sampled, inv.field, inv.ambient, "xaybz"), sides)
 
 
 def check_dilation_compat(inv, config, law="dilation-compatibility"):
@@ -480,13 +475,12 @@ def random_isometry(form, rng):
 def check_invariant_transport(form, config, law="isometry-transport"):
     """Isometries preserve the invariants and transport torsor tables.
 
-    The tables compared are chart tables (`cayley_table`).  `a` is drawn
-    uniformly from the middle layer, where the fixed points lie; that layer
-    and the fixed set are enumerated once per run, and both carriers are
-    filtered from the fixed set.
+    Both carriers come from `torsor_G`: the one at a, moved by g, must be
+    the one at g a, and when nonempty their chart tables (`cayley_table`)
+    must agree.  `a` is drawn uniformly from the middle layer, where the
+    fixed points lie, enumerated once per law call.
     """
     inv = ortho_involution(form)
-    points = fixed_points(inv)
     layer = tuple(enumerate_subspaces(form.field, form.ambient,
                                       form.ambient // 2))
 
@@ -499,14 +493,11 @@ def check_invariant_transport(form, config, law="isometry-transport"):
         b = image_under(g, a)
         if form_invariants(a, form) != form_invariants(b, form):
             return False
-        ta = inv(a)
-        carrier = _common_complements_in(points, a, ta)
-        if not carrier:
-            return True
-        tb = inv(b)
+        carrier = torsor_G(inv, a)
         moved = tuple(image_under(g, x) for x in carrier)
-        return (set(moved) == set(_common_complements_in(points, b, tb))
-                and cayley_table(carrier, carrier[0], a, ta)
-                == cayley_table(moved, moved[0], b, tb))
+        if set(moved) != set(torsor_G(inv, b)):
+            return False
+        return not carrier or (cayley_table(carrier, carrier[0], a, inv(a))
+                               == cayley_table(moved, moved[0], b, inv(b)))
 
     return run_law("invariant-transport", law, cases(config, draw), holds)

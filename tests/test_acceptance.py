@@ -174,7 +174,7 @@ def test_criterion_04_involution_suite():
         for form in standard_forms(field, 2).values():
             inv = ortho_involution(form)
             cfg = CheckConfig(trials=250, seed=seed)
-            incl = check_duality_inclusion(form, cfg)
+            incl = check_duality_inclusion(inv, cfg)
             eq = check_antihom_global(inv, cfg)
             ok = ok and incl.failures == 0 and eq.failures == 0
             sampled += incl.cases + eq.cases

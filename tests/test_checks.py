@@ -28,6 +28,8 @@ GOLDEN = {
         "b7ee9f5198f40fb99661022e0bdb105323b38cd21084bdcd29b084cbcbe63eeb",
     ("gauss", 2, False, 4, 0):
         "7215d3af2875fb01d7cf6de9befc3e1511335a0fcca4658fdd4f4beef1a22af0",
+    ("f2", 4, False, 3, 1):
+        "bd039249b765fa0b6c50d55d300456357607f6b7dcab9043d095ea5383c41231",
 }
 
 
@@ -181,3 +183,10 @@ def test_run_all_bytes_match_golden(spec, ambient, trials):
     cfg = CheckConfig(trials=trials, seed=0)
     assert_golden(run_all(field_from_spec(spec), ambient, cfg), spec, ambient,
                   cfg)
+
+
+def test_run_all_bytes_match_golden_over_full_fixed_sets():
+    """Over F2 at ambient 4, torsor-g, opposite-torsor and semitorsor-closure
+    sweep fixed sets of 15 points; the other goldens reach 3 or 4."""
+    cfg = CheckConfig(trials=3, seed=1)
+    assert_golden(run_all(PrimeField(2), 4, cfg), "f2", 4, cfg)

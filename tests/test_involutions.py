@@ -250,7 +250,7 @@ def test_duality_inclusion_reports():
     cfg = CheckConfig(trials=80, seed=7)
     for field in (PrimeField(3), PrimeField(5)):
         for form in standard_forms(field, 1).values():
-            r = check_duality_inclusion(form, cfg)
+            r = check_duality_inclusion(ortho_involution(form), cfg)
             assert r.failures == 0, r.first_counterexample
 
 
@@ -656,17 +656,34 @@ def test_invariant_transport_report():
         assert r.failures == 0, r.first_counterexample
 
 
-def record_carriers(monkeypatch):
-    """Wrap `_common_complements_in`: each call appends (a, carrier)."""
+def test_invariant_transport_fails_when_only_the_moved_carrier_is_nonempty(
+        monkeypatch):
+    """Each case takes the carrier at a, then at g a.  An empty carrier at a
+    must still be compared with the one at g a, and fail."""
+    real = involutions.torsor_G
     calls = []
-    common = involutions._common_complements_in
 
-    def recording(points, a, b):
-        carrier = common(points, a, b)
+    def first_empty(inv, a):
+        calls.append(a)
+        return () if len(calls) % 2 else real(inv, a)
+
+    monkeypatch.setattr(involutions, "torsor_G", first_empty)
+    r = check_invariant_transport(symplectic_form(PrimeField(3), 1),
+                                  CheckConfig(trials=10))
+    assert (r.cases, r.failures) == (10, 10)
+
+
+def record_carriers(monkeypatch):
+    """Wrap `torsor_G`: each call appends (a, carrier)."""
+    calls = []
+    real = involutions.torsor_G
+
+    def recording(inv, a):
+        carrier = real(inv, a)
         calls.append((a, carrier))
         return carrier
 
-    monkeypatch.setattr(involutions, "_common_complements_in", recording)
+    monkeypatch.setattr(involutions, "torsor_G", recording)
     return calls
 
 

@@ -88,6 +88,30 @@ def test_adjoint_laws_see_a_wrong_tau(monkeypatch, field):
         "adjoint-projection-diag", "adjoint-image-inclusion"}
 
 
+def test_fixed_set_suites_report_a_wrong_tau(monkeypatch):
+    """The identity-gram tau over F3 fixes no line, so torsor-g and
+    opposite-torsor fail one case per form instead of declining, and the
+    two census paths disagree.  The other suites still pass.
+    Semitorsor-closure runs zero cases and invariant-transport compares only
+    empty carriers, the vacuous passes of ROADMAP item 1.  The duality laws
+    hold because the identity-gram orthocomplement is itself an involution
+    of the geometry."""
+    f3 = PrimeField(3)
+    suites = ("involution-duality", "torsor-g", "opposite-torsor",
+              "lagrangian-census", "semitorsor-closure", "invariant-transport")
+    assert failing_laws(suites, f3) == set()
+    plant_identity_tau(monkeypatch)
+    forms = ("symplectic", "split", "diag")
+    assert failing_laws(suites, f3) == (
+        {"%s-%s-0" % (suite, form) for suite in ("torsor-g", "opposite-torsor")
+         for form in forms}
+        | {"census-two-paths-" + form for form in forms}
+        | {"dual-fixed-lagrangian"})
+    assert [(r.cases, r.failures, r.first_counterexample)
+            for r in run_suite("torsor-g", f3, 2, CFG)] == [
+        (1, 1, {"fixed-points": 0})] * 3
+
+
 def test_bridge_suite_reports_a_wrong_tau(monkeypatch):
     """A tau that moves the unitary parameters empties the unitary target
     instead of stopping the suite; at n = 1 that target and the carrier are

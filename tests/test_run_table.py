@@ -2,9 +2,10 @@
 
 Inside a run (`rng.run_table`), a `shared_draw` sampler called again from
 an equal generator state returns the first value and leaves the generator
-where the first call left it, and `orthocomplement` takes each kernel once
-per (subspace, gram).  Outside a run nothing is kept, and no run leaves its
-table behind, whether it returns or raises.
+where the first call left it, `orthocomplement` takes each kernel once
+per (subspace, gram), and `fixed_points` enumerates each fixed set once
+per gram.  Outside a run nothing is kept, and no run leaves its table
+behind, whether it returns or raises.
 """
 
 import io
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from torsorlab import checks, cli, subspaces
 from torsorlab.fields import PrimeField, Rationals
 from torsorlab.gamma import transversal_tuple
-from torsorlab.involutions import ortho_involution
+from torsorlab.involutions import fixed_points, involution, ortho_involution
 from torsorlab.matrices import ShapeError
 from torsorlab.relations import adjoint, random_relation
 from torsorlab.reports import CheckConfig
@@ -130,6 +131,17 @@ def test_tau_images_are_kept_by_gram():
                              (x, ortho_involution(symp))])
             inside += [adjoint(f, symp).inner, outer(f.inner)]
             assert inside == alone
+
+
+def test_a_fixed_set_is_enumerated_once_per_run_by_gram():
+    """Two involutions with one gram share one fixed-set tuple within a
+    run; outside a run every call enumerates afresh."""
+    form = split_form(PrimeField(3), 1)
+    perp, other = ortho_involution(form), involution(form.gram, "x")
+    assert fixed_points(perp) == fixed_points(other)
+    with run_table():
+        assert fixed_points(perp) is fixed_points(other)
+    assert fixed_points(perp) is not fixed_points(perp)
 
 
 def count_kernels(monkeypatch):
