@@ -14,9 +14,10 @@ run for each standard form's tau, each law name suffixed with the form's.
 Each law is defined once: those of scalars, matrices, the Grassmannian and
 relations here, those of the pentary product and its operators in `gamma`,
 of involutions and their torsors in `involutions`, and of deformed matrix
-products in `homotopes`.  Every law takes its cases from `reports.cases`,
-most through `gamma`'s `subspace_cases`, `relation_cases` and
-`transversal_cases`, and names its suite with a constant in its own module.
+products in `homotopes`.  A law is one `reports.run_law` call, which names
+its suite with a constant in its own module and takes the law's draw and
+enumeration, most from `gamma`'s `subspace_cases`, `relation_cases` and
+`transversal_cases`; a law with no draw enumerates in every mode.
 """
 
 from __future__ import annotations
@@ -77,9 +78,8 @@ def _run_field_axioms(field, ambient, config):
         return dict(x=field.sample(rng), y=field.sample(rng),
                     z=field.sample(rng))
 
-    def holds(c):
+    def holds(x, y, z):
         F = field
-        x, y, z = c["x"], c["y"], c["z"]
         if F.add(F.add(x, y), z) != F.add(x, F.add(y, z)):
             return False
         if F.mul(F.mul(x, y), z) != F.mul(x, F.mul(y, z)):
@@ -97,17 +97,16 @@ def _run_field_axioms(field, ambient, config):
                 return False
         return True
 
-    return [run_law("field-axioms", "field-axioms",
-                    cases(config, draw), holds, _describe_scalars(field))]
+    return [run_law("field-axioms", "field-axioms", holds, config, draw,
+                    describe=_describe_scalars(field))]
 
 
 def _run_conjugation(field, ambient, config):
     def draw(rng):
         return dict(x=field.sample(rng), y=field.sample(rng))
 
-    def holds(c):
+    def holds(x, y):
         F = field
-        x, y = c["x"], c["y"]
         if F.conj(F.conj(x)) != x:
             return False
         if F.conj(F.mul(x, y)) != F.mul(F.conj(x), F.conj(y)):
@@ -115,7 +114,7 @@ def _run_conjugation(field, ambient, config):
         return F.conj(F.add(x, y)) == F.add(F.conj(x), F.conj(y))
 
     return [run_law("conjugation-involutive", "conjugation-involutive",
-                    cases(config, draw), holds, _describe_scalars(field))]
+                    holds, config, draw, describe=_describe_scalars(field))]
 
 
 def _run_dual_nilpotency(field, ambient, config):
@@ -126,8 +125,7 @@ def _run_dual_nilpotency(field, ambient, config):
         return dict(d=dual.sample(rng), b=bidual.sample(rng),
                     s=field.sample(rng))
 
-    def holds(c):
-        d, b, s = c["d"], c["b"], c["s"]
+    def holds(d, b, s):
         eps = dual.eps_times(field.one)
         if not dual.is_zero(dual.mul(eps, eps)):
             return False
@@ -157,8 +155,8 @@ def _run_dual_nilpotency(field, ambient, config):
         return {"d": dual.format(c["d"]), "b": bidual.format(c["b"]),
                 "s": field.format(c["s"])}
 
-    return [run_law("dual-nilpotency", "dual-nilpotency",
-                    cases(config, draw), holds, show)]
+    return [run_law("dual-nilpotency", "dual-nilpotency", holds, config, draw,
+                    describe=show)]
 
 
 # -- matlin ------------------------------------------------------------------
@@ -171,8 +169,7 @@ def _run_rref_canonical(field, ambient, config):
         m = random_matrix(field, p, q, rng)
         return dict(m=m, t=random_invertible(field, p, rng))
 
-    def holds(c):
-        m, t = c["m"], c["t"]
+    def holds(m, t):
         red, r = rref(m)
         again, r2 = rref(red)
         if again != red or r2 != r:
@@ -180,8 +177,7 @@ def _run_rref_canonical(field, ambient, config):
         mixed, _ = rref(t * m)
         return mixed == red
 
-    return [run_law("rref-canonical", "rref-canonical",
-                    cases(config, draw), holds)]
+    return [run_law("rref-canonical", "rref-canonical", holds, config, draw)]
 
 
 def _run_rank_nullity(field, ambient, config):
@@ -190,12 +186,10 @@ def _run_rank_nullity(field, ambient, config):
         q = rng.below(4) + 1
         return dict(m=random_matrix(field, p, q, rng))
 
-    def holds(c):
-        m = c["m"]
+    def holds(m):
         return rank(m) + kernel_basis(m).nrows == m.ncols
 
-    return [run_law("rank-nullity", "rank-nullity",
-                    cases(config, draw), holds)]
+    return [run_law("rank-nullity", "rank-nullity", holds, config, draw)]
 
 
 def _run_dual_matrix_arithmetic(field, ambient, config):
@@ -208,8 +202,7 @@ def _run_dual_matrix_arithmetic(field, ambient, config):
             n = rng.below(3) + 1
             return {k: random_matrix(ring, n, n, rng) for k in "abc"}
 
-        def holds(case, ring=ring, constant=constant):
-            a, b, c = case["a"], case["b"], case["c"]
+        def holds(a, b, c, ring=ring, constant=constant):
             if (a + b) * c != a * c + b * c:
                 return False
             base_part = Matrix(field, a.ncols,
@@ -222,8 +215,8 @@ def _run_dual_matrix_arithmetic(field, ambient, config):
                     or mat_invert(a) * a == Matrix.identity(ring, a.nrows))
 
         reports.append(run_law("dual-matrix-arithmetic",
-                               "nilpotent-entries-%s" % label,
-                               cases(config, draw), holds))
+                               "nilpotent-entries-%s" % label, holds, config,
+                               draw))
     return reports
 
 
@@ -231,35 +224,32 @@ def _run_dual_matrix_arithmetic(field, ambient, config):
 
 
 def _run_modular_dimension(field, ambient, config):
-    def holds(c):
-        x, a = c["x"], c["a"]
+    def holds(x, a):
         return meet(x, a).dim + join(x, a).dim == x.dim + a.dim
 
-    return [run_law("modular-dimension", "modular-dimension",
-                    subspace_cases(config, field, ambient, "xa"), holds)]
+    return [run_law("modular-dimension", "modular-dimension", holds, config,
+                    *subspace_cases(field, ambient, "xa"))]
 
 
 def _run_complement_transversal(field, ambient, config):
-    def holds(c):
-        x = c["x"]
+    def holds(x):
         y = complement(x)
         return is_transversal(x, y) and y.dim == ambient - x.dim
 
     return [run_law("complement-transversal", "complement-transversal",
-                    subspace_cases(config, field, ambient, "x"), holds)]
+                    holds, config, *subspace_cases(field, ambient, "x"))]
 
 
 def check_ortho_lattice(tau, config, law):
-    def holds(c):
-        x, a = c["x"], c["a"]
+    def holds(x, a):
         if tau(tau(x)) != x:
             return False
         if tau(meet(x, a)) != join(tau(x), tau(a)):
             return False
         return not contains(x, a) or contains(tau(a), tau(x))
 
-    return run_law("ortho-lattice", law,
-                   subspace_cases(config, tau.field, tau.ambient, "xa"), holds)
+    return run_law("ortho-lattice", law, holds, config,
+                   *subspace_cases(tau.field, tau.ambient, "xa"))
 
 
 def _run_chart_graph(field, ambient, config):
@@ -273,108 +263,101 @@ def _run_chart_graph(field, ambient, config):
         return dict(m=random_matrix(field, q, p, rng),
                     x=random_subspace(field, ambient, rng))
 
-    def holds(c):
-        m, x = c["m"], c["x"]
+    def holds(m, x):
         if chart_of(graph_of(m), p) != m:
             return False
         if x.dim == p and is_transversal(x, axis):
             return graph_of(chart_of(x, p)) == x
         return True
 
-    return [run_law("chart-graph-inverse", "chart-graph-inverse",
-                    cases(config, draw), holds)]
+    return [run_law("chart-graph-inverse", "chart-graph-inverse", holds,
+                    config, draw)]
 
 
 # -- relations ---------------------------------------------------------------
 
 
 def _run_projection_idempotent(field, ambient, config):
-    def holds(c):
-        p = gen_projection(c["x"], c["a"])
+    def holds(x, a):
+        p = gen_projection(x, a)
         if compose(p, p) != p:
             return False
-        return one_minus(p) == gen_projection(c["a"], c["x"])
+        return one_minus(p) == gen_projection(a, x)
 
-    return [run_law("projection-idempotent", "projection-idempotent",
-                    subspace_cases(config, field, ambient, "xa"), holds)]
+    return [run_law("projection-idempotent", "projection-idempotent", holds,
+                    config, *subspace_cases(field, ambient, "xa"))]
 
 
 def _run_projection_conjugation(field, ambient, config):
-    def holds(case):
-        f, z, c = case["f"], case["z"], case["c"]
+    def holds(f, z, c):
         lhs = compose(f, compose(gen_projection(z, c), inverse_rel(f)))
         rhs = gen_projection(apply_rel(f, z), apply_rel(f, c))
         return lhs == rhs
 
     return [run_law("projection-conjugation", "projection-conjugation",
-                    relation_cases(config, field, ambient, "f", "zc"), holds)]
+                    holds, config, *relation_cases(field, ambient, "f", "zc"))]
 
 
 def check_adjoint_reversal(tau, config, law):
-    def holds(c):
-        f, g = c["f"], c["g"]
+    def holds(f, g):
         return (adjoint(compose(g, f), tau)
                 == compose(adjoint(f, tau), adjoint(g, tau)))
 
-    return run_law("adjoint-reversal", law,
-                   relation_cases(config, tau.field, tau.ambient, "fg"), holds)
+    return run_law("adjoint-reversal", law, holds, config,
+                   *relation_cases(tau.field, tau.ambient, "fg"))
 
 
 def check_adjoint_projection(tau, config, law):
-    def holds(c):
-        x, a = c["x"], c["a"]
+    def holds(x, a):
         return (adjoint(gen_projection(x, a), tau)
                 == gen_projection(tau(a), tau(x)))
 
-    return run_law("adjoint-reversal", law,
-                   subspace_cases(config, tau.field, tau.ambient, "xa"), holds)
+    return run_law("adjoint-reversal", law, holds, config,
+                   *subspace_cases(tau.field, tau.ambient, "xa"))
 
 
 def check_adjoint_shift(tau, config, law):
-    def holds(c):
-        f = c["f"]
+    def holds(f):
         fs = adjoint(f, tau)
         if adjoint(one_plus(f), tau) != one_plus(fs):
             return False
         return adjoint(one_minus(f), tau) == one_minus(fs)
 
-    return run_law("adjoint-shift", law,
-                   relation_cases(config, tau.field, tau.ambient, "f"), holds)
+    return run_law("adjoint-shift", law, holds, config,
+                   *relation_cases(tau.field, tau.ambient, "f"))
 
 
 def check_adjoint_involutive(tau, config, law):
-    def holds(c):
-        return adjoint(adjoint(c["f"], tau), tau) == c["f"]
+    def holds(f):
+        return adjoint(adjoint(f, tau), tau) == f
 
-    return run_law("adjoint-involutive", law,
-                   relation_cases(config, tau.field, tau.ambient, "f"), holds)
+    return run_law("adjoint-involutive", law, holds, config,
+                   *relation_cases(tau.field, tau.ambient, "f"))
 
 
 def _run_adjoint_image_inclusion(field, ambient, config):
     tau = ortho_involution(_forms(field, ambient)["symplectic"])
 
-    def sides(c):
-        f, z = c["f"], c["z"]
+    def sides(f, z):
         return (tau(apply_rel(f, z)),
                 apply_rel(inverse_rel(adjoint(f, tau)), tau(z)))
 
     return [run_inclusion_law(
-        "adjoint-image-inclusion", "adjoint-image-inclusion",
-        relation_cases(config, field, ambient, "f", "z"), sides)]
+        "adjoint-image-inclusion", "adjoint-image-inclusion", sides, config,
+        *relation_cases(field, ambient, "f", "z"))]
 
 
 def _run_relation_dimension(field, ambient, config):
     first_half = coord_subspace(field, 2 * ambient, range(ambient))
     everything = full_subspace(field, ambient)
 
-    def holds(c):
-        f = c["f"]
+    def holds(f):
         ker_dim = meet(f.inner, first_half).dim
         im_dim = apply_rel(f, everything).dim
         return f.inner.dim == ker_dim + im_dim
 
-    return [run_law("relation-dimension", "relation-dimension",
-                    relation_cases(config, field, ambient, "f"), holds)]
+    return [run_law("relation-dimension", "relation-dimension", holds,
+                    config, *relation_cases(field, ambient, "f"))]
 
 
 # -- involutions -------------------------------------------------------------
@@ -405,8 +388,9 @@ def _run_fixed_torsors(check, prefix, field, ambient, config):
         inv = ortho_involution(form)
         sample = _fixed_sample(inv)
         if not sample:
-            reports.append(run_law(prefix, "%s-%s-0" % (prefix, name),
-                                   [{"fixed-points": 0}], lambda c: False))
+            reports.append(run_law(
+                prefix, "%s-%s-0" % (prefix, name), lambda **c: False,
+                enumerate_all=lambda: [{"fixed-points": 0}]))
         for k, a in enumerate(sample):
             reports.append(check(inv, a, "%s-%s-%d" % (prefix, name, k)))
     return reports
@@ -431,9 +415,10 @@ def _run_lagrangian_census(field, ambient, config):
     if field.char != 2:
         dual = dual_involution(ortho_involution(forms["symplectic"]))
         same = fixed_points(dual) == isotropic_census(forms["split"])
-        reports.append(run_law("lagrangian-census", "dual-fixed-lagrangian",
-                               [{"mismatch": "fixed set vs census"}],
-                               lambda c: same))
+        reports.append(run_law(
+            "lagrangian-census", "dual-fixed-lagrangian",
+            lambda mismatch: same,
+            enumerate_all=lambda: [{"mismatch": "fixed set vs census"}]))
     return reports
 
 
@@ -443,7 +428,8 @@ def _run_semitorsor_closure(field, ambient, config):
     if len(fixed_points(inv)) > FIXED_SET_BUDGET:
         raise SuiteNotApplicable(
             "fixed set too large for full triple loops at this size")
-    draws = subspace_cases(replace(config, trials=8), field, ambient, "a")
+    draws = cases(replace(config, trials=8),
+                  *subspace_cases(field, ambient, "a"))
     return [closure_report(inv, a)
             for a in dict.fromkeys(c["a"] for c in draws)]
 

@@ -25,8 +25,9 @@ identities), `gamma-agreement`, `idempotent-projection`, `m-symmetries` (of
 the difference operators) and `l-inversion`.  This module also gives the
 cases most laws run over: `subspace_cases`, `relation_cases` and
 `transversal_cases`, the last with outer slots that are graphs over
-complement(a), the chart U_a, whether drawn or enumerated.  Each passes a
-draw function and an enumeration to `reports.cases`, which picks one.
+complement(a), the chart U_a, whether drawn or enumerated.  Each returns a
+law's (draw, enumerate_all), which the law hands to `reports.run_law`, the
+one place that picks between them.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .matrices import (Matrix, all_matrices, eliminate_front, mat_invert,
 from .relations import (LinearRelation, apply_rel, compose, difference,
                         gen_projection, inverse_rel, one_minus,
                         random_relation)
-from .reports import cases, every, run_law
+from .reports import every, run_law
 from .rng import shared_draw
 from .subspaces import (Subspace, TransversalityError, _check_same_space,
                         all_subspaces, complement, image_under, is_transversal,
@@ -194,8 +195,8 @@ def _common_complement(a, b, rng):
     return None
 
 
-def subspace_cases(config, field, ambient, names):
-    """Cases with one slot per name, each a subspace of K^ambient.
+def subspace_cases(field, ambient, names):
+    """(draw, enumerate_all) with one subspace of K^ambient per slot name.
 
     Sampled, every slot takes one random_subspace draw, in slot order;
     exhaustive, every slot ranges over all subspaces.
@@ -203,12 +204,11 @@ def subspace_cases(config, field, ambient, names):
     def draw(rng):
         return {n: random_subspace(field, ambient, rng) for n in names}
 
-    return cases(config, draw,
-                 lambda: every(all_subspaces(field, ambient), names))
+    return draw, lambda: every(all_subspaces(field, ambient), names)
 
 
-def relation_cases(config, field, ambient, relations, subspaces=""):
-    """Cases with relation slots on K^ambient, then subspace slots.
+def relation_cases(field, ambient, relations, subspaces=""):
+    """(draw, enumerate_all): relation slots on K^ambient, then subspaces.
 
     Sampled, each relation slot takes one random_relation draw and then each
     subspace slot one random_subspace draw, in slot order.  Exhaustive, the
@@ -231,11 +231,12 @@ def relation_cases(config, field, ambient, relations, subspaces=""):
         for values in itertools.product(*ranges):
             yield dict(zip(relations + subspaces, values))
 
-    return cases(config, draw, enumerate_all)
+    return draw, enumerate_all
 
 
-def transversal_cases(config, field, ambient, names):
-    """Cases with slots named from x, a, y, b, z; x, y, z complement a, b.
+def transversal_cases(field, ambient, names):
+    """(draw, enumerate_all) for slots among x, a, y, b, z, where x, y, z
+    complement a and b.
 
     Sampled, each case comes from one transversal_tuple draw: (a, b) as
     whole random subspaces, the outer slots as graphs in the chart U_a.
@@ -254,7 +255,7 @@ def transversal_cases(config, field, ambient, names):
             for o in every(carrier, outer):
                 yield dict(m, **o)
 
-    return cases(config, draw, enumerate_all)
+    return draw, enumerate_all
 
 
 # -- law checks ------------------------------------------------------------
@@ -263,97 +264,89 @@ def transversal_cases(config, field, ambient, names):
 def check_para_associativity(field, ambient, config):
     """(x y (z u v)) = (x (u z v) y) = ((x y z) u v) for fixed middle pairs."""
 
-    def holds(c):
-        x, a, y, b, z, u, v = (c["x"], c["a"], c["y"], c["b"], c["z"],
-                               c["u"], c["v"])
+    def holds(x, a, y, b, z, u, v):
         lhs = gamma_global(x, a, y, b, gamma_global(z, a, u, b, v))
         mid = gamma_global(x, a, gamma_global(u, a, z, b, y), b, v)
         rhs = gamma_global(gamma_global(x, a, y, b, z), a, u, b, v)
         return lhs == mid == rhs
 
-    return run_law("global-laws", "para-associativity",
-                   subspace_cases(config, field, ambient, "xaybzuv"), holds)
+    return run_law("global-laws", "para-associativity", holds, config,
+                   *subspace_cases(field, ambient, "xaybzuv"))
 
 
 def check_klein(field, ambient, config):
     """Gamma(x,a,y,b,z) = Gamma(a,x,y,z,b) = Gamma(z,b,y,a,x)."""
 
-    def holds(c):
-        x, a, y, b, z = c["x"], c["a"], c["y"], c["b"], c["z"]
+    def holds(x, a, y, b, z):
         g = gamma_global(x, a, y, b, z)
         return g == gamma_global(a, x, y, z, b) == gamma_global(z, b, y, a, x)
 
-    return run_law("global-laws", "klein-invariance",
-                   subspace_cases(config, field, ambient, "xaybz"), holds)
+    return run_law("global-laws", "klein-invariance", holds, config,
+                   *subspace_cases(field, ambient, "xaybz"))
 
 
 def check_idempotent_laws(field, ambient, config):
     """Gamma(x,a,a,x,z) = x ^ (a v z)  and  1 - P_x^a = P_a^x."""
 
-    def holds(c):
-        x, a, z = c["x"], c["a"], c["z"]
+    def holds(x, a, z):
         if gamma_global(x, a, a, x, z) != meet(x, join(a, z)):
             return False
         return one_minus(gen_projection(x, a)) == gen_projection(a, x)
 
-    return run_law("idempotent-projection", "projection-complement",
-                   subspace_cases(config, field, ambient, "xaz"), holds)
+    return run_law("idempotent-projection", "projection-complement", holds,
+                   config, *subspace_cases(field, ambient, "xaz"))
 
 
 def check_agreement(field, ambient, config):
     """gamma_global vs the relation route and gamma_via_m."""
 
-    def holds(c):
-        x, a, y, b, z = c["x"], c["a"], c["y"], c["b"], c["z"]
+    def holds(x, a, y, b, z):
         g = gamma_global(x, a, y, b, z)
         return (g == apply_rel(l_relation(x, a, y, b), z)
                 and g == gamma_via_m(x, a, y, b, z))
 
-    return run_law("gamma-agreement", "route-agreement",
-                   subspace_cases(config, field, ambient, "xaybz"), holds)
+    return run_law("gamma-agreement", "route-agreement", holds, config,
+                   *subspace_cases(field, ambient, "xaybz"))
 
 
 def check_restricted_agreement(field, ambient, config):
     """gamma_restricted agrees with the other routes on transversal tuples."""
 
-    def holds(c):
-        t = (c["x"], c["a"], c["y"], c["b"], c["z"])
-        return gamma_restricted(*t) == gamma_global(*t)
+    def holds(x, a, y, b, z):
+        return (gamma_restricted(x, a, y, b, z)
+                == gamma_global(x, a, y, b, z))
 
-    return run_law("gamma-agreement", "restricted-agreement",
-                   transversal_cases(config, field, ambient, "xaybz"), holds)
+    return run_law("gamma-agreement", "restricted-agreement", holds, config,
+                   *transversal_cases(field, ambient, "xaybz"))
 
 
 def check_torsor_axioms(field, ambient, config):
     """(x y y) = x = (y y x); commutativity is middle-pair-commutativity."""
 
-    def holds(c):
-        a, b, x, y = c["a"], c["b"], c["x"], c["y"]
+    def holds(x, a, y, b):
         if gamma_global(x, a, y, b, y) != x:
             return False
         return gamma_global(y, a, y, b, x) == x
 
-    return run_law("global-laws", "torsor-idempotents",
-                   transversal_cases(config, field, ambient, "xayb"), holds)
+    return run_law("global-laws", "torsor-idempotents", holds, config,
+                   *transversal_cases(field, ambient, "xayb"))
 
 
 def check_commutativity_aa(field, ambient, config):
     """Gamma(x,a,y,a,z) is symmetric in x and z."""
 
-    def holds(c):
-        a, x, y, z = c["a"], c["x"], c["y"], c["z"]
+    def holds(x, a, y, z):
         return (gamma_global(x, a, y, a, z) == gamma_global(z, a, y, a, x))
 
-    return run_law("global-laws", "middle-pair-commutativity",
-                   transversal_cases(config, field, ambient, "xayz"), holds)
+    return run_law("global-laws", "middle-pair-commutativity", holds, config,
+                   *transversal_cases(field, ambient, "xayz"))
 
 
 def check_m_symmetries(field, ambient, config):
     """M(x,a,b,z) = M(z,b,a,x) = -M(a,x,z,b), and its inverse is
     M(z,a,b,x) = M(x,b,a,z)."""
 
-    def holds(c):
-        x, a, b, z = c["x"], c["a"], c["b"], c["z"]
+    def holds(x, a, b, z):
         m = m_operator(x, a, b, z)
         if m != m_operator(z, b, a, x):
             return False
@@ -362,19 +355,18 @@ def check_m_symmetries(field, ambient, config):
         mi = mat_invert(m)
         return mi == m_operator(z, a, b, x) == m_operator(x, b, a, z)
 
-    return run_law("m-symmetries", "m-symmetries",
-                   transversal_cases(config, field, ambient, "xabz"), holds)
+    return run_law("m-symmetries", "m-symmetries", holds, config,
+                   *transversal_cases(field, ambient, "xabz"))
 
 
 def check_l_inversion(field, ambient, config):
     """L(x,a,y,b)^-1 = L(y,a,x,b): swapping x with y undoes the product."""
 
-    def holds(c):
-        x, a, y, b, z = c["x"], c["a"], c["y"], c["b"], c["z"]
+    def holds(x, a, y, b, z):
         if inverse_rel(l_relation(x, a, y, b)) != l_relation(y, a, x, b):
             return False
         w = gamma_global(x, a, y, b, z)
         return gamma_global(y, a, x, b, w) == z
 
-    return run_law("l-inversion", "l-inversion",
-                   transversal_cases(config, field, ambient, "xaybz"), holds)
+    return run_law("l-inversion", "l-inversion", holds, config,
+                   *transversal_cases(field, ambient, "xaybz"))

@@ -131,19 +131,16 @@ def check_bracket_agreement(field, config):
         p, q = shapes[rng.below(len(shapes))]
         return _matrix_draw(field, x=(p, q), y=(p, q), a=(q, p))(rng)
 
-    def holds(c):
-        return (lie_bracket_dual(c["x"], c["y"], c["a"])
-                == lie_bracket_formula(c["x"], c["y"], c["a"]))
+    def holds(x, y, a):
+        return lie_bracket_dual(x, y, a) == lie_bracket_formula(x, y, a)
 
-    return run_law("lie-bracket", "bracket-two-routes", cases(config, draw),
-                   holds)
+    return run_law("lie-bracket", "bracket-two-routes", holds, config, draw)
 
 
 def check_bracket_laws(field, config):
     """Antisymmetry and the Jacobi identity for x a y - y a x."""
 
-    def holds(c):
-        x, y, z, a = c["x"], c["y"], c["z"], c["a"]
+    def holds(x, y, z, a):
         if lie_bracket_formula(x, y, a) != -lie_bracket_formula(y, x, a):
             return False
         total = (lie_bracket_formula(x, lie_bracket_formula(y, z, a), a)
@@ -152,7 +149,7 @@ def check_bracket_laws(field, config):
         return total.is_zero()
 
     draw = _matrix_draw(field, **dict.fromkeys("xyza", (2, 2)))
-    return run_law("bracket-laws", "bracket-laws", cases(config, draw), holds)
+    return run_law("bracket-laws", "bracket-laws", holds, config, draw)
 
 
 # -- classical families ------------------------------------------------------
@@ -259,18 +256,18 @@ def check_group_laws(fam):
     else:
         swept = [{"unit": "missing"}]
 
-    def holds(c):
-        if "unit" in c:
+    def holds(x=None, y=None, unit=None):
+        if unit:
             return fam.zero in member_set
-        x = c["x"]
-        if "y" in c:
-            return fam.product(x, c["y"]) in member_set
+        if y is not None:
+            return fam.product(x, y) in member_set
         xi = fam.inverse(x)
         return (xi in member_set
                 and fam.product(x, xi) == fam.zero
                 and fam.product(xi, x) == fam.zero)
 
-    return run_law("homotope-monoid", "family-group-laws", swept, holds,
+    return run_law("homotope-monoid", "family-group-laws", holds,
+                   enumerate_all=lambda: swept,
                    notes=("family:%s" % fam.family, "members:%d" % len(pool)))
 
 
@@ -279,13 +276,14 @@ def check_hull_closure(fam):
     pool = hull(fam)
     hull_set = set(pool)
 
-    def holds(c):
-        if "unit" in c:
+    def holds(x=None, y=None, unit=None):
+        if unit:
             return fam.condition(fam.zero)
-        return fam.product(c["x"], c["y"]) in hull_set
+        return fam.product(x, y) in hull_set
 
     swept = itertools.chain([{"unit": "missing"}], every(pool, "xy"))
-    return run_law("hull-closure", "hull-closure", swept, holds,
+    return run_law("hull-closure", "hull-closure", holds,
+                   enumerate_all=lambda: swept,
                    notes=("family:%s" % fam.family,
                           "param:%s" % format_matrix(fam.param),
                           "hull:%d" % len(pool)))
@@ -295,15 +293,13 @@ def check_member_criterion_sides(field, config):
     """1 - x a and 1 - a x are invertible together."""
     p, q = 2, 3
 
-    def holds(c):
-        x, a = c["x"], c["a"]
+    def holds(x, a):
         left = is_invertible(Matrix.identity(field, p) - x * a)
         right = is_invertible(Matrix.identity(field, q) - a * x)
         return left == right
 
-    return run_law("homotope-monoid", "member-criterion-sides",
-                   cases(config, _matrix_draw(field, x=(p, q), a=(q, p))),
-                   holds)
+    return run_law("homotope-monoid", "member-criterion-sides", holds, config,
+                   _matrix_draw(field, x=(p, q), a=(q, p)))
 
 
 def check_associativity(field, config):
@@ -311,13 +307,12 @@ def check_associativity(field, config):
 
     draw = _matrix_draw(field, **dict.fromkeys("axyz", (2, 2)))
 
-    def holds(c):
-        h = Homotope(c["a"])
-        x, y, z = c["x"], c["y"], c["z"]
+    def holds(a, x, y, z):
+        h = Homotope(a)
         return h.product(h.product(x, y), z) == h.product(x, h.product(y, z))
 
-    return run_law("homotope-monoid", "product-associativity",
-                   cases(config, draw), holds)
+    return run_law("homotope-monoid", "product-associativity", holds, config,
+                   draw)
 
 
 # -- charts of the pentary product -------------------------------------------
@@ -332,16 +327,14 @@ def check_chart_product(field, n, config):
     """
     bt = standard_triple(field, n)
 
-    def holds(c):
-        X, B, Z = c["X"], c["B"], c["Z"]
+    def holds(X, B, Z):
         w = gamma_global(graph_of(X), bt.o_minus, bt.o_plus, graph_minus(B),
                          graph_of(Z))
         return w == graph_of(X + Z - X * B * Z)
 
     draw = _matrix_draw(field, **dict.fromkeys("XBZ", (n, n)))
     # The bridge suite runs this law; perfbench/expected.json pins its name.
-    return run_law("homotope", "pentary-chart-product", cases(config, draw),
-                   holds)
+    return run_law("homotope", "pentary-chart-product", holds, config, draw)
 
 
 # -- triple systems ----------------------------------------------------------
@@ -364,8 +357,7 @@ def check_pair_identity(field, config):
     across slots never changes the value.
     """
 
-    def holds(c):
-        x, y, z, u, v = c["x"], c["y"], c["z"], c["u"], c["v"]
+    def holds(x, y, z, u, v):
         e1 = plain_triple(x, y, plain_triple(z, u, v))
         e2 = plain_triple(plain_triple(x, y, z), u, v)
         e3 = plain_triple(x, plain_triple(y, z, u), v)
@@ -373,16 +365,15 @@ def check_pair_identity(field, config):
 
     draw = _matrix_draw(field, x=(2, 3), y=(3, 2), z=(2, 3), u=(3, 2),
                         v=(2, 3))
-    return run_law("triple-systems", "pair-shift-identity",
-                   cases(config, draw), holds)
+    return run_law("triple-systems", "pair-shift-identity", holds, config,
+                   draw)
 
 
 def check_second_kind_identity(field, config):
     """x y* z obeys the shift law with a reversed middle triple."""
     t = star_triple
 
-    def holds(c):
-        x, y, z, u, v = c["x"], c["y"], c["z"], c["u"], c["v"]
+    def holds(x, y, z, u, v):
         if t(t(x, y, z), u, v) != t(x, y, t(z, u, v)):
             return False
         if t(t(x, y, z), u, v) != t(x, t(u, z, y), v):
@@ -390,8 +381,8 @@ def check_second_kind_identity(field, config):
         return t(u, t(x, y, z), v) == t(t(u, z, y), x, v)
 
     draw = _matrix_draw(field, **dict.fromkeys("xyzuv", (2, 3)))
-    return run_law("triple-systems", "second-kind-shift-identity",
-                   cases(config, draw), holds)
+    return run_law("triple-systems", "second-kind-shift-identity", holds,
+                   config, draw)
 
 
 def check_first_kind_control(field, config):
@@ -406,7 +397,8 @@ def check_first_kind_control(field, config):
                 != t(c["x"], c["y"], t(c["z"], c["u"], c["v"]))
                 for c in cases(config, draw))
     return run_law("triple-systems", "first-kind-negative-control",
-                   [{"violations": found}], lambda c: found > 0,
+                   lambda violations: violations > 0,
+                   enumerate_all=lambda: [{"violations": found}],
                    notes=("violations:%d" % found,))
 
 
@@ -421,15 +413,14 @@ def check_triple_via_involution(field, n, config):
     inv = ortho_involution(diag_form(field, n))
     bt = standard_triple(field, n)
 
-    def holds(c):
-        X, Y, Z = c["X"], c["Y"], c["Z"]
+    def holds(X, Y, Z):
         w = gamma_global(graph_of(X), bt.o_plus, inv(graph_of(Y)),
                          bt.o_minus, graph_of(Z))
         return w == graph_of(Z * Y.conj_t() * X)
 
     draw = _matrix_draw(field, **dict.fromkeys("XYZ", (n, n)))
-    return run_law("triple-systems", "starred-triple-chart",
-                   cases(config, draw), holds)
+    return run_law("triple-systems", "starred-triple-chart", holds, config,
+                   draw)
 
 
 # -- bridges -----------------------------------------------------------------
@@ -443,16 +434,14 @@ def graph_star_roundtrip(field, n, config):
     """
     inv = ortho_involution(symplectic_form(field, n))
 
-    def holds(c):
-        a = c["a"]
+    def holds(a):
         g = graph_of(a)
         image = inv(g)
         return image == graph_of(a.conj_t()) and inv(image) == g
 
-    return run_law("bridge", "graph-star-roundtrip",
-                   cases(config, _matrix_draw(field, a=(n, n)),
-                         lambda: every(all_matrices(field, n, n), "a")),
-                   holds)
+    return run_law("bridge", "graph-star-roundtrip", holds, config,
+                   _matrix_draw(field, a=(n, n)),
+                   lambda: every(all_matrices(field, n, n), "a"))
 
 
 def _bridge_setup(name, a_param):
@@ -492,17 +481,17 @@ def family_table_bridge(name, a_param):
     family = members(fam)
     onto = set(chart.values()) == set(family)
 
-    def holds(c):
-        if "carrier" in c:
+    def holds(x1=None, x2=None, **sizes):
+        if sizes:
             return onto
-        x1, x2 = c["x1"], c["x2"]
         w = gamma_global(x1, ta_sub, bt.o_plus, a_sub, x2)
         return chart.get(w) == fam.product(chart[x1], chart[x2])
 
     sizes = {"carrier": len(carrier), "family": len(family)}
     swept = itertools.chain([sizes],
                             every(carrier, ("x1", "x2")) if onto else ())
-    return run_law("bridge", name + "-family-table", swept, holds,
+    return run_law("bridge", name + "-family-table", holds,
+                   enumerate_all=lambda: swept,
                    notes=("carrier:%d" % len(carrier),))
 
 
@@ -530,10 +519,9 @@ def unitary_transport_bridge(a_param):
     moved = {x: image_under(t_op, x) for x in carrier}
     onto = set(moved.values()) == set(unitary)
 
-    def holds(c):
-        if "carrier" in c:
+    def holds(x1=None, x2=None, **sizes):
+        if sizes:
             return onto
-        x1, x2 = c["x1"], c["x2"]
         w = gamma_global(x1, a_sub, bt.o_plus, ta_sub, x2)
         target = gamma_global(moved[x1], two_a, bt.o_plus, bt.o_minus,
                               moved[x2])
@@ -542,6 +530,7 @@ def unitary_transport_bridge(a_param):
     sizes = {"carrier": len(carrier), "unitary": len(unitary)}
     swept = itertools.chain([sizes],
                             every(carrier, ("x1", "x2")) if onto else ())
-    return run_law("bridge", "twisted-unitary-transport", swept, holds,
+    return run_law("bridge", "twisted-unitary-transport", holds,
+                   enumerate_all=lambda: swept,
                    notes=("carrier:%d" % len(carrier),
                           "unitary:%d" % len(unitary)))

@@ -30,8 +30,7 @@ Gamma remains the only path for arbitrary tuples.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .fields import PrimeField
@@ -39,8 +38,7 @@ from .gamma import (common_complements, dilations, gamma_global, gamma_oracle,
                     m_operator, subspace_cases, transversal_cases)
 from .matrices import (Matrix, det, format_matrix, hstack, mat_invert,
                        random_invertible, rank, vstack)
-from .reports import (cases, describe_value, every, run_inclusion_law,
-                      run_law)
+from .reports import describe_value, every, run_inclusion_law, run_law
 from .rng import run_shared
 from .subspaces import (Subspace, TransversalityError, chart_minus,
                         chart_of, coord_subspace, enumerate_subspaces,
@@ -144,12 +142,13 @@ def fixed_points(inv):
 
 
 def isotropic_census(form):
-    """Middle-dimension totally isotropic subspaces, by direct filtering."""
+    """Middle-dimension totally isotropic subspaces, filtered once per run."""
     n = form.ambient
     if n % 2 == 1:
         return ()
-    return tuple(x for x in enumerate_subspaces(form.field, n, n // 2)
-                 if is_isotropic(x, form))
+    return run_shared(("isotropic-census", form.gram), lambda: tuple(
+        x for x in enumerate_subspaces(form.field, n, n // 2)
+        if is_isotropic(x, form)))
 
 
 def census_report(form, law="census-two-paths"):
@@ -157,8 +156,8 @@ def census_report(form, law="census-two-paths"):
     direct = isotropic_census(form)
     fixed = fixed_points(ortho_involution(form))
     counts = {"direct-count": len(direct), "fixed-count": len(fixed)}
-    return run_law("lagrangian-census", law, [counts],
-                   lambda c: direct == fixed,
+    return run_law("lagrangian-census", law, lambda **c: direct == fixed,
+                   enumerate_all=lambda: [counts],
                    notes=("count:%d" % len(direct),))
 
 
@@ -258,46 +257,41 @@ def translation_op(a_chart):
 
 
 def check_order_two(inv, config, law="order-two"):
-    return run_law("involution-antihom", law,
-                   subspace_cases(config, inv.field, inv.ambient, "x"),
-                   lambda c: inv(inv(c["x"])) == c["x"],
+    return run_law("involution-antihom", law, lambda x: inv(inv(x)) == x,
+                   config, *subspace_cases(inv.field, inv.ambient, "x"),
                    notes=("label:%s" % (inv.label or "anonymous"),))
 
 
 def check_transversality_preservation(inv, config,
                                       law="transversality-preservation"):
-    def holds(c):
-        return (is_transversal(c["x"], c["a"])
-                == is_transversal(inv(c["x"]), inv(c["a"])))
+    def holds(x, a):
+        return is_transversal(x, a) == is_transversal(inv(x), inv(a))
 
-    return run_law("involution-antihom", law,
-                   subspace_cases(config, inv.field, inv.ambient, "xa"),
-                   holds)
+    return run_law("involution-antihom", law, holds, config,
+                   *subspace_cases(inv.field, inv.ambient, "xa"))
 
 
 def _reverses_gamma(inv):
     """tau Gamma(x,a,y,b,z) = Gamma(tx,tb,ty,ta,tz) = Gamma(tz,ta,ty,tb,tx)."""
-    def holds(c):
-        lhs = inv(gamma_global(c["x"], c["a"], c["y"], c["b"], c["z"]))
-        x, a, y, b, z = (inv(c[k]) for k in "xaybz")
-        return (lhs == gamma_global(x, b, y, a, z)
-                and lhs == gamma_global(z, a, y, b, x))
+    def holds(x, a, y, b, z):
+        lhs = inv(gamma_global(x, a, y, b, z))
+        tx, ta, ty, tb, tz = map(inv, (x, a, y, b, z))
+        return (lhs == gamma_global(tx, tb, ty, ta, tz)
+                and lhs == gamma_global(tz, ta, ty, tb, tx))
 
     return holds
 
 
 def check_antihom_restricted(inv, config, law="restricted-anti-homomorphism"):
     """The reversal identity of `_reverses_gamma` on transversal tuples."""
-    return run_law("involution-antihom", law,
-                   transversal_cases(config, inv.field, inv.ambient, "xaybz"),
-                   _reverses_gamma(inv))
+    return run_law("involution-antihom", law, _reverses_gamma(inv), config,
+                   *transversal_cases(inv.field, inv.ambient, "xaybz"))
 
 
 def check_antihom_global(inv, config, law="global-anti-homomorphism"):
     """The same identity on arbitrary tuples, no transversality at all."""
-    return run_law("involution-duality", law,
-                   subspace_cases(config, inv.field, inv.ambient, "xaybz"),
-                   _reverses_gamma(inv))
+    return run_law("involution-duality", law, _reverses_gamma(inv), config,
+                   *subspace_cases(inv.field, inv.ambient, "xaybz"))
 
 
 def check_duality_inclusion(inv, config, law="duality-inclusion"):
@@ -306,15 +300,12 @@ def check_duality_inclusion(inv, config, law="duality-inclusion"):
     Equality candidates are not asserted here; strictness counts go into the
     notes so genuinely strict cases can be collected.  Sampled in every mode.
     """
-    def sides(c):
-        x, a, y, b, z = c["x"], c["a"], c["y"], c["b"], c["z"]
+    def sides(x, a, y, b, z):
         return (inv(gamma_global(x, a, y, b, z)),
                 gamma_global(inv(x), inv(b), inv(y), inv(a), inv(z)))
 
-    sampled = replace(config, exhaustive=False)
-    return run_inclusion_law(
-        "involution-duality", law,
-        subspace_cases(sampled, inv.field, inv.ambient, "xaybz"), sides)
+    draw, _ = subspace_cases(inv.field, inv.ambient, "xaybz")
+    return run_inclusion_law("involution-duality", law, sides, config, draw)
 
 
 def check_dilation_compat(inv, config, law="dilation-compatibility"):
@@ -329,16 +320,13 @@ def check_dilation_compat(inv, config, law="dilation-compatibility"):
         scalars = [field.zero, field.one, field.from_int(2), field.from_int(-3)]
     conj_scalars = [field.conj(s) for s in scalars]
 
-    def holds(c):
-        x, a, y = c["x"], c["a"], c["y"]
+    def holds(x, a, y):
         expect = dilations(conj_scalars, inv(x), inv(a), inv(y))
         return all(inv(got) == want for got, want
                    in zip(dilations(scalars, x, a, y), expect))
 
-    sampled = replace(config, exhaustive=False)
-    return run_law("involution-antihom", law,
-                   transversal_cases(sampled, field, inv.ambient, "xay"),
-                   holds)
+    draw, _ = transversal_cases(field, inv.ambient, "xay")
+    return run_law("involution-antihom", law, holds, config, draw)
 
 
 def closure_report(inv, a):
@@ -352,17 +340,19 @@ def closure_report(inv, a):
     once per distinct result.
     """
     ta = inv(a)
+    swept = every(fixed_points(inv), "xyz")
 
-    def result(c):
-        return gamma_oracle(c["x"], a, c["y"], ta, c["z"])
+    def result(x, y, z):
+        return gamma_oracle(x, a, y, ta, z)
 
-    def holds(c):
-        w = result(c)
+    def holds(x, y, z):
+        w = result(x, y, z)
         return inv(w) == w
 
-    return run_law("semitorsor-closure", "fixed-set-closure",
-                   every(fixed_points(inv), "xyz"), holds,
-                   lambda c: describe_value(dict(c, result=result(c))),
+    return run_law("semitorsor-closure", "fixed-set-closure", holds,
+                   enumerate_all=lambda: swept,
+                   describe=lambda c: describe_value(
+                       dict(c, result=result(**c))),
                    notes=("a:%s" % format_matrix(a.basis),))
 
 
@@ -374,19 +364,20 @@ def check_torsor_g(inv, a, law="fixed-torsor-axioms"):
     def product(x, y, z):
         return gamma_global(x, a, y, ta, z)
 
-    def holds(c):
-        x, y = c["x"], c["y"]
-        if "z" in c:
-            return product(x, y, c["z"]) == product(c["z"], y, x)
+    def holds(x, y, z=None):
+        if z is not None:
+            return product(x, y, z) == product(z, y, x)
         if product(x, y, y) != x or product(y, y, x) != x:
             return False
         w = product(x, y, x)
         return inv(w) == w and w in carrier
 
-    swept = every(carrier, "xy")
-    if ta == a:
-        swept = itertools.chain(swept, every(carrier, "xyz"))
-    return run_law("torsor-g", law, swept, holds,
+    def enumerate_all():
+        yield from every(carrier, "xy")
+        if ta == a:
+            yield from every(carrier, "xyz")
+
+    return run_law("torsor-g", law, holds, enumerate_all=enumerate_all,
                    notes=("carrier:%d" % len(carrier),))
 
 
@@ -403,11 +394,11 @@ def check_opposite_torsor(inv, a, law="opposite-torsor"):
     else:
         swept = [{"carrier-sizes": [len(carrier), len(op_carrier)]}]
 
-    def holds(c):
-        return "x" in c and (gamma_global(c["x"], a, c["y"], ta, c["z"])
-                             == gamma_global(c["z"], ta, c["y"], a, c["x"]))
+    def holds(x=None, y=None, z=None, **carrier_sizes):
+        return not carrier_sizes and (gamma_global(x, a, y, ta, z)
+                                      == gamma_global(z, ta, y, a, x))
 
-    return run_law("opposite-torsor", law, swept, holds)
+    return run_law("opposite-torsor", law, holds, enumerate_all=lambda: swept)
 
 
 # -- orbit invariants --------------------------------------------------------
@@ -488,8 +479,7 @@ def check_invariant_transport(form, config, law="isometry-transport"):
         return dict(g=random_isometry(form, rng),
                     a=layer[rng.below(len(layer))])
 
-    def holds(c):
-        a, g = c["a"], c["g"]
+    def holds(g, a):
         b = image_under(g, a)
         if form_invariants(a, form) != form_invariants(b, form):
             return False
@@ -500,4 +490,4 @@ def check_invariant_transport(form, config, law="isometry-transport"):
         return not carrier or (cayley_table(carrier, carrier[0], a, inv(a))
                                == cayley_table(moved, moved[0], b, inv(b)))
 
-    return run_law("invariant-transport", law, cases(config, draw), holds)
+    return run_law("invariant-transport", law, holds, config, draw)

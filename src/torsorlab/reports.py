@@ -7,16 +7,16 @@ with no second edit.
 `json_line` serializes sorted and minimal, for reports and every other JSON
 line the command line prints, so identical runs are byte-identical.
 A Report is frozen and built in one place, `run_law` (or `skipped_report`
-for a suite that did not run): a law whose verdict is a single comparison
-runs over a one-case list, so its counterexample is rendered like any other.
+for a suite that did not run).
 
 A law is a predicate over named-slot cases, defined once in the module whose
-objects it is about (`checks`, `gamma`, `involutions`, `homotopes`).  Its
-cases come from `cases`, the only code that chooses between enumerating and
-sampling: a law passes a draw function and, if it can enumerate, a function
-that yields every case.  An exhaustive run takes the enumeration, and any
-other run draws trial i from trial_rng(seed, i).  The cases the laws share
-(subspaces, relations and transversal tuples) come from `gamma`; since
+objects it is about (`checks`, `gamma`, `involutions`, `homotopes`), and
+declared by one `run_law` call.  The predicate takes the slots as its
+parameters, and `run_law` alone picks the cases: a law with no draw (a
+carrier sweep, or a single comparison) enumerates in every mode, and a law
+with a draw takes `cases`, its enumeration in an exhaustive run if it has
+one and otherwise trial i drawn from trial_rng(seed, i).  The cases the laws
+share (subspaces, relations and transversal tuples) come from `gamma`; since
 every law's trial i starts from one generator state, their draws are made
 once per check run and shared (`rng.shared_draw`).
 """
@@ -58,43 +58,50 @@ def json_line(data):
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def run_law(suite, law, cases, predicate, describe=None, notes=()):
-    """Evaluate predicate over an iterable of cases and collect a Report.
+def run_law(suite, law, holds, config=None, draw=None, enumerate_all=None,
+            describe=None, notes=()):
+    """Evaluate holds(**case) over the law's cases and collect a Report.
 
-    describe renders the first failing case; by default describe_value.
-    The law runs inside a check run's table (`rng.run_table`), its own
-    unless a suite or the whole check opened one around it.
+    The cases are enumerate_all() when draw is None, else `cases(config,
+    draw, enumerate_all)`; a case that lacks a slot holds names raises
+    TypeError.  describe renders the first failing case; by default
+    describe_value.  The law runs inside a check run's table
+    (`rng.run_table`), its own unless a suite or the whole check opened one
+    around it.
     """
     describe = describe or describe_value
     count = failures = 0
     first = None
     with run_table():
-        for case in cases:
+        swept = (enumerate_all() if draw is None
+                 else cases(config, draw, enumerate_all))
+        for case in swept:
             count += 1
-            if not predicate(case):
+            if not holds(**case):
                 failures += 1
                 if failures == 1:
                     first = describe(case)
     return Report(suite, law, count, failures, first, tuple(notes))
 
 
-def run_inclusion_law(suite, law, cases, sides):
-    """A law "big contains small", with sides(case) giving (big, small).
+def run_inclusion_law(suite, law, sides, config=None, draw=None,
+                      enumerate_all=None):
+    """A law "big contains small", with sides(**case) giving (big, small).
 
     Only a broken inclusion fails; the number of cases where it is strict
     goes into the notes, so genuinely strict cases can be collected.
     """
     strict = 0
 
-    def holds(case):
+    def holds(**case):
         nonlocal strict
-        big, small = sides(case)
+        big, small = sides(**case)
         if not contains(big, small):
             return False
         strict += big != small
         return True
 
-    report = run_law(suite, law, cases, holds)
+    report = run_law(suite, law, holds, config, draw, enumerate_all)
     if strict:
         return replace(report,
                        notes=("strict-inclusion-instances:%d" % strict,))
@@ -116,9 +123,9 @@ class CheckConfig:
 
 
 def cases(config, draw, enumerate_all=None):
-    """The cases of one law, lazily: enumerate_all() when the run is
-    exhaustive and the law passes one, else draw(trial_rng(seed, i)) for
-    each trial i.  A case is a dict from slot name to value."""
+    """Cases drawn or enumerated, lazily: enumerate_all() when the run is
+    exhaustive and one is passed, else draw(trial_rng(seed, i)) for each
+    trial i.  `run_law` and the draw pools of a few laws call it."""
     if config.exhaustive and enumerate_all is not None:
         yield from enumerate_all()
     else:

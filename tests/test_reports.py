@@ -14,19 +14,86 @@ from torsorlab.rng import SplitMix64, mix64, trial_rng
 from torsorlab.subspaces import graph_of, span_rows
 
 
+def numbered(count):
+    """An enumeration of the cases {"n": 0}, ..., {"n": count - 1}."""
+    return lambda: ({"n": n} for n in range(count))
+
+
 def test_run_law_counts_cases_and_failures():
-    r = run_law("demo", "parity", range(10), lambda c: c % 2 == 0, str)
+    r = run_law("demo", "parity", lambda n: n % 2 == 0,
+                enumerate_all=numbered(10), describe=str)
     assert r.cases == 10
     assert r.failures == 5
-    assert r.first_counterexample == "1"
+    assert r.first_counterexample == "{'n': 1}"
     assert not r.passed
 
 
 def test_run_law_all_pass():
-    r = run_law("demo", "trivial", range(7), lambda c: True, str, notes=("n:7",))
+    r = run_law("demo", "trivial", lambda n: True, enumerate_all=numbered(7),
+                describe=str, notes=("n:7",))
     assert r.passed and r.failures == 0 and r.cases == 7
     assert r.notes == ("n:7",)
     assert r.first_counterexample is None
+
+
+def slots_seen(config, draw=None, enumerate_all=None):
+    """The keyword arguments run_law passes holds, one dict per case."""
+    seen = []
+
+    def holds(**slots):
+        seen.append(slots)
+        return True
+
+    report = run_law("demo", "seen", holds, config, draw, enumerate_all)
+    assert report.cases == len(seen)
+    return seen
+
+
+def drawn(rng):
+    return {"n": rng.next_u64()}
+
+
+def test_run_law_enumerates_a_law_with_no_draw_in_every_mode():
+    """A carrier sweep or a single comparison has no draw: it runs its
+    enumeration once, not `trials` times, in a sampled run too."""
+    for config in (CheckConfig(trials=13), CheckConfig(exhaustive=True),
+                   None):
+        assert slots_seen(config, enumerate_all=numbered(3)) == [
+            {"n": 0}, {"n": 1}, {"n": 2}]
+
+
+def test_run_law_takes_the_enumeration_of_an_exhaustive_run():
+    exhaustive = CheckConfig(exhaustive=True, trials=13)
+    assert slots_seen(exhaustive, drawn, numbered(2)) == [{"n": 0}, {"n": 1}]
+
+
+def test_run_law_draws_trial_i_from_its_own_generator():
+    """A sampled run, and an exhaustive run of a law with no enumeration,
+    draw trial i from trial_rng(seed, i)."""
+    expected = [{"n": trial_rng(5, i).next_u64()} for i in range(13)]
+    sampled = CheckConfig(trials=13, seed=5)
+    assert slots_seen(sampled, drawn, numbered(2)) == expected
+    assert slots_seen(replace(sampled, exhaustive=True), drawn) == expected
+
+
+def test_run_law_passes_the_slots_as_keywords():
+    def holds(x, a, z=None):
+        return (x, a, z) == ("x-value", "a-value", None)
+
+    case = {"a": "a-value", "x": "x-value"}
+    r = run_law("demo", "keywords", holds, enumerate_all=lambda: [case])
+    assert r.passed and r.cases == 1
+
+
+def test_run_law_refuses_a_case_that_lacks_a_slot():
+    """A predicate that names a slot the case does not carry fails loudly,
+    never as a silent pass."""
+    def holds(x, a):
+        return True
+
+    with pytest.raises(TypeError):
+        run_law("demo", "missing-slot", holds,
+                enumerate_all=lambda: [{"x": 1}])
 
 
 def test_report_json_stable_and_sorted():

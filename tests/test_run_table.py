@@ -3,8 +3,8 @@
 Inside a run (`rng.run_table`), a `shared_draw` sampler called again from
 an equal generator state returns the first value and leaves the generator
 where the first call left it, `orthocomplement` takes each kernel once
-per (subspace, gram), and `fixed_points` enumerates each fixed set once
-per gram.  Outside a run nothing is kept, and no run leaves its table
+per (subspace, gram), and `fixed_points` and `isotropic_census` enumerate
+each fixed set and each census once per gram.  Outside a run nothing is kept, and no run leaves its table
 behind, whether it returns or raises.
 """
 
@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from torsorlab import checks, cli, subspaces
 from torsorlab.fields import PrimeField, Rationals
 from torsorlab.gamma import transversal_tuple
-from torsorlab.involutions import fixed_points, involution, ortho_involution
+from torsorlab.involutions import (fixed_points, involution, isotropic_census,
+                                   ortho_involution)
 from torsorlab.matrices import ShapeError
 from torsorlab.relations import adjoint, random_relation
 from torsorlab.reports import CheckConfig
@@ -142,6 +143,17 @@ def test_a_fixed_set_is_enumerated_once_per_run_by_gram():
     with run_table():
         assert fixed_points(perp) is fixed_points(other)
     assert fixed_points(perp) is not fixed_points(perp)
+
+
+def test_an_isotropic_census_is_enumerated_once_per_run():
+    """`census_report` and `dual-fixed-lagrangian` filter the split form's
+    middle layer once per run; outside a run every call filters afresh."""
+    form = split_form(PrimeField(3), 1)
+    census = isotropic_census(form)
+    assert len(census) == 2
+    with run_table():
+        assert isotropic_census(form) is isotropic_census(form) == census
+    assert isotropic_census(form) is not isotropic_census(form)
 
 
 def count_kernels(monkeypatch):

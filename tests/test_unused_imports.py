@@ -5,17 +5,19 @@ every module-level name a library module defines is loaded by the library
 itself, not only by the package's exports or the tests; no library module
 reads the process environment; only `reports.py` builds a Report, only
 `matrices.py` calls `_eliminate`, only `matrices._product` calls the
-product kernels, only `involutions.involution` builds
-an Involution, only `subspaces.orthocomplement` and the rank-nullity
-law call `kernel_basis`, only `Involution.__call__` and
-`relations.adjoint` call `orthocomplement`, and only `reports.cases` calls `trial_rng`; every
-library function reads each of its parameters, and no parameter takes one
-value from every library call; only `cli.main` catches `FieldSyntaxError`;
-and no handler in `cli.py` that catches ValueError wraps a call that
-raises `UsageError` itself.  No linter ships with the project, so this
-walks each module's syntax tree with the stdlib `ast` module.  The package's
-`__init__.py` is exempt from the import guard and from the name guard: its
-imports are the package's exports, and an export alone is no caller.
+product kernels, only `involutions.involution` builds an Involution, only
+`subspaces.orthocomplement` and the rank-nullity law call `kernel_basis`,
+only `Involution.__call__` and `relations.adjoint` call `orthocomplement`,
+only `reports.cases` calls `trial_rng`, and only `reports.run_law` and
+three draw pools call `cases` (a law hands its draw to `run_law`); every
+library function reads each of its parameters, a law's predicate each slot
+it names, and no parameter takes one value from every library call; only
+`cli.main` catches `FieldSyntaxError`; and no handler in `cli.py` that
+catches ValueError wraps a call that raises `UsageError` itself.  No linter
+ships with the project, so this walks each module's syntax tree with the
+stdlib `ast` module.  The package's `__init__.py` is exempt from the import
+guard and from the name guard: its imports are the package's exports, and
+an export alone is no caller.
 """
 
 import ast
@@ -300,6 +302,18 @@ def test_only_the_case_generator_seeds_trials():
         ("reports.py", "cases")]
 
 
+def test_a_law_hands_its_draw_to_run_law():
+    """`run_law` picks every law's cases.  The only other callers of
+    `cases` draw a pool that a law sweeps: the parameters `a` of
+    semitorsor-closure, the family parameters of hull-closure, and the
+    violations that first-kind-negative-control counts."""
+    assert callers_of(library_trees(), "cases") == [
+        ("checks.py", "_run_semitorsor_closure"),
+        ("homotopes.py", "check_first_kind_control"),
+        ("homotopes.py", "family_params"),
+        ("reports.py", "run_law")]
+
+
 def test_only_the_involution_builder_builds_involutions():
     """Every Involution the library builds has passed the order-two check."""
     assert calls_outside("involutions.py", "Involution") == {}
@@ -319,7 +333,10 @@ def unread_parameters(tree, module):
     chooses; bodies that only raise, the stubs a subclass overrides; the
     field, ambient and config of a suite runner, a top-level `checks._run_*`,
     which the registry's signature sets; and lambdas, which are not
-    definitions.  A function nested in a runner is not exempt.
+    definitions.  A function nested in a runner is not exempt.  A law's
+    predicate takes its slots as parameters (`reports.run_law` calls
+    holds(**case)), so a `def` predicate must read every slot its law
+    draws.
     """
     found = []
 
@@ -372,14 +389,19 @@ def test_parameter_guard_sees_functions_methods_and_nesting():
                      "def _run_y(check, field, ambient, config):\n"
                      "    def holds(c):\n"
                      "        return field\n"
-                     "    return holds\n")
+                     "    return holds\n"
+                     "def check_law(config):\n"
+                     "    def holds(x, a):\n"
+                     "        return x\n"
+                     "    return run_law('s', 'l', holds, config)\n")
     unread = [("f.inner", "lost"), ("f", "unused"), ("f", "flag"),
               ("C.method", "value")]
     nested = [("_run_y.holds", "c"), ("_run_y", "check")]
+    slot = [("check_law.holds", "a")]
     assert unread_parameters(tree, "m.py") == unread + [
         ("_run_x", "ambient"), ("_run_x", "config")] + nested + [
-        ("_run_y", "ambient"), ("_run_y", "config")]
-    assert unread_parameters(tree, "checks.py") == unread + nested
+        ("_run_y", "ambient"), ("_run_y", "config")] + slot
+    assert unread_parameters(tree, "checks.py") == unread + nested + slot
 
 
 def test_every_library_function_reads_its_parameters():
