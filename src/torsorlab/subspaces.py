@@ -11,9 +11,16 @@ subspaces asked for by Gaussian binomials; it refuses a request for more
 than `matrices.ENUMERATION_LIMIT` of them with `FieldSyntaxError`.
 The limit is 10^6, so all of F2^8 or F3^6 passes and F5^6 does not.
 
-A Subspace is a frozen, slotted value whose hash is computed once, on first
-use, and kept in its `_hash` slot.  The value is the one a frozen dataclass
-would generate, so set and dict orders do not depend on the cache.
+Equal subspaces are one object: `Subspace(basis)` returns the live object
+for its basis if there is one, from a table that holds its subspaces
+weakly, so a subspace nothing else holds leaves the table.  Equality is
+therefore identity and the hash is the object's own, both computed in C,
+which is what every memo keyed by subspaces looks up.  A Subspace refuses
+every write, and copying or unpickling one returns the live object.  Its
+hash is an address, so the iteration order of a set of subspaces, or of a
+dict keyed by them unless built in a fixed order, differs between
+processes, and no output may depend on it: the library uses such sets only
+for `==` and `in`, and iterates such dicts in insertion order.
 
 A Form is its gram: building one refuses a gram that is neither hermitian
 nor skew, or is singular, and its kind is read off the gram.  The split and
@@ -23,8 +30,8 @@ construction, the hyperbolic form [[0, B], [sign B, 0]].
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
+import weakref
 from dataclasses import dataclass
 
 from .fields import FieldSyntaxError
@@ -39,18 +46,33 @@ class TransversalityError(ValueError):
     """A construction needed complementary subspaces and did not get them."""
 
 
-@dataclass(frozen=True, slots=True)
-class Subspace:
-    basis: Matrix  # RREF, zero rows dropped; its columns are the ambient
-    _hash: int = dataclasses.field(default=None, init=False, repr=False,
-                                   compare=False)
+# The live Subspace of each basis; an entry goes when its subspace does.
+_INTERNED = weakref.WeakValueDictionary()
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.basis,))
-            object.__setattr__(self, "_hash", h)
-        return h
+
+class Subspace:
+    """The row space of `basis`: RREF, zero rows dropped, and its columns
+    are the ambient.  There is one live object per basis, so equality is
+    identity and the hash is the object's."""
+
+    __slots__ = ("basis", "__weakref__")
+
+    def __new__(cls, basis):
+        live = _INTERNED.get(basis)
+        if live is None:
+            live = object.__new__(cls)
+            object.__setattr__(live, "basis", basis)
+            _INTERNED[basis] = live
+        return live
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a Subspace cannot be changed")
+
+    def __delattr__(self, name):
+        raise AttributeError("a Subspace cannot be changed")
+
+    def __reduce__(self):
+        return Subspace, (self.basis,)
 
     @property
     def ambient(self):

@@ -1,10 +1,17 @@
 """Tests for subspaces: lattice operations, charts, forms, enumeration."""
 
-import dataclasses
+import copy
+import gc
+import os
+import pickle
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from torsorlab import subspaces
 from torsorlab.fields import FieldSyntaxError, PrimeField, QuadraticExt, Rationals
 from torsorlab.matrices import (ENUMERATION_LIMIT, Matrix, ShapeError,
                                 SingularMatrixError, parse_matrix, random_matrix)
@@ -61,28 +68,83 @@ def test_span_is_canonical():
     assert hash(a) == hash(b)
 
 
-def test_subspace_hash_is_the_dataclass_hash_computed_once():
-    f3 = PrimeField(3)
-    a = rand_sub(f3, 4, 13, 0)
-    twin = Subspace(a.basis)
-    assert a._hash is None
-    assert hash(a) == hash((a.basis,))
-    assert a._hash == hash(a)
-    assert twin._hash is None and a == twin and hash(twin) == hash(a)
-    assert "_hash" not in repr(a)
-    assert not next(f for f in dataclasses.fields(Subspace)
-                    if f.name == "_hash").compare
-
-
-def test_subspace_is_frozen_and_slotted():
+def test_subspace_refuses_every_write():
     a = full_subspace(PrimeField(2), 2)
-    for name in ("basis", "_hash"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(a, name, None)
+    basis = a.basis
+    with pytest.raises(AttributeError):
+        a.basis = Matrix.zeros(PrimeField(2), 0, 2)
+    with pytest.raises(AttributeError):
+        del a.basis
     # an attribute outside the slots has nowhere to go
-    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+    with pytest.raises(AttributeError):
         a.other = None
     assert not hasattr(a, "__dict__")
+    assert a.basis is basis
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), Rationals()],
+                         ids=["f3", "rat"])
+def test_equal_bases_give_one_subspace(field):
+    """Equal values are one object, so equality is identity and the hash
+    is the object's own."""
+    first = mat(field, [[1, 0, 2], [0, 1, 1]])
+    second = mat(field, [[1, 0, 2], [0, 1, 1]])
+    assert first == second and first is not second
+    a = Subspace(first)
+    assert Subspace(second) is a
+    assert Subspace.__eq__ is object.__eq__
+    assert Subspace.__hash__ is object.__hash__
+    assert span(mat(field, [[1, 1, 3], [1, 0, 2], [2, 1, 5]])) is a
+
+
+def test_copies_are_the_interned_subspace():
+    a = rand_sub(PrimeField(3), 4, 13, 0)
+    assert copy.copy(a) is a
+    assert copy.deepcopy(a) is a
+    assert copy.deepcopy({"x": [a]})["x"][0] is a
+    assert pickle.loads(pickle.dumps(a)) is a
+
+
+def test_the_intern_table_keeps_no_dead_subspace():
+    gc.collect()
+    start = len(subspaces._INTERNED)
+    built = all_subspaces(PrimeField(3), 5)
+    assert len(built) == 2664
+    assert all(subspaces._INTERNED[s.basis] is s for s in built)
+    del built
+    gc.collect()
+    assert len(subspaces._INTERNED) == start
+
+
+# Allocate and free a few MB, keeping every third object, so that the
+# library's objects land at other addresses than in a fresh interpreter.
+MOVED_HEAP = """
+import sys
+kept = [bytearray(i % 61 + 1) for i in range(60000)][::3]
+junk = [[i] * (i % 17) for i in range(100000)]
+del junk
+from torsorlab import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_output_does_not_depend_on_addresses():
+    """Hashes of subspaces are addresses, so set and dict orders of
+    subspaces differ between processes; no output byte may follow them."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(subspaces.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    for argv in (["check", "--suite", "all", "--field", "f2", "--ambient",
+                  "4", "--trials", "2", "--seed", "1"],
+                 ["gtable", "--form", "symplectic", "--n", "1", "--field",
+                  "f5", "--a", "1,0"]):
+        runs = [subprocess.run([sys.executable, *how, *argv],
+                               capture_output=True, text=True, timeout=300,
+                               env=dict(env, PYTHONHASHSEED=seed))
+                for how, seed in ((["-m", "torsorlab.cli"], "0"),
+                                  (["-c", MOVED_HEAP], "4242"))]
+        assert [r.returncode for r in runs] == [0, 0], runs[1].stderr
+        assert runs[0].stdout and runs[1].stdout == runs[0].stdout
 
 
 def test_span_rows_shortcut():

@@ -12,12 +12,14 @@ only `reports.cases` calls `trial_rng`, and only `reports.run_law` and
 three draw pools call `cases` (a law hands its draw to `run_law`); every
 library function reads each of its parameters, a law's predicate each slot
 it names, and no parameter takes one value from every library call; only
-`cli.main` catches `FieldSyntaxError`; and no handler in `cli.py` that
-catches ValueError wraps a call that raises `UsageError` itself.  No linter
-ships with the project, so this walks each module's syntax tree with the
-stdlib `ast` module.  The package's `__init__.py` is exempt from the import
-guard and from the name guard: its imports are the package's exports, and
-an export alone is no caller.
+`cli.main` catches `FieldSyntaxError`; no handler in `cli.py` that
+catches ValueError wraps a call that raises `UsageError` itself; and only
+`Subspace.__new__` reads the subspace intern table or gets past a
+Subspace's refusing `__setattr__`.  No linter ships with the project, so
+this walks each module's syntax tree with the stdlib `ast` module.  The
+package's `__init__.py` is exempt from the import guard and from the name
+guard: its imports are the package's exports, and an export alone is no
+caller.
 """
 
 import ast
@@ -323,6 +325,100 @@ def test_only_the_involution_builder_builds_involutions():
                    and node.name == "involution")
     assert calls_to(tree, "Involution") == calls_to(builder, "Involution")
     assert calls_to(builder, "Involution")
+
+
+INTERN_TABLE = "_INTERNED"
+BYPASSES = ("__new__", "__setattr__", "__delattr__")
+
+
+def intern_sites(trees):
+    """(module, definition, what) for each read of the intern table and each
+    call of `__new__`, `__setattr__` or `__delattr__` off `object` or
+    `super()`, named as in `callers_of`.  A write to a method's own receiver
+    is not listed, except in `Subspace`: the frozen values set their caches
+    that way, and a Subspace is the one value whose identity is its
+    equality."""
+    found = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            parts = node.body if isinstance(node, ast.ClassDef) else [node]
+            for part in parts:
+                owner = getattr(part, "name", "<module>")
+                receiver = None
+                if part is not node:
+                    owner = node.name + "." + owner
+                    args = getattr(part, "args", None)
+                    if node.name != "Subspace" and args and args.args:
+                        receiver = args.args[0].arg
+                for n in ast.walk(part):
+                    if (isinstance(getattr(n, "ctx", None), ast.Load)
+                            and INTERN_TABLE in (getattr(n, "id", None),
+                                                 getattr(n, "attr", None))):
+                        found.add((module, owner, INTERN_TABLE))
+                    if not (isinstance(n, ast.Call)
+                            and isinstance(n.func, ast.Attribute)
+                            and n.func.attr in BYPASSES):
+                        continue
+                    base = n.func.value
+                    if isinstance(base, ast.Call):  # super() acts on self
+                        base, target = base.func, receiver
+                    else:
+                        target = n.args and getattr(n.args[0], "id", None)
+                    if getattr(base, "id", None) not in ("object", "super"):
+                        continue
+                    if (n.func.attr != "__new__" and receiver is not None
+                            and target == receiver):
+                        continue
+                    found.add((module, owner, base.id + "." + n.func.attr))
+    return sorted(found)
+
+
+def test_intern_guard_sees_reads_bypasses_and_receivers():
+    source = ("_INTERNED = {}\n"
+              "_INTERNED.clear()\n"
+              "class Subspace:\n"
+              "    def __new__(cls, basis):\n"
+              "        live = _INTERNED.get(basis)\n"
+              "        live = object.__new__(cls)\n"
+              "        object.__setattr__(live, 'basis', basis)\n"
+              "        return live\n"
+              "    def reset(self, basis):\n"
+              "        object.__setattr__(self, 'basis', basis)\n"
+              "    def drop(self):\n"
+              "        super().__delattr__('basis')\n"
+              "class Matrix:\n"
+              "    def __hash__(self):\n"
+              "        object.__setattr__(self, '_hash', 1)\n"
+              "        super().__setattr__('_hash', 2)\n"
+              "    def poke(self, sub):\n"
+              "        object.__setattr__(sub, 'basis', self)\n")
+    trees = {"subspaces.py": ast.parse(source),
+             "n.py": ast.parse("import subspaces\n"
+                               "def twin(s):\n"
+                               "    return object.__new__(type(s))\n"
+                               "def table():\n"
+                               "    return subspaces._INTERNED\n"
+                               "def name(s):\n"
+                               "    return s.__new__, setattr(s, 'x', 1)\n")}
+    assert intern_sites(trees) == [
+        ("n.py", "table", "_INTERNED"), ("n.py", "twin", "object.__new__"),
+        ("subspaces.py", "<module>", "_INTERNED"),
+        ("subspaces.py", "Matrix.poke", "object.__setattr__"),
+        ("subspaces.py", "Subspace.__new__", "_INTERNED"),
+        ("subspaces.py", "Subspace.__new__", "object.__new__"),
+        ("subspaces.py", "Subspace.__new__", "object.__setattr__"),
+        ("subspaces.py", "Subspace.drop", "super.__delattr__"),
+        ("subspaces.py", "Subspace.reset", "object.__setattr__")]
+
+
+def test_only_the_subspace_constructor_interns():
+    """Equality of subspaces is identity, which is right only while each
+    basis has one live Subspace: only `Subspace.__new__` reads the intern
+    table or makes and fills a Subspace past its refusing `__setattr__`."""
+    assert intern_sites(library_trees()) == [
+        ("subspaces.py", "Subspace.__new__", "_INTERNED"),
+        ("subspaces.py", "Subspace.__new__", "object.__new__"),
+        ("subspaces.py", "Subspace.__new__", "object.__setattr__")]
 
 
 def unread_parameters(tree, module):
