@@ -7,30 +7,31 @@ with no second edit.
 `json_line` serializes sorted and minimal, for reports and every other JSON
 line the command line prints, so identical runs are byte-identical.
 A Report is frozen and built in one place, `run_law` (or `skipped_report`
-for a suite that did not run).
+for a suite that did not run), and never rebuilt afterwards.
 
 A law is a predicate over named-slot cases, defined once in the module whose
 objects it is about (`checks`, `gamma`, `involutions`, `homotopes`), and
-declared by one `run_law` call.  The predicate takes the slots as its
-parameters, and `run_law` alone picks the cases: a law with no draw (a
-carrier sweep, or a single comparison) enumerates in every mode, and a law
-with a draw takes `cases`, its enumeration in an exhaustive run if it has
-one and otherwise trial i drawn from trial_rng(seed, i).  The cases the laws
-share (subspaces, relations and transversal tuples) come from `gamma`; since
-every law's trial i starts from one generator state, their draws are made
-once per check run and shared (`rng.shared_draw`).
+declared by one `run_law` call; an inclusion the paper states is such a
+predicate too, asserting the equality it is over K^n.  The predicate takes
+the slots as its parameters, and `run_law` alone picks the cases: a law with
+no draw (a carrier sweep, or a single comparison) enumerates in every mode,
+and a law with a draw takes `cases`, its enumeration in an exhaustive run if
+it has one and otherwise trial i drawn from trial_rng(seed, i).  The cases
+the laws share (subspaces, relations and transversal tuples) come from
+`gamma`; since every law's trial i starts from one generator state, their
+draws are made once per check run and shared (`rng.shared_draw`).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from .matrices import Matrix, format_matrix
 from .relations import LinearRelation, relation_to_json
 from .rng import run_table, trial_rng
-from .subspaces import Subspace, contains, subspace_to_json
+from .subspaces import Subspace, subspace_to_json
 
 
 @dataclass(frozen=True)
@@ -82,30 +83,6 @@ def run_law(suite, law, holds, config=None, draw=None, enumerate_all=None,
                 if failures == 1:
                     first = describe(case)
     return Report(suite, law, count, failures, first, tuple(notes))
-
-
-def run_inclusion_law(suite, law, sides, config=None, draw=None,
-                      enumerate_all=None):
-    """A law "big contains small", with sides(**case) giving (big, small).
-
-    Only a broken inclusion fails; the number of cases where it is strict
-    goes into the notes, so genuinely strict cases can be collected.
-    """
-    strict = 0
-
-    def holds(**case):
-        nonlocal strict
-        big, small = sides(**case)
-        if not contains(big, small):
-            return False
-        strict += big != small
-        return True
-
-    report = run_law(suite, law, holds, config, draw, enumerate_all)
-    if strict:
-        return replace(report,
-                       notes=("strict-inclusion-instances:%d" % strict,))
-    return report
 
 
 def skipped_report(suite, reason):

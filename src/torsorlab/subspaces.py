@@ -22,8 +22,8 @@ dict keyed by them unless built in a fixed order, differs between
 processes, and no output may depend on it: the library uses such sets only
 for `==` and `in`, and iterates such dicts in insertion order.
 
-A Form is its gram: building one refuses a gram that is neither hermitian
-nor skew, or is singular, and its kind is read off the gram.  The split and
+A Form is its gram: building one refuses a gram that is not square, is
+singular, or is neither hermitian nor skew, and its kind is read off it.  The split and
 symplectic forms and the pairing of `relations.adjoint` are one
 construction, the hyperbolic form [[0, B], [sign B, 0]].
 """
@@ -197,13 +197,13 @@ class Form:
     gram: Matrix
 
     def __post_init__(self):
-        ct = self.gram.conj_t()
-        if ct != self.gram and ct != -self.gram:
-            raise ValueError("gram matrix is neither hermitian nor skew")
-        try:
+        try:  # a gram that is not square is refused here, as a ShapeError
             mat_invert(self.gram)
         except SingularMatrixError:
             raise SingularMatrixError("degenerate gram matrix") from None
+        ct = self.gram.conj_t()
+        if ct != self.gram and ct != -self.gram:
+            raise ValueError("gram matrix is neither hermitian nor skew")
 
     @property
     def kind(self):
@@ -383,4 +383,5 @@ def _check_same_space(x, *others):
     for y in others:
         m = y.basis
         if m.ncols != n or (m.ring is not field and m.ring != field):
-            raise ShapeError("%r and %r are not in one space" % (x, y))
+            raise ShapeError("%r over %s and %r over %s are not in one space"
+                             % (x, field.spec(), y, m.ring.spec()))

@@ -9,7 +9,8 @@ from torsorlab import checks, gamma, involutions, subspaces
 from torsorlab.checks import run_suite
 from torsorlab.fields import (PrimeField, QuadraticExt, Rationals,
                               field_from_spec)
-from torsorlab.gamma import gamma_global, gamma_oracle
+from torsorlab.gamma import (gamma_global, gamma_oracle, relation_cases,
+                             subspace_cases)
 from torsorlab.involutions import (
     Involution,
     InvolutionError,
@@ -40,6 +41,7 @@ from torsorlab.involutions import (
 )
 from torsorlab.matrices import (Matrix, all_matrices, hstack, mat_invert,
                                 random_invertible, random_matrix, vstack)
+from torsorlab.relations import adjoint, apply_rel, inverse_rel
 from torsorlab.reports import CheckConfig
 from torsorlab.rng import trial_rng
 from torsorlab.subspaces import (
@@ -252,6 +254,36 @@ def test_duality_inclusion_reports():
         for form in standard_forms(field, 1).values():
             r = check_duality_inclusion(ortho_involution(form), cfg)
             assert r.failures == 0, r.first_counterexample
+
+
+# (field, ambient, trials); trials None tries every (F, z).
+EQUALITY_DRAWS = (("fp:2", 2, None), ("fp:3", 2, 100), ("fp:3", 4, 30),
+                  ("fp:5", 2, 60), ("fp:5", 4, 20), ("fp2:3", 2, 60),
+                  ("rat", 2, 40), ("gauss", 2, 20))
+
+
+@pytest.mark.parametrize("spec, ambient, trials", EQUALITY_DRAWS)
+def test_both_inclusions_are_equalities_for_every_standard_tau(
+        spec, ambient, trials):
+    """The paper's inclusions, tau(F z) containing (F*)^-1(tau z) and
+    tau Gamma(x,a,y,b,z) containing Gamma(tx,tb,ty,ta,tz), are equalities
+    over K^n for the symplectic, split and diag tau alike; the suites run
+    the first only for the symplectic tau.  Over F2 every (F, z) is tried
+    and 200 tuples are drawn; elsewhere both take `trials` draws."""
+    field = field_from_spec(spec)
+    draw_fz, every_fz = relation_cases(field, ambient, "f", "z")
+    draw_tuple, _ = subspace_cases(field, ambient, "xaybz")
+    pairs = (list(every_fz()) if trials is None
+             else [draw_fz(trial_rng(5, i)) for i in range(trials)])
+    tuples = [draw_tuple(trial_rng(6, i)) for i in range(trials or 200)]
+    for inv in all_standard_involutions(field, ambient // 2):
+        for f, z in (c.values() for c in pairs):
+            assert (inv(apply_rel(f, z))
+                    == apply_rel(inverse_rel(adjoint(f, inv)), inv(z)))
+        for x, a, y, b, z in (c.values() for c in tuples):
+            assert (inv(gamma_global(x, a, y, b, z))
+                    == gamma_global(inv(x), inv(b), inv(y), inv(a), inv(z)))
+    assert len(pairs) == (335 if trials is None else trials)
 
 
 def test_dilation_compatibility():

@@ -10,10 +10,12 @@ import pytest
 from torsorlab import matrices
 from torsorlab.checks import run_suite
 from torsorlab.fields import PrimeField, Rationals
-from torsorlab.involutions import Involution
+from torsorlab.gamma import relation_cases
+from torsorlab.involutions import Involution, ortho_involution
 from torsorlab.matrices import Matrix
+from torsorlab.relations import adjoint, apply_rel, inverse_rel
 from torsorlab.reports import CheckConfig
-from torsorlab.subspaces import Form, orthocomplement
+from torsorlab.subspaces import Form, orthocomplement, symplectic_form
 
 CFG = CheckConfig(trials=20)
 
@@ -86,6 +88,24 @@ def test_adjoint_laws_see_a_wrong_tau(monkeypatch, field):
     assert failing_laws(suites, field) == {
         "adjoint-projection-symplectic", "adjoint-projection-split",
         "adjoint-projection-diag", "adjoint-image-inclusion"}
+
+
+def test_adjoint_image_law_fails_where_its_sides_differ(monkeypatch):
+    """The law asserts tau(F z) = (F*)^-1(tau z), so under a wrong tau a
+    case whose sides differ fails, whether or not one side contains the
+    other: over F2 at ambient 2 that is 154 of the 335 cases (F, z)."""
+    f2 = PrimeField(2)
+    plant_identity_tau(monkeypatch)
+    tau = ortho_involution(symplectic_form(f2, 1))
+    _, enumerate_all = relation_cases(f2, 2, "f", "z")
+    differ = [tau(apply_rel(f, z))
+              != apply_rel(inverse_rel(adjoint(f, tau)), tau(z))
+              for f, z in (tuple(c.values()) for c in enumerate_all())]
+    (report,) = run_suite("adjoint-image-inclusion", f2, 2,
+                          CheckConfig(exhaustive=True))
+    assert (report.cases, report.failures) == (len(differ), sum(differ))
+    assert (report.cases, report.failures) == (335, 154)
+    assert report.notes == ()
 
 
 def test_fixed_set_suites_report_a_wrong_tau(monkeypatch):

@@ -357,6 +357,21 @@ def test_make_form_rejects_wrong_symmetry():
         Form(mat(f3, [[1, 0], [0, 0]]))
 
 
+def test_make_form_refuses_a_gram_that_is_not_square():
+    with pytest.raises(ShapeError, match="2x3 matrix is not square"):
+        Form(Matrix.zeros(PrimeField(3), 2, 3))
+
+
+def test_subspaces_over_two_fields_name_their_fields():
+    """Subspace reprs omit the field, so the refusal names both."""
+    x = span_rows(PrimeField(3), 2, [[1, 0]])
+    y = span_rows(PrimeField(5), 2, [[1, 0]])
+    with pytest.raises(ShapeError,
+                       match=r"Subspace\(2, '1,0'\) over fp:3 and "
+                             r"Subspace\(2, '1,0'\) over fp:5 are not"):
+        meet(x, y)
+
+
 def test_isotropy():
     f3 = PrimeField(3)
     sym = symplectic_form(f3, 1)

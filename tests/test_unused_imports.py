@@ -3,8 +3,9 @@
 Every module-level import in the library modules and the tests is used;
 every module-level name a library module defines is loaded by the library
 itself, not only by the package's exports or the tests; no library module
-reads the process environment; only `reports.py` builds a Report, only
-`matrices.py` calls `_eliminate`, only `matrices._product` calls the
+reads the process environment; only `reports.py` builds a Report, there
+only `run_law` and `skipped_report`, and it rebuilds none with `replace`;
+only `matrices.py` calls `_eliminate`, only `matrices._product` calls the
 product kernels, only `involutions.involution` builds an Involution, only
 `subspaces.orthocomplement` and the rank-nullity law call `kernel_basis`,
 only `Involution.__call__` and `relations.adjoint` call `orthocomplement`,
@@ -202,6 +203,15 @@ def calls_outside(module, name):
 
 def test_only_reports_module_builds_reports():
     assert calls_outside("reports.py", "Report") == {}
+
+
+def test_no_report_is_rebuilt_after_run_law():
+    """Inside `reports.py` a Report comes from `run_law` or, for a suite
+    that did not run, `skipped_report`; no `replace` rewrites one after."""
+    tree = library_trees()["reports.py"]
+    assert callers_of({"reports.py": tree}, "Report") == [
+        ("reports.py", "run_law"), ("reports.py", "skipped_report")]
+    assert calls_to(tree, "replace") == []
 
 
 def test_only_matrices_module_eliminates():
