@@ -27,9 +27,9 @@ from .subspaces import (Form, Subspace, all_subspaces, chart_of, complement,
                         enumerate_subspaces, full_subspace, gaussian_binomial,
                         graph_minus, graph_of, hyperbolic_form, image_under,
                         is_isotropic, is_transversal, join, meet,
-                        orthocomplement, random_subspace, span, span_rows,
-                        split_form, standard_forms, subspace_to_json,
-                        symplectic_form)
+                        middle_layer, orthocomplement, random_subspace, span,
+                        span_rows, split_form, standard_forms,
+                        subspace_to_json, symplectic_form)
 from .relations import (LinearRelation, adjoint, apply_rel, compose,
                         difference, gen_projection, inverse_rel, one_minus,
                         one_plus, random_relation, relation_to_json)

@@ -568,7 +568,7 @@ _SUITE_ROWS = (
      "taking the adjoint twice returns the original relation",
      _tau_laws(("adjoint-involutive", check_adjoint_involutive))),
     ("adjoint-image-inclusion", "relations",
-     "the orthocomplement of F(z) contains the adjoint-inverse image of the"
+     "the orthocomplement of F(z) equals the adjoint-inverse image of the"
      " orthocomplement of z", _run_adjoint_image_inclusion),
     ("relation-dimension", "relations",
      "dim of a relation equals kernel dimension plus image dimension",
@@ -591,8 +591,8 @@ _SUITE_ROWS = (
      "left multiplication by (x, a, y, b) is inverted by swapping x with y",
      _laws(check_l_inversion)),
     ("involution-duality", "involutions",
-     "orthocomplement of a pentary product contains, and over finite fields"
-     " equals, the pentary product of orthocomplements in reversed order",
+     "orthocomplement of a pentary product equals the pentary product of"
+     " orthocomplements in reversed order",
      _tau_laws(("duality-inclusion", check_duality_inclusion),
                ("duality-equality", check_antihom_global))),
     ("involution-antihom", "involutions",

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+import math
 import re
 
 
@@ -221,15 +222,31 @@ class GaussianRationals(FieldBase):
                 Fraction(rng.below(9) - 4, rng.below(3) + 1))
 
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n):
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
+    """Miller-Rabin with the prime bases 2 ... 37, exact below 2**64."""
+    if n < 2 or any(n % w == 0 for w in _BASES):
+        return n in _BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    for w in _BASES:
+        x = pow(w, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        k += 1
     return True
+
+
+def _check_prime(p):
+    """FieldSyntaxError unless p is a prime below 2**64."""
+    if p >= 1 << 64 or not _is_prime(p):
+        raise FieldSyntaxError("%d is not a prime below 2**64" % p)
 
 
 def _rational_mod(q, p):
@@ -244,8 +261,7 @@ class PrimeField(FieldBase):
     p: int
 
     def __post_init__(self):
-        if not _is_prime(self.p):
-            raise FieldSyntaxError("%d is not prime" % self.p)
+        _check_prime(self.p)
 
     @property
     def char(self):
@@ -305,9 +321,9 @@ class PrimeField(FieldBase):
 
 
 def least_nonsquare(p):
-    squares = {(x * x) % p for x in range(1, p)}
+    """The least d >= 2 with no square root mod the prime p, by Euler."""
     for d in range(2, p):
-        if d not in squares:
+        if pow(d, (p - 1) // 2, p) == p - 1:
             return d
     raise FieldSyntaxError("no non-square mod %d" % p)
 
@@ -321,8 +337,7 @@ class QuadraticExt(FieldBase):
     d: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not _is_prime(self.p):
-            raise FieldSyntaxError("%d is not prime" % self.p)
+        _check_prime(self.p)
         if self.p == 2:
             raise FieldSyntaxError("no non-square mod 2; fp2 needs an odd prime")
         object.__setattr__(self, "d", least_nonsquare(self.p))
@@ -462,7 +477,7 @@ def field_from_spec(spec):
         q = int(m.group(1))
         if _is_prime(q):
             return PrimeField(q)
-        r = int(round(q ** 0.5))
+        r = math.isqrt(q)
         if r * r == q and _is_prime(r):
             return QuadraticExt(r)
         raise FieldSyntaxError("%r is not a prime or prime-square size" % spec)

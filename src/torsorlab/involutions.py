@@ -12,12 +12,13 @@ calling its Involution.  Within a check run each image is computed once per
 (subspace, gram), in the run's table (`rng.run_shared`), whichever laws
 apply it; outside a run nothing is kept.
 
-Fixed-point sets are the Lagrangian-type subvarieties, enumerated once per
-gram in a check run's table.  The torsors G(inv, a), sorted tuples of fixed
-subspaces, and the unitary groups U(inv; a, o, b), each a tuple of
-subspaces in `common_complements` order, take Gamma with the middle pair
-bound as their product.  They live here with the closure of the fixed set
-under the pentary product with middle pair (a, tau a).
+Fixed-point sets, the Lagrangian-type subvarieties, and the isotropic
+census are filters of the run-shared `subspaces.middle_layer`.  The torsors
+G(inv, a), sorted tuples of fixed subspaces, and the unitary groups
+U(inv; a, o, b), each a tuple of subspaces in `common_complements` order,
+take Gamma with the middle pair bound as their product.  They live here
+with the closure of the fixed set under the pentary product with middle
+pair (a, tau a).
 
 Carrier tables (`cayley_table`) are computed in the chart of U_a centred at
 the unit, where the torsor product is the homotope product X + (1 - X B) Z.
@@ -39,10 +40,9 @@ from .gamma import (common_complements, dilations, gamma_global, gamma_oracle,
 from .matrices import (Matrix, det, format_matrix, hstack, mat_invert,
                        random_invertible, rank, vstack)
 from .reports import describe_value, every, run_law
-from .rng import run_shared
 from .subspaces import (Subspace, TransversalityError, chart_minus,
-                        chart_of, coord_subspace, enumerate_subspaces,
-                        graph_minus, image_under, is_isotropic, is_transversal,
+                        chart_of, coord_subspace, graph_minus, image_under,
+                        is_isotropic, is_transversal, middle_layer,
                         orthocomplement)
 
 
@@ -129,26 +129,16 @@ def dual_involution(inv):
 
 
 def fixed_points(inv):
-    """All tau-fixed subspaces, sorted (finite fields, even ambient only).
-
-    An invertible gram forces every fixed point into the middle dimension,
-    so only that layer is enumerated, once per check run and gram.
-    """
-    n = inv.ambient
-    if n % 2 == 1:
-        return ()
-    return run_shared(("fixed-points", inv.gram), lambda: tuple(
-        x for x in enumerate_subspaces(inv.field, n, n // 2) if inv(x) == x))
+    """All tau-fixed subspaces, sorted: tau sends a k-dimensional x to an
+    (n - k)-dimensional one, so they lie in the middle layer."""
+    return tuple(x for x in middle_layer(inv.field, inv.ambient)
+                 if inv(x) == x)
 
 
 def isotropic_census(form):
-    """Middle-dimension totally isotropic subspaces, filtered once per run."""
-    n = form.ambient
-    if n % 2 == 1:
-        return ()
-    return run_shared(("isotropic-census", form.gram), lambda: tuple(
-        x for x in enumerate_subspaces(form.field, n, n // 2)
-        if is_isotropic(x, form)))
+    """Middle-dimension totally isotropic subspaces, sorted."""
+    return tuple(x for x in middle_layer(form.field, form.ambient)
+                 if is_isotropic(x, form))
 
 
 def census_report(form, law="census-two-paths"):
@@ -467,11 +457,10 @@ def check_invariant_transport(form, config, law="isometry-transport"):
     Both carriers come from `torsor_G`: the one at a, moved by g, must be
     the one at g a, and when nonempty their chart tables (`cayley_table`)
     must agree.  `a` is drawn uniformly from the middle layer, where the
-    fixed points lie, enumerated once per law call.
+    fixed points lie, which a check run enumerates once.
     """
     inv = ortho_involution(form)
-    layer = tuple(enumerate_subspaces(form.field, form.ambient,
-                                      form.ambient // 2))
+    layer = middle_layer(form.field, form.ambient)
 
     def draw(rng):
         return dict(g=random_isometry(form, rng),

@@ -52,7 +52,11 @@ A `Matrix` is a frozen, slotted value: its ring, its column count and its
 entries.  `nrows` is `len(entries)`; `ncols` is stored, since a 0 x n matrix
 has no row to measure.  Its hash is computed once, on first use, and kept in
 the `_hash` slot; it equals the hash a frozen dataclass would generate, so
-set and dict orders do not depend on the cache.
+set and dict orders do not depend on the cache.  The slot stays because
+every tau lookup in a check run hashes its gram, which over Q is a
+Python-level `Fraction` hash per entry: on a shared 2-CPU host, rat-sampled
+without the slot was faster in only 3 of 16 alternating pairs, in each of
+two batches (in-process medians 0.400 -> 0.428 s and 0.715 -> 0.722 s).
 """
 
 from __future__ import annotations

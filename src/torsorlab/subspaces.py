@@ -1,15 +1,16 @@
 """Subspaces of K^n with lattice operations, charts, and orthogonality.
 
-A subspace is stored as its reduced-row-echelon basis with zero rows dropped,
-which is a canonical form: two subspaces are equal iff their representations
-are equal, and every Subspace is hashable.  The lattice operations (meet,
-join), the affine charts against a fixed complement, orthocomplements for a
-sesquilinear form, and a deterministic enumeration of all subspaces over a
-finite field live here.  Before it builds anything, the enumeration asks
-for `field.elements()`, which refuses an infinite field, and counts the
+A subspace is stored as its reduced-row-echelon basis with zero rows
+dropped, a canonical form.  The lattice operations (meet, join), the affine
+charts against a fixed complement, orthocomplements for a sesquilinear
+form, and a deterministic enumeration of all subspaces over a finite field
+live here.  Before it builds anything, the enumeration asks for
+`field.elements()`, which refuses an infinite field, and counts the
 subspaces asked for by Gaussian binomials; it refuses a request for more
-than `matrices.ENUMERATION_LIMIT` of them with `FieldSyntaxError`.
-The limit is 10^6, so all of F2^8 or F3^6 passes and F5^6 does not.
+than `matrices.ENUMERATION_LIMIT` (10^6) of them with `FieldSyntaxError`,
+so all of F2^8 or F3^6 passes and F5^6 does not.  A check run enumerates
+each layer a law uses once: `all_subspaces` and `middle_layer` (dimension
+ambient/2) are tuples in the run's table (`rng.run_shared`).
 
 Equal subspaces are one object: `Subspace(basis)` returns the live object
 for its basis if there is one, from a table that holds its subspaces
@@ -324,7 +325,17 @@ def enumerate_subspaces(field, ambient, dim=None):
 
 
 def all_subspaces(field, ambient):
-    return tuple(enumerate_subspaces(field, ambient))
+    """Every subspace, in `enumerate_subspaces` order; once per check run."""
+    return run_shared(("subspaces", field, ambient),
+                      lambda: tuple(enumerate_subspaces(field, ambient)))
+
+
+def middle_layer(field, ambient):
+    """The ambient/2-dimensional layer, once per run; () at odd ambient."""
+    if ambient % 2:
+        return ()
+    return run_shared(("middle-layer", field, ambient), lambda: tuple(
+        enumerate_subspaces(field, ambient, ambient // 2)))
 
 
 def gaussian_binomial(n, k, q):

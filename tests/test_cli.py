@@ -209,6 +209,19 @@ def test_check_rejects_trial_counts_below_one(trials, capsys):
         assert "--trials" in err
 
 
+def test_a_large_prime_field_runs_and_one_past_64_bits_is_refused(capsys):
+    """Primality of a field spec is decided by Miller-Rabin, so a prime
+    near 2**61 runs at once; a prime at or above 2**64 exits 2."""
+    argv = ["check", "--suite", "field-axioms", "--ambient", "2",
+            "--trials", "3", "--field"]
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, *argv, "fp:%d" % (2 ** 61 - 1))
+    assert code == 0 and json.loads(out)["passed"]
+    assert time.perf_counter() - start < 5
+    code, out, err = run_cli(capsys, *argv, "fp:18446744073709551629")
+    assert code == 2 and not out and "below 2**64" in err
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), "x"])
 def test_check_rejects_seeds_outside_64_bits(seed, capsys):
     """SplitMix64 keeps 64 bits: a seed outside [0, 2**64) would alias one

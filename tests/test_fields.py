@@ -1,6 +1,7 @@
 """Tests for exact scalar rings: axioms, conjugation, parsing, dual extensions."""
 
 import dataclasses
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,9 @@ from torsorlab.fields import (
     PrimeField,
     QuadraticExt,
     Rationals,
+    _is_prime,
     field_from_spec,
+    least_nonsquare,
 )
 from torsorlab.rng import trial_rng
 
@@ -178,6 +181,42 @@ def test_field_from_spec_rejects_bad_specs():
     for bad in ("fp:4", "fp:1", "f6", "fp2:2?", "", "elliptic", "fp:x"):
         with pytest.raises(FieldSyntaxError):
             field_from_spec(bad)
+
+
+def trial_division(n):
+    return n >= 2 and all(n % k for k in range(2, int(n ** 0.5) + 1))
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    """The bases 2 ... 37 decide every n below 2**64; below 200,000 that is
+    checked against trial division, and the least strong pseudoprime to
+    the bases 2 ... 23 is refused."""
+    assert all(_is_prime(n) == trial_division(n) for n in range(200_000))
+    assert not _is_prime(3825123056546413051)
+    assert _is_prime(2 ** 61 - 1) and not _is_prime(2 ** 61 + 1)
+
+
+def test_least_nonsquare_is_the_least_non_square():
+    """Euler's criterion gives the least d >= 2 outside the squares."""
+    for p in filter(trial_division, range(3, 5_000)):
+        squares = {x * x % p for x in range(1, p)}
+        assert least_nonsquare(p) == min(set(range(2, p)) - squares), p
+    with pytest.raises(FieldSyntaxError):
+        least_nonsquare(2)
+
+
+def test_large_primes_build_at_once():
+    """A field of a 64-bit prime builds without listing residues; a prime
+    square past float precision is read as one; 2**64 and above is refused."""
+    start = time.perf_counter()
+    assert field_from_spec("fp2:1000000007").d == 5
+    assert field_from_spec("fp:%d" % (2 ** 61 - 1)).size == 2 ** 61 - 1
+    assert field_from_spec("f%d" % (2 ** 61 - 1) ** 2) == QuadraticExt(
+        2 ** 61 - 1)
+    assert time.perf_counter() - start < 1
+    for spec in ("fp:18446744073709551629", "fp2:18446744073709551629"):
+        with pytest.raises(FieldSyntaxError, match="below 2"):
+            field_from_spec(spec)
 
 
 def test_spec_roundtrip():

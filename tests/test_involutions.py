@@ -202,7 +202,6 @@ def test_involution_enumerates_no_subspace(monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerated subspaces")
 
-    monkeypatch.setattr(involutions, "enumerate_subspaces", refuse)
     monkeypatch.setattr(subspaces, "enumerate_subspaces", refuse)
     involutions._order_two_ok.cache_clear()
     f5 = PrimeField(5)

@@ -3,12 +3,15 @@
 Inside a run (`rng.run_table`), a `shared_draw` sampler called again from
 an equal generator state returns the first value and leaves the generator
 where the first call left it, `orthocomplement` takes each kernel once
-per (subspace, gram), and `fixed_points` and `isotropic_census` enumerate
-each fixed set and each census once per gram.  Outside a run nothing is kept, and no run leaves its table
-behind, whether it returns or raises.
+per (subspace, gram), and each layer of subspaces a law uses is enumerated
+once (`all_subspaces`, `middle_layer`), so `fixed_points` and
+`isotropic_census`, filters of the middle layer, enumerate nothing more.
+Outside a run nothing is kept, and no run leaves its table behind, whether
+it returns or raises.
 """
 
 import io
+from collections import Counter
 from contextlib import redirect_stdout
 from dataclasses import replace
 
@@ -17,16 +20,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torsorlab import checks, cli, subspaces
-from torsorlab.fields import PrimeField, Rationals
+from torsorlab.fields import PrimeField, Rationals, field_from_spec
 from torsorlab.gamma import transversal_tuple
 from torsorlab.involutions import (fixed_points, involution, isotropic_census,
                                    ortho_involution)
-from torsorlab.matrices import ShapeError
+from torsorlab.matrices import Matrix, ShapeError
 from torsorlab.relations import adjoint, random_relation
 from torsorlab.reports import CheckConfig
 from torsorlab.rng import SplitMix64, run_table, shared_draw, trial_rng
-from torsorlab.subspaces import (orthocomplement, random_subspace,
-                                 span_rows, split_form, symplectic_form)
+from torsorlab.subspaces import (Form, enumerate_subspaces, is_isotropic,
+                                 middle_layer, orthocomplement,
+                                 random_subspace, span_rows, split_form,
+                                 standard_forms, symplectic_form)
 
 FIELDS = {"f2": PrimeField(2), "f3": PrimeField(3), "f5": PrimeField(5),
           "rat": Rationals()}
@@ -134,26 +139,78 @@ def test_tau_images_are_kept_by_gram():
             assert inside == alone
 
 
-def test_a_fixed_set_is_enumerated_once_per_run_by_gram():
-    """Two involutions with one gram share one fixed-set tuple within a
-    run; outside a run every call enumerates afresh."""
-    form = split_form(PrimeField(3), 1)
+def count_enumerations(monkeypatch):
+    """The (field, ambient, dim) of each `enumerate_subspaces` call."""
+    made = []
+    real = subspaces.enumerate_subspaces
+
+    def counted(field, ambient, dim=None):
+        made.append((field, ambient, dim))
+        return real(field, ambient, dim)
+
+    monkeypatch.setattr(subspaces, "enumerate_subspaces", counted)
+    return made
+
+
+def test_the_middle_layer_is_enumerated_once_per_run(monkeypatch):
+    """Within a run the fixed sets of two involutions with one gram, the
+    census of their form and the layer itself share one enumeration;
+    outside a run every call enumerates."""
+    made = count_enumerations(monkeypatch)
+    f3 = PrimeField(3)
+    form = split_form(f3, 1)
     perp, other = ortho_involution(form), involution(form.gram, "x")
-    assert fixed_points(perp) == fixed_points(other)
+
+    def filters():
+        return (fixed_points(perp), fixed_points(other),
+                isotropic_census(form), middle_layer(f3, 2))
+
+    alone = filters()
+    assert len(made) == 4 and len(alone[2]) == 2
+    made.clear()
     with run_table():
-        assert fixed_points(perp) is fixed_points(other)
-    assert fixed_points(perp) is not fixed_points(perp)
+        assert filters() == filters() == alone
+    assert made == [(f3, 2, 1)]
 
 
-def test_an_isotropic_census_is_enumerated_once_per_run():
-    """`census_report` and `dual-fixed-lagrangian` filter the split form's
-    middle layer once per run; outside a run every call filters afresh."""
-    form = split_form(PrimeField(3), 1)
-    census = isotropic_census(form)
-    assert len(census) == 2
-    with run_table():
-        assert isotropic_census(form) is isotropic_census(form) == census
-    assert isotropic_census(form) is not isotropic_census(form)
+@pytest.mark.parametrize("name", ["f2", "f3", "f5", "f9"])
+def test_filters_of_the_shared_layer_are_the_direct_filters(name):
+    """A fixed set and a census are the filters of the middle layer as
+    `enumerate_subspaces` lists it, for each standard form at ambients 2
+    and 4 in a run and at ambient 2 outside one; an odd ambient has
+    neither."""
+    field = field_from_spec(name)
+    for n in (1, 2):
+        layer = tuple(enumerate_subspaces(field, 2 * n, n))
+        for form in standard_forms(field, n).values():
+            tau = ortho_involution(form)
+            with run_table():
+                fixed = tuple(x for x in layer if tau(x) == x)
+                census = tuple(x for x in layer if is_isotropic(x, form))
+                assert fixed and fixed_points(tau) == fixed
+                assert isotropic_census(form) == census
+            if n == 1:  # at ambient 4 this would take every kernel again
+                assert fixed_points(tau) == fixed
+                assert isotropic_census(form) == census
+    odd = Form(Matrix.identity(field, 3))
+    assert middle_layer(field, 3) == () == isotropic_census(odd)
+    assert fixed_points(ortho_involution(odd)) == ()
+
+
+@pytest.mark.parametrize("argv,layers", [
+    (["--field", "f3", "--ambient", "4", "--trials", "2"],
+     [(4, 2)]),
+    (["--field", "f2", "--ambient", "2", "--exhaustive"],
+     [(2, None), (2, 1), (4, None)])])
+def test_a_check_run_enumerates_each_layer_once(monkeypatch, argv, layers):
+    """`check --suite all` enumerates each (ambient, dim) it needs once:
+    sampled F3 at ambient 4 only its middle layer, exhaustive F2 at
+    ambient 2 every subspace of K^2 and of K^4 and the lines of K^2."""
+    made = count_enumerations(monkeypatch)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["check", "--suite", "all"] + argv) == 0
+    assert Counter((n, k) for _, n, k in made) == Counter(layers)
 
 
 def count_kernels(monkeypatch):

@@ -8,6 +8,9 @@ only `run_law` and `skipped_report`, and it rebuilds none with `replace`;
 only `matrices.py` calls `_eliminate`, only `matrices._product` calls the
 product kernels, only `involutions.involution` builds an Involution, only
 `subspaces.orthocomplement` and the rank-nullity law call `kernel_basis`,
+only the CLI `enumerate` command and the run-shared `all_subspaces` and
+`middle_layer` call `enumerate_subspaces`, and only those two,
+`orthocomplement` and `rng.shared_draw` call `run_shared`,
 only `Involution.__call__` and `relations.adjoint` call `orthocomplement`,
 only `reports.cases` calls `trial_rng`, and only `reports.run_law` and
 three draw pools call `cases` (a law hands its draw to `run_law`); every
@@ -296,6 +299,23 @@ def test_only_orthocomplement_and_rank_nullity_take_kernels():
     assert callers_of(library_trees(), "kernel_basis") == [
         ("checks.py", "_run_rank_nullity"),
         ("subspaces.py", "orthocomplement")]
+
+
+def test_every_library_enumeration_is_shared():
+    """A check run enumerates each layer once: outside the CLI `enumerate`
+    command, which streams, the library lists subspaces only through the
+    run-shared `all_subspaces` and `middle_layer`."""
+    assert callers_of(library_trees(), "enumerate_subspaces") == [
+        ("cli.py", "_cmd_enumerate"), ("subspaces.py", "all_subspaces"),
+        ("subspaces.py", "middle_layer")]
+
+
+def test_only_draws_layers_and_tau_share_a_run_table():
+    """The run table holds shared draws, the two enumerated layers and tau
+    images, nothing keyed by a caller's own memo."""
+    assert callers_of(library_trees(), "run_shared") == [
+        ("rng.py", "shared_draw"), ("subspaces.py", "all_subspaces"),
+        ("subspaces.py", "middle_layer"), ("subspaces.py", "orthocomplement")]
 
 
 def test_a_law_applies_tau_through_its_involution():
