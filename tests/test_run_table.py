@@ -152,24 +152,38 @@ def count_enumerations(monkeypatch):
     return made
 
 
-def test_the_middle_layer_is_enumerated_once_per_run(monkeypatch):
-    """Within a run the fixed sets of two involutions with one gram, the
-    census of their form and the layer itself share one enumeration;
-    outside a run every call enumerates."""
+def test_a_fixed_set_is_enumerated_once_per_run_by_gram(monkeypatch):
+    """The fixed sets of two involutions with one gram share one
+    enumeration of the middle layer within a run; outside a run every call
+    enumerates afresh."""
     made = count_enumerations(monkeypatch)
     f3 = PrimeField(3)
     form = split_form(f3, 1)
     perp, other = ortho_involution(form), involution(form.gram, "x")
-
-    def filters():
-        return (fixed_points(perp), fixed_points(other),
-                isotropic_census(form), middle_layer(f3, 2))
-
-    alone = filters()
-    assert len(made) == 4 and len(alone[2]) == 2
+    alone = fixed_points(perp)
+    assert fixed_points(other) == alone and len(made) == 2
     made.clear()
     with run_table():
-        assert filters() == filters() == alone
+        assert fixed_points(perp) == fixed_points(other) == alone
+    assert made == [(f3, 2, 1)]
+
+
+def test_an_isotropic_census_is_enumerated_once_per_run(monkeypatch):
+    """`census_report` and `dual-fixed-lagrangian` filter the split form's
+    middle layer, which a run enumerates once and shares with the form's
+    fixed set and `middle_layer` itself; outside a run every call
+    enumerates afresh."""
+    made = count_enumerations(monkeypatch)
+    f3 = PrimeField(3)
+    form = split_form(f3, 1)
+    census = isotropic_census(form)
+    assert len(census) == 2 and isotropic_census(form) == census
+    assert len(made) == 2
+    made.clear()
+    with run_table():
+        assert isotropic_census(form) == isotropic_census(form) == census
+        assert fixed_points(ortho_involution(form)) == census
+        assert middle_layer(f3, 2) == tuple(enumerate_subspaces(f3, 2, 1))
     assert made == [(f3, 2, 1)]
 
 
